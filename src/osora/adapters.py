@@ -6,6 +6,13 @@ every adapter folds into a single dense matrix via merge() with no residual
 inference cost. Frozen tensors are stored as read-only arrays; training only
 ever touches the trainable dict.
 
+A build over the same weight bytes, shape, method and seed as an adapter
+still alive in the process shares that adapter's frozen dict and starts from
+copies of its initial trainables, so it runs no second SVD. The build is
+deterministic, so either path yields the same bytes. The registry holds its
+entries weakly: one lives exactly as long as some state holds its frozen
+dict, and never mutating a state's frozen dict is what makes sharing safe.
+
 Forward rules, for base weight w0 of shape d x k and column input x:
 
   lora        y = w0 x + B A x                       A: r x k, B: d x r
@@ -25,6 +32,7 @@ counts in accounting.py come out exactly.
 from __future__ import annotations
 
 import hashlib
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -94,7 +102,19 @@ def _row_norms(w: np.ndarray) -> np.ndarray:
     return np.sqrt((w * w).sum(axis=1))
 
 
-def _freeze(tensors: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+class _Frozen(dict):
+    """Read-only frozen tensors of one build; `init` holds read-only copies of its initial trainables."""
+
+    __slots__ = ("__weakref__", "init")
+
+
+# (shape, weight digest, method, seed) -> the frozen tensors of a live build.
+# The digest leaves the shape out. Two threads racing on one key only repeat
+# the build, and both results hold the same bytes.
+_LIVE: weakref.WeakValueDictionary[tuple, _Frozen] = weakref.WeakValueDictionary()
+
+
+def _read_only(tensors: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
     for arr in tensors.values():
         arr.setflags(write=False)
     return tensors
@@ -103,11 +123,30 @@ def _freeze(tensors: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
 def build_adapter(w0, method: AdapterMethod, seed: int) -> AdapterState:
     """Construct an adapter at the identity point: forward(x) == w0 @ x.
 
-    SVD-based methods decompose w0 once here; the residual is computed with
-    the initial trainable values and frozen thereafter.
+    SVD-based methods decompose w0 here, unless a live adapter of the same
+    weight, method and seed already did; the residual is computed with the
+    initial trainable values and frozen thereafter.
     """
     w = as_matrix(w0, "w0")
     check_finite(w, "w0")
+    digest = weight_digest(w)
+    key = (w.shape, digest, method, seed)
+    frozen = _LIVE.get(key)
+    if frozen is None:
+        frozen = _build_frozen(w, method, seed)
+        _LIVE[key] = frozen
+    return AdapterState(
+        method=method,
+        d=w.shape[0],
+        k=w.shape[1],
+        seed=seed,
+        frozen=frozen,
+        trainable={name: arr.copy() for name, arr in frozen.init.items()},
+        w0_digest=digest,
+    )
+
+
+def _build_frozen(w: np.ndarray, method: AdapterMethod, seed: int) -> _Frozen:
     d, k = w.shape
     r = method.rank
     tag = method.tag
@@ -152,15 +191,9 @@ def build_adapter(w0, method: AdapterMethod, seed: int) -> AdapterState:
     else:  # pragma: no cover - tag validated in AdapterMethod
         raise ValueError(tag)
 
-    return AdapterState(
-        method=method,
-        d=d,
-        k=k,
-        seed=seed,
-        frozen=_freeze(frozen),
-        trainable=trainable,
-        w0_digest=weight_digest(w),
-    )
+    out = _Frozen(_read_only(frozen))
+    out.init = _read_only(trainable)
+    return out
 
 
 def clone_state(state: AdapterState) -> AdapterState:

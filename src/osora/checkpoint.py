@@ -17,10 +17,15 @@ Format version 1, all integers little-endian. Header (68 bytes):
     36      32    SHA-256 of the base weight's row-major f64-LE bytes
 
 A trainable-only checkpoint is the header followed by the flat trainable
-vector as f64-LE; nothing else. Loading re-runs the deterministic build
-(seeded generators plus the sign-fixed SVD) against the caller's base weight,
-verifies the digest, and installs the payload, so a reload reproduces the
-saved adapter bit for bit.
+vector as f64-LE; nothing else. Before anything is built, loading checks the
+digest, the header codes and the payload (its length, and that every value
+is finite). It then obtains the frozen tensors through build_adapter,
+installs the payload, and checks that the merged weight is finite. While an
+adapter of the same weight, method and seed is alive in the process (the one
+just saved, say, or a clone of it), the load reuses its frozen tensors and
+runs no SVD; otherwise it re-runs the deterministic build (seeded generators
+plus the sign-fixed SVD). Either way a reload reproduces the saved adapter
+bit for bit.
 
 The debug snapshot (kind=1) appends named tensor sections instead:
 u32 section count, then per section u16 name length, name bytes (utf-8),
@@ -44,10 +49,12 @@ from .adapters import (
     AdapterState,
     build_adapter,
     load_trainable,
+    merge,
     trainable_vector,
     weight_digest,
 )
-from .errors import CorruptPayload, DigestMismatch, IoFailure, VersionUnsupported
+from .accounting import count_trainable
+from .errors import CorruptPayload, DigestMismatch, IoFailure, RankOutOfRange, VersionUnsupported
 from .linalg import as_matrix
 
 MAGIC = b"OSRA"
@@ -113,6 +120,16 @@ def save(state: AdapterState, path) -> None:
     _write(path, _pack_header(state, _KIND_CHECKPOINT) + payload)
 
 
+def _payload_count(method: AdapterMethod, d: int, k: int) -> int:
+    """Length of the trainable vector, from the header fields alone."""
+    count = count_trainable(method.tag, d, k, method.rank)  # also bounds the rank
+    if method.trainable_set == "only_s":
+        return method.rank
+    if method.trainable_set == "only_o":
+        return k if method.tag == "osora_k" else d
+    return count
+
+
 def load(path, w0) -> AdapterState:
     """Rebuild an adapter from a checkpoint against its original base weight."""
     blob = _read(path)
@@ -121,23 +138,37 @@ def load(path, w0) -> AdapterState:
         raise CorruptPayload(f"{path}: not a trainable-only checkpoint (kind={kind})")
     if method_code >= len(METHODS):
         raise CorruptPayload(f"{path}: unknown method code {method_code}")
+    if o_code >= len(O_INITS):
+        raise CorruptPayload(f"{path}: unknown o_init code {o_code}")
+    if set_code >= len(TRAINABLE_SETS):
+        raise CorruptPayload(f"{path}: unknown trainable_set code {set_code}")
     w = as_matrix(w0, "w0")
     if weight_digest(w) != digest:
         raise DigestMismatch(f"{path}: base weight digest does not match the checkpoint")
     if w.shape != (d, k):
         raise CorruptPayload(f"{path}: header dims {d}x{k} disagree with weight shape {w.shape}")
-    method = AdapterMethod(
-        tag=METHODS[method_code],
-        rank=rank,
-        o_init=O_INITS[o_code],
-        trainable_set=TRAINABLE_SETS[set_code],
-    )
-    state = build_adapter(w, method, seed)
-    expected = trainable_vector(state).size
+    try:
+        method = AdapterMethod(
+            tag=METHODS[method_code],
+            rank=rank,
+            o_init=O_INITS[o_code],
+            trainable_set=TRAINABLE_SETS[set_code],
+        )
+        expected = _payload_count(method, d, k)
+    except (ValueError, RankOutOfRange) as exc:
+        raise CorruptPayload(f"{path}: header names no valid adapter: {exc}") from exc
     payload = blob[HEADER_SIZE:]
     if len(payload) != 8 * expected:
         raise CorruptPayload(f"{path}: payload is {len(payload)} bytes, expected {8 * expected}")
-    load_trainable(state, np.frombuffer(payload, dtype="<f8"))
+    theta = np.frombuffer(payload, dtype="<f8")
+    if not np.isfinite(theta).all():
+        raise CorruptPayload(f"{path}: payload holds NaN or Inf")
+    state = build_adapter(w, method, seed)
+    load_trainable(state, theta)
+    with np.errstate(over="ignore", invalid="ignore"):
+        finite = np.isfinite(merge(state)).all()
+    if not finite:
+        raise CorruptPayload(f"{path}: payload gives a non-finite merged weight")
     return state
 
 

@@ -146,13 +146,15 @@ def cmd_train(args, file_cfg: dict[str, str]) -> int:
     r_gap = _setting(args, file_cfg, "r_gap", STANDARD_TASK["r_gap"], int)
     n = _setting(args, file_cfg, "n", STANDARD_TASK["n"], int)
 
+    if not 0 <= seed < 2**64:
+        raise CliError(f"seed must be in [0, 2**64), got {seed}", EXIT_PARSE)
     try:
         method = AdapterMethod(tag=method_tag, rank=rank, o_init=o_init, trainable_set=trainable)
+        config = TrainConfig(steps=steps, lr=lr, optimizer=optimizer)
     except ValueError as exc:
         raise CliError(str(exc), EXIT_PARSE) from exc
     task = make_task(d, k, r_gap, seed, n=n)
     state = build_adapter(task.w0, method, seed)
-    config = TrainConfig(steps=steps, lr=lr, optimizer=optimizer)
     run = train(state, task, config)
 
     if out:

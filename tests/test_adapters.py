@@ -1,8 +1,11 @@
+import gc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import osora.adapters
 from conftest import perturbed_state, rel_inf
 from osora import (
     METHODS,
@@ -12,6 +15,7 @@ from osora import (
     RankOutOfRange,
     TrainConfig,
     build_adapter,
+    clone_state,
     forward,
     load_trainable,
     make_task,
@@ -188,6 +192,92 @@ class TestInvariants:
         s_fit, *_ = np.linalg.lstsq(basis[:, None], target.ravel(), rcond=None)
         best = basis * s_fit[0]
         assert np.sqrt(((best - target.ravel()) ** 2).sum()) > 1e-3
+
+
+@pytest.fixture
+def svd_calls(monkeypatch):
+    """Count the SVDs that build_adapter runs."""
+    calls = []
+    real = osora.adapters.svd_truncated
+
+    def counted(w, r):
+        calls.append(np.shape(w))
+        return real(w, r)
+
+    monkeypatch.setattr(osora.adapters, "svd_truncated", counted)
+    return calls
+
+
+class TestLiveRegistry:
+    def test_second_build_shares_frozen_and_starts_at_init(self, svd_calls):
+        w0 = random_matrix(9, 7, 60, "gaussian")
+        method = AdapterMethod(tag="osora", rank=3)
+        first = build_adapter(w0, method, seed=61)
+        init = {name: arr.tobytes() for name, arr in first.trainable.items()}
+        load_trainable(first, trainable_vector(first) + 0.5)
+        first.trainable["o"][0] = 7.0  # in place, too
+        second = build_adapter(w0, method, seed=61)
+        assert len(svd_calls) == 1
+        assert second.frozen is first.frozen
+        for name, arr in first.frozen.items():
+            assert second.frozen[name] is arr
+        assert {name: arr.tobytes() for name, arr in second.trainable.items()} == init
+        assert all(second.trainable[n] is not first.trainable[n] for n in init)
+
+    def test_training_the_first_leaves_the_second_at_init(self, svd_calls):
+        task = make_task(10, 10, 2, seed=62)
+        method = AdapterMethod(tag="osora_dora", rank=2)
+        first = build_adapter(task.w0, method, seed=62)
+        init = trainable_vector(first).tobytes()
+        run = train(first, task, TrainConfig(steps=20, lr=1e-2))
+        assert trainable_vector(run.final_state).tobytes() != init
+        second = build_adapter(task.w0, method, seed=62)
+        assert second.frozen is first.frozen
+        assert trainable_vector(second).tobytes() == init
+        assert len(svd_calls) == 1
+
+    def test_a_clone_keeps_the_entry_alive(self, svd_calls):
+        w0 = random_matrix(8, 8, 63, "gaussian")
+        method = AdapterMethod(tag="pissa", rank=2)
+        first = build_adapter(w0, method, seed=64)
+        clone = clone_state(first)
+        del first
+        gc.collect()
+        assert build_adapter(w0, method, seed=64).frozen is clone.frozen
+        assert len(svd_calls) == 1
+
+    def test_entry_dies_with_the_last_state(self, svd_calls):
+        w0 = random_matrix(8, 6, 65, "gaussian")
+        method = AdapterMethod(tag="osora_k", rank=2)
+        first = build_adapter(w0, method, seed=66)
+        frozen_bytes = {name: arr.tobytes() for name, arr in first.frozen.items()}
+        init = trainable_vector(first).tobytes()
+        del first
+        gc.collect()
+        again = build_adapter(w0, method, seed=66)
+        assert len(svd_calls) == 2
+        assert {name: arr.tobytes() for name, arr in again.frozen.items()} == frozen_bytes
+        assert trainable_vector(again).tobytes() == init
+
+    @pytest.mark.parametrize(
+        "reshape,fields,seed",
+        [
+            (False, {}, 68),
+            (False, {"rank": 3}, 67),
+            (False, {"o_init": "gaussian"}, 67),
+            (False, {"trainable_set": "only_o"}, 67),
+            (True, {}, 67),
+        ],
+        ids=["seed", "rank", "o_init", "trainable_set", "shape"],
+    )
+    def test_nothing_shared_across_keys(self, reshape, fields, seed, svd_calls):
+        w0 = random_matrix(6, 8, 67, "gaussian")
+        first = build_adapter(w0, AdapterMethod(tag="osora", rank=2), seed=67)
+        w = w0.reshape(8, 6) if reshape else w0  # same bytes, other shape
+        other = build_adapter(w, AdapterMethod(**{"tag": "osora", "rank": 2, **fields}), seed=seed)
+        assert other.frozen is not first.frozen
+        assert not any(arr is other_arr for arr in first.frozen.values() for other_arr in other.frozen.values())
+        assert len(svd_calls) == 2
 
 
 @settings(max_examples=30, deadline=None)

@@ -1,21 +1,30 @@
+import gc
 import struct
+import weakref
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import osora.adapters
 from conftest import perturbed_state
 from osora import (
     CorruptPayload,
     DigestMismatch,
     IoFailure,
     METHODS,
+    OsoraError,
     VersionUnsupported,
+    clone_state,
     count_trainable,
     forward,
     merge,
     param_ratio,
     random_matrix,
     svd_truncated,
+    trainable_vector,
+    weight_digest,
 )
 from osora.checkpoint import (
     HEADER_SIZE,
@@ -182,3 +191,119 @@ def test_snapshot_not_loadable_as_checkpoint(tmp_path):
     save_state_snapshot(state, path)
     with pytest.raises(CorruptPayload):
         load(path, w0)
+
+
+def _unreachable(*_args):
+    raise AssertionError("must not be called on this path")
+
+
+@pytest.mark.parametrize("offset,value", [(9, 0x7F), (10, 0x7F)], ids=["o_init_code", "trainable_set_code"])
+def test_out_of_range_header_code_is_corrupt(offset, value, tmp_path, monkeypatch):
+    state, w0 = perturbed_state("osora", 8, 6, 2, 35)
+    path = tmp_path / "h.ckpt"
+    save(state, path)
+    blob = bytearray(path.read_bytes())
+    blob[offset] = value
+    path.write_bytes(bytes(blob))
+    monkeypatch.setattr("osora.checkpoint.build_adapter", _unreachable)  # rejected before any rebuild
+    with pytest.raises(CorruptPayload):
+        load(path, w0)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")], ids=["nan", "inf"])
+def test_non_finite_payload_is_corrupt(bad, tmp_path, monkeypatch):
+    state, w0 = perturbed_state("osora", 8, 6, 2, 36)
+    path = tmp_path / "n.ckpt"
+    save(state, path)
+    path.write_bytes(path.read_bytes()[:-8] + struct.pack("<d", bad))
+    monkeypatch.setattr("osora.checkpoint.build_adapter", _unreachable)  # rejected before any rebuild
+    with pytest.raises(CorruptPayload):
+        load(path, w0)
+
+
+def test_overflowing_payload_is_corrupt(tmp_path):
+    state, w0 = perturbed_state("osora", 8, 6, 2, 36)
+    theta = trainable_vector(state)
+    theta[0] = theta[2] = 1e300  # s_r[0] and o[0]: finite, but their product is not
+    path = tmp_path / "big.ckpt"
+    save(state, path)
+    blob = path.read_bytes()
+    path.write_bytes(blob[:HEADER_SIZE] + theta.astype("<f8").tobytes())
+    with pytest.raises(CorruptPayload):
+        load(path, w0)
+
+
+@pytest.mark.parametrize("tag", METHODS)
+def test_load_of_a_live_adapter_runs_no_svd(tag, tmp_path, rng, monkeypatch):
+    state, w0 = perturbed_state(tag, 9, 7, 2, 37)
+    path = tmp_path / "live.ckpt"
+    save(state, path)
+    monkeypatch.setattr(osora.adapters, "svd_truncated", _unreachable)
+    loaded = load(path, w0)
+    assert loaded.frozen is state.frozen
+    x = rng.standard_normal((7, 3))
+    assert forward(loaded, x).tobytes() == forward(state, x).tobytes()
+
+
+@pytest.mark.parametrize("tag", METHODS)
+def test_cold_rebuild_is_bitwise(tag, tmp_path, rng):
+    state, w0 = perturbed_state(tag, 9, 7, 2, 38)
+    clone = clone_state(state)
+    path = tmp_path / "cold.ckpt"
+    save(state, path)
+    x = rng.standard_normal((7, 3))
+    want_forward = forward(state, x).tobytes()
+    want_frozen = {name: arr.tobytes() for name, arr in state.frozen.items()}
+    gone = weakref.ref(state.frozen)
+    del state, clone
+    gc.collect()
+    assert gone() is None  # nothing left to share: the load must rebuild
+    loaded = load(path, w0)
+    assert forward(loaded, x).tobytes() == want_forward
+    assert {name: arr.tobytes() for name, arr in loaded.frozen.items()} == want_frozen
+
+
+@pytest.fixture(scope="module")
+def saved_per_method(tmp_path_factory):
+    """One live adapter and its checkpoint per method; the live adapter keeps each load off the SVD."""
+    saved = {}
+    for tag in METHODS:
+        state, w0 = perturbed_state(tag, 8, 6, 2, 39)
+        path = tmp_path_factory.mktemp("fuzz") / f"{tag}.ckpt"
+        save(state, path)
+        saved[tag] = (state, w0, path)
+    return saved
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    tag=st.sampled_from(METHODS),
+    in_header=st.booleans(),
+    offset=st.integers(0, 2**16),
+    mask=st.integers(1, 255),
+)
+@example(tag="lora", in_header=True, offset=9, mask=0x7F)  # o_init code out of range
+@example(tag="osora", in_header=True, offset=10, mask=0x7F)  # trainable_set code out of range
+@example(tag="osora", in_header=False, offset=15, mask=0x40)  # s_r[1], in [1, 2), becomes Inf or NaN
+def test_byte_flip_fuzz(saved_per_method, tag, in_header, offset, mask):
+    _, w0, path = saved_per_method[tag]
+    blob = bytearray(path.read_bytes())
+    # Half the flips land in the header, whose 68 bytes would otherwise draw few of them.
+    at = offset % HEADER_SIZE if in_header else HEADER_SIZE + offset % (len(blob) - HEADER_SIZE)
+    blob[at] ^= mask
+    mutated = path.with_suffix(".mutated")
+    mutated.write_bytes(bytes(blob))
+    try:
+        loaded = load(mutated, w0)
+    except OsoraError:
+        return
+    assert np.isfinite(trainable_vector(loaded)).all()
+    assert loaded.w0_digest == weight_digest(w0)
+    # A flipped exponent can leave a finite value near the float maximum,
+    # which plain arithmetic on a unit-scale input would overflow; a small
+    # probe keeps that case finite, so only a non-finite adapter that loaded
+    # can make this output non-finite.
+    x = 1e-3 * np.random.default_rng(at).standard_normal((6, 2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert np.isfinite(merge(loaded)).all()
+        assert np.isfinite(forward(loaded, x)).all()

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 
 import numpy as np
 import pytest
@@ -117,6 +118,25 @@ class TestTrain:
             blobs.append((out_dir / "loss.csv").read_bytes() + (out_dir / "adapter.ckpt").read_bytes())
         assert blobs[0] == blobs[1]
 
+    def test_standard_run_bytes_are_pinned(self, tmp_path, capsys):
+        # SHA-256 of the 200-step standard run; any change to the build, the
+        # SVD, the trainer or the checkpoint layout moves these.
+        out_dir = tmp_path / "run"
+        code, _, _ = run_cli(capsys, "train", "--steps", "200", "--out", str(out_dir))
+        assert code == 0
+        digests = {name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest() for name in ("loss.csv", "adapter.ckpt")}
+        assert digests == {
+            "loss.csv": "bbeff6379acc22e1725354c72f22b5dcebf51b0dea3fd03b8a79e62851d1e93e",
+            "adapter.ckpt": "c983180622cfd1c720f0e8464cc734bf8e19d70fa049c1faa752e97d5d3108a2",
+        }
+
+    @pytest.mark.parametrize(
+        "argv", [["--steps", "-1"], ["--lr", "nan"], ["--seed", "-1"]], ids=["negative_steps", "nan_lr", "negative_seed"]
+    )
+    def test_bad_setting_exit_code(self, argv, capsys):
+        code, _, err = run_cli(capsys, "train", *argv)
+        assert code == 3 and err.startswith("error:")
+
     def test_nonfinite_exit_code(self, capsys):
         with np.errstate(all="ignore"):
             code, _, err = run_cli(capsys, "train", "--steps", "300", "--lr", "1e9", "--optimizer", "sgd")
@@ -194,6 +214,12 @@ class TestConfigFile:
         cfg.write_text("[train]\nwarmup = 5\n")
         code, _, err = run_cli(capsys, "train", "--config", str(cfg))
         assert code == 3 and "unknown keys" in err
+
+    def test_unknown_optimizer_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text("[train]\noptimizer = bogus\n")
+        code, _, err = run_cli(capsys, "train", "--config", str(cfg))
+        assert code == 3 and "bogus" in err
 
     def test_unknown_section_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "run.ini"
