@@ -12,6 +12,9 @@ copies of its initial trainables, so it runs no second SVD. The build is
 deterministic, so either path yields the same bytes. The registry holds its
 entries weakly: one lives exactly as long as some state holds its frozen
 dict, and never mutating a state's frozen dict is what makes sharing safe.
+Only a build or checkpoint load within the process that still holds the
+first adapter gains; a load in a fresh process (say, of the adapter.ckpt
+that `osora train` wrote) rebuilds in full, as before.
 
 Forward rules, for base weight w0 of shape d x k and column input x:
 
@@ -265,11 +268,10 @@ def merge(state: AdapterState) -> np.ndarray:
     return w_eff
 
 
-def trainable_slots(state: AdapterState) -> list[str]:
-    """Names of trainable tensors in flat-vector layout order."""
-    tag = state.method.tag
+def _slot_names(method: AdapterMethod) -> list[str]:
+    tag = method.tag
     if tag in ("osora", "osora_k"):
-        tset = state.method.trainable_set
+        tset = method.trainable_set
         if tset == "only_s":
             return ["s_r"]
         if tset == "only_o":
@@ -284,6 +286,18 @@ def trainable_slots(state: AdapterState) -> list[str]:
     return ["a", "b"]  # lora, pissa
 
 
+def trainable_slots(state: AdapterState) -> list[str]:
+    """Names of trainable tensors in flat-vector layout order."""
+    return _slot_names(state.method)
+
+
+def trainable_count(method: AdapterMethod, d: int, k: int) -> int:
+    """Length of the flat trainable vector over a d x k weight, from the shapes alone."""
+    r = method.rank
+    sizes = {"s_r": r, "d_vec": r, "o": k if method.tag == "osora_k" else d, "m": d, "b_vec": d, "a": r * k, "b": d * r}
+    return sum(sizes[name] for name in _slot_names(method))
+
+
 def trainable_vector(state: AdapterState) -> np.ndarray:
     """Flatten the active trainable tensors into one float64 vector."""
     return np.concatenate([state.trainable[name].ravel() for name in trainable_slots(state)])
@@ -293,7 +307,7 @@ def load_trainable(state: AdapterState, flat) -> None:
     """Install a flat vector produced by trainable_vector, in place."""
     vec = np.ascontiguousarray(flat, dtype=np.float64).ravel()
     slots = trainable_slots(state)
-    total = sum(state.trainable[name].size for name in slots)
+    total = trainable_count(state.method, state.d, state.k)
     if vec.size != total:
         raise LengthMismatch(f"expected {total} values for {slots}, got {vec.size}")
     pos = 0

@@ -50,10 +50,10 @@ from .adapters import (
     build_adapter,
     load_trainable,
     merge,
+    trainable_count,
     trainable_vector,
     weight_digest,
 )
-from .accounting import count_trainable
 from .errors import CorruptPayload, DigestMismatch, IoFailure, RankOutOfRange, VersionUnsupported
 from .linalg import as_matrix
 
@@ -120,16 +120,6 @@ def save(state: AdapterState, path) -> None:
     _write(path, _pack_header(state, _KIND_CHECKPOINT) + payload)
 
 
-def _payload_count(method: AdapterMethod, d: int, k: int) -> int:
-    """Length of the trainable vector, from the header fields alone."""
-    count = count_trainable(method.tag, d, k, method.rank)  # also bounds the rank
-    if method.trainable_set == "only_s":
-        return method.rank
-    if method.trainable_set == "only_o":
-        return k if method.tag == "osora_k" else d
-    return count
-
-
 def load(path, w0) -> AdapterState:
     """Rebuild an adapter from a checkpoint against its original base weight."""
     blob = _read(path)
@@ -154,16 +144,19 @@ def load(path, w0) -> AdapterState:
             o_init=O_INITS[o_code],
             trainable_set=TRAINABLE_SETS[set_code],
         )
-        expected = _payload_count(method, d, k)
     except (ValueError, RankOutOfRange) as exc:
         raise CorruptPayload(f"{path}: header names no valid adapter: {exc}") from exc
+    expected = trainable_count(method, d, k)
     payload = blob[HEADER_SIZE:]
     if len(payload) != 8 * expected:
         raise CorruptPayload(f"{path}: payload is {len(payload)} bytes, expected {8 * expected}")
     theta = np.frombuffer(payload, dtype="<f8")
     if not np.isfinite(theta).all():
         raise CorruptPayload(f"{path}: payload holds NaN or Inf")
-    state = build_adapter(w, method, seed)
+    try:
+        state = build_adapter(w, method, seed)  # svd_truncated checks the rank before it decomposes
+    except RankOutOfRange as exc:
+        raise CorruptPayload(f"{path}: header names no valid adapter: {exc}") from exc
     load_trainable(state, theta)
     with np.errstate(over="ignore", invalid="ignore"):
         finite = np.isfinite(merge(state)).all()

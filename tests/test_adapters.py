@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import osora.adapters
+from osora.adapters import trainable_count
 from conftest import perturbed_state, rel_inf
 from osora import (
     METHODS,
@@ -16,6 +17,7 @@ from osora import (
     TrainConfig,
     build_adapter,
     clone_state,
+    count_trainable,
     forward,
     load_trainable,
     make_task,
@@ -155,6 +157,17 @@ class TestTrainableVector:
         before = forward(state, x).tobytes()
         load_trainable(state, trainable_vector(state))
         assert forward(state, x).tobytes() == before
+
+    @pytest.mark.parametrize(
+        "tag,trainable_set",
+        [(tag, "both") for tag in METHODS] + [("osora", "only_s"), ("osora_k", "only_s"), ("osora", "only_o"), ("osora_k", "only_o")],
+    )
+    def test_count_from_shapes_matches_built_vector(self, tag, trainable_set):
+        method = AdapterMethod(tag=tag, rank=3, trainable_set=trainable_set)
+        state = build_adapter(random_matrix(9, 7, 32, "gaussian"), method, seed=33)
+        assert trainable_count(method, 9, 7) == trainable_vector(state).size
+        if trainable_set == "both":
+            assert trainable_count(method, 9, 7) == count_trainable(tag, 9, 7, 3)
 
     def test_length_mismatch(self):
         state, _ = perturbed_state("osora", 5, 5, 2, 2)

@@ -10,12 +10,14 @@ from hypothesis import strategies as st
 import osora.adapters
 from conftest import perturbed_state
 from osora import (
+    AdapterMethod,
     CorruptPayload,
     DigestMismatch,
     IoFailure,
     METHODS,
     OsoraError,
     VersionUnsupported,
+    build_adapter,
     clone_state,
     count_trainable,
     forward,
@@ -35,6 +37,7 @@ from osora.checkpoint import (
     save_snapshot,
     save_state_snapshot,
 )
+from osora.verify import verify_persist
 
 
 @pytest.mark.parametrize("tag", METHODS)
@@ -221,6 +224,18 @@ def test_non_finite_payload_is_corrupt(bad, tmp_path, monkeypatch):
         load(path, w0)
 
 
+def test_out_of_range_rank_is_corrupt(tmp_path):
+    # An only_o payload is d values whatever the rank, so its length cannot catch a bad rank.
+    state = build_adapter(random_matrix(9, 7, 40, "gaussian"), AdapterMethod(tag="osora", rank=2, trainable_set="only_o"), seed=40)
+    path = tmp_path / "r.ckpt"
+    save(state, path)
+    blob = bytearray(path.read_bytes())
+    blob[20:24] = struct.pack("<I", 50)
+    path.write_bytes(bytes(blob))
+    with pytest.raises(CorruptPayload):
+        load(path, random_matrix(9, 7, 40, "gaussian"))
+
+
 def test_overflowing_payload_is_corrupt(tmp_path):
     state, w0 = perturbed_state("osora", 8, 6, 2, 36)
     theta = trainable_vector(state)
@@ -261,6 +276,20 @@ def test_cold_rebuild_is_bitwise(tag, tmp_path, rng):
     loaded = load(path, w0)
     assert forward(loaded, x).tobytes() == want_forward
     assert {name: arr.tobytes() for name, arr in loaded.frozen.items()} == want_frozen
+
+
+def test_verify_persist_runs_the_cold_rebuild(monkeypatch):
+    calls = []
+    real = osora.adapters.svd_truncated
+
+    def counted(w, r):
+        calls.append(np.shape(w))
+        return real(w, r)
+
+    monkeypatch.setattr(osora.adapters, "svd_truncated", counted)
+    assert all(row.passed for row in verify_persist(seed=3))
+    svd_methods = [tag for tag in METHODS if tag == "pissa" or tag.startswith("osora")]
+    assert len(calls) == 2 * len(svd_methods)  # one build and one load each; the load shares nothing
 
 
 @pytest.fixture(scope="module")

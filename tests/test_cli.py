@@ -120,7 +120,11 @@ class TestTrain:
 
     def test_standard_run_bytes_are_pinned(self, tmp_path, capsys):
         # SHA-256 of the 200-step standard run; any change to the build, the
-        # SVD, the trainer or the checkpoint layout moves these.
+        # SVD, the trainer or the checkpoint layout moves these. They hold only
+        # where they were recorded: numpy 2.4.6 with its bundled OpenBLAS 0.3.31,
+        # Python 3.11, x86-64. Another numpy or BLAS build may sum in another
+        # order and move them while the code is correct; re-record them there.
+        # test_rerun_is_byte_identical checks run-to-run equality anywhere.
         out_dir = tmp_path / "run"
         code, _, _ = run_cli(capsys, "train", "--steps", "200", "--out", str(out_dir))
         assert code == 0
