@@ -32,22 +32,21 @@ from .adapters import (
     trainable_vector,
     weight_digest,
 )
-from .checkpoint import load, load_snapshot, load_state_snapshot, save, save_snapshot, save_state_snapshot
+from .checkpoint import load, load_snapshot, save, save_snapshot
 from .errors import (
     CorruptPayload,
     DigestMismatch,
     DimensionMismatch,
     IoFailure,
     LengthMismatch,
-    MethodMismatch,
     NonFiniteInput,
     NonFiniteLoss,
     OsoraError,
     RankOutOfRange,
     VersionUnsupported,
 )
-from .gradients import LossGrad, finite_diff, grad_generic, grad_osora, gradient, loss_mse
-from .linalg import SvdFactors, column_norms, jacobi_svd, random_matrix, svd_truncated
+from .gradients import LossGrad, finite_diff, gradient, loss_mse
+from .linalg import SvdFactors, jacobi_svd, random_matrix, svd_truncated
 from .training import STANDARD_TASK, ToyTask, TrainConfig, TrainRun, make_task, train
 
 __version__ = "0.1.0"
@@ -62,7 +61,6 @@ __all__ = [
     "LengthMismatch",
     "LossGrad",
     "METHODS",
-    "MethodMismatch",
     "NonFiniteInput",
     "NonFiniteLoss",
     "OSORA_FAMILY",
@@ -78,21 +76,17 @@ __all__ = [
     "VersionUnsupported",
     "build_adapter",
     "clone_state",
-    "column_norms",
     "count_trainable",
     "effective_weight",
     "finite_diff",
     "forward",
     "frozen_elements",
     "get_preset",
-    "grad_generic",
-    "grad_osora",
     "gradient",
     "jacobi_svd",
     "list_presets",
     "load",
     "load_snapshot",
-    "load_state_snapshot",
     "load_trainable",
     "loss_mse",
     "make_task",
@@ -102,7 +96,6 @@ __all__ = [
     "report",
     "save",
     "save_snapshot",
-    "save_state_snapshot",
     "scaling_sweep",
     "svd_truncated",
     "train",

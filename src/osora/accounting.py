@@ -20,7 +20,7 @@ import configparser
 from dataclasses import dataclass
 from importlib import resources
 
-from .adapters import METHODS, OSORA_FAMILY
+from .adapters import _TABLE, METHODS, AdapterMethod, trainable_count
 from .errors import RankOutOfRange
 
 
@@ -54,30 +54,20 @@ def _check_dims(method: str, d: int, k: int, r: int) -> None:
         raise ValueError(f"dims must be positive, got {d}x{k}")
     if r < 1:
         raise RankOutOfRange(f"rank must be >= 1, got {r}")
-    if method in OSORA_FAMILY + ("pissa",) and r > min(d, k):
+    if _TABLE[method].base == "w0_res" and r > min(d, k):  # built over a rank-r truncated SVD
         raise RankOutOfRange(f"rank {r} exceeds min(d, k) = {min(d, k)} for {method}")
 
 
 def count_trainable(method: str, d: int, k: int, r: int) -> int:
     """Trainable parameters of one method on a single d x k weight at rank r."""
     _check_dims(method, d, k, r)
-    if method in ("lora", "pissa"):
-        return r * (d + k)
-    if method in ("vera", "osora"):
-        return r + d
-    if method == "osora_k":
-        return r + k
-    if method == "dora":
-        return r * (d + k) + d
-    return r + 2 * d  # osora_dora
+    return trainable_count(AdapterMethod(tag=method, rank=r), d, k)
 
 
 def frozen_elements(method: str, d: int, k: int, r: int) -> int:
-    """Frozen adapter tensors held in memory during training (svd factors)."""
+    """Frozen singular pair u_r, v_r that the s_r-scaled methods hold in memory during training."""
     _check_dims(method, d, k, r)
-    if method in OSORA_FAMILY:
-        return d * r + k * r
-    return 0
+    return d * r + k * r if "s_r" in _TABLE[method].slots else 0
 
 
 def report(preset: ShapePreset, method: str, r: int) -> ParamReport:
@@ -109,7 +99,7 @@ def param_ratio(d: int, k: int, r: int) -> float:
 
 def _load_presets() -> dict[str, ShapePreset]:
     parser = configparser.ConfigParser()
-    with resources.files("osora").joinpath("data/presets.ini").open("r", encoding="utf-8") as fh:
+    with resources.files(__package__).joinpath("data/presets.ini").open("r", encoding="utf-8") as fh:
         parser.read_file(fh)
     presets = {}
     for name in parser.sections():

@@ -30,17 +30,25 @@ The dora-style rescale multiplies output row i of the effective weight by
 m_i / ||row_i||, one trainable magnitude per output dimension. The magnitude
 vector therefore has length d; this is what makes the per-target trainable
 counts in accounting.py come out exactly.
+
+Each rule above is one record in `_TABLE`, keyed by tag: the frozen base
+tensor, the trainable slots in flat-layout order, and the init, dense update,
+factored update and per-slot gradient functions. dora and osora_dora are the
+lora and osora records with the magnitude flag set and a trailing `m` slot.
+build_adapter, effective_weight, forward, merge, the slot layout and
+gradients.gradient are each one generic body over that table.
 """
 
 from __future__ import annotations
 
 import hashlib
 import weakref
-from dataclasses import dataclass, field
+from collections.abc import Callable
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import DimensionMismatch, LengthMismatch, NonFiniteInput, RankOutOfRange
+from .errors import DimensionMismatch, LengthMismatch, RankOutOfRange
 from .linalg import as_matrix, check_finite, random_matrix, svd_truncated
 
 METHODS = ("lora", "vera", "pissa", "osora", "osora_k", "dora", "osora_dora")
@@ -105,6 +113,146 @@ def _row_norms(w: np.ndarray) -> np.ndarray:
     return np.sqrt((w * w).sum(axis=1))
 
 
+def _dora_scale(state: AdapterState, norms: np.ndarray) -> np.ndarray:
+    return np.where(norms > 0.0, state.trainable["m"] / np.where(norms > 0.0, norms, 1.0), 0.0)
+
+
+def _dora_backward(state: AdapterState, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Backprop g through the row rescale w[i] = m_i * w_eff[i] / ||w_eff[i]||.
+
+    Returns the gradient in the effective weight and the gradient in m.
+    """
+    w_eff = effective_weight(state)
+    norms = _row_norms(w_eff)
+    safe = np.where(norms > 0.0, norms, 1.0)
+    unit = np.where(norms[:, None] > 0.0, w_eff / safe[:, None], 0.0)
+    g_m = (g * unit).sum(axis=1)
+    return _dora_scale(state, norms)[:, None] * (g - g_m[:, None] * unit), g_m
+
+
+@dataclass(frozen=True)
+class _Method:
+    """One method: forward(x) = fz[base] @ x + apply(fz, t, x), merged as fz[base] + delta(fz, t).
+
+    `fz` and `t` are an adapter's frozen and trainable dicts. A magnitude method
+    instead rescales each row of that merged weight to the trainable norm m,
+    its trailing slot.
+    """
+
+    base: str  # frozen base tensor: "w0", or "w0_res" for the SVD-initialized methods
+    slots: tuple[str, ...]  # trainable slots in flat-layout order
+    init: Callable  # (w, method, seed) -> (frozen, trainable), without m
+    delta: Callable  # (fz, t) -> dense d x k update
+    apply: Callable  # (fz, t, x) -> delta @ x, without forming delta
+    grad: Callable  # (fz, t, G) -> {slot: gradient}, G the loss gradient in the update; without m
+    o_axis: int = 0  # the axis of w that the o vector runs along
+    magnitude: bool = False
+
+
+def _with_magnitude(entry: _Method) -> _Method:
+    return replace(entry, slots=entry.slots + ("m",), magnitude=True)
+
+
+def _lora_init(w: np.ndarray, method: AdapterMethod, seed: int):
+    d, k = w.shape
+    a = random_matrix(method.rank, k, (seed, _SLOT_A_BASE), "uniform_scaled")
+    return {"w0": w.copy()}, {"a": a, "b": np.zeros((d, method.rank))}
+
+
+def _vera_init(w: np.ndarray, method: AdapterMethod, seed: int):
+    d, k = w.shape
+    r = method.rank
+    frozen = {
+        "w0": w.copy(),
+        "a_base": random_matrix(r, k, (seed, _SLOT_A_BASE), "uniform_scaled"),
+        "b_base": random_matrix(d, r, (seed, _SLOT_B_BASE), "uniform_scaled"),
+    }
+    return frozen, {"d_vec": np.full(r, _VERA_D_INIT), "b_vec": np.zeros(d)}
+
+
+def _vera_grad(fz, t, g):
+    a, b = fz["a_base"], fz["b_base"]
+    g_d = ((b * t["b_vec"][:, None]).T @ g @ a.T).diagonal().copy()
+    g_b = (g * (b @ (t["d_vec"][:, None] * a))).sum(axis=1)
+    return {"d_vec": g_d, "b_vec": g_b}
+
+
+def _pissa_init(w: np.ndarray, method: AdapterMethod, seed: int):
+    f = svd_truncated(w, method.rank)
+    root = np.sqrt(f.s_r)
+    trainable = {"b": np.ascontiguousarray(f.u_r * root), "a": np.ascontiguousarray(root[:, None] * f.v_r.T)}
+    return {"w0_res": f.residual}, trainable
+
+
+def _osora_init(w: np.ndarray, method: AdapterMethod, seed: int):
+    entry = _TABLE[method.tag]
+    f = svd_truncated(w, method.rank)
+    o_len = w.shape[entry.o_axis]
+    if method.o_init == "gaussian":
+        o = random_matrix(o_len, 1, (seed, _SLOT_O_GAUSSIAN), "gaussian").ravel()
+    else:
+        o = np.ones(o_len)
+    frozen = {"u_r": f.u_r, "v_r": f.v_r}
+    trainable = {"s_r": f.s_r.copy(), "o": np.ascontiguousarray(o)}
+    # The residual absorbs the initial update, so forward(x) == w0 @ x at init.
+    frozen["w0_res"] = w - entry.delta(frozen, trainable)
+    return frozen, trainable
+
+
+def _core(fz, t):
+    """u_r diag(s_r) v_r^T, the osora update before the o scaling."""
+    return (fz["u_r"] * t["s_r"]) @ fz["v_r"].T
+
+
+_LORA = _Method(
+    base="w0",
+    slots=("a", "b"),
+    init=_lora_init,
+    delta=lambda fz, t: t["b"] @ t["a"],
+    apply=lambda fz, t, x: t["b"] @ (t["a"] @ x),
+    grad=lambda fz, t, g: {"a": t["b"].T @ g, "b": g @ t["a"].T},
+)
+_OSORA = _Method(
+    base="w0_res",
+    slots=("s_r", "o"),
+    init=_osora_init,
+    delta=lambda fz, t: t["o"][:, None] * _core(fz, t),
+    apply=lambda fz, t, x: t["o"][:, None] * (fz["u_r"] @ (t["s_r"][:, None] * (fz["v_r"].T @ x))),
+    grad=lambda fz, t, g: {
+        "s_r": ((fz["u_r"] * t["o"][:, None]).T @ g @ fz["v_r"]).diagonal().copy(),
+        "o": (g * _core(fz, t)).sum(axis=1),
+    },
+)
+_TABLE: dict[str, _Method] = {
+    "lora": _LORA,
+    "vera": _Method(
+        base="w0",
+        slots=("d_vec", "b_vec"),
+        init=_vera_init,
+        delta=lambda fz, t: (t["b_vec"][:, None] * fz["b_base"]) @ (t["d_vec"][:, None] * fz["a_base"]),
+        apply=lambda fz, t, x: t["b_vec"][:, None] * (fz["b_base"] @ (t["d_vec"][:, None] * (fz["a_base"] @ x))),
+        grad=_vera_grad,
+    ),
+    "pissa": replace(_LORA, base="w0_res", init=_pissa_init),
+    "osora": _OSORA,
+    "osora_k": replace(
+        _OSORA,
+        delta=lambda fz, t: _core(fz, t) * t["o"][None, :],
+        apply=lambda fz, t, x: fz["u_r"] @ (t["s_r"][:, None] * (fz["v_r"].T @ (t["o"][:, None] * x))),
+        grad=lambda fz, t, g: {
+            "s_r": (fz["u_r"].T @ (g * t["o"][None, :]) @ fz["v_r"]).diagonal().copy(),
+            "o": (g * _core(fz, t)).sum(axis=0),
+        },
+        o_axis=1,
+    ),
+    "dora": _with_magnitude(_LORA),
+    "osora_dora": _with_magnitude(_OSORA),
+}
+
+# The osora ablations train one slot of the pair and keep the other at its init.
+_ABLATION_SLOTS = {"only_s": ("s_r",), "only_o": ("o",)}
+
+
 class _Frozen(dict):
     """Read-only frozen tensors of one build; `init` holds read-only copies of its initial trainables."""
 
@@ -150,50 +298,10 @@ def build_adapter(w0, method: AdapterMethod, seed: int) -> AdapterState:
 
 
 def _build_frozen(w: np.ndarray, method: AdapterMethod, seed: int) -> _Frozen:
-    d, k = w.shape
-    r = method.rank
-    tag = method.tag
-    frozen: dict[str, np.ndarray] = {}
-    trainable: dict[str, np.ndarray] = {}
-
-    if tag in ("lora", "dora"):
-        frozen["w0"] = w.copy()
-        trainable["a"] = random_matrix(r, k, (seed, _SLOT_A_BASE), "uniform_scaled")
-        trainable["b"] = np.zeros((d, r))
-        if tag == "dora":
-            trainable["m"] = _row_norms(w)
-    elif tag == "vera":
-        frozen["w0"] = w.copy()
-        frozen["a_base"] = random_matrix(r, k, (seed, _SLOT_A_BASE), "uniform_scaled")
-        frozen["b_base"] = random_matrix(d, r, (seed, _SLOT_B_BASE), "uniform_scaled")
-        trainable["d_vec"] = np.full(r, _VERA_D_INIT)
-        trainable["b_vec"] = np.zeros(d)
-    elif tag == "pissa":
-        f = svd_truncated(w, r)
-        root = np.sqrt(f.s_r)
-        frozen["w0_res"] = f.residual
-        trainable["b"] = np.ascontiguousarray(f.u_r * root)
-        trainable["a"] = np.ascontiguousarray(root[:, None] * f.v_r.T)
-    elif tag in OSORA_FAMILY:
-        f = svd_truncated(w, r)
-        o_len = k if tag == "osora_k" else d
-        if method.o_init == "gaussian":
-            o = random_matrix(o_len, 1, (seed, _SLOT_O_GAUSSIAN), "gaussian").ravel()
-        else:
-            o = np.ones(o_len)
-        s_r = f.s_r.copy()
-        core = (f.u_r * s_r) @ f.v_r.T
-        delta0 = core * o[None, :] if tag == "osora_k" else o[:, None] * core
-        frozen["u_r"] = f.u_r
-        frozen["v_r"] = f.v_r
-        frozen["w0_res"] = w - delta0
-        trainable["s_r"] = s_r
-        trainable["o"] = np.ascontiguousarray(o)
-        if tag == "osora_dora":
-            trainable["m"] = _row_norms(frozen["w0_res"] + delta0)
-    else:  # pragma: no cover - tag validated in AdapterMethod
-        raise ValueError(tag)
-
+    entry = _TABLE[method.tag]
+    frozen, trainable = entry.init(w, method, seed)
+    if entry.magnitude:  # start each row at its own norm, so the rescale is the identity
+        trainable["m"] = _row_norms(frozen[entry.base] + entry.delta(frozen, trainable))
     out = _Frozen(_read_only(frozen))
     out.init = _read_only(trainable)
     return out
@@ -214,23 +322,8 @@ def clone_state(state: AdapterState) -> AdapterState:
 
 def effective_weight(state: AdapterState) -> np.ndarray:
     """Dense base-plus-update weight, before any dora magnitude rescale."""
-    t, fz = state.trainable, state.frozen
-    tag = state.method.tag
-    if tag in ("lora", "dora"):
-        return fz["w0"] + t["b"] @ t["a"]
-    if tag == "vera":
-        return fz["w0"] + (t["b_vec"][:, None] * fz["b_base"]) @ (t["d_vec"][:, None] * fz["a_base"])
-    if tag == "pissa":
-        return fz["w0_res"] + t["b"] @ t["a"]
-    core = (fz["u_r"] * t["s_r"]) @ fz["v_r"].T
-    if tag == "osora_k":
-        return fz["w0_res"] + core * t["o"][None, :]
-    return fz["w0_res"] + t["o"][:, None] * core
-
-
-def _dora_scale(state: AdapterState, w_eff: np.ndarray) -> np.ndarray:
-    norms = _row_norms(w_eff)
-    return np.where(norms > 0.0, state.trainable["m"] / np.where(norms > 0.0, norms, 1.0), 0.0)
+    entry = _TABLE[state.method.tag]
+    return state.frozen[entry.base] + entry.delta(state.frozen, state.trainable)
 
 
 def forward(state: AdapterState, x) -> np.ndarray:
@@ -242,48 +335,37 @@ def forward(state: AdapterState, x) -> np.ndarray:
     if xa.ndim != 2 or xa.shape[0] != state.k:
         raise DimensionMismatch(f"x must have leading dimension {state.k}, got shape {np.shape(x)}")
 
-    t, fz = state.trainable, state.frozen
-    tag = state.method.tag
-    if tag == "lora":
-        y = fz["w0"] @ xa + t["b"] @ (t["a"] @ xa)
-    elif tag == "vera":
-        y = fz["w0"] @ xa + t["b_vec"][:, None] * (fz["b_base"] @ (t["d_vec"][:, None] * (fz["a_base"] @ xa)))
-    elif tag == "pissa":
-        y = fz["w0_res"] @ xa + t["b"] @ (t["a"] @ xa)
-    elif tag == "osora":
-        y = fz["w0_res"] @ xa + t["o"][:, None] * (fz["u_r"] @ (t["s_r"][:, None] * (fz["v_r"].T @ xa)))
-    elif tag == "osora_k":
-        y = fz["w0_res"] @ xa + fz["u_r"] @ (t["s_r"][:, None] * (fz["v_r"].T @ (t["o"][:, None] * xa)))
-    else:  # dora, osora_dora: rescale rows of the effective weight, then apply
+    entry = _TABLE[state.method.tag]
+    if entry.magnitude:  # rescale rows of the effective weight, then apply
         w_eff = effective_weight(state)
-        y = _dora_scale(state, w_eff)[:, None] * (w_eff @ xa)
+        y = _dora_scale(state, _row_norms(w_eff))[:, None] * (w_eff @ xa)
+    else:
+        y = state.frozen[entry.base] @ xa + entry.apply(state.frozen, state.trainable, xa)
     return y[:, 0] if single else y
 
 
 def merge(state: AdapterState) -> np.ndarray:
     """Fold the adapter into a single d x k matrix acting exactly like forward()."""
     w_eff = effective_weight(state)
-    if state.method.tag in ("dora", "osora_dora"):
-        return _dora_scale(state, w_eff)[:, None] * w_eff
+    if _TABLE[state.method.tag].magnitude:
+        return _dora_scale(state, _row_norms(w_eff))[:, None] * w_eff
     return w_eff
 
 
+def is_finite(state: AdapterState) -> bool:
+    """Whether merge(state) is finite and no row norm that a magnitude rescale divides by overflows.
+
+    An overflowed norm would turn its row of the merged weight into zeros, which
+    are finite, so the merged weight alone cannot show it.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        if _TABLE[state.method.tag].magnitude and not np.isfinite(_row_norms(effective_weight(state))).all():
+            return False
+        return bool(np.isfinite(merge(state)).all())
+
+
 def _slot_names(method: AdapterMethod) -> list[str]:
-    tag = method.tag
-    if tag in ("osora", "osora_k"):
-        tset = method.trainable_set
-        if tset == "only_s":
-            return ["s_r"]
-        if tset == "only_o":
-            return ["o"]
-        return ["s_r", "o"]
-    if tag == "osora_dora":
-        return ["s_r", "o", "m"]
-    if tag == "vera":
-        return ["d_vec", "b_vec"]
-    if tag == "dora":
-        return ["a", "b", "m"]
-    return ["a", "b"]  # lora, pissa
+    return list(_ABLATION_SLOTS.get(method.trainable_set, _TABLE[method.tag].slots))
 
 
 def trainable_slots(state: AdapterState) -> list[str]:
@@ -294,7 +376,8 @@ def trainable_slots(state: AdapterState) -> list[str]:
 def trainable_count(method: AdapterMethod, d: int, k: int) -> int:
     """Length of the flat trainable vector over a d x k weight, from the shapes alone."""
     r = method.rank
-    sizes = {"s_r": r, "d_vec": r, "o": k if method.tag == "osora_k" else d, "m": d, "b_vec": d, "a": r * k, "b": d * r}
+    o_len = (d, k)[_TABLE[method.tag].o_axis]
+    sizes = {"s_r": r, "d_vec": r, "o": o_len, "m": d, "b_vec": d, "a": r * k, "b": d * r}
     return sum(sizes[name] for name in _slot_names(method))
 
 

@@ -20,7 +20,8 @@ A trainable-only checkpoint is the header followed by the flat trainable
 vector as f64-LE; nothing else. Before anything is built, loading checks the
 digest, the header codes and the payload (its length, and that every value
 is finite). It then obtains the frozen tensors through build_adapter,
-installs the payload, and checks that the merged weight is finite. While an
+installs the payload, and checks that the merged weight is finite, as are
+the row norms that a magnitude method divides by. While an
 adapter of the same weight, method and seed is alive in the process (the one
 just saved, say, or a clone of it), the load reuses its frozen tensors and
 runs no SVD; otherwise it re-runs the deterministic build (seeded generators
@@ -29,9 +30,9 @@ bit for bit.
 
 The debug snapshot (kind=1) appends named tensor sections instead:
 u32 section count, then per section u16 name length, name bytes (utf-8),
-u8 ndim, u32 rows, u32 cols, and the f64-LE data. It stores every frozen and
-trainable tensor and exists for test fixtures and factor dumps, not for the
-storage-ratio guarantees.
+u8 ndim, u32 rows, u32 cols, and the f64-LE data. save_snapshot is its one
+writer and load_snapshot its one reader; it exists for test fixtures and
+factor dumps, not for the storage-ratio guarantees.
 """
 
 from __future__ import annotations
@@ -48,8 +49,8 @@ from .adapters import (
     AdapterMethod,
     AdapterState,
     build_adapter,
+    is_finite,
     load_trainable,
-    merge,
     trainable_count,
     trainable_vector,
     weight_digest,
@@ -69,7 +70,7 @@ _KIND_SNAPSHOT = 1
 _METHOD_NONE = 255
 
 
-def _pack_header(state: AdapterState, kind: int) -> bytes:
+def _pack_header(state: AdapterState) -> bytes:
     if not 0 <= state.seed < 2**64:
         raise ValueError(f"seed must fit in u64, got {state.seed}")
     m = state.method
@@ -79,7 +80,7 @@ def _pack_header(state: AdapterState, kind: int) -> bytes:
         METHODS.index(m.tag),
         O_INITS.index(m.o_init),
         TRAINABLE_SETS.index(m.trainable_set),
-        kind,
+        _KIND_CHECKPOINT,
         state.d,
         state.k,
         m.rank,
@@ -117,7 +118,7 @@ def _read(path) -> bytes:
 def save(state: AdapterState, path) -> None:
     """Write header plus the flat trainable vector; no frozen tensors."""
     payload = trainable_vector(state).astype("<f8").tobytes()
-    _write(path, _pack_header(state, _KIND_CHECKPOINT) + payload)
+    _write(path, _pack_header(state) + payload)
 
 
 def load(path, w0) -> AdapterState:
@@ -158,10 +159,8 @@ def load(path, w0) -> AdapterState:
     except RankOutOfRange as exc:
         raise CorruptPayload(f"{path}: header names no valid adapter: {exc}") from exc
     load_trainable(state, theta)
-    with np.errstate(over="ignore", invalid="ignore"):
-        finite = np.isfinite(merge(state)).all()
-    if not finite:
-        raise CorruptPayload(f"{path}: payload gives a non-finite merged weight")
+    if not is_finite(state):
+        raise CorruptPayload(f"{path}: payload gives a non-finite merged weight or row norm")
     return state
 
 
@@ -208,36 +207,6 @@ def save_snapshot(path, arrays: dict[str, np.ndarray], *, d: int, k: int, rank: 
     """Debug dump of named tensors (factor dumps, fixtures); not size-optimal."""
     header = _HEADER.pack(MAGIC, FORMAT_VERSION, _METHOD_NONE, 0, 0, _KIND_SNAPSHOT, d, k, rank, 0, seed, digest)
     _write(path, header + _pack_sections(arrays))
-
-
-def save_state_snapshot(state: AdapterState, path) -> None:
-    """Full-state debug snapshot: every frozen and trainable tensor by name."""
-    arrays = {f"frozen/{n}": a for n, a in state.frozen.items()}
-    arrays.update({f"trainable/{n}": a for n, a in state.trainable.items()})
-    header = _pack_header(state, _KIND_SNAPSHOT)
-    _write(path, header + _pack_sections(arrays))
-
-
-def load_state_snapshot(path) -> AdapterState:
-    """Rebuild an AdapterState from a full-state snapshot (no base weight needed)."""
-    blob = _read(path)
-    method_code, o_code, set_code, kind, d, k, rank, seed, digest = _unpack_header(blob, path)
-    if kind != _KIND_SNAPSHOT or method_code >= len(METHODS):
-        raise CorruptPayload(f"{path}: not a full-state snapshot")
-    arrays = _unpack_sections(blob, HEADER_SIZE, path)
-    frozen, trainable = {}, {}
-    for name, arr in arrays.items():
-        group, _, short = name.partition("/")
-        (frozen if group == "frozen" else trainable)[short] = arr
-    for arr in frozen.values():
-        arr.setflags(write=False)
-    method = AdapterMethod(
-        tag=METHODS[method_code],
-        rank=rank,
-        o_init=O_INITS[o_code],
-        trainable_set=TRAINABLE_SETS[set_code],
-    )
-    return AdapterState(method=method, d=d, k=k, seed=seed, frozen=frozen, trainable=trainable, w0_digest=digest)
 
 
 def load_snapshot(path) -> tuple[dict, dict[str, np.ndarray]]:

@@ -6,7 +6,8 @@ and shortest round-trip decimals, so reruns of the same config are
 byte-identical.
 
 Exit codes: 1 failed verify check, 2 rank out of range or unknown preset,
-3 parse/config failure, 4 non-finite training loss.
+3 parse/config failure or an output that cannot be written, 4 non-finite
+training loss.
 """
 
 from __future__ import annotations
@@ -20,10 +21,10 @@ from pathlib import Path
 import numpy as np
 
 from . import checkpoint
-from .accounting import get_preset, list_presets, report, scaling_sweep
-from .adapters import METHODS, AdapterMethod, build_adapter
-from .errors import NonFiniteLoss, OsoraError, RankOutOfRange
-from .linalg import jacobi_svd, svd_truncated
+from .accounting import get_preset, report, scaling_sweep
+from .adapters import METHODS, O_INITS, TRAINABLE_SETS, AdapterMethod, build_adapter
+from .errors import IoFailure, NonFiniteLoss, OsoraError, RankOutOfRange
+from .linalg import svd_truncated
 from .training import STANDARD_TASK, TrainConfig, make_task, train
 from .verify import SCOPES, run_scope
 
@@ -99,11 +100,19 @@ def _setting(args, file_cfg: dict[str, str], key: str, default, cast):
     return default
 
 
+def _check_seed(seed: int) -> None:
+    if not 0 <= seed < 2**64:
+        raise CliError(f"seed must be in [0, 2**64), got {seed}", EXIT_PARSE)
+
+
 def _write_csv(path, header: list[str], rows: list[list]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows([[str(cell) for cell in row] for row in rows])
+    try:
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            writer.writerows([[str(cell) for cell in row] for row in rows])
+    except OSError as exc:
+        raise IoFailure(f"cannot write {path}: {exc}") from exc
 
 
 def cmd_decompose(args) -> int:
@@ -146,8 +155,7 @@ def cmd_train(args, file_cfg: dict[str, str]) -> int:
     r_gap = _setting(args, file_cfg, "r_gap", STANDARD_TASK["r_gap"], int)
     n = _setting(args, file_cfg, "n", STANDARD_TASK["n"], int)
 
-    if not 0 <= seed < 2**64:
-        raise CliError(f"seed must be in [0, 2**64), got {seed}", EXIT_PARSE)
+    _check_seed(seed)
     try:
         method = AdapterMethod(tag=method_tag, rank=rank, o_init=o_init, trainable_set=trainable)
         config = TrainConfig(steps=steps, lr=lr, optimizer=optimizer)
@@ -159,7 +167,10 @@ def cmd_train(args, file_cfg: dict[str, str]) -> int:
 
     if out:
         out_dir = Path(out)
-        out_dir.mkdir(parents=True, exist_ok=True)
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise IoFailure(f"cannot create {out_dir}: {exc}") from exc
         _write_csv(out_dir / "loss.csv", ["step", "loss"], [[i, repr(v)] for i, v in enumerate(run.loss_trace.tolist())])
         checkpoint.save(run.final_state, out_dir / "adapter.ckpt")
     print(
@@ -204,6 +215,7 @@ def cmd_count(args, file_cfg: dict[str, str]) -> int:
 
 def cmd_verify(args, file_cfg: dict[str, str]) -> int:
     seed = _setting(args, file_cfg, "seed", 0, int)
+    _check_seed(seed)
     results = run_scope(args.scope, seed=seed, inject_fault=args.inject_fault == "perturb_u")
     for res in results:
         status = "PASS" if res.passed else "FAIL"
@@ -231,8 +243,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int)
     p.add_argument("--lr", type=float)
     p.add_argument("--optimizer", choices=("sgd", "adam"))
-    p.add_argument("--o-init", dest="o_init", choices=("ones", "gaussian"))
-    p.add_argument("--trainable", choices=("both", "only_s", "only_o"))
+    p.add_argument("--o-init", dest="o_init", choices=O_INITS)
+    p.add_argument("--trainable", choices=TRAINABLE_SETS)
     p.add_argument("--out", help="output directory for loss.csv and adapter.ckpt")
 
     p = sub.add_parser("count", help="parameter accounting over a shape preset")

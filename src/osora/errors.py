@@ -21,10 +21,6 @@ class LengthMismatch(OsoraError):
     """A flat parameter vector has the wrong length."""
 
 
-class MethodMismatch(OsoraError):
-    """Operation applied to an adapter of the wrong method."""
-
-
 class NonFiniteLoss(OsoraError):
     """Training loss became NaN or Inf, usually a too-large learning rate."""
 

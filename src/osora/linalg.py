@@ -45,13 +45,6 @@ def fro_norm(a: np.ndarray) -> float:
     return math.sqrt(float((a * a).sum()))
 
 
-def column_norms(w) -> np.ndarray:
-    """Euclidean norm of each column of w, as a length-cols vector."""
-    m = as_matrix(w, "column_norms input")
-    check_finite(m, "column_norms input")
-    return np.sqrt((m * m).sum(axis=0))
-
-
 def random_matrix(rows: int, cols: int, seed: int | Sequence[int], scheme: str = "uniform_scaled") -> np.ndarray:
     """Deterministic seeded matrix.
 

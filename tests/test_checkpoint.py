@@ -32,10 +32,8 @@ from osora.checkpoint import (
     HEADER_SIZE,
     load,
     load_snapshot,
-    load_state_snapshot,
     save,
     save_snapshot,
-    save_state_snapshot,
 )
 from osora.verify import verify_persist
 
@@ -165,17 +163,6 @@ def test_gaussian_o_init_roundtrip(tmp_path, rng):
     assert loaded.method.o_init == "gaussian"
 
 
-def test_state_snapshot_roundtrip(tmp_path, rng):
-    state, _ = perturbed_state("osora_dora", 9, 7, 2, 32)
-    path = tmp_path / "full.snap"
-    save_state_snapshot(state, path)
-    again = load_state_snapshot(path)
-    x = rng.standard_normal(7)
-    assert forward(state, x).tobytes() == forward(again, x).tobytes()
-    with pytest.raises(ValueError):
-        again.frozen["u_r"][0, 0] = 1.0  # re-frozen on load
-
-
 def test_factor_snapshot_roundtrip(tmp_path):
     w = random_matrix(10, 6, 33, "gaussian")
     f = svd_truncated(w, 3)
@@ -191,7 +178,7 @@ def test_factor_snapshot_roundtrip(tmp_path):
 def test_snapshot_not_loadable_as_checkpoint(tmp_path):
     state, w0 = perturbed_state("osora", 8, 6, 2, 34)
     path = tmp_path / "full.snap"
-    save_state_snapshot(state, path)
+    save_snapshot(path, dict(state.frozen), d=8, k=6, rank=2, digest=state.w0_digest)
     with pytest.raises(CorruptPayload):
         load(path, w0)
 
@@ -244,6 +231,20 @@ def test_overflowing_payload_is_corrupt(tmp_path):
     save(state, path)
     blob = path.read_bytes()
     path.write_bytes(blob[:HEADER_SIZE] + theta.astype("<f8").tobytes())
+    with pytest.raises(CorruptPayload):
+        load(path, w0)
+
+
+@pytest.mark.parametrize("tag", ["dora", "osora_dora"])
+def test_overflowing_row_norm_is_corrupt(tag, tmp_path):
+    # One finite entry of 1e160 overflows the squared row norms the magnitude
+    # rescale divides by, which would turn those merged rows into zeros.
+    state, w0 = perturbed_state(tag, 8, 6, 2, 38)
+    theta = trainable_vector(state)
+    theta[0] = 1e160  # a[0, 0] for dora, s_r[0] for osora_dora
+    path = tmp_path / "norm.ckpt"
+    save(state, path)
+    path.write_bytes(path.read_bytes()[:HEADER_SIZE] + theta.astype("<f8").tobytes())
     with pytest.raises(CorruptPayload):
         load(path, w0)
 

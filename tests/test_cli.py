@@ -141,6 +141,12 @@ class TestTrain:
         code, _, err = run_cli(capsys, "train", *argv)
         assert code == 3 and err.startswith("error:")
 
+    def test_unwritable_out_exit_code(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        code, _, err = run_cli(capsys, "train", "--steps", "2", "--out", str(blocker / "run"))
+        assert code == 3 and err.startswith("error:")
+
     def test_nonfinite_exit_code(self, capsys):
         with np.errstate(all="ignore"):
             code, _, err = run_cli(capsys, "train", "--steps", "300", "--lr", "1e9", "--optimizer", "sgd")
@@ -181,6 +187,29 @@ class TestCount:
         code, _, _ = run_cli(capsys, "count", "--preset", "qwen2_7b", "--rank", "16,banana")
         assert code == 3
 
+    @pytest.mark.parametrize(
+        "preset,digest",
+        [
+            ("llama3_8b", "df8c2468658d969dbc0d4cd4550ac416efad00d45732d55c58828a75939b4c5c"),
+            ("mistral7b_v03", "df8c2468658d969dbc0d4cd4550ac416efad00d45732d55c58828a75939b4c5c"),
+            ("qwen2_7b", "481ac457558aa8b84906a73ff866b62a2f85f920e31a438280c535d431fd8504"),
+        ],
+    )
+    def test_csv_bytes_are_pinned(self, preset, digest, tmp_path, capsys):
+        # SHA-256 of the count CSV over every method at ranks 1, 8, 64 and 512.
+        # The CSV holds integers only, so unlike the train pin it does not
+        # depend on the numpy or BLAS build.
+        out_csv = tmp_path / "c.csv"
+        code, _, _ = run_cli(capsys, "count", "--preset", preset, "--rank", "1,8,64,512", "--out", str(out_csv))
+        assert code == 0
+        assert hashlib.sha256(out_csv.read_bytes()).hexdigest() == digest
+
+    def test_unwritable_out_exit_code(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        code, _, err = run_cli(capsys, "count", "--preset", "qwen2_7b", "--rank", "8", "--out", str(blocker / "c.csv"))
+        assert code == 3 and err.startswith("error:")
+
 
 class TestVerify:
     def test_all_scope_passes(self, capsys):
@@ -192,6 +221,11 @@ class TestVerify:
         code, out, _ = run_cli(capsys, "verify", "merge", "--inject-fault", "perturb_u")
         assert code == 1
         assert any("merge.equivalence" in line and "FAIL" in line for line in out.splitlines())
+
+    @pytest.mark.parametrize("scope,seed", [("svd", "-1"), ("persist", str(2**64))], ids=["negative", "past_u64"])
+    def test_bad_seed_exit_code(self, scope, seed, capsys):
+        code, _, err = run_cli(capsys, "verify", scope, "--seed", seed)
+        assert code == 3 and err.startswith("error:")
 
     def test_grad_scope_reports_max_error(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "grad")

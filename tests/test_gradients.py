@@ -6,12 +6,9 @@ from osora import (
     METHODS,
     AdapterMethod,
     DimensionMismatch,
-    MethodMismatch,
     build_adapter,
     finite_diff,
     forward,
-    grad_generic,
-    grad_osora,
     gradient,
     load_trainable,
     loss_mse,
@@ -57,7 +54,7 @@ class TestGradOsora:
     def test_zero_gradient_at_zero_residual(self, rng):
         state, _ = perturbed_state("osora", 8, 6, 2, 5)
         x = rng.standard_normal((6, 10))
-        lg = grad_osora(state, x, forward(state, x))
+        lg = gradient(state, x, forward(state, x))
         assert np.abs(lg.flat()).max() == 0.0
         assert lg.loss == 0.0
 
@@ -67,7 +64,7 @@ class TestGradOsora:
         state = build_adapter(np.diag([2.0, 1.0]), AdapterMethod(tag="osora", rank=1), seed=0)
         x = np.array([[1.0], [0.0]])
         y = np.array([[1.0], [0.0]])
-        lg = grad_osora(state, x, y)
+        lg = gradient(state, x, y)
         assert np.allclose(lg.slices["s_r"], [1.0], atol=1e-14)
         assert np.allclose(lg.slices["o"], [2.0, 0.0], atol=1e-14)
         fd = finite_diff(state, x, y)
@@ -110,17 +107,9 @@ class TestGradOsora:
         full, _ = perturbed_state("osora", 8, 6, 2, 9, scale=0.0)
         only_s, _ = perturbed_state("osora", 8, 6, 2, 9, scale=0.0, trainable_set="only_s")
         only_o, _ = perturbed_state("osora", 8, 6, 2, 9, scale=0.0, trainable_set="only_o")
-        lg = grad_osora(full, x, y)
-        assert np.array_equal(grad_osora(only_s, x, y).flat(), lg.slices["s_r"])
-        assert np.array_equal(grad_osora(only_o, x, y).flat(), lg.slices["o"])
-
-    def test_method_mismatch(self, rng):
-        state, _ = perturbed_state("lora", 6, 4, 2, 10)
-        with pytest.raises(MethodMismatch):
-            grad_osora(state, np.zeros((4, 1)), np.zeros((6, 1)))
-        osora_state, _ = perturbed_state("osora", 6, 4, 2, 10)
-        with pytest.raises(MethodMismatch):
-            grad_generic(osora_state, np.zeros((4, 1)), np.zeros((6, 1)))
+        lg = gradient(full, x, y)
+        assert np.array_equal(gradient(only_s, x, y).flat(), lg.slices["s_r"])
+        assert np.array_equal(gradient(only_o, x, y).flat(), lg.slices["o"])
 
 
 class TestGradGeneric:
@@ -129,7 +118,7 @@ class TestGradGeneric:
         state = build_adapter(w0, AdapterMethod(tag="lora", rank=2), seed=11)
         x = rng.standard_normal((5, 8))
         y = rng.standard_normal((7, 8))
-        lg = grad_generic(state, x, y)
+        lg = gradient(state, x, y)
         assert np.abs(lg.slices["a"]).max() == 0.0
         assert np.abs(lg.slices["b"]).max() > 0.0
 

@@ -7,7 +7,6 @@ from osora import (
     DimensionMismatch,
     NonFiniteInput,
     RankOutOfRange,
-    column_norms,
     jacobi_svd,
     random_matrix,
     svd_truncated,
@@ -149,29 +148,6 @@ class TestSvdProperties:
         assert np.abs(v.T @ v - np.eye(m)).max() <= 1e-10
         assert (s[r:] <= 1e-10 * s[0]).all()
         assert np.sqrt((((u * s) @ v.T - w) ** 2).sum()) <= 1e-10 * np.sqrt((w * w).sum())
-
-
-class TestColumnNorms:
-    def test_identity(self):
-        assert column_norms(np.eye(3)).tolist() == [1.0, 1.0, 1.0]
-
-    def test_three_four_five(self):
-        assert column_norms(np.array([[3.0], [4.0]])).tolist() == [5.0]
-
-    def test_matches_bruteforce_loop(self):
-        w = random_matrix(5, 4, 17, "gaussian")
-        got = column_norms(w)
-        for j in range(4):
-            total = 0.0
-            for i in range(5):
-                total += w[i, j] ** 2
-            assert abs(got[j] - np.sqrt(total)) <= 1e-12
-
-    def test_non_finite(self):
-        w = np.ones((2, 2))
-        w[0, 0] = np.inf
-        with pytest.raises(NonFiniteInput):
-            column_norms(w)
 
 
 class TestRandomMatrix:
