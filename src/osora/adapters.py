@@ -33,10 +33,12 @@ counts in accounting.py come out exactly.
 
 Each rule above is one record in `_TABLE`, keyed by tag: the frozen base
 tensor, the trainable slots in flat-layout order, and the init, dense update,
-factored update and per-slot gradient functions. dora and osora_dora are the
-lora and osora records with the magnitude flag set and a trailing `m` slot.
-build_adapter, effective_weight, forward, merge, the slot layout and
-gradients.gradient are each one generic body over that table.
+factored update and per-slot gradient functions, plus `fixed`, the products
+of frozen tensors with the probes that the factored update and the gradient
+read. dora and osora_dora are the lora and osora records with the magnitude
+flag set, a trailing `m` slot, and the row norms of the effective weight.
+build_adapter, effective_weight, forward, merge, the slot layout and the
+gradients.py train step are each one generic body over that table.
 """
 
 from __future__ import annotations
@@ -113,44 +115,52 @@ def _row_norms(w: np.ndarray) -> np.ndarray:
     return np.sqrt((w * w).sum(axis=1))
 
 
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row i of the result is a[i] . b[i], with no a * b temporary."""
+    return np.einsum("ij,ij->i", a, b)
+
+
 def _dora_scale(state: AdapterState, norms: np.ndarray) -> np.ndarray:
     return np.where(norms > 0.0, state.trainable["m"] / np.where(norms > 0.0, norms, 1.0), 0.0)
 
 
-def _dora_backward(state: AdapterState, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Backprop g through the row rescale w[i] = m_i * w_eff[i] / ||w_eff[i]||.
-
-    Returns the gradient in the effective weight and the gradient in m.
-    """
-    w_eff = effective_weight(state)
-    norms = _row_norms(w_eff)
-    safe = np.where(norms > 0.0, norms, 1.0)
-    unit = np.where(norms[:, None] > 0.0, w_eff / safe[:, None], 0.0)
-    g_m = (g * unit).sum(axis=1)
-    return _dora_scale(state, norms)[:, None] * (g - g_m[:, None] * unit), g_m
+def _no_products(fz, x) -> dict[str, np.ndarray]:
+    return {}
 
 
 @dataclass(frozen=True)
 class _Method:
-    """One method: forward(x) = fz[base] @ x + apply(fz, t, x), merged as fz[base] + delta(fz, t).
+    """One method: forward(x) = fz[base] @ x + apply(fz, t, fx, x), merged as fz[base] + delta(fz, t).
 
-    `fz` and `t` are an adapter's frozen and trainable dicts. A magnitude method
-    instead rescales each row of that merged weight to the trainable norm m,
-    its trailing slot.
+    `fz` and `t` are an adapter's frozen and trainable dicts, and `fx` is
+    fixed(fz, x). A magnitude method instead rescales each row of that merged
+    weight to the trainable norm m, its trailing slot.
     """
 
     base: str  # frozen base tensor: "w0", or "w0_res" for the SVD-initialized methods
     slots: tuple[str, ...]  # trainable slots in flat-layout order
     init: Callable  # (w, method, seed) -> (frozen, trainable), without m
     delta: Callable  # (fz, t) -> dense d x k update
-    apply: Callable  # (fz, t, x) -> delta @ x, without forming delta
-    grad: Callable  # (fz, t, G) -> {slot: gradient}, G the loss gradient in the update; without m
+    apply: Callable  # (fz, t, fx, x) -> delta @ x, without forming delta
+    grad: Callable  # (fz, t, fx, r, x) -> {slot: gradient} for the update gradient r x^T; without m
+    products: Callable = _no_products  # (fz, x) -> frozen-times-probe products that apply and grad read
+    # Magnitude methods only: (fz, t, fx) -> (row norms of the effective weight, w),
+    # and (fz, t, c, w) -> {slot: gradient} for the update gradient diag(c) w_eff.
+    norms: Callable | None = None
+    grad_rows: Callable | None = None
     o_axis: int = 0  # the axis of w that the o vector runs along
-    magnitude: bool = False
+
+    @property
+    def magnitude(self) -> bool:
+        return self.norms is not None
+
+    def fixed(self, fz, x) -> dict[str, np.ndarray]:
+        """Products of frozen tensors with the probes x: "base" is fz[base] @ x."""
+        return {"base": fz[self.base] @ x, **self.products(fz, x)}
 
 
-def _with_magnitude(entry: _Method) -> _Method:
-    return replace(entry, slots=entry.slots + ("m",), magnitude=True)
+def _with_magnitude(entry: _Method, **fields) -> _Method:
+    return replace(entry, slots=entry.slots + ("m",), **fields)
 
 
 def _lora_init(w: np.ndarray, method: AdapterMethod, seed: int):
@@ -170,10 +180,10 @@ def _vera_init(w: np.ndarray, method: AdapterMethod, seed: int):
     return frozen, {"d_vec": np.full(r, _VERA_D_INIT), "b_vec": np.zeros(d)}
 
 
-def _vera_grad(fz, t, g):
-    a, b = fz["a_base"], fz["b_base"]
-    g_d = ((b * t["b_vec"][:, None]).T @ g @ a.T).diagonal().copy()
-    g_b = (g * (b @ (t["d_vec"][:, None] * a))).sum(axis=1)
+def _vera_grad(fz, t, fx, r, x):
+    b, ax = fz["b_base"], fx["ax"]
+    g_d = _row_dots((b * t["b_vec"][:, None]).T @ r, ax)
+    g_b = _row_dots(r, b @ (t["d_vec"][:, None] * ax))
     return {"d_vec": g_d, "b_vec": g_b}
 
 
@@ -204,24 +214,54 @@ def _core(fz, t):
     return (fz["u_r"] * t["s_r"]) @ fz["v_r"].T
 
 
+def _osora_grad_gv(fz, t, gv):
+    """The osora slot gradients from G v_r (d x r), G the update gradient."""
+    return {
+        "s_r": np.einsum("ij,ij->j", fz["u_r"] * t["o"][:, None], gv),
+        "o": _row_dots(gv, fz["u_r"] * t["s_r"]),
+    }
+
+
+def _osora_k_grad(fz, t, fx, r, x):
+    u, v = fz["u_r"], fz["v_r"]
+    ur = u.T @ r  # r x n
+    return {
+        "s_r": _row_dots(ur, (v * t["o"][:, None]).T @ x),
+        "o": _row_dots(x, v @ (t["s_r"][:, None] * ur)),
+    }
+
+
+def _dora_norms(fz, t, fx):
+    w = t["b"] @ t["a"]
+    w += fz["w0"]
+    return np.sqrt(_row_dots(w, w)), w
+
+
+def _osora_dora_norms(fz, t, fx):
+    # v_r is orthonormal, so ||w0_res,i + o_i (u_r s_r)_i v_r^T||^2 expands
+    # over d x r products; roundoff can take a near-zero row's sum below 0.
+    us = fz["u_r"] * t["s_r"]
+    o = t["o"]
+    sq = fx["w0_res_sq"] + 2.0 * o * _row_dots(fx["w0_res_v"], us) + o * o * _row_dots(us, us)
+    return np.sqrt(np.maximum(sq, 0.0)), fx["w0_res_v"] + o[:, None] * us  # w_eff v_r
+
+
 _LORA = _Method(
     base="w0",
     slots=("a", "b"),
     init=_lora_init,
     delta=lambda fz, t: t["b"] @ t["a"],
-    apply=lambda fz, t, x: t["b"] @ (t["a"] @ x),
-    grad=lambda fz, t, g: {"a": t["b"].T @ g, "b": g @ t["a"].T},
+    apply=lambda fz, t, fx, x: t["b"] @ (t["a"] @ x),
+    grad=lambda fz, t, fx, r, x: {"a": (t["b"].T @ r) @ x.T, "b": r @ (t["a"] @ x).T},
 )
 _OSORA = _Method(
     base="w0_res",
     slots=("s_r", "o"),
     init=_osora_init,
     delta=lambda fz, t: t["o"][:, None] * _core(fz, t),
-    apply=lambda fz, t, x: t["o"][:, None] * (fz["u_r"] @ (t["s_r"][:, None] * (fz["v_r"].T @ x))),
-    grad=lambda fz, t, g: {
-        "s_r": ((fz["u_r"] * t["o"][:, None]).T @ g @ fz["v_r"]).diagonal().copy(),
-        "o": (g * _core(fz, t)).sum(axis=1),
-    },
+    apply=lambda fz, t, fx, x: t["o"][:, None] * (fz["u_r"] @ (t["s_r"][:, None] * fx["vtx"])),
+    grad=lambda fz, t, fx, r, x: _osora_grad_gv(fz, t, r @ fx["vtx"].T),
+    products=lambda fz, x: {"vtx": fz["v_r"].T @ x},
 )
 _TABLE: dict[str, _Method] = {
     "lora": _LORA,
@@ -230,23 +270,35 @@ _TABLE: dict[str, _Method] = {
         slots=("d_vec", "b_vec"),
         init=_vera_init,
         delta=lambda fz, t: (t["b_vec"][:, None] * fz["b_base"]) @ (t["d_vec"][:, None] * fz["a_base"]),
-        apply=lambda fz, t, x: t["b_vec"][:, None] * (fz["b_base"] @ (t["d_vec"][:, None] * (fz["a_base"] @ x))),
+        apply=lambda fz, t, fx, x: t["b_vec"][:, None] * (fz["b_base"] @ (t["d_vec"][:, None] * fx["ax"])),
         grad=_vera_grad,
+        products=lambda fz, x: {"ax": fz["a_base"] @ x},
     ),
     "pissa": replace(_LORA, base="w0_res", init=_pissa_init),
     "osora": _OSORA,
     "osora_k": replace(
         _OSORA,
         delta=lambda fz, t: _core(fz, t) * t["o"][None, :],
-        apply=lambda fz, t, x: fz["u_r"] @ (t["s_r"][:, None] * (fz["v_r"].T @ (t["o"][:, None] * x))),
-        grad=lambda fz, t, g: {
-            "s_r": (fz["u_r"].T @ (g * t["o"][None, :]) @ fz["v_r"]).diagonal().copy(),
-            "o": (g * _core(fz, t)).sum(axis=0),
-        },
+        apply=lambda fz, t, fx, x: fz["u_r"] @ (t["s_r"][:, None] * (fz["v_r"].T @ (t["o"][:, None] * x))),
+        grad=_osora_k_grad,
+        products=_no_products,
         o_axis=1,
     ),
-    "dora": _with_magnitude(_LORA),
-    "osora_dora": _with_magnitude(_OSORA),
+    "dora": _with_magnitude(
+        _LORA,
+        norms=_dora_norms,
+        grad_rows=lambda fz, t, c, w: {"a": (t["b"] * c[:, None]).T @ w, "b": c[:, None] * (w @ t["a"].T)},
+    ),
+    "osora_dora": _with_magnitude(
+        _OSORA,
+        products=lambda fz, x: {
+            **_OSORA.products(fz, x),
+            "w0_res_v": fz["w0_res"] @ fz["v_r"],
+            "w0_res_sq": _row_dots(fz["w0_res"], fz["w0_res"]),
+        },
+        norms=_osora_dora_norms,
+        grad_rows=lambda fz, t, c, wv: _osora_grad_gv(fz, t, c[:, None] * wv),
+    ),
 }
 
 # The osora ablations train one slot of the pair and keep the other at its init.
@@ -340,7 +392,8 @@ def forward(state: AdapterState, x) -> np.ndarray:
         w_eff = effective_weight(state)
         y = _dora_scale(state, _row_norms(w_eff))[:, None] * (w_eff @ xa)
     else:
-        y = state.frozen[entry.base] @ xa + entry.apply(state.frozen, state.trainable, xa)
+        fx = entry.fixed(state.frozen, xa)
+        y = fx["base"] + entry.apply(state.frozen, state.trainable, fx, xa)
     return y[:, 0] if single else y
 
 

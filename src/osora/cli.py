@@ -6,8 +6,8 @@ and shortest round-trip decimals, so reruns of the same config are
 byte-identical.
 
 Exit codes: 1 failed verify check, 2 rank out of range or unknown preset,
-3 parse/config failure or an output that cannot be written, 4 non-finite
-training loss.
+3 parse/config failure, an output that cannot be written, or a train run
+whose arrays do not fit in memory, 4 non-finite training loss.
 """
 
 from __future__ import annotations
@@ -161,9 +161,12 @@ def cmd_train(args, file_cfg: dict[str, str]) -> int:
         config = TrainConfig(steps=steps, lr=lr, optimizer=optimizer)
     except ValueError as exc:
         raise CliError(str(exc), EXIT_PARSE) from exc
-    task = make_task(d, k, r_gap, seed, n=n)
-    state = build_adapter(task.w0, method, seed)
-    run = train(state, task, config)
+    try:
+        task = make_task(d, k, r_gap, seed, n=n)
+        state = build_adapter(task.w0, method, seed)
+        run = train(state, task, config)
+    except MemoryError as exc:
+        raise CliError(f"out of memory: {exc}", EXIT_PARSE) from exc
 
     if out:
         out_dir = Path(out)

@@ -16,7 +16,7 @@ import numpy as np
 
 from .adapters import AdapterState, clone_state, load_trainable, trainable_vector
 from .errors import DimensionMismatch, NonFiniteLoss, RankOutOfRange
-from .gradients import gradient, loss_mse
+from .gradients import _stepper
 from .linalg import random_matrix, svd_truncated
 
 ADAM_BETA1 = 0.9
@@ -92,12 +92,13 @@ def train(state: AdapterState, task: ToyTask, config: TrainConfig) -> TrainRun:
             f"adapter is {state.d}x{state.k} but task weight is {task.w0.shape[0]}x{task.w0.shape[1]}"
         )
     work = clone_state(state)
+    step_at = _stepper(work, task.probes, task.targets)
     theta = trainable_vector(work)
     trace = np.empty(config.steps + 1)
     m = np.zeros_like(theta)
     v = np.zeros_like(theta)
     for step in range(config.steps):
-        lg = gradient(work, task.probes, task.targets)
+        lg = step_at(work)
         trace[step] = lg.loss
         if not math.isfinite(lg.loss):
             raise NonFiniteLoss(f"loss became non-finite at step {step}")
@@ -111,7 +112,7 @@ def train(state: AdapterState, task: ToyTask, config: TrainConfig) -> TrainRun:
             v_hat = v / (1.0 - ADAM_BETA2 ** (step + 1))
             theta = theta - config.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
         load_trainable(work, theta)
-    trace[config.steps] = loss_mse(work, task.probes, task.targets)
+    trace[config.steps] = step_at(work).loss
     if not math.isfinite(trace[config.steps]):
         raise NonFiniteLoss(f"loss became non-finite at step {config.steps}")
     return TrainRun(config=config, loss_trace=trace, final_state=work)

@@ -130,8 +130,8 @@ class TestTrain:
         assert code == 0
         digests = {name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest() for name in ("loss.csv", "adapter.ckpt")}
         assert digests == {
-            "loss.csv": "bbeff6379acc22e1725354c72f22b5dcebf51b0dea3fd03b8a79e62851d1e93e",
-            "adapter.ckpt": "c983180622cfd1c720f0e8464cc734bf8e19d70fa049c1faa752e97d5d3108a2",
+            "loss.csv": "4ce5726ed29309a72cd36f499ae0e57b776ab403a10b1d325b5271dcb22526b8",
+            "adapter.ckpt": "da391c624676fc2c8dff304be8366c0689169ff0f29b395e96f8de9414e046df",
         }
 
     @pytest.mark.parametrize(
@@ -258,6 +258,14 @@ class TestConfigFile:
         cfg.write_text("[train]\noptimizer = bogus\n")
         code, _, err = run_cli(capsys, "train", "--config", str(cfg))
         assert code == 3 and "bogus" in err
+
+    def test_probe_count_too_large_for_memory(self, tmp_path, capsys):
+        # 32 x 1e11 probes is about 23 TiB, which numpy refuses in one request
+        # rather than leaving it to the OS to overcommit.
+        cfg = tmp_path / "run.ini"
+        cfg.write_text("[train]\nn = 100000000000\n")
+        code, _, err = run_cli(capsys, "train", "--config", str(cfg))
+        assert code == 3 and err.startswith("error:")
 
     def test_unknown_section_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "run.ini"

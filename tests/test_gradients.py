@@ -7,12 +7,14 @@ from osora import (
     AdapterMethod,
     DimensionMismatch,
     build_adapter,
+    effective_weight,
     finite_diff,
     forward,
     gradient,
     load_trainable,
     loss_mse,
     random_matrix,
+    trainable_vector,
 )
 
 
@@ -51,8 +53,11 @@ class TestLoss:
 
 
 class TestGradOsora:
-    def test_zero_gradient_at_zero_residual(self, rng):
-        state, _ = perturbed_state("osora", 8, 6, 2, 5)
+    @pytest.mark.parametrize("tag", ["lora", "vera", "pissa", "osora", "osora_k"])
+    def test_zero_gradient_at_zero_residual(self, tag, rng):
+        # the step builds its prediction with forward's own expression, so
+        # targets from forward leave a residual of exact zeros
+        state, _ = perturbed_state(tag, 8, 6, 2, 5)
         x = rng.standard_normal((6, 10))
         lg = gradient(state, x, forward(state, x))
         assert np.abs(lg.flat()).max() == 0.0
@@ -149,6 +154,33 @@ class TestGradGeneric:
         x = rng.standard_normal((7, 12))
         y = rng.standard_normal((9, 12))
         assert fd_gap(state, x, y) <= 1e-6
+
+
+class TestZeroRow:
+    """A base weight with an exactly zero row: its row norm is 0 and the rescale must not divide by it."""
+
+    @staticmethod
+    def zero_row_state(tag, nudge):
+        w0 = random_matrix(8, 6, (19, 100), "gaussian")
+        w0[2] = 0.0
+        state = build_adapter(w0, AdapterMethod(tag=tag, rank=2), seed=19)
+        if nudge:
+            theta = trainable_vector(state)
+            load_trainable(state, theta + 0.3 * np.random.default_rng((19, 101)).standard_normal(theta.size))
+        return state
+
+    @pytest.mark.parametrize("tag,nudge", [("dora", False), ("osora_dora", False), ("osora_dora", True)])
+    def test_gradient_is_finite_and_exact_on_the_zero_row(self, tag, nudge, rng):
+        state = self.zero_row_state(tag, nudge)
+        assert np.array_equal(effective_weight(state)[2], np.zeros(6))
+        x = rng.standard_normal((6, 12))
+        y = rng.standard_normal((8, 12))
+        with np.errstate(all="raise"):
+            lg = gradient(state, x, y)
+        assert fd_gap(state, x, y) <= 1e-6
+        assert lg.slices["m"][2] == 0.0
+        if tag == "osora_dora":
+            assert lg.slices["o"][2] == 0.0
 
 
 class TestFiniteDiff:

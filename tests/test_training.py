@@ -1,16 +1,22 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from osora import (
+    METHODS,
     AdapterMethod,
     DimensionMismatch,
     NonFiniteLoss,
     RankOutOfRange,
+    ToyTask,
     TrainConfig,
     build_adapter,
+    gradient,
     make_task,
     svd_truncated,
     train,
+    trainable_vector,
 )
 
 
@@ -133,3 +139,42 @@ class TestTrain:
     def test_bad_optimizer_rejected(self):
         with pytest.raises(ValueError):
             TrainConfig(steps=1, lr=0.1, optimizer="momentum")
+
+
+TRAINED_METHODS = [AdapterMethod(tag=tag, rank=2) for tag in METHODS] + [
+    AdapterMethod(tag="osora", rank=2, trainable_set=tset) for tset in ("only_s", "only_o")
+]
+
+
+@pytest.mark.parametrize("method", TRAINED_METHODS, ids=lambda m: f"{m.tag}-{m.trainable_set}")
+def test_sgd_step_is_the_public_gradient(method):
+    # train runs the same step body as gradient, so the tests of gradient
+    # check what train runs: one SGD step at lr = 1 is theta0 - gradient.
+    task = make_task(10, 8, 2, seed=13)
+    state = build_adapter(task.w0, method, seed=13)
+    expected = trainable_vector(state) - gradient(state, task.probes, task.targets).flat()
+    run = train(state, task, TrainConfig(steps=1, lr=1.0, optimizer="sgd"))
+    assert trainable_vector(run.final_state).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("tag", METHODS)
+def test_train_step_forms_no_dense_weight(tag):
+    # A step works on r x n products of the probes: at d = k = 256 and n = 8
+    # one d x k float64 array (512 KiB) outweighs all of them. dora forms its
+    # effective weight once per step and nothing else of that size.
+    d = k = 256
+    rng = np.random.default_rng(14)
+    q, _ = np.linalg.qr(rng.standard_normal((d, k)))
+    w0 = q * np.linspace(2.0, 1.0, k)  # orthogonal columns, so the SVD ends after one sweep
+    probes = rng.standard_normal((k, 8))
+    task = ToyTask(w0=w0, w_target=1.1 * w0, probes=probes, targets=1.1 * w0 @ probes, seed=14, r_gap=2)
+    state = build_adapter(task.w0, AdapterMethod(tag=tag, rank=2), seed=14)
+    config = TrainConfig(steps=5, lr=1e-2, optimizer="adam")
+    train(state, task, config)  # warm-up
+    tracemalloc.start()
+    try:
+        train(state, task, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < (2 if tag == "dora" else 1) * d * k * 8
