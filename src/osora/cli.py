@@ -33,12 +33,31 @@ EXIT_BAD_RANGE = 2
 EXIT_PARSE = 3
 EXIT_NONFINITE = 4
 
-# Keys each command may take from a --config file section.
-_CONFIG_KEYS = {
-    "decompose": {"rank", "out"},
-    "train": {"seed", "rank", "method", "steps", "lr", "optimizer", "o_init", "trainable", "out", "d", "k", "r_gap", "n"},
-    "count": {"preset", "method", "rank", "out"},
-    "verify": {"seed"},
+# Each command's settings: key -> (cast, default, flag). `flag` holds the extra
+# add_argument keywords of the key's --flag, or None for a config-only key. A
+# flag wins over the command's --config section, and the section over the
+# default; a section may hold only its command's keys.
+_SETTINGS = {
+    "decompose": {"rank": (int, None, {}), "out": (str, None, {"help": "write factors to a debug snapshot"})},
+    "train": {
+        "seed": (int, 0, {}),
+        "rank": (int, STANDARD_TASK["r_gap"], {}),
+        "method": (str, "osora", {"choices": METHODS}),
+        "steps": (int, 500, {}),
+        "lr": (float, 1e-2, {}),
+        "optimizer": (str, "adam", {"choices": ("sgd", "adam")}),
+        "o_init": (str, "ones", {"choices": O_INITS}),
+        "trainable": (str, "both", {"choices": TRAINABLE_SETS}),
+        "out": (str, None, {"help": "output directory for loss.csv and adapter.ckpt"}),
+        **{key: (int, default, None) for key, default in STANDARD_TASK.items()},
+    },
+    "count": {
+        "preset": (str, None, {}),
+        "method": (str, ",".join(METHODS), {"help": "comma-separated method tags (default: all)"}),
+        "rank": (str, None, {"help": "comma-separated ranks"}),
+        "out": (str, None, {"help": "CSV output path"}),
+    },
+    "verify": {"seed": (int, 0, {})},
 }
 
 
@@ -72,37 +91,32 @@ def write_matrix(path, w: np.ndarray) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def _load_config_section(path, command: str) -> dict[str, str]:
-    parser = configparser.ConfigParser()
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            parser.read_file(fh)
-    except (OSError, configparser.Error) as exc:
-        raise CliError(f"cannot parse config {path}: {exc}", EXIT_PARSE) from exc
-    for section in parser.sections():
-        if section not in _CONFIG_KEYS:
-            raise CliError(f"config {path}: unknown section [{section}]", EXIT_PARSE)
-        unknown = set(parser[section]) - _CONFIG_KEYS[section]
-        if unknown:
-            raise CliError(f"config {path}: unknown keys in [{section}]: {sorted(unknown)}", EXIT_PARSE)
-    return dict(parser[command]) if parser.has_section(command) else {}
-
-
-def _setting(args, file_cfg: dict[str, str], key: str, default, cast):
-    flag = getattr(args, key, None)
-    if flag is not None:
-        return flag
-    if key in file_cfg:
+def _resolve_settings(args) -> None:
+    """Set each of the command's settings on `args`: its flag, else its config key, else the default."""
+    section = {}
+    if args.config:
+        parser = configparser.ConfigParser()
         try:
-            return cast(file_cfg[key])
+            with open(args.config, "r", encoding="utf-8") as fh:
+                parser.read_file(fh)
+        except (OSError, configparser.Error) as exc:
+            raise CliError(f"cannot parse config {args.config}: {exc}", EXIT_PARSE) from exc
+        for name in parser.sections():
+            if name not in _SETTINGS:
+                raise CliError(f"config {args.config}: unknown section [{name}]", EXIT_PARSE)
+            unknown = set(parser[name]) - set(_SETTINGS[name])
+            if unknown:
+                raise CliError(f"config {args.config}: unknown keys in [{name}]: {sorted(unknown)}", EXIT_PARSE)
+        section = dict(parser[args.command]) if parser.has_section(args.command) else {}
+    for key, (cast, default, _) in _SETTINGS[args.command].items():
+        if getattr(args, key, None) is not None:
+            continue
+        try:
+            setattr(args, key, cast(section[key]) if key in section else default)
         except ValueError as exc:
             raise CliError(f"config key {key}: {exc}", EXIT_PARSE) from exc
-    return default
-
-
-def _check_seed(seed: int) -> None:
-    if not 0 <= seed < 2**64:
-        raise CliError(f"seed must be in [0, 2**64), got {seed}", EXIT_PARSE)
+    if not 0 <= getattr(args, "seed", 0) < 2**64:
+        raise CliError(f"seed must be in [0, 2**64), got {args.seed}", EXIT_PARSE)
 
 
 def _write_csv(path, header: list[str], rows: list[list]) -> None:
@@ -140,36 +154,21 @@ def cmd_decompose(args) -> int:
     return 0
 
 
-def cmd_train(args, file_cfg: dict[str, str]) -> int:
-    seed = _setting(args, file_cfg, "seed", 0, int)
-    rank = _setting(args, file_cfg, "rank", STANDARD_TASK["r_gap"], int)
-    method_tag = _setting(args, file_cfg, "method", "osora", str)
-    steps = _setting(args, file_cfg, "steps", 500, int)
-    lr = _setting(args, file_cfg, "lr", 1e-2, float)
-    optimizer = _setting(args, file_cfg, "optimizer", "adam", str)
-    o_init = _setting(args, file_cfg, "o_init", "ones", str)
-    trainable = _setting(args, file_cfg, "trainable", "both", str)
-    out = _setting(args, file_cfg, "out", None, str)
-    d = _setting(args, file_cfg, "d", STANDARD_TASK["d"], int)
-    k = _setting(args, file_cfg, "k", STANDARD_TASK["k"], int)
-    r_gap = _setting(args, file_cfg, "r_gap", STANDARD_TASK["r_gap"], int)
-    n = _setting(args, file_cfg, "n", STANDARD_TASK["n"], int)
-
-    _check_seed(seed)
+def cmd_train(args) -> int:
     try:
-        method = AdapterMethod(tag=method_tag, rank=rank, o_init=o_init, trainable_set=trainable)
-        config = TrainConfig(steps=steps, lr=lr, optimizer=optimizer)
+        method = AdapterMethod(tag=args.method, rank=args.rank, o_init=args.o_init, trainable_set=args.trainable)
+        config = TrainConfig(steps=args.steps, lr=args.lr, optimizer=args.optimizer)
     except ValueError as exc:
         raise CliError(str(exc), EXIT_PARSE) from exc
     try:
-        task = make_task(d, k, r_gap, seed, n=n)
-        state = build_adapter(task.w0, method, seed)
+        task = make_task(args.d, args.k, args.r_gap, args.seed, n=args.n)
+        state = build_adapter(task.w0, method, args.seed)
         run = train(state, task, config)
     except MemoryError as exc:
         raise CliError(f"out of memory: {exc}", EXIT_PARSE) from exc
 
-    if out:
-        out_dir = Path(out)
+    if args.out:
+        out_dir = Path(args.out)
         try:
             out_dir.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
@@ -177,28 +176,24 @@ def cmd_train(args, file_cfg: dict[str, str]) -> int:
         _write_csv(out_dir / "loss.csv", ["step", "loss"], [[i, repr(v)] for i, v in enumerate(run.loss_trace.tolist())])
         checkpoint.save(run.final_state, out_dir / "adapter.ckpt")
     print(
-        f"method={method_tag} rank={rank} "
+        f"method={args.method} rank={args.rank} "
         f"init_loss={float(run.loss_trace[0])!r} final_loss={float(run.loss_trace[-1])!r}"
     )
     return 0
 
 
-def cmd_count(args, file_cfg: dict[str, str]) -> int:
-    preset_name = _setting(args, file_cfg, "preset", None, str)
-    methods_raw = _setting(args, file_cfg, "method", ",".join(METHODS), str)
-    ranks_raw = _setting(args, file_cfg, "rank", None, str)
-    out = _setting(args, file_cfg, "out", None, str)
-    if preset_name is None or ranks_raw is None:
+def cmd_count(args) -> int:
+    if args.preset is None or args.rank is None:
         raise CliError("--preset and --rank are required", EXIT_PARSE)
     try:
-        preset = get_preset(preset_name)
+        preset = get_preset(args.preset)
     except ValueError as exc:
         raise CliError(str(exc), EXIT_BAD_RANGE) from exc
-    methods = [m.strip() for m in str(methods_raw).split(",") if m.strip()]
+    methods = [m.strip() for m in args.method.split(",") if m.strip()]
     try:
-        ranks = sorted({int(r) for r in str(ranks_raw).split(",")})
+        ranks = sorted({int(r) for r in args.rank.split(",")})
     except ValueError as exc:
-        raise CliError(f"bad rank list {ranks_raw!r}: {exc}", EXIT_PARSE) from exc
+        raise CliError(f"bad rank list {args.rank!r}: {exc}", EXIT_PARSE) from exc
     try:
         scaling_sweep(preset, methods, ranks)  # validates methods and ranks early
     except ValueError as exc:
@@ -211,15 +206,13 @@ def cmd_count(args, file_cfg: dict[str, str]) -> int:
     rows.sort(key=lambda row: (row[0], row[1]))
     for row in rows:
         print(f"{row[0]} r={row[1]} trainable={row[2]} footprint={row[3]}")
-    if out:
-        _write_csv(out, ["method", "rank", "trainable_params", "memory_footprint"], rows)
+    if args.out:
+        _write_csv(args.out, ["method", "rank", "trainable_params", "memory_footprint"], rows)
     return 0
 
 
-def cmd_verify(args, file_cfg: dict[str, str]) -> int:
-    seed = _setting(args, file_cfg, "seed", 0, int)
-    _check_seed(seed)
-    results = run_scope(args.scope, seed=seed, inject_fault=args.inject_fault == "perturb_u")
+def cmd_verify(args) -> int:
+    results = run_scope(args.scope, seed=args.seed, inject_fault=args.inject_fault == "perturb_u")
     for res in results:
         status = "PASS" if res.passed else "FAIL"
         print(f"{res.name} max_err={res.max_err:.3e} threshold={res.threshold:.1e} {status}")
@@ -228,39 +221,24 @@ def cmd_verify(args, file_cfg: dict[str, str]) -> int:
     return EXIT_CHECK_FAILED if failed else 0
 
 
+def _add_settings(p: argparse.ArgumentParser, command: str) -> argparse.ArgumentParser:
+    p.add_argument("--config")
+    for key, (cast, _, flag) in _SETTINGS[command].items():
+        if flag is not None:
+            p.add_argument("--" + key.replace("_", "-"), type=cast, **flag)
+    return p
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="osora", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
-
     p = sub.add_parser("decompose", help="truncated SVD of a matrix file")
     p.add_argument("matrix", help="path to a text matrix file")
-    p.add_argument("--rank", type=int)
-    p.add_argument("--out", help="write factors to a debug snapshot")
-    p.add_argument("--config")
-
-    p = sub.add_parser("train", help="train an adapter on the toy task")
-    p.add_argument("--config")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--rank", type=int)
-    p.add_argument("--method", choices=METHODS)
-    p.add_argument("--steps", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--optimizer", choices=("sgd", "adam"))
-    p.add_argument("--o-init", dest="o_init", choices=O_INITS)
-    p.add_argument("--trainable", choices=TRAINABLE_SETS)
-    p.add_argument("--out", help="output directory for loss.csv and adapter.ckpt")
-
-    p = sub.add_parser("count", help="parameter accounting over a shape preset")
-    p.add_argument("--config")
-    p.add_argument("--preset")
-    p.add_argument("--method", help="comma-separated method tags (default: all)")
-    p.add_argument("--rank", help="comma-separated ranks")
-    p.add_argument("--out", help="CSV output path")
-
-    p = sub.add_parser("verify", help="run the invariant check suites")
+    _add_settings(p, "decompose")
+    _add_settings(sub.add_parser("train", help="train an adapter on the toy task"), "train")
+    _add_settings(sub.add_parser("count", help="parameter accounting over a shape preset"), "count")
+    p = _add_settings(sub.add_parser("verify", help="run the invariant check suites"), "verify")
     p.add_argument("scope", choices=SCOPES)
-    p.add_argument("--config")
-    p.add_argument("--seed", type=int)
     p.add_argument("--inject-fault", choices=("none", "perturb_u"), default="none", help="negative control for the merge check")
     return parser
 
@@ -268,14 +246,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        file_cfg = _load_config_section(args.config, args.command) if getattr(args, "config", None) else {}
+        _resolve_settings(args)
         if args.command == "decompose":
             return cmd_decompose(args)
         if args.command == "train":
-            return cmd_train(args, file_cfg)
+            return cmd_train(args)
         if args.command == "count":
-            return cmd_count(args, file_cfg)
-        return cmd_verify(args, file_cfg)
+            return cmd_count(args)
+        return cmd_verify(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code

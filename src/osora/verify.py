@@ -1,13 +1,15 @@
-"""Self-check suites behind the `osora verify` command.
+"""The lab's invariant checks, and the quick suites behind `osora verify`.
 
-Each suite returns CheckResult rows with the worst observed error and the
-gate it was held to; the CLI prints one line per row and exits nonzero if
-any gate fails. The gates mirror the library's documented tolerances.
+Each `check_*` function takes its instances (matrices, adapter states or the
+specs that build them, and probes) and returns CheckResult rows: the worst
+observed error and the gate, which lives here and nowhere else. The `verify_*`
+suites run the checks on quick lists; the acceptance suite runs them on its own.
 """
 
 from __future__ import annotations
 
 import tempfile
+from collections.abc import Iterable
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -28,8 +30,6 @@ from .adapters import (
 from .gradients import finite_diff, gradient
 from .linalg import jacobi_svd, random_matrix
 
-SCOPES = ("svd", "grad", "merge", "persist", "all")
-
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -43,33 +43,90 @@ def _result(name: str, max_err: float, threshold: float) -> CheckResult:
     return CheckResult(name=name, max_err=max_err, threshold=threshold, passed=max_err <= threshold)
 
 
-def _default_method(tag: str, rank: int) -> AdapterMethod:
-    return AdapterMethod(tag=tag, rank=rank)
+def _worst(errors) -> float:
+    """Largest error, 0.0 for none; NaN if any error is NaN, so a NaN never passes its gate."""
+    return float(np.max([0.0, *errors]))
 
 
-def _randomized_state(tag: str, d: int, k: int, rank: int, seed: int) -> tuple[AdapterState, np.ndarray]:
+def rel_inf(got, want) -> float:
+    """Max-abs deviation scaled by 1 + max-abs of the reference."""
+    return float(np.abs(np.asarray(got) - np.asarray(want)).max()) / (1.0 + float(np.abs(want).max()))
+
+
+def perturbed_state(
+    tag: str, d: int, k: int, rank: int, seed: int, scale: float = 0.2, **method_kwargs
+) -> tuple[AdapterState, np.ndarray]:
+    """Adapter over a seeded gaussian base weight with seeded noise of size `scale` on its trainables."""
     w0 = random_matrix(d, k, (seed, 100), "gaussian")
-    state = build_adapter(w0, _default_method(tag, rank), seed)
+    state = build_adapter(w0, AdapterMethod(tag=tag, rank=rank, **method_kwargs), seed)
     theta = trainable_vector(state)
-    theta = theta + 0.1 * np.random.default_rng((seed, 101)).standard_normal(theta.size)
+    theta = theta + scale * np.random.default_rng((seed, 101)).standard_normal(theta.size)
     load_trainable(state, theta)
     return state, w0
 
 
-def verify_svd(seed: int = 0) -> list[CheckResult]:
-    shapes = [(16, 12), (12, 16), (24, 24), (33, 7), (40, 28)]
-    worst_recon, worst_ortho = 0.0, 0.0
-    for i, (d, k) in enumerate(shapes):
-        w = random_matrix(d, k, (seed, 200 + i), "gaussian")
+def check_svd(matrices: Iterable[np.ndarray]) -> list[CheckResult]:
+    """Relative reconstruction error and factor orthonormality of `jacobi_svd`."""
+    recon, ortho = [], []
+    for w in matrices:
         u, s, v = jacobi_svd(w)
         fro = float(np.sqrt((w * w).sum()))
-        worst_recon = max(worst_recon, float(np.sqrt((((u * s) @ v.T - w) ** 2).sum())) / fro)
-        m = min(d, k)
-        worst_ortho = max(
-            worst_ortho,
-            float(np.abs(u.T @ u - np.eye(m)).max()),
-            float(np.abs(v.T @ v - np.eye(m)).max()),
-        )
+        recon.append(float(np.sqrt((((u * s) @ v.T - w) ** 2).sum())) / fro)
+        eye = np.eye(min(w.shape))
+        ortho += [float(np.abs(u.T @ u - eye).max()), float(np.abs(v.T @ v - eye).max())]
+    return [_result("svd.reconstruction", _worst(recon), 1e-12), _result("svd.orthonormality", _worst(ortho), 1e-10)]
+
+
+def check_init_identity(cases: Iterable[tuple[np.ndarray, AdapterState, np.ndarray]]) -> list[CheckResult]:
+    """Fresh adapters reproduce their base weight: (w0, state, probes) cases, one probe per row."""
+    errors = [rel_inf(forward(state, x), w0 @ x) for w0, state, probes in cases for x in probes]
+    return [_result("merge.init_identity", _worst(errors), 1e-12)]
+
+
+def check_merge(cases: Iterable[tuple[np.ndarray, AdapterState, np.ndarray]]) -> list[CheckResult]:
+    """A merged weight reproduces its adapter: (merged, state, probes) cases, one probe per row."""
+    errors = [rel_inf(merged @ x, forward(state, x)) for merged, state, probes in cases for x in probes]
+    return [_result("merge.equivalence", _worst(errors), 1e-10)]
+
+
+def check_grad(cases: Iterable[tuple[AdapterState, np.ndarray, np.ndarray]]) -> list[CheckResult]:
+    """Analytic gradients against central differences: (state, x, y) cases."""
+    errors = [rel_inf(gradient(state, x, y).flat(), finite_diff(state, x, y).flat()) for state, x, y in cases]
+    return [_result("grad.analytic_vs_fd", _worst(errors), 1e-6)]
+
+
+def check_persist(specs: Iterable[tuple], probes: Iterable[np.ndarray]) -> list[CheckResult]:
+    """Save, drop and reload `perturbed_state(*spec)`: bitwise on its probe and frozen tensors, sized by the count."""
+    bitwise_ok = size_ok = True
+    with tempfile.TemporaryDirectory() as tmp:
+        for i, (spec, x) in enumerate(zip(specs, probes)):
+            state, w0 = perturbed_state(*spec)
+            path = Path(tmp) / f"{i}.ckpt"
+            checkpoint.save(state, path)
+            count = count_trainable(state.method.tag, state.d, state.k, state.method.rank)
+            size_ok = size_ok and path.stat().st_size == checkpoint.HEADER_SIZE + 8 * count
+            saved = [forward(state, x).tobytes()] + [a.tobytes() for a in state.frozen.values()]
+            # Drop the only state holding these frozen tensors, so load re-runs the
+            # deterministic build (seeded generators plus the sign-fixed SVD).
+            del state
+            loaded = checkpoint.load(path, w0)
+            got = [forward(loaded, x).tobytes()] + [a.tobytes() for a in loaded.frozen.values()]
+            bitwise_ok = bitwise_ok and got == saved
+    return [
+        _result("persist.roundtrip_bitwise", 0.0 if bitwise_ok else 1.0, 0.0),
+        _result("persist.payload_size", 0.0 if size_ok else 1.0, 0.0),
+    ]
+
+
+def check_storage_ratio(d: int, k: int, r: int) -> list[CheckResult]:
+    """osora's payload over lora's equals `param_ratio` at one shape."""
+    ratio = (8 * count_trainable("osora", d, k, r)) / (8 * count_trainable("lora", d, k, r))
+    return [_result("persist.storage_ratio", 0.0 if ratio == param_ratio(d, k, r) else 1.0, 0.0)]
+
+
+def verify_svd(seed: int = 0) -> list[CheckResult]:
+    shapes = [(16, 12), (12, 16), (24, 24), (33, 7), (40, 28)]
+    rows = check_svd(random_matrix(d, k, (seed, 200 + i), "gaussian") for i, (d, k) in enumerate(shapes))
 
     # Known spectrum: assemble from orthogonal factors of seeded matrices.
     q1 = jacobi_svd(random_matrix(20, 20, (seed, 210), "gaussian"))[0]
@@ -84,25 +141,21 @@ def verify_svd(seed: int = 0) -> list[CheckResult]:
     b = jacobi_svd(w.copy())
     identical = all(x.tobytes() == y.tobytes() for x, y in zip(a, b))
 
-    return [
-        _result("svd.reconstruction", worst_recon, 1e-12),
-        _result("svd.orthonormality", worst_ortho, 1e-10),
+    return rows + [
         _result("svd.known_spectrum", spectrum_err, 1e-8),
         _result("svd.determinism", 0.0 if identical else 1.0, 0.0),
     ]
 
 
 def verify_grad(seed: int = 0) -> list[CheckResult]:
-    worst = 0.0
-    for i, tag in enumerate(METHODS):
-        state, _ = _randomized_state(tag, 8, 6, 2, seed + i)
-        x = np.random.default_rng((seed, 300 + i)).standard_normal((6, 10))
-        y = np.random.default_rng((seed, 310 + i)).standard_normal((8, 10))
-        analytic = gradient(state, x, y).flat()
-        numeric = finite_diff(state, x, y).flat()
-        denom = 1.0 + float(np.abs(numeric).max())
-        worst = max(worst, float(np.abs(analytic - numeric).max()) / denom)
-    return [_result("grad.analytic_vs_fd", worst, 1e-6)]
+    return check_grad(
+        (
+            perturbed_state(tag, 8, 6, 2, seed + i, scale=0.1)[0],
+            np.random.default_rng((seed, 300 + i)).standard_normal((6, 10)),
+            np.random.default_rng((seed, 310 + i)).standard_normal((8, 10)),
+        )
+        for i, tag in enumerate(METHODS)
+    )
 
 
 def _perturbed_copy(state: AdapterState) -> AdapterState:
@@ -123,71 +176,35 @@ def _perturbed_copy(state: AdapterState) -> AdapterState:
 
 
 def verify_merge(seed: int = 0, inject_fault: bool = False) -> list[CheckResult]:
-    worst_init, worst_equiv = 0.0, 0.0
     rng = np.random.default_rng((seed, 400))
+    fresh, trained = [], []
     for i, tag in enumerate(METHODS):
         w0 = random_matrix(10, 8, (seed, 410 + i), "gaussian")
-        state = build_adapter(w0, _default_method(tag, 3), seed + i)
-        for _ in range(20):
-            x = rng.standard_normal(8)
-            ref = w0 @ x
-            err = float(np.abs(forward(state, x) - ref).max()) / (1.0 + float(np.abs(ref).max()))
-            worst_init = max(worst_init, err)
-
-        state, _ = _randomized_state(tag, 10, 8, 3, seed + i)
-        merged_source = _perturbed_copy(state) if inject_fault else state
-        w = merge(merged_source)
-        for _ in range(20):
-            x = rng.standard_normal(8)
-            got = forward(state, x)
-            err = float(np.abs(w @ x - got).max()) / (1.0 + float(np.abs(got).max()))
-            worst_equiv = max(worst_equiv, err)
-    return [
-        _result("merge.init_identity", worst_init, 1e-12),
-        _result("merge.equivalence", worst_equiv, 1e-10),
-    ]
+        fresh.append((w0, build_adapter(w0, AdapterMethod(tag=tag, rank=3), seed + i), rng.standard_normal((20, 8))))
+        state, _ = perturbed_state(tag, 10, 8, 3, seed + i, scale=0.1)
+        merged = merge(_perturbed_copy(state) if inject_fault else state)
+        trained.append((merged, state, rng.standard_normal((20, 8))))
+    return check_init_identity(fresh) + check_merge(trained)
 
 
 def verify_persist(seed: int = 0) -> list[CheckResult]:
-    bitwise_ok = True
-    size_ok = True
-    with tempfile.TemporaryDirectory() as tmp:
-        for i, tag in enumerate(METHODS):
-            state, w0 = _randomized_state(tag, 9, 7, 2, seed + i)
-            path = Path(tmp) / f"{tag}.ckpt"
-            checkpoint.save(state, path)
-            expected = checkpoint.HEADER_SIZE + 8 * count_trainable(tag, 9, 7, 2)
-            size_ok = size_ok and path.stat().st_size == expected
-            x = np.random.default_rng((seed, 510 + i)).standard_normal(7)
-            saved = [forward(state, x).tobytes()] + [a.tobytes() for a in state.frozen.values()]
-            # Drop the only state holding these frozen tensors, so load re-runs the
-            # deterministic build (seeded generators plus the sign-fixed SVD).
-            del state
-            loaded = checkpoint.load(path, w0)
-            got = [forward(loaded, x).tobytes()] + [a.tobytes() for a in loaded.frozen.values()]
-            bitwise_ok = bitwise_ok and got == saved
+    specs = [(tag, 9, 7, 2, seed + i, 0.1) for i, tag in enumerate(METHODS)]
+    probes = [np.random.default_rng((seed, 510 + i)).standard_normal(7) for i in range(len(METHODS))]
+    return check_persist(specs, probes) + check_storage_ratio(12, 9, 3)
 
-    d, k, r = 12, 9, 3
-    osora_payload = 8 * count_trainable("osora", d, k, r)
-    lora_payload = 8 * count_trainable("lora", d, k, r)
-    ratio_ok = osora_payload / lora_payload == param_ratio(d, k, r)
-    return [
-        _result("persist.roundtrip_bitwise", 0.0 if bitwise_ok else 1.0, 0.0),
-        _result("persist.payload_size", 0.0 if size_ok else 1.0, 0.0),
-        _result("persist.storage_ratio", 0.0 if ratio_ok else 1.0, 0.0),
-    ]
+
+# Scope -> suite. Each entry looks its suite up by name when called, so a
+# wrapper installed over the module attribute (perfbench's tracer) sees it.
+SUITES = {
+    "svd": lambda seed, inject_fault: verify_svd(seed),
+    "grad": lambda seed, inject_fault: verify_grad(seed),
+    "merge": lambda seed, inject_fault: verify_merge(seed, inject_fault=inject_fault),
+    "persist": lambda seed, inject_fault: verify_persist(seed),
+}
+SCOPES = (*SUITES, "all")
 
 
 def run_scope(scope: str, seed: int = 0, inject_fault: bool = False) -> list[CheckResult]:
     if scope not in SCOPES:
         raise ValueError(f"scope must be one of {SCOPES}, got {scope!r}")
-    results = []
-    if scope in ("svd", "all"):
-        results += verify_svd(seed)
-    if scope in ("grad", "all"):
-        results += verify_grad(seed)
-    if scope in ("merge", "all"):
-        results += verify_merge(seed, inject_fault=inject_fault)
-    if scope in ("persist", "all"):
-        results += verify_persist(seed)
-    return results
+    return [row for name in (SUITES if scope == "all" else [scope]) for row in SUITES[name](seed, inject_fault)]

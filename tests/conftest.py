@@ -1,22 +1,7 @@
 import numpy as np
 import pytest
 
-from osora import AdapterMethod, build_adapter, load_trainable, random_matrix, trainable_vector
-
-
-def perturbed_state(tag, d, k, rank, seed, scale=0.2, **method_kwargs):
-    """Adapter over a seeded gaussian base weight with nudged trainables."""
-    w0 = random_matrix(d, k, (seed, 100), "gaussian")
-    state = build_adapter(w0, AdapterMethod(tag=tag, rank=rank, **method_kwargs), seed)
-    theta = trainable_vector(state)
-    theta = theta + scale * np.random.default_rng((seed, 101)).standard_normal(theta.size)
-    load_trainable(state, theta)
-    return state, w0
-
-
-def rel_inf(got, want):
-    """Max-abs deviation scaled by 1 + max-abs of the reference."""
-    return float(np.abs(np.asarray(got) - np.asarray(want)).max()) / (1.0 + float(np.abs(want).max()))
+from osora.verify import perturbed_state, rel_inf  # noqa: F401  (test modules import them from here)
 
 
 @pytest.fixture

@@ -5,13 +5,12 @@ out, so `pytest tests/test_acceptance.py -v -s` reads as a checklist. Run
 times are asserted where a budget is part of the gate.
 """
 
+import itertools
 import time
 from pathlib import Path
 
 import numpy as np
-import pytest
 
-from conftest import perturbed_state
 from osora import (
     METHODS,
     AdapterMethod,
@@ -21,18 +20,22 @@ from osora import (
     finite_diff,
     forward,
     get_preset,
-    gradient,
-    jacobi_svd,
     make_task,
     merge,
-    param_ratio,
     random_matrix,
     report,
     scaling_sweep,
     train,
-    trainable_vector,
 )
-from osora.checkpoint import HEADER_SIZE, load, save
+from osora.verify import (
+    check_grad,
+    check_init_identity,
+    check_merge,
+    check_persist,
+    check_storage_ratio,
+    check_svd,
+    perturbed_state,
+)
 
 SWEEP_RANKS = [64, 128, 256, 512]
 
@@ -75,92 +78,72 @@ def test_criterion_2_scaling_curve_shape():
 def test_criterion_3_svd_quality_on_twenty_matrices():
     start = time.perf_counter()
     shapes = [(128, 96), (96, 128), (64, 64), (100, 40), (33, 7), (8, 8), (57, 96), (128, 5), (16, 48), (96, 90)]
-    worst_recon, worst_ortho = 0.0, 0.0
-    for seed, (d, k) in enumerate(shapes * 2):
-        w = random_matrix(d, k, (seed, 60), "gaussian" if seed % 2 else "uniform_scaled")
-        u, s, v = jacobi_svd(w)
-        fro = np.sqrt((w * w).sum())
-        worst_recon = max(worst_recon, float(np.sqrt((((u * s) @ v.T - w) ** 2).sum()) / fro))
-        eye = np.eye(min(d, k))
-        worst_ortho = max(
-            worst_ortho,
-            float(np.abs(u.T @ u - eye).max()),
-            float(np.abs(v.T @ v - eye).max()),
-        )
-    assert worst_recon <= 1e-12
-    assert worst_ortho <= 1e-10
+    recon, ortho = check_svd(
+        random_matrix(d, k, (seed, 60), "gaussian" if seed % 2 else "uniform_scaled")
+        for seed, (d, k) in enumerate(shapes * 2)
+    )
+    assert recon.threshold == 1e-12 and recon.passed
+    assert ortho.threshold == 1e-10 and ortho.passed
     elapsed = time.perf_counter() - start
     assert elapsed < 30.0
     print(
-        f"\nACCEPTANCE 3 svd quality recon={worst_recon:.2e} ortho={worst_ortho:.2e} ({elapsed:.1f}s): PASS"
+        f"\nACCEPTANCE 3 svd quality recon={recon.max_err:.2e} ortho={ortho.max_err:.2e} ({elapsed:.1f}s): PASS"
     )
 
 
 def test_criterion_4_initialization_identity():
     rng = np.random.default_rng(64)
-    worst = 0.0
+    cases = []
     for tag in METHODS:
         w0 = random_matrix(14, 11, (tag.encode()[0], 61), "gaussian")
-        state = build_adapter(w0, AdapterMethod(tag=tag, rank=4), seed=62)
-        for _ in range(100):
-            x = rng.standard_normal(11)
-            ref = w0 @ x
-            err = np.abs(forward(state, x) - ref).max() / (1.0 + np.abs(ref).max())
-            worst = max(worst, float(err))
-    assert worst <= 1e-12
-    print(f"\nACCEPTANCE 4 init identity, all methods, 100 probes each (max {worst:.2e}): PASS")
+        cases.append((w0, build_adapter(w0, AdapterMethod(tag=tag, rank=4), seed=62), rng.standard_normal((100, 11))))
+    (row,) = check_init_identity(cases)
+    assert row.threshold == 1e-12 and row.passed
+    print(f"\nACCEPTANCE 4 init identity, all methods, 100 probes each (max {row.max_err:.2e}): PASS")
 
 
 def test_criterion_5_merge_equivalence_after_training():
     rng = np.random.default_rng(65)
-    worst = 0.0
+    cases = []
     for tag in METHODS:
         task = make_task(12, 9, 3, seed=66)
         state = build_adapter(task.w0, AdapterMethod(tag=tag, rank=3), seed=66)
         run = train(state, task, TrainConfig(steps=80, lr=5e-3, optimizer="adam"))
-        merged = merge(run.final_state)
-        for _ in range(50):
-            x = rng.standard_normal(9)
-            got = forward(run.final_state, x)
-            err = np.abs(merged @ x - got).max() / (1.0 + np.abs(got).max())
-            worst = max(worst, float(err))
-    assert worst <= 1e-10
-    print(f"\nACCEPTANCE 5 merge equivalence post-training (max {worst:.2e}): PASS")
+        cases.append((merge(run.final_state), run.final_state, rng.standard_normal((50, 9))))
+    (row,) = check_merge(cases)
+    assert row.threshold == 1e-10 and row.passed
+    print(f"\nACCEPTANCE 5 merge equivalence post-training (max {row.max_err:.2e}): PASS")
 
 
 def test_criterion_6_gradient_verification_matrix():
     dims = [(6, 6), (6, 10), (10, 6), (10, 16), (16, 10), (16, 16)]
     ranks = [1, 2, 4]
     rng = np.random.default_rng(67)
-    worst = 0.0
-    instances = 0
-    for tag in METHODS:
-        for d, k in dims:
-            for r in ranks:
-                state, _ = perturbed_state(tag, d, k, r, 1000 + instances, scale=0.3)
-                x = rng.standard_normal((k, d + k))
-                y = rng.standard_normal((d, d + k))
-                analytic = gradient(state, x, y)
-                numeric = finite_diff(state, x, y, h=1e-6)
-                denom = 1.0 + float(np.abs(numeric.flat()).max())
-                worst = max(worst, float(np.abs(analytic.flat() - numeric.flat()).max()) / denom)
-                # the printed s-trace formula and the o formula in the
-                # dimension-consistent factor order, checked slice by slice
-                if tag == "osora":
-                    u, v = state.frozen["u_r"], state.frozen["v_r"]
-                    s, o = state.trainable["s_r"], state.trainable["o"]
-                    g = (forward(state, x) - y) @ x.T / x.shape[1]
-                    printed_s = np.diag(u.T @ np.diag(o) @ g @ v)
-                    corrected_o = np.diag(g @ v @ np.diag(s) @ u.T)
-                    worst = max(
-                        worst,
-                        float(np.abs(printed_s - numeric.slices["s_r"]).max()) / denom,
-                        float(np.abs(corrected_o - numeric.slices["o"]).max()) / denom,
-                    )
-                instances += 1
-    assert instances >= 60
-    assert worst <= 1e-6
-    print(f"\nACCEPTANCE 6 gradients vs central differences, {instances} instances (max {worst:.2e}): PASS")
+    cases = []
+    for i, (tag, (d, k), r) in enumerate(itertools.product(METHODS, dims, ranks)):
+        state, _ = perturbed_state(tag, d, k, r, 1000 + i, scale=0.3)
+        cases.append((state, rng.standard_normal((k, d + k)), rng.standard_normal((d, d + k))))
+    (row,) = check_grad(cases)
+    worst = row.max_err
+    # the printed s-trace formula and the o formula in the dimension-consistent
+    # factor order, checked slice by slice against central differences
+    for state, x, y in cases:
+        if state.method.tag == "osora":
+            numeric = finite_diff(state, x, y)
+            u, v = state.frozen["u_r"], state.frozen["v_r"]
+            s, o = state.trainable["s_r"], state.trainable["o"]
+            g = (forward(state, x) - y) @ x.T / x.shape[1]
+            printed_s = np.diag(u.T @ np.diag(o) @ g @ v)
+            corrected_o = np.diag(g @ v @ np.diag(s) @ u.T)
+            denom = 1.0 + float(np.abs(numeric.flat()).max())
+            worst = max(
+                worst,
+                float(np.abs(printed_s - numeric.slices["s_r"]).max()) / denom,
+                float(np.abs(corrected_o - numeric.slices["o"]).max()) / denom,
+            )
+    assert len(cases) >= 60
+    assert row.threshold == 1e-6 and worst <= 1e-6
+    print(f"\nACCEPTANCE 6 gradients vs central differences, {len(cases)} instances (max {worst:.2e}): PASS")
 
 
 def test_criterion_7_ablation_and_init_orderings():
@@ -195,23 +178,13 @@ def test_criterion_7_ablation_and_init_orderings():
     )
 
 
-def test_criterion_8_checkpoint_roundtrip(tmp_path):
-    rng = np.random.default_rng(68)
-    for tag in METHODS:
-        state, w0 = perturbed_state(tag, 11, 8, 3, 200)
-        path = tmp_path / f"{tag}.ckpt"
-        save(state, path)
-        loaded = load(path, w0)
-        x = rng.standard_normal(8)
-        assert forward(state, x).tobytes() == forward(loaded, x).tobytes()
-    # osora payload bytes: exactly 8 * (r + d), independent of k
-    state, _ = perturbed_state("osora", 11, 8, 3, 201)
-    path = tmp_path / "size.ckpt"
-    save(state, path)
-    assert path.stat().st_size - HEADER_SIZE == 8 * (3 + 11)
-    d, k, r = 11, 8, 3
-    ratio = (8 * count_trainable("osora", d, k, r)) / (8 * count_trainable("lora", d, k, r))
-    assert ratio == param_ratio(d, k, r)
+def test_criterion_8_checkpoint_roundtrip():
+    # check_persist drops each saved adapter before its load, so the load rebuilds cold
+    probes = np.random.default_rng(68).standard_normal((len(METHODS), 8))
+    rows = check_persist([(tag, 11, 8, 3, 200) for tag in METHODS], probes) + check_storage_ratio(11, 8, 3)
+    assert [(row.threshold, row.passed) for row in rows] == [(0.0, True)] * 3
+    # osora payload bytes, which the size row matched to the count: exactly 8 * (r + d), independent of k
+    assert count_trainable("osora", 11, 8, 3) == 3 + 11
     print("\nACCEPTANCE 8 checkpoint round-trip bitwise, payload size, storage ratio: PASS")
 
 

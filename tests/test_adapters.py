@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import osora.adapters
 from osora.adapters import trainable_count
+from osora.verify import check_init_identity, check_merge
 from conftest import perturbed_state, rel_inf
 from osora import (
     METHODS,
@@ -123,6 +124,13 @@ class TestMerge:
         w0 = random_matrix(11, 9, 13, "gaussian")
         state = build_adapter(w0, AdapterMethod(tag="osora", rank=4), seed=3)
         assert np.abs(merge(state) - w0).max() <= 1e-12
+
+    def test_merge_checks_fail_on_a_nan_weight(self):
+        # a NaN error must fail its gate, not drop out of the running maximum
+        state, w0 = perturbed_state("osora", 6, 5, 2, 1)
+        nan, probes = np.full_like(w0, np.nan), np.ones((3, 5))
+        assert not check_merge([(nan, state, probes)])[0].passed
+        assert not check_init_identity([(nan, state, probes)])[0].passed
 
     def test_lora_zero_b_merges_exactly(self):
         w0 = random_matrix(8, 8, 14, "gaussian")
