@@ -16,6 +16,18 @@ Only a build or checkpoint load within the process that still holds the
 first adapter gains; a load in a fresh process (say, of the adapter.ckpt
 that `osora train` wrote) rebuilds in full, as before.
 
+pissa and the osora family freeze the top-r SVD of w0, so they also share
+one decomposition per weight and rank. A second weak registry maps (shape,
+weight digest, rank) to read-only u_r, s_r, v_r and the residual
+w0 - u_r diag(s_r) v_r^T; method, seed, o_init and ablation are not in its
+key. `training.make_task` gets its factors there too, so a task and every
+SVD-initialised build of rank r_gap over its weight run one SVD between
+them. Each frozen dict built from an entry, and each task, holds the entry,
+so it lives while any of them does. With o_init "ones" the initial update is
+exactly u_r diag(s_r) v_r^T, so such a build's w0_res is the shared residual
+itself; a gaussian-o_init build computes its own, and keeps the shared one
+alive as well.
+
 Forward rules, for base weight w0 of shape d x k and column input x:
 
   lora        y = w0 x + B A x                       A: r x k, B: d x r
@@ -51,7 +63,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import DimensionMismatch, LengthMismatch, RankOutOfRange
-from .linalg import as_matrix, check_finite, random_matrix, svd_truncated
+from .linalg import SvdFactors, as_matrix, check_finite, random_matrix, svd_truncated
 
 METHODS = ("lora", "vera", "pissa", "osora", "osora_k", "dora", "osora_dora")
 OSORA_FAMILY = ("osora", "osora_k", "osora_dora")
@@ -108,7 +120,7 @@ class AdapterState:
 def weight_digest(w0: np.ndarray) -> bytes:
     """SHA-256 of the row-major little-endian float64 bytes of w0."""
     m = as_matrix(w0, "weight")
-    return hashlib.sha256(m.astype("<f8").tobytes()).digest()
+    return hashlib.sha256(memoryview(m.astype("<f8", copy=False))).digest()
 
 
 def _row_norms(w: np.ndarray) -> np.ndarray:
@@ -139,7 +151,7 @@ class _Method:
 
     base: str  # frozen base tensor: "w0", or "w0_res" for the SVD-initialized methods
     slots: tuple[str, ...]  # trainable slots in flat-layout order
-    init: Callable  # (w, method, seed) -> (frozen, trainable), without m
+    init: Callable  # (w, method, seed, f) -> (frozen, trainable), without m; f the shared SvdFactors or None
     delta: Callable  # (fz, t) -> dense d x k update
     apply: Callable  # (fz, t, fx, x) -> delta @ x, without forming delta
     grad: Callable  # (fz, t, fx, r, x) -> {slot: gradient} for the update gradient r x^T; without m
@@ -163,13 +175,13 @@ def _with_magnitude(entry: _Method, **fields) -> _Method:
     return replace(entry, slots=entry.slots + ("m",), **fields)
 
 
-def _lora_init(w: np.ndarray, method: AdapterMethod, seed: int):
+def _lora_init(w: np.ndarray, method: AdapterMethod, seed: int, f: None):
     d, k = w.shape
     a = random_matrix(method.rank, k, (seed, _SLOT_A_BASE), "uniform_scaled")
     return {"w0": w.copy()}, {"a": a, "b": np.zeros((d, method.rank))}
 
 
-def _vera_init(w: np.ndarray, method: AdapterMethod, seed: int):
+def _vera_init(w: np.ndarray, method: AdapterMethod, seed: int, f: None):
     d, k = w.shape
     r = method.rank
     frozen = {
@@ -187,16 +199,14 @@ def _vera_grad(fz, t, fx, r, x):
     return {"d_vec": g_d, "b_vec": g_b}
 
 
-def _pissa_init(w: np.ndarray, method: AdapterMethod, seed: int):
-    f = svd_truncated(w, method.rank)
+def _pissa_init(w: np.ndarray, method: AdapterMethod, seed: int, f: SvdFactors):
     root = np.sqrt(f.s_r)
     trainable = {"b": np.ascontiguousarray(f.u_r * root), "a": np.ascontiguousarray(root[:, None] * f.v_r.T)}
     return {"w0_res": f.residual}, trainable
 
 
-def _osora_init(w: np.ndarray, method: AdapterMethod, seed: int):
+def _osora_init(w: np.ndarray, method: AdapterMethod, seed: int, f: SvdFactors):
     entry = _TABLE[method.tag]
-    f = svd_truncated(w, method.rank)
     o_len = w.shape[entry.o_axis]
     if method.o_init == "gaussian":
         o = random_matrix(o_len, 1, (seed, _SLOT_O_GAUSSIAN), "gaussian").ravel()
@@ -205,7 +215,9 @@ def _osora_init(w: np.ndarray, method: AdapterMethod, seed: int):
     frozen = {"u_r": f.u_r, "v_r": f.v_r}
     trainable = {"s_r": f.s_r.copy(), "o": np.ascontiguousarray(o)}
     # The residual absorbs the initial update, so forward(x) == w0 @ x at init.
-    frozen["w0_res"] = w - entry.delta(frozen, trainable)
+    # With o all ones that update is u_r diag(s_r) v_r^T, which the shared
+    # residual already subtracts in the same order of operations.
+    frozen["w0_res"] = f.residual if method.o_init == "ones" else w - entry.delta(frozen, trainable)
     return frozen, trainable
 
 
@@ -306,15 +318,24 @@ _ABLATION_SLOTS = {"only_s": ("s_r",), "only_o": ("o",)}
 
 
 class _Frozen(dict):
-    """Read-only frozen tensors of one build; `init` holds read-only copies of its initial trainables."""
+    """Read-only frozen tensors of one build.
 
-    __slots__ = ("__weakref__", "init")
+    `init` holds read-only copies of its initial trainables, and `factors` the
+    shared SVD entry the build started from (None for lora, vera and dora),
+    which keeps that entry alive.
+    """
+
+    __slots__ = ("__weakref__", "init", "factors")
 
 
 # (shape, weight digest, method, seed) -> the frozen tensors of a live build.
 # The digest leaves the shape out. Two threads racing on one key only repeat
 # the build, and both results hold the same bytes.
 _LIVE: weakref.WeakValueDictionary[tuple, _Frozen] = weakref.WeakValueDictionary()
+
+# (shape, weight digest, rank) -> read-only truncated factors of a weight that
+# some live task or build holds; a race on one key only repeats the SVD.
+_FACTORS: weakref.WeakValueDictionary[tuple, SvdFactors] = weakref.WeakValueDictionary()
 
 
 def _read_only(tensors: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
@@ -323,12 +344,29 @@ def _read_only(tensors: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
     return tensors
 
 
+def _shared_svd(w: np.ndarray, digest: bytes, r: int) -> SvdFactors:
+    """Top-r factors of w, decomposed only if no live task or build holds them.
+
+    `digest` is weight_digest(w). The returned arrays are read-only; callers
+    keep a reference for as long as they want the entry shared.
+    """
+    key = (w.shape, digest, r)
+    f = _FACTORS.get(key)
+    if f is None:
+        f = svd_truncated(w, r)
+        for arr in (f.u_r, f.s_r, f.v_r, f.residual):
+            arr.setflags(write=False)
+        _FACTORS[key] = f
+    return f
+
+
 def build_adapter(w0, method: AdapterMethod, seed: int) -> AdapterState:
     """Construct an adapter at the identity point: forward(x) == w0 @ x.
 
     SVD-based methods decompose w0 here, unless a live adapter of the same
-    weight, method and seed already did; the residual is computed with the
-    initial trainable values and frozen thereafter.
+    weight, method and seed, or a live task or SVD-based adapter of the same
+    weight and rank, already did; the residual is computed with the initial
+    trainable values and frozen thereafter.
     """
     w = as_matrix(w0, "w0")
     check_finite(w, "w0")
@@ -336,7 +374,7 @@ def build_adapter(w0, method: AdapterMethod, seed: int) -> AdapterState:
     key = (w.shape, digest, method, seed)
     frozen = _LIVE.get(key)
     if frozen is None:
-        frozen = _build_frozen(w, method, seed)
+        frozen = _build_frozen(w, digest, method, seed)
         _LIVE[key] = frozen
     return AdapterState(
         method=method,
@@ -349,13 +387,15 @@ def build_adapter(w0, method: AdapterMethod, seed: int) -> AdapterState:
     )
 
 
-def _build_frozen(w: np.ndarray, method: AdapterMethod, seed: int) -> _Frozen:
+def _build_frozen(w: np.ndarray, digest: bytes, method: AdapterMethod, seed: int) -> _Frozen:
     entry = _TABLE[method.tag]
-    frozen, trainable = entry.init(w, method, seed)
+    factors = _shared_svd(w, digest, method.rank) if entry.base == "w0_res" else None
+    frozen, trainable = entry.init(w, method, seed, factors)
     if entry.magnitude:  # start each row at its own norm, so the rescale is the identity
         trainable["m"] = _row_norms(frozen[entry.base] + entry.delta(frozen, trainable))
     out = _Frozen(_read_only(frozen))
     out.init = _read_only(trainable)
+    out.factors = factors
     return out
 
 

@@ -101,6 +101,10 @@ def _resolve_settings(args) -> None:
                 parser.read_file(fh)
         except (OSError, configparser.Error) as exc:
             raise CliError(f"cannot parse config {args.config}: {exc}", EXIT_PARSE) from exc
+        # configparser hands [DEFAULT]'s keys to every section, so they would
+        # read as another command's keys; no command has defaults to share.
+        if parser.defaults():
+            raise CliError(f"config {args.config}: a [DEFAULT] section is not supported", EXIT_PARSE)
         for name in parser.sections():
             if name not in _SETTINGS:
                 raise CliError(f"config {args.config}: unknown section [{name}]", EXIT_PARSE)
@@ -190,6 +194,8 @@ def cmd_count(args) -> int:
     except ValueError as exc:
         raise CliError(str(exc), EXIT_BAD_RANGE) from exc
     methods = [m.strip() for m in args.method.split(",") if m.strip()]
+    if not methods:
+        raise CliError(f"--method {args.method!r} names no method", EXIT_PARSE)
     try:
         ranks = sorted({int(r) for r in args.rank.split(",")})
     except ValueError as exc:

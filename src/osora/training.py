@@ -10,14 +10,14 @@ achievable loss); smaller ranks and single-vector ablations cannot.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .adapters import AdapterState, clone_state, load_trainable, trainable_vector
+from .adapters import AdapterState, _shared_svd, clone_state, load_trainable, trainable_vector, weight_digest
 from .errors import DimensionMismatch, NonFiniteLoss, RankOutOfRange
 from .gradients import _stepper
-from .linalg import random_matrix, svd_truncated
+from .linalg import SvdFactors, random_matrix
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -42,6 +42,9 @@ class ToyTask:
     targets: np.ndarray  # d x n, equal to w_target @ probes
     seed: int
     r_gap: int
+    # w0's top-r_gap factors, shared with SVD-initialised adapters of rank
+    # r_gap over w0 for as long as this task lives.
+    factors: SvdFactors | None = field(default=None, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -73,12 +76,14 @@ def make_task(d: int, k: int, r_gap: int, seed: int, n: int | None = None) -> To
     if n < d:
         raise DimensionMismatch(f"need at least d={d} probe columns, got {n}")
     w0 = random_matrix(d, k, (seed, _SLOT_W0), "gaussian")
-    f = svd_truncated(w0, r_gap)
+    f = _shared_svd(w0, weight_digest(w0), r_gap)
     o_star = np.random.default_rng((seed, _SLOT_O_STAR)).uniform(0.5, 1.5, d)
     s_star = f.s_r * np.random.default_rng((seed, _SLOT_S_STAR)).uniform(0.5, 1.5, r_gap)
     w_target = f.residual + o_star[:, None] * ((f.u_r * s_star) @ f.v_r.T)
     probes = np.random.default_rng((seed, _SLOT_PROBES)).standard_normal((k, n))
-    return ToyTask(w0=w0, w_target=w_target, probes=probes, targets=w_target @ probes, seed=seed, r_gap=r_gap)
+    return ToyTask(
+        w0=w0, w_target=w_target, probes=probes, targets=w_target @ probes, seed=seed, r_gap=r_gap, factors=f
+    )
 
 
 def train(state: AdapterState, task: ToyTask, config: TrainConfig) -> TrainRun:

@@ -1,4 +1,5 @@
 import gc
+import hashlib
 
 import numpy as np
 import pytest
@@ -6,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import osora.adapters
-from osora.adapters import trainable_count
+from osora.adapters import O_INITS, OSORA_FAMILY, trainable_count, weight_digest
+from osora.linalg import as_matrix
 from osora.verify import check_init_identity, check_merge
 from conftest import perturbed_state, rel_inf
 from osora import (
@@ -281,24 +283,92 @@ class TestLiveRegistry:
         assert trainable_vector(again).tobytes() == init
 
     @pytest.mark.parametrize(
-        "reshape,fields,seed",
+        "reshape,fields,seed,same_svd",
         [
-            (False, {}, 68),
-            (False, {"rank": 3}, 67),
-            (False, {"o_init": "gaussian"}, 67),
-            (False, {"trainable_set": "only_o"}, 67),
-            (True, {}, 67),
+            (False, {}, 68, True),
+            (False, {"rank": 3}, 67, False),
+            (False, {"o_init": "gaussian"}, 67, True),
+            (False, {"trainable_set": "only_o"}, 67, True),
+            (True, {}, 67, False),
         ],
         ids=["seed", "rank", "o_init", "trainable_set", "shape"],
     )
-    def test_nothing_shared_across_keys(self, reshape, fields, seed, svd_calls):
+    def test_nothing_shared_across_keys(self, reshape, fields, seed, same_svd, svd_calls):
+        # No frozen dict crosses a live-adapter key; the SVD factors cross all but shape and rank.
         w0 = random_matrix(6, 8, 67, "gaussian")
         first = build_adapter(w0, AdapterMethod(tag="osora", rank=2), seed=67)
         w = w0.reshape(8, 6) if reshape else w0  # same bytes, other shape
         other = build_adapter(w, AdapterMethod(**{"tag": "osora", "rank": 2, **fields}), seed=seed)
         assert other.frozen is not first.frozen
-        assert not any(arr is other_arr for arr in first.frozen.values() for other_arr in other.frozen.values())
+        if same_svd:
+            assert other.frozen["u_r"] is first.frozen["u_r"] and other.frozen["v_r"] is first.frozen["v_r"]
+            assert len(svd_calls) == 1
+        else:
+            assert not any(arr is other_arr for arr in first.frozen.values() for other_arr in other.frozen.values())
+            assert len(svd_calls) == 2
+
+
+SVD_BUILDS = [("pissa", "ones")] + [(tag, o_init) for tag in OSORA_FAMILY for o_init in O_INITS]
+
+
+class TestSharedFactors:
+    def test_task_and_all_seven_builds_run_one_svd(self, svd_calls):
+        task = make_task(24, 24, 4, seed=70)
+        states = [build_adapter(task.w0, AdapterMethod(tag=tag, rank=4), seed=70) for tag in METHODS]
+        assert len(svd_calls) == 1
+        svd_tags = {tag for tag, _ in SVD_BUILDS}
+        assert [state.frozen.factors is task.factors for state in states] == [tag in svd_tags for tag in METHODS]
+
+    @pytest.mark.parametrize("tag,o_init", SVD_BUILDS)
+    def test_shared_build_matches_a_cold_build(self, tag, o_init, rng, svd_calls):
+        w0 = random_matrix(12, 9, 71, "gaussian")
+        method = AdapterMethod(tag=tag, rank=3, o_init=o_init)
+        donor = build_adapter(w0, AdapterMethod(tag="osora" if tag == "pissa" else "pissa", rank=3), seed=72)
+        shared = build_adapter(w0, method, seed=73)
+        assert shared.frozen.factors is donor.frozen.factors
+        x = rng.standard_normal((9, 4))
+        want = [forward(shared, x), *shared.frozen.values(), *shared.trainable.values()]
+        del donor, shared
+        gc.collect()
+        cold = build_adapter(w0, method, seed=73)
         assert len(svd_calls) == 2
+        got = [forward(cold, x), *cold.frozen.values(), *cold.trainable.values()]
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+    def test_ones_builds_freeze_the_shared_residual(self):
+        task = make_task(12, 12, 3, seed=74)
+        for tag, o_init in SVD_BUILDS:
+            state = build_adapter(task.w0, AdapterMethod(tag=tag, rank=3, o_init=o_init), seed=74)
+            assert (state.frozen["w0_res"] is task.factors.residual) == (o_init == "ones")
+
+    def test_shared_factors_are_read_only(self):
+        task = make_task(10, 8, 2, seed=75)
+        for arr in (task.factors.u_r, task.factors.s_r, task.factors.v_r, task.factors.residual):
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
+        fresh = svd_truncated(task.w0, 2)
+        assert all(arr.flags.writeable for arr in (fresh.u_r, fresh.s_r, fresh.v_r, fresh.residual))
+
+    def test_a_rebuild_after_everything_is_dropped_decomposes_again(self, svd_calls):
+        task = make_task(10, 10, 2, seed=76)
+        state = build_adapter(task.w0, AdapterMethod(tag="osora", rank=2), seed=76)
+        w0 = task.w0
+        clone = clone_state(state)
+        del task, state
+        gc.collect()
+        assert build_adapter(w0, AdapterMethod(tag="pissa", rank=2), seed=76).frozen.factors is clone.frozen.factors
+        assert len(svd_calls) == 1
+        del clone
+        gc.collect()
+        build_adapter(w0, AdapterMethod(tag="pissa", rank=2), seed=76)
+        assert len(svd_calls) == 2
+
+
+@pytest.mark.parametrize("layout", ["C", "F", ">f8"])
+def test_weight_digest_matches_a_copied_hash(layout):
+    w = random_matrix(7, 5, 77, "gaussian")
+    w = {"C": w, "F": np.asfortranarray(w), ">f8": w.astype(">f8")}[layout]
+    assert weight_digest(w) == hashlib.sha256(as_matrix(w).astype("<f8").tobytes()).digest()
 
 
 @settings(max_examples=30, deadline=None)

@@ -204,6 +204,13 @@ class TestCount:
         assert code == 0
         assert hashlib.sha256(out_csv.read_bytes()).hexdigest() == digest
 
+    def test_empty_method_list_exit_code(self, tmp_path, capsys):
+        table = tmp_path / "t.csv"
+        argv = ["count", "--preset", "qwen2_7b", "--rank", "4", "--method", " , ", "--out", str(table)]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 3 and out == "" and err.startswith("error:")
+        assert not table.exists()
+
     def test_unwritable_out_exit_code(self, tmp_path, capsys):
         blocker = tmp_path / "file"
         blocker.write_text("")
@@ -283,6 +290,19 @@ class TestConfigFile:
         cfg.write_text("[train]\nn = 100000000000\n")
         code, _, err = run_cli(capsys, "train", "--config", str(cfg))
         assert code == 3 and err.startswith("error:")
+
+    @pytest.mark.parametrize("extra", ["", "[count]\nrank = 4\n"], ids=["alone", "beside_count"])
+    def test_default_section_rejected(self, extra, tmp_path, capsys):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text("[DEFAULT]\nwarmup = 5\n" + extra)
+        code, _, err = run_cli(capsys, "train", "--config", str(cfg), "--steps", "1")
+        assert code == 3 and "[DEFAULT]" in err
+
+    def test_empty_default_section_accepted(self, tmp_path, capsys):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text("[DEFAULT]\n[train]\nsteps = 1\n")
+        code, _, _ = run_cli(capsys, "train", "--config", str(cfg))
+        assert code == 0
 
     def test_unknown_section_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "run.ini"
