@@ -369,8 +369,12 @@ def build_adapter(w0, method: AdapterMethod, seed: int) -> AdapterState:
     trainable values and frozen thereafter.
     """
     w = as_matrix(w0, "w0")
+    return _build_adapter(w, weight_digest(w), method, seed)
+
+
+def _build_adapter(w: np.ndarray, digest: bytes, method: AdapterMethod, seed: int) -> AdapterState:
+    """build_adapter over a float64 matrix w whose weight_digest the caller has already taken."""
     check_finite(w, "w0")
-    digest = weight_digest(w)
     key = (w.shape, digest, method, seed)
     frozen = _LIVE.get(key)
     if frozen is None:

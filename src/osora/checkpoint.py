@@ -12,14 +12,15 @@ Format version 1, all integers little-endian. Header (68 bytes):
     12      4     d (u32)
     16      4     k (u32)
     20      4     rank (u32)
-    24      4     reserved (u32) = 0
+    24      4     reserved (u32) = 0; any other value is rejected
     28      8     seed (u64)
     36      32    SHA-256 of the base weight's row-major f64-LE bytes
 
 A trainable-only checkpoint is the header followed by the flat trainable
 vector as f64-LE; nothing else. Before anything is built, loading checks the
 digest, the header codes and the payload (its length, and that every value
-is finite). It then obtains the frozen tensors through build_adapter,
+is finite). It then obtains the frozen tensors through build_adapter's
+builder, handing it the checked digest so the weight is hashed once,
 installs the payload, and checks that the merged weight is finite, as are
 the row norms that a magnitude method divides by. While an
 adapter of the same weight, method and seed is alive in the process (the one
@@ -27,6 +28,15 @@ just saved, say, or a clone of it), the load reuses its frozen tensors and
 runs no SVD; otherwise it re-runs the deterministic build (seeded generators
 plus the sign-fixed SVD). Either way a reload reproduces the saved adapter
 bit for bit.
+
+Because the frozen factors are rebuilt, the SVD's output bytes are part of
+the format. Over a full-rank weight they are those of every earlier build.
+Over a weight whose SVD has a column at or below 1e-12 * ||w||_F, the SVD now
+completes the null columns of u by one QR and no longer rotates null columns
+against each other: a checkpoint that an older build saved over such a weight
+rebuilds different null-space factors, and kept factors that may differ at
+roundoff. A code for the SVD algorithm is to go in the reserved field, which
+is why a build refuses any value there that it does not know.
 
 The debug snapshot (kind=1) appends named tensor sections instead:
 u32 section count, then per section u16 name length, name bytes (utf-8),
@@ -48,7 +58,7 @@ from .adapters import (
     TRAINABLE_SETS,
     AdapterMethod,
     AdapterState,
-    build_adapter,
+    _build_adapter,
     is_finite,
     load_trainable,
     trainable_count,
@@ -93,11 +103,13 @@ def _pack_header(state: AdapterState) -> bytes:
 def _unpack_header(blob: bytes, path) -> tuple:
     if len(blob) < HEADER_SIZE:
         raise CorruptPayload(f"{path}: file shorter than the {HEADER_SIZE}-byte header")
-    magic, version, method_code, o_code, set_code, kind, d, k, rank, _res, seed, digest = _HEADER.unpack_from(blob)
+    magic, version, method_code, o_code, set_code, kind, d, k, rank, reserved, seed, digest = _HEADER.unpack_from(blob)
     if magic != MAGIC:
         raise CorruptPayload(f"{path}: bad magic {magic!r}")
     if version != FORMAT_VERSION:
         raise VersionUnsupported(f"{path}: format version {version}, this build reads {FORMAT_VERSION}")
+    if reserved != 0:
+        raise CorruptPayload(f"{path}: reserved header field is {reserved}, this build reads only 0")
     return method_code, o_code, set_code, kind, d, k, rank, seed, digest
 
 
@@ -155,7 +167,7 @@ def load(path, w0) -> AdapterState:
     if not np.isfinite(theta).all():
         raise CorruptPayload(f"{path}: payload holds NaN or Inf")
     try:
-        state = build_adapter(w, method, seed)  # svd_truncated checks the rank before it decomposes
+        state = _build_adapter(w, digest, method, seed)  # svd_truncated checks the rank before it decomposes
     except RankOutOfRange as exc:
         raise CorruptPayload(f"{path}: header names no valid adapter: {exc}") from exc
     load_trainable(state, theta)

@@ -1,4 +1,7 @@
-"""Dense linear algebra kernels: one-sided Jacobi SVD, column norms, seeded generators.
+"""Dense linear algebra kernels: one-sided Jacobi SVD and seeded generators.
+
+On rank-deficient input the SVD never rotates two null columns against each
+other, and one complete QR of the kept columns of u completes the null ones.
 
 Everything operates on C-contiguous float64 numpy arrays and is deterministic:
 identical input bytes always produce identical output bytes, which the
@@ -79,25 +82,11 @@ class SvdFactors:
     rank: int
 
 
-def _fill_deficient_columns(u: np.ndarray, deficient: list[int]) -> None:
-    # Replace direction-free columns with unit vectors orthogonal to all others.
-    # Candidate = the standard basis vector with the largest residual after
-    # two Gram-Schmidt passes; deterministic (first maximum wins).
-    d, m = u.shape
-    fixed = [j for j in range(m) if j not in set(deficient)]
-    for j in deficient:
-        best_vec, best_norm = None, -1.0
-        for i in range(d):
-            v = np.zeros(d)
-            v[i] = 1.0
-            for _ in range(2):
-                for c in fixed:
-                    v -= (u[:, c] @ v) * u[:, c]
-            nv = math.sqrt(float(v @ v))
-            if nv > best_norm + 1e-12:
-                best_vec, best_norm = v, nv
-        u[:, j] = best_vec / best_norm
-        fixed.append(j)
+def _fill_deficient_columns(u: np.ndarray, kept: int) -> None:
+    # The direction-free columns from `kept` on become the next columns of one
+    # complete QR of the kept ones, so u stays orthonormal.
+    q, _ = np.linalg.qr(u[:, :kept], mode="complete")
+    u[:, kept:] = q[:, kept : u.shape[1]]
 
 
 def jacobi_svd(w) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -109,6 +98,10 @@ def jacobi_svd(w) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     and the relative convergence tests (see JACOBI_TOL) or the sweep cap is
     hit. Columns of u carry the sign convention that their largest-magnitude
     entry is positive, with v flipped to compensate.
+
+    Null columns, at or below 1e-12 * ||w||_F, get s exactly 0, are never
+    rotated against each other, and take their u columns from one complete QR
+    of the kept ones. Neither path runs on full-rank input.
     """
     m0 = as_matrix(w, "svd input")
     check_finite(m0, "svd input")
@@ -121,6 +114,12 @@ def jacobi_svd(w) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     v = np.eye(k)
     fro = fro_norm(a)
     tol_abs = JACOBI_TOL * fro
+    # A rotation never grows the smaller of its columns, so columns with squared
+    # norms at most cutoff^2 / k hold at most cutoff^2 together and no rotation
+    # among them lifts one above the cutoff: a pair of them is skipped. For the
+    # same reason a null column p stays null through its row of pairs, so its
+    # test is taken once per row.
+    null_sq = (_DEFICIENT_REL * fro) ** 2 / k
     if fro > 0.0:
         for _ in range(JACOBI_MAX_SWEEPS):
             # Running estimate of the squared column norms, updated in O(1) per
@@ -130,7 +129,10 @@ def jacobi_svd(w) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             sq = (a * a).sum(axis=0)
             rotations = 0
             for p in range(k - 1):
+                p_null = sq[p] <= null_sq
                 for q in range(p + 1, k):
+                    if p_null and sq[q] <= null_sq:
+                        continue
                     gamma = float(a[:, p] @ a[:, q])
                     scale = math.sqrt(float(sq[p]) * float(sq[q]))
                     if abs(gamma) <= tol_abs and abs(gamma) <= JACOBI_TOL * scale:
@@ -159,17 +161,12 @@ def jacobi_svd(w) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     v = v[:, order]
     s_vals = norms[order]
 
+    kept = int((s_vals > _DEFICIENT_REL * fro).sum())  # a prefix, since s_vals is sorted
+    s_vals[kept:] = 0.0
     u = np.zeros((d, k))
-    deficient = []
-    cutoff = _DEFICIENT_REL * fro
-    for j in range(k):
-        if s_vals[j] > cutoff:
-            u[:, j] = a[:, j] / s_vals[j]
-        else:
-            s_vals[j] = 0.0
-            deficient.append(j)
-    if deficient:
-        _fill_deficient_columns(u, deficient)
+    u[:, :kept] = a[:, :kept] / s_vals[:kept]
+    if kept < k:
+        _fill_deficient_columns(u, kept)
 
     # Sign convention: largest-magnitude entry of each u column positive.
     for j in range(k):

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import osora.adapters
+import osora.checkpoint
 from conftest import perturbed_state
 from osora import (
     AdapterMethod,
@@ -21,6 +22,7 @@ from osora import (
     clone_state,
     count_trainable,
     forward,
+    load_trainable,
     merge,
     param_ratio,
     random_matrix,
@@ -195,7 +197,7 @@ def test_out_of_range_header_code_is_corrupt(offset, value, tmp_path, monkeypatc
     blob = bytearray(path.read_bytes())
     blob[offset] = value
     path.write_bytes(bytes(blob))
-    monkeypatch.setattr("osora.checkpoint.build_adapter", _unreachable)  # rejected before any rebuild
+    monkeypatch.setattr("osora.checkpoint._build_adapter", _unreachable)  # rejected before any rebuild
     with pytest.raises(CorruptPayload):
         load(path, w0)
 
@@ -206,9 +208,41 @@ def test_non_finite_payload_is_corrupt(bad, tmp_path, monkeypatch):
     path = tmp_path / "n.ckpt"
     save(state, path)
     path.write_bytes(path.read_bytes()[:-8] + struct.pack("<d", bad))
-    monkeypatch.setattr("osora.checkpoint.build_adapter", _unreachable)  # rejected before any rebuild
+    monkeypatch.setattr("osora.checkpoint._build_adapter", _unreachable)  # rejected before any rebuild
     with pytest.raises(CorruptPayload):
         load(path, w0)
+
+
+def test_nonzero_reserved_field_is_corrupt(tmp_path, monkeypatch):
+    # The u32 at offset 24 is reserved for a later format code; an older build must refuse it, not ignore it.
+    state, w0 = perturbed_state("osora", 8, 6, 2, 41)
+    save(state, tmp_path / "c.ckpt")
+    save_snapshot(tmp_path / "s.snap", {"s_r": state.trainable["s_r"]}, d=8, k=6, rank=2)
+    monkeypatch.setattr("osora.checkpoint._build_adapter", _unreachable)  # rejected before any rebuild
+    for name, read in (("c.ckpt", lambda p: load(p, w0)), ("s.snap", load_snapshot)):
+        path = tmp_path / name
+        blob = bytearray(path.read_bytes())
+        blob[24] = 1
+        path.write_bytes(bytes(blob))
+        with pytest.raises(CorruptPayload):
+            read(path)
+
+
+def test_load_hashes_the_base_weight_once(tmp_path, monkeypatch):
+    state, w0 = perturbed_state("osora", 9, 7, 2, 42)
+    path = tmp_path / "d.ckpt"
+    save(state, path)
+    calls = []
+
+    def counted(w):
+        calls.append(np.shape(w))
+        return weight_digest(w)
+
+    monkeypatch.setattr(osora.adapters, "weight_digest", counted)
+    monkeypatch.setattr(osora.checkpoint, "weight_digest", counted)
+    loaded = load(path, w0)
+    assert calls == [(9, 7)]
+    assert loaded.w0_digest == state.w0_digest
 
 
 def test_out_of_range_rank_is_corrupt(tmp_path):
@@ -279,6 +313,28 @@ def test_cold_rebuild_is_bitwise(tag, tmp_path, rng):
     assert {name: arr.tobytes() for name, arr in loaded.frozen.items()} == want_frozen
 
 
+@pytest.mark.parametrize("tag", ["osora", "osora_k", "osora_dora", "pissa"])
+def test_cold_rebuild_over_a_rank_deficient_weight(tag, tmp_path, rng):
+    # An exact rank-2 weight at adapter rank 4: u_r holds two QR-completed columns.
+    w0 = random_matrix(12, 2, (43, 1), "gaussian") @ random_matrix(2, 10, (43, 2), "gaussian")
+    state = build_adapter(w0, AdapterMethod(tag=tag, rank=4), 43)
+    theta = trainable_vector(state)
+    load_trainable(state, theta + 0.2 * rng.standard_normal(theta.size))
+    path = tmp_path / "deficient.ckpt"
+    save(state, path)
+    x = rng.standard_normal((10, 3))
+    want_forward = forward(state, x).tobytes()
+    want_frozen = {name: arr.tobytes() for name, arr in state.frozen.items()}
+    live, factors = weakref.ref(state.frozen), weakref.ref(state.frozen.factors)
+    del state
+    gc.collect()
+    assert live() is None and factors() is None  # the _LIVE and _FACTORS entries are gone
+    loaded = load(path, w0)
+    assert not loaded.frozen.factors.s_r[2:].any()
+    assert forward(loaded, x).tobytes() == want_forward
+    assert {name: arr.tobytes() for name, arr in loaded.frozen.items()} == want_frozen
+
+
 def test_verify_persist_runs_the_cold_rebuild(monkeypatch):
     calls = []
     real = osora.adapters.svd_truncated
@@ -315,6 +371,7 @@ def saved_per_method(tmp_path_factory):
 @example(tag="lora", in_header=True, offset=9, mask=0x7F)  # o_init code out of range
 @example(tag="osora", in_header=True, offset=10, mask=0x7F)  # trainable_set code out of range
 @example(tag="osora", in_header=False, offset=15, mask=0x40)  # s_r[1], in [1, 2), becomes Inf or NaN
+@example(tag="pissa", in_header=True, offset=24, mask=0x01)  # reserved header field nonzero
 def test_byte_flip_fuzz(saved_per_method, tag, in_header, offset, mask):
     _, w0, path = saved_per_method[tag]
     blob = bytearray(path.read_bytes())

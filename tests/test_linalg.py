@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -148,6 +150,93 @@ class TestSvdProperties:
         assert np.abs(v.T @ v - np.eye(m)).max() <= 1e-10
         assert (s[r:] <= 1e-10 * s[0]).all()
         assert np.sqrt((((u * s) @ v.T - w) ** 2).sum()) <= 1e-10 * np.sqrt((w * w).sum())
+
+
+def _zero_rows(d, k, rows, seed):
+    w = random_matrix(d, k, seed, "gaussian")
+    w[rows, :] = 0.0
+    return w
+
+
+def _zero_cols(d, k, cols, seed):
+    w = random_matrix(d, k, seed, "gaussian")
+    w[:, cols] = 0.0
+    return w
+
+
+def _repeated(d, k, r, seed):
+    # 2.5 times an orthogonal matrix, masked to r columns: r equal singular values
+    q = np.linalg.qr(random_matrix(d, d, (seed, 1), "gaussian"))[0]
+    mask = np.zeros((d, k))
+    mask[np.arange(r), np.arange(r)] = 1.0
+    return (2.5 * q) @ mask @ np.linalg.qr(random_matrix(k, k, (seed, 2), "gaussian"))[0]
+
+
+class TestDeficientPath:
+    """Null columns: s exactly 0, u completed by QR, factors orthonormal and rerun-stable."""
+
+    @staticmethod
+    def check(w, rank):
+        u, s, v = jacobi_svd(w)
+        eye = np.eye(min(w.shape))
+        assert np.abs(u.T @ u - eye).max() <= 1e-12
+        assert np.abs(v.T @ v - eye).max() <= 1e-12
+        assert np.abs(u[:, :rank].T @ u[:, rank:]).max(initial=0.0) <= 1e-12  # filled against kept
+        assert (s[:rank] > 0.0).all() and (s[rank:] == 0.0).all()
+        again = jacobi_svd(w.copy())
+        assert all(a.tobytes() == b.tobytes() for a, b in zip((u, s, v), again))
+        return u, s, v
+
+    @pytest.mark.parametrize("tall", [True, False])
+    @settings(max_examples=25, deadline=None)
+    @given(
+        short=st.integers(6, 16),
+        extra=st.integers(0, 8),
+        r=st.integers(1, 5),
+        seed=st.integers(0, 2**16),
+    )
+    def test_exact_low_rank_products(self, tall, short, extra, r, seed):
+        d, k = (short + extra, short) if tall else (short, short + extra)
+        w = random_matrix(d, r, (seed, 1), "gaussian") @ random_matrix(r, k, (seed, 2), "gaussian")
+        self.check(w, r)
+
+    @pytest.mark.parametrize(
+        "w,rank",
+        [
+            (_zero_rows(14, 10, [0, 3, 4, 8, 9, 13], 51), 8),
+            (_zero_rows(10, 14, [2, 5, 7], 52), 7),
+            (_zero_cols(14, 10, [1, 6], 53), 8),
+            (_zero_cols(10, 14, [0, 2, 3, 9, 11, 12], 54), 8),
+        ],
+        ids=["tall_zero_rows", "wide_zero_rows", "tall_zero_cols", "wide_zero_cols"],
+    )
+    def test_zero_rows_and_columns(self, w, rank):
+        self.check(w, rank)
+
+    @pytest.mark.parametrize("d,k,r", [(20, 12, 5), (12, 20, 5), (16, 16, 9)])
+    def test_repeated_singular_values(self, d, k, r):
+        w = _repeated(d, k, r, 55)
+        _, s, _ = self.check(w, r)
+        assert np.abs(s[:r] - 2.5).max() <= 1e-12
+
+    @pytest.mark.parametrize("shape", [(7, 4), (4, 7)], ids=["tall", "wide"])
+    def test_all_zero(self, shape):
+        self.check(np.zeros(shape), 0)
+
+
+def test_full_rank_factor_bytes_are_pinned():
+    # SHA-256 of jacobi_svd's (u, s, v) over seeded full-rank inputs. No column
+    # of these comes near the deficiency cutoff, so the bytes are those of the
+    # plain cyclic sweep: the null-pair skip and the QR completion never run.
+    # They hold only where they were recorded: numpy 2.4.6 with its bundled
+    # OpenBLAS 0.3.31, Python 3.11, x86-64. Another numpy or BLAS build may sum
+    # in another order and move them while the code is correct; re-record them
+    # there. test_deterministic_bytes checks run-to-run equality anywhere.
+    h = hashlib.sha256()
+    for i, (d, k) in enumerate([(64, 64), (16, 64), (56, 56), (8, 56), (40, 28), (33, 7), (12, 16)]):
+        for arr in jacobi_svd(random_matrix(d, k, (60, i), ("gaussian", "uniform_scaled")[i % 2])):
+            h.update(arr.tobytes())
+    assert h.hexdigest() == "bca5375c0b417bed3a3ed83efa9a20e8925e2775a404231974c0054e25b7fe74"
 
 
 class TestRandomMatrix:
