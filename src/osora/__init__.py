@@ -37,6 +37,7 @@ from .errors import (
     CorruptPayload,
     DigestMismatch,
     DimensionMismatch,
+    InvalidConfig,
     IoFailure,
     LengthMismatch,
     NonFiniteInput,
@@ -57,6 +58,7 @@ __all__ = [
     "CorruptPayload",
     "DigestMismatch",
     "DimensionMismatch",
+    "InvalidConfig",
     "IoFailure",
     "LengthMismatch",
     "LossGrad",

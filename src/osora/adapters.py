@@ -28,6 +28,10 @@ exactly u_r diag(s_r) v_r^T, so such a build's w0_res is the shared residual
 itself; a gaussian-o_init build computes its own, and keeps the shared one
 alive as well.
 
+lora, vera and dora freeze w0 itself. Their builds over one weight share
+one read-only copy of it, through a third weak registry keyed by (shape,
+weight digest), whatever their method, rank and seed.
+
 Forward rules, for base weight w0 of shape d x k and column input x:
 
   lora        y = w0 x + B A x                       A: r x k, B: d x r
@@ -151,9 +155,11 @@ class _Method:
 
     base: str  # frozen base tensor: "w0", or "w0_res" for the SVD-initialized methods
     slots: tuple[str, ...]  # trainable slots in flat-layout order
-    init: Callable  # (w, method, seed, f) -> (frozen, trainable), without m; f the shared SvdFactors or None
+    # (w, method, seed, shared) -> (frozen, trainable), without m; shared is the
+    # SvdFactors entry for a w0_res base, else the read-only shared copy of w
+    init: Callable
     delta: Callable  # (fz, t) -> dense d x k update
-    apply: Callable  # (fz, t, fx, x) -> delta @ x, without forming delta
+    apply: Callable  # (fz, t, fx, x, out) -> out, delta @ x written into the d x n out, without forming delta
     grad: Callable  # (fz, t, fx, r, x) -> {slot: gradient} for the update gradient r x^T; without m
     products: Callable = _no_products  # (fz, x) -> frozen-times-probe products that apply and grad read
     # Magnitude methods only: (fz, t, fx) -> (row norms of the effective weight, w),
@@ -175,27 +181,34 @@ def _with_magnitude(entry: _Method, **fields) -> _Method:
     return replace(entry, slots=entry.slots + ("m",), **fields)
 
 
-def _lora_init(w: np.ndarray, method: AdapterMethod, seed: int, f: None):
+def _lora_init(w: np.ndarray, method: AdapterMethod, seed: int, w0: np.ndarray):
     d, k = w.shape
     a = random_matrix(method.rank, k, (seed, _SLOT_A_BASE), "uniform_scaled")
-    return {"w0": w.copy()}, {"a": a, "b": np.zeros((d, method.rank))}
+    return {"w0": w0}, {"a": a, "b": np.zeros((d, method.rank))}
 
 
-def _vera_init(w: np.ndarray, method: AdapterMethod, seed: int, f: None):
+def _vera_init(w: np.ndarray, method: AdapterMethod, seed: int, w0: np.ndarray):
     d, k = w.shape
     r = method.rank
     frozen = {
-        "w0": w.copy(),
+        "w0": w0,
         "a_base": random_matrix(r, k, (seed, _SLOT_A_BASE), "uniform_scaled"),
         "b_base": random_matrix(d, r, (seed, _SLOT_B_BASE), "uniform_scaled"),
     }
     return frozen, {"d_vec": np.full(r, _VERA_D_INIT), "b_vec": np.zeros(d)}
 
 
+def _scaled_matmul(a: np.ndarray, b: np.ndarray, rows: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """diag(rows) a b, written into out."""
+    np.matmul(a, b, out=out)
+    out *= rows[:, None]
+    return out
+
+
 def _vera_grad(fz, t, fx, r, x):
     b, ax = fz["b_base"], fx["ax"]
     g_d = _row_dots((b * t["b_vec"][:, None]).T @ r, ax)
-    g_b = _row_dots(r, b @ (t["d_vec"][:, None] * ax))
+    g_b = _row_dots(r @ (t["d_vec"][:, None] * ax).T, b)
     return {"d_vec": g_d, "b_vec": g_b}
 
 
@@ -239,7 +252,7 @@ def _osora_k_grad(fz, t, fx, r, x):
     ur = u.T @ r  # r x n
     return {
         "s_r": _row_dots(ur, (v * t["o"][:, None]).T @ x),
-        "o": _row_dots(x, v @ (t["s_r"][:, None] * ur)),
+        "o": _row_dots(x @ (t["s_r"][:, None] * ur).T, v),
     }
 
 
@@ -263,7 +276,7 @@ _LORA = _Method(
     slots=("a", "b"),
     init=_lora_init,
     delta=lambda fz, t: t["b"] @ t["a"],
-    apply=lambda fz, t, fx, x: t["b"] @ (t["a"] @ x),
+    apply=lambda fz, t, fx, x, out: np.matmul(t["b"], t["a"] @ x, out=out),
     grad=lambda fz, t, fx, r, x: {"a": (t["b"].T @ r) @ x.T, "b": r @ (t["a"] @ x).T},
 )
 _OSORA = _Method(
@@ -271,7 +284,7 @@ _OSORA = _Method(
     slots=("s_r", "o"),
     init=_osora_init,
     delta=lambda fz, t: t["o"][:, None] * _core(fz, t),
-    apply=lambda fz, t, fx, x: t["o"][:, None] * (fz["u_r"] @ (t["s_r"][:, None] * fx["vtx"])),
+    apply=lambda fz, t, fx, x, out: _scaled_matmul(fz["u_r"], t["s_r"][:, None] * fx["vtx"], t["o"], out),
     grad=lambda fz, t, fx, r, x: _osora_grad_gv(fz, t, r @ fx["vtx"].T),
     products=lambda fz, x: {"vtx": fz["v_r"].T @ x},
 )
@@ -282,7 +295,7 @@ _TABLE: dict[str, _Method] = {
         slots=("d_vec", "b_vec"),
         init=_vera_init,
         delta=lambda fz, t: (t["b_vec"][:, None] * fz["b_base"]) @ (t["d_vec"][:, None] * fz["a_base"]),
-        apply=lambda fz, t, fx, x: t["b_vec"][:, None] * (fz["b_base"] @ (t["d_vec"][:, None] * fx["ax"])),
+        apply=lambda fz, t, fx, x, out: _scaled_matmul(fz["b_base"], t["d_vec"][:, None] * fx["ax"], t["b_vec"], out),
         grad=_vera_grad,
         products=lambda fz, x: {"ax": fz["a_base"] @ x},
     ),
@@ -291,7 +304,9 @@ _TABLE: dict[str, _Method] = {
     "osora_k": replace(
         _OSORA,
         delta=lambda fz, t: _core(fz, t) * t["o"][None, :],
-        apply=lambda fz, t, fx, x: fz["u_r"] @ (t["s_r"][:, None] * (fz["v_r"].T @ (t["o"][:, None] * x))),
+        apply=lambda fz, t, fx, x, out: np.matmul(
+            fz["u_r"], t["s_r"][:, None] * ((fz["v_r"] * t["o"][:, None]).T @ x), out=out
+        ),
         grad=_osora_k_grad,
         products=_no_products,
         o_axis=1,
@@ -337,6 +352,10 @@ _LIVE: weakref.WeakValueDictionary[tuple, _Frozen] = weakref.WeakValueDictionary
 # some live task or build holds; a race on one key only repeats the SVD.
 _FACTORS: weakref.WeakValueDictionary[tuple, SvdFactors] = weakref.WeakValueDictionary()
 
+# (shape, weight digest) -> the read-only copy of a weight that some live
+# lora, vera or dora build freezes as w0; a race on one key only repeats the copy.
+_BASES: weakref.WeakValueDictionary[tuple, np.ndarray] = weakref.WeakValueDictionary()
+
 
 def _read_only(tensors: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
     for arr in tensors.values():
@@ -358,6 +377,17 @@ def _shared_svd(w: np.ndarray, digest: bytes, r: int) -> SvdFactors:
             arr.setflags(write=False)
         _FACTORS[key] = f
     return f
+
+
+def _shared_base(w: np.ndarray, digest: bytes) -> np.ndarray:
+    """A read-only copy of w, copied only if no live build holds one; `digest` is weight_digest(w)."""
+    key = (w.shape, digest)
+    base = _BASES.get(key)
+    if base is None:
+        base = w.copy()
+        base.setflags(write=False)
+        _BASES[key] = base
+    return base
 
 
 def build_adapter(w0, method: AdapterMethod, seed: int) -> AdapterState:
@@ -393,13 +423,14 @@ def _build_adapter(w: np.ndarray, digest: bytes, method: AdapterMethod, seed: in
 
 def _build_frozen(w: np.ndarray, digest: bytes, method: AdapterMethod, seed: int) -> _Frozen:
     entry = _TABLE[method.tag]
-    factors = _shared_svd(w, digest, method.rank) if entry.base == "w0_res" else None
-    frozen, trainable = entry.init(w, method, seed, factors)
+    svd = entry.base == "w0_res"
+    shared = _shared_svd(w, digest, method.rank) if svd else _shared_base(w, digest)
+    frozen, trainable = entry.init(w, method, seed, shared)
     if entry.magnitude:  # start each row at its own norm, so the rescale is the identity
         trainable["m"] = _row_norms(frozen[entry.base] + entry.delta(frozen, trainable))
     out = _Frozen(_read_only(frozen))
     out.init = _read_only(trainable)
-    out.factors = factors
+    out.factors = shared if svd else None
     return out
 
 
@@ -437,7 +468,8 @@ def forward(state: AdapterState, x) -> np.ndarray:
         y = _dora_scale(state, _row_norms(w_eff))[:, None] * (w_eff @ xa)
     else:
         fx = entry.fixed(state.frozen, xa)
-        y = fx["base"] + entry.apply(state.frozen, state.trainable, fx, xa)
+        y = entry.apply(state.frozen, state.trainable, fx, xa, np.empty((state.d, xa.shape[1])))
+        y += fx["base"]
     return y[:, 0] if single else y
 
 

@@ -21,6 +21,10 @@ class LengthMismatch(OsoraError):
     """A flat parameter vector has the wrong length."""
 
 
+class InvalidConfig(OsoraError, ValueError):
+    """A training setting has the wrong type or an out-of-range value."""
+
+
 class NonFiniteLoss(OsoraError):
     """Training loss became NaN or Inf, usually a too-large learning rate."""
 

@@ -22,8 +22,15 @@ magnitude record chains through `grad_rows`. osora_dora expands its row norms
 and w_eff v_r over w0_res v_r, which leans on v_r being orthonormal; dora
 forms w_eff = w0 + B A, the one d x k array a step makes.
 
-`gradient` computes the probe products and runs one step; `training.train`
-computes them once per call and runs the same step body at every step.
+`gradient` and `training.train` compute the probe products and allocate one
+d x n workspace per call, and every step of the call writes into it: `apply`
+writes delta X into the prediction plane, which becomes the scaled residual
+R in place; a second plane takes its squares for the loss, and a magnitude
+method's third plane its rescaled copy. So a step makes no d x n array. What
+it still makes are r x n and d x r (or k x r) products, vectors of length d,
+k or r, and dora's d x k w_eff: vera's b_vec gradient is rowwise
+(R (diag(d) A X)^T) * B, and osora_k applies (diag(o) v_r)^T X and takes its
+o gradient as rowwise (X (diag(s_r) u_r^T R)^T) * v_r.
 """
 
 from __future__ import annotations
@@ -76,18 +83,19 @@ def loss_mse(state: AdapterState, x_probes, y_targets) -> float:
     return 0.5 / x.shape[1] * float((resid * resid).sum())
 
 
-def _step(state: AdapterState, fx: dict[str, np.ndarray], x: np.ndarray, y: np.ndarray) -> LossGrad:
-    """Loss and gradient at state, given fx = fixed(state.frozen, x)."""
+def _step(state: AdapterState, fx: dict[str, np.ndarray], x: np.ndarray, y: np.ndarray, ws: np.ndarray) -> LossGrad:
+    """Loss and gradient at state, given fx = fixed(state.frozen, x) and the d x n planes ws of _stepper."""
     entry = _TABLE[state.method.tag]
     fz, t = state.frozen, state.trainable
-    r = fx["base"] + entry.apply(fz, t, fx, x)  # forward's expression, before any rescale
+    r = entry.apply(fz, t, fx, x, ws[0])
+    r += fx["base"]  # forward's expression, before any rescale
     if entry.magnitude:
         norms, w = entry.norms(fz, t, fx)
         scale = _dora_scale(state, norms)
-        unscaled, r = r, scale[:, None] * r
+        unscaled, r = r, np.multiply(scale[:, None], r, out=ws[2])
     r -= y
     n = x.shape[1]
-    loss = 0.5 / n * float((r * r).sum())
+    loss = 0.5 / n * float(np.multiply(r, r, out=ws[1]).sum())
     r /= n
     full: dict[str, np.ndarray] = {}
     if entry.magnitude:
@@ -104,11 +112,16 @@ def _step(state: AdapterState, fx: dict[str, np.ndarray], x: np.ndarray, y: np.n
 def _stepper(state: AdapterState, x_probes, y_targets) -> Callable[[AdapterState], LossGrad]:
     """The loss and gradient over fixed probes, for state and any adapter sharing its frozen tensors.
 
-    Checks the probes and computes their products with the frozen tensors once.
+    Checks the probes, computes their products with the frozen tensors and
+    allocates the d x n workspace once; every step writes into that workspace.
+    The returned closure is not reentrant: run one step at a time.
     """
     x, y = _check_probes(state, x_probes, y_targets)
-    fx = _TABLE[state.method.tag].fixed(state.frozen, x)
-    return lambda st: _step(st, fx, x, y)
+    entry = _TABLE[state.method.tag]
+    fx = entry.fixed(state.frozen, x)
+    # Planes: prediction then residual, its square, and a magnitude method's rescaled residual.
+    ws = np.empty((3 if entry.magnitude else 2, *y.shape))
+    return lambda st: _step(st, fx, x, y, ws)
 
 
 def gradient(state: AdapterState, x_probes, y_targets) -> LossGrad:

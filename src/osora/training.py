@@ -10,12 +10,13 @@ achievable loss); smaller ranks and single-vector ablations cannot.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .adapters import AdapterState, _shared_svd, clone_state, load_trainable, trainable_vector, weight_digest
-from .errors import DimensionMismatch, NonFiniteLoss, RankOutOfRange
+from .errors import DimensionMismatch, InvalidConfig, NonFiniteLoss, RankOutOfRange
 from .gradients import _stepper
 from .linalg import SvdFactors, random_matrix
 
@@ -55,9 +56,11 @@ class TrainConfig:
 
     def __post_init__(self):
         if self.optimizer not in ("sgd", "adam"):
-            raise ValueError(f"optimizer must be sgd or adam, got {self.optimizer!r}")
-        if self.steps < 0 or not math.isfinite(self.lr):
-            raise ValueError("steps must be >= 0 and lr finite")
+            raise InvalidConfig(f"optimizer must be sgd or adam, got {self.optimizer!r}")
+        if not isinstance(self.steps, numbers.Integral) or self.steps < 0:
+            raise InvalidConfig(f"steps must be an integer >= 0, got {self.steps!r}")
+        if not isinstance(self.lr, numbers.Real) or not math.isfinite(self.lr):
+            raise InvalidConfig(f"lr must be a finite real number, got {self.lr!r}")
 
 
 @dataclass
@@ -109,13 +112,15 @@ def train(state: AdapterState, task: ToyTask, config: TrainConfig) -> TrainRun:
             raise NonFiniteLoss(f"loss became non-finite at step {step}")
         g = lg.flat()
         if config.optimizer == "sgd":
-            theta = theta - config.lr * g
+            theta -= config.lr * g
         else:
-            m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * g
-            v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * g * g
+            m *= ADAM_BETA1
+            m += (1.0 - ADAM_BETA1) * g
+            v *= ADAM_BETA2
+            v += (1.0 - ADAM_BETA2) * g * g
             m_hat = m / (1.0 - ADAM_BETA1 ** (step + 1))
             v_hat = v / (1.0 - ADAM_BETA2 ** (step + 1))
-            theta = theta - config.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+            theta -= config.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
         load_trainable(work, theta)
     trace[config.steps] = step_at(work).loss
     if not math.isfinite(trace[config.steps]):

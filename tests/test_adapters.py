@@ -1,5 +1,6 @@
 import gc
 import hashlib
+import weakref
 
 import numpy as np
 import pytest
@@ -362,6 +363,39 @@ class TestSharedFactors:
         gc.collect()
         build_adapter(w0, AdapterMethod(tag="pissa", rank=2), seed=76)
         assert len(svd_calls) == 2
+
+
+BASE_BUILDS = ("lora", "vera", "dora")
+
+
+class TestSharedBase:
+    def test_base_builds_share_one_read_only_copy(self):
+        w0 = random_matrix(12, 9, 80, "gaussian")
+        states = [build_adapter(w0, AdapterMethod(tag=tag, rank=r), seed=80 + r) for tag in BASE_BUILDS for r in (2, 3)]
+        base = states[0].frozen["w0"]
+        assert all(state.frozen["w0"] is base for state in states)
+        assert base is not w0 and base.tobytes() == w0.tobytes() and not base.flags.writeable
+        assert all(state.frozen.factors is None for state in states)
+
+    def test_entry_dies_with_the_last_state(self):
+        w0 = random_matrix(10, 8, 81, "gaussian")
+        first = build_adapter(w0, AdapterMethod(tag="lora", rank=2), seed=81)
+        second = build_adapter(w0, AdapterMethod(tag="dora", rank=2), seed=81)
+        base = weakref.ref(first.frozen["w0"])
+        del first
+        gc.collect()
+        assert base() is second.frozen["w0"]
+        del second
+        gc.collect()
+        assert base() is None
+        assert not any(key[0] == w0.shape for key in osora.adapters._BASES)
+
+    def test_nothing_shared_across_shapes_over_the_same_bytes(self):
+        w0 = random_matrix(6, 8, 82, "gaussian")
+        wide = build_adapter(w0, AdapterMethod(tag="lora", rank=2), seed=82)
+        tall = build_adapter(w0.reshape(8, 6), AdapterMethod(tag="lora", rank=2), seed=82)
+        assert tall.frozen["w0"] is not wide.frozen["w0"]
+        assert tall.frozen["w0"].shape == (8, 6) and wide.frozen["w0"].shape == (6, 8)
 
 
 @pytest.mark.parametrize("layout", ["C", "F", ">f8"])
