@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from importlib import resources
 
 from .adapters import _TABLE, METHODS, AdapterMethod, trainable_count
-from .errors import RankOutOfRange
+from .errors import InvalidConfig, RankOutOfRange
 
 
 @dataclass(frozen=True)
@@ -49,9 +49,9 @@ class ParamReport:
 
 def _check_dims(method: str, d: int, k: int, r: int) -> None:
     if method not in METHODS:
-        raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
+        raise InvalidConfig(f"unknown method {method!r}; expected one of {METHODS}")
     if d < 1 or k < 1:
-        raise ValueError(f"dims must be positive, got {d}x{k}")
+        raise InvalidConfig(f"dims must be positive, got {d}x{k}")
     if r < 1:
         raise RankOutOfRange(f"rank must be >= 1, got {r}")
     if _TABLE[method].base == "w0_res" and r > min(d, k):  # built over a rank-r truncated SVD
@@ -86,14 +86,14 @@ def report(preset: ShapePreset, method: str, r: int) -> ParamReport:
 def scaling_sweep(preset: ShapePreset, methods: list[str], ranks: list[int]) -> list[tuple[str, int, int]]:
     """Rows (method, rank, total trainable) for a rank sweep over a preset."""
     if not ranks or any(b <= a for a, b in zip(ranks, ranks[1:])):
-        raise ValueError(f"ranks must be non-empty and ascending, got {ranks}")
+        raise InvalidConfig(f"ranks must be non-empty and ascending, got {ranks}")
     return [(method, r, report(preset, method, r).total) for method in methods for r in ranks]
 
 
 def param_ratio(d: int, k: int, r: int) -> float:
     """Trainable-parameter ratio of the r+d vector methods over a rank-r lora pair."""
     if d < 1 or k < 1 or r < 1:
-        raise ValueError(f"dims and rank must be positive, got d={d} k={k} r={r}")
+        raise InvalidConfig(f"dims and rank must be positive, got d={d} k={k} r={r}")
     return (r + d) / (r * (d + k))
 
 
@@ -123,4 +123,4 @@ def get_preset(name: str) -> ShapePreset:
     try:
         return _PRESETS[name]
     except KeyError:
-        raise ValueError(f"unknown preset {name!r}; available: {', '.join(list_presets())}") from None
+        raise InvalidConfig(f"unknown preset {name!r}; available: {', '.join(list_presets())}") from None

@@ -66,7 +66,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import DimensionMismatch, LengthMismatch, RankOutOfRange
+from .errors import DimensionMismatch, InvalidConfig, LengthMismatch, RankOutOfRange
 from .linalg import SvdFactors, as_matrix, check_finite, random_matrix, svd_truncated
 
 METHODS = ("lora", "vera", "pissa", "osora", "osora_k", "dora", "osora_dora")
@@ -95,17 +95,17 @@ class AdapterMethod:
 
     def __post_init__(self):
         if self.tag not in METHODS:
-            raise ValueError(f"unknown method tag {self.tag!r}; expected one of {METHODS}")
+            raise InvalidConfig(f"unknown method tag {self.tag!r}; expected one of {METHODS}")
         if self.rank < 1:
             raise RankOutOfRange(f"rank must be >= 1, got {self.rank}")
         if self.o_init not in O_INITS:
-            raise ValueError(f"o_init must be one of {O_INITS}, got {self.o_init!r}")
+            raise InvalidConfig(f"o_init must be one of {O_INITS}, got {self.o_init!r}")
         if self.o_init != "ones" and self.tag not in OSORA_FAMILY:
-            raise ValueError(f"o_init applies only to {OSORA_FAMILY}, not {self.tag!r}")
+            raise InvalidConfig(f"o_init applies only to {OSORA_FAMILY}, not {self.tag!r}")
         if self.trainable_set not in TRAINABLE_SETS:
-            raise ValueError(f"trainable_set must be one of {TRAINABLE_SETS}")
+            raise InvalidConfig(f"trainable_set must be one of {TRAINABLE_SETS}")
         if self.trainable_set != "both" and self.tag not in ("osora", "osora_k"):
-            raise ValueError("only_s / only_o ablations exist only for osora and osora_k")
+            raise InvalidConfig("only_s / only_o ablations exist only for osora and osora_k")
 
 
 @dataclass
@@ -159,7 +159,9 @@ class _Method:
     # SvdFactors entry for a w0_res base, else the read-only shared copy of w
     init: Callable
     delta: Callable  # (fz, t) -> dense d x k update
-    apply: Callable  # (fz, t, fx, x, out) -> out, delta @ x written into the d x n out, without forming delta
+    # (fz, t, fx, x, out) -> out, delta @ x written into the d x n out with one matmul, without
+    # forming delta; any row scale multiplies the d x r factor, never out
+    apply: Callable
     grad: Callable  # (fz, t, fx, r, x) -> {slot: gradient} for the update gradient r x^T; without m
     products: Callable = _no_products  # (fz, x) -> frozen-times-probe products that apply and grad read
     # Magnitude methods only: (fz, t, fx) -> (row norms of the effective weight, w),
@@ -196,13 +198,6 @@ def _vera_init(w: np.ndarray, method: AdapterMethod, seed: int, w0: np.ndarray):
         "b_base": random_matrix(d, r, (seed, _SLOT_B_BASE), "uniform_scaled"),
     }
     return frozen, {"d_vec": np.full(r, _VERA_D_INIT), "b_vec": np.zeros(d)}
-
-
-def _scaled_matmul(a: np.ndarray, b: np.ndarray, rows: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """diag(rows) a b, written into out."""
-    np.matmul(a, b, out=out)
-    out *= rows[:, None]
-    return out
 
 
 def _vera_grad(fz, t, fx, r, x):
@@ -284,7 +279,7 @@ _OSORA = _Method(
     slots=("s_r", "o"),
     init=_osora_init,
     delta=lambda fz, t: t["o"][:, None] * _core(fz, t),
-    apply=lambda fz, t, fx, x, out: _scaled_matmul(fz["u_r"], t["s_r"][:, None] * fx["vtx"], t["o"], out),
+    apply=lambda fz, t, fx, x, out: np.matmul(fz["u_r"] * t["o"][:, None], t["s_r"][:, None] * fx["vtx"], out=out),
     grad=lambda fz, t, fx, r, x: _osora_grad_gv(fz, t, r @ fx["vtx"].T),
     products=lambda fz, x: {"vtx": fz["v_r"].T @ x},
 )
@@ -295,7 +290,9 @@ _TABLE: dict[str, _Method] = {
         slots=("d_vec", "b_vec"),
         init=_vera_init,
         delta=lambda fz, t: (t["b_vec"][:, None] * fz["b_base"]) @ (t["d_vec"][:, None] * fz["a_base"]),
-        apply=lambda fz, t, fx, x, out: _scaled_matmul(fz["b_base"], t["d_vec"][:, None] * fx["ax"], t["b_vec"], out),
+        apply=lambda fz, t, fx, x, out: np.matmul(
+            fz["b_base"] * t["b_vec"][:, None], t["d_vec"][:, None] * fx["ax"], out=out
+        ),
         grad=_vera_grad,
         products=lambda fz, x: {"ax": fz["a_base"] @ x},
     ),

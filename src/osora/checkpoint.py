@@ -65,7 +65,7 @@ from .adapters import (
     trainable_vector,
     weight_digest,
 )
-from .errors import CorruptPayload, DigestMismatch, IoFailure, RankOutOfRange, VersionUnsupported
+from .errors import CorruptPayload, DigestMismatch, InvalidConfig, IoFailure, RankOutOfRange, VersionUnsupported
 from .linalg import as_matrix
 
 MAGIC = b"OSRA"
@@ -82,7 +82,7 @@ _METHOD_NONE = 255
 
 def _pack_header(state: AdapterState) -> bytes:
     if not 0 <= state.seed < 2**64:
-        raise ValueError(f"seed must fit in u64, got {state.seed}")
+        raise InvalidConfig(f"seed must fit in u64, got {state.seed}")
     m = state.method
     return _HEADER.pack(
         MAGIC,
@@ -185,7 +185,7 @@ def _pack_sections(arrays: dict[str, np.ndarray]) -> bytes:
         elif a.ndim == 2:
             ndim, rows, cols = 2, a.shape[0], a.shape[1]
         else:
-            raise ValueError(f"section {name!r} must be 1-D or 2-D")
+            raise InvalidConfig(f"section {name!r} must be 1-D or 2-D")
         encoded = name.encode("utf-8")
         parts.append(struct.pack("<H", len(encoded)) + encoded)
         parts.append(struct.pack("<BII", ndim, rows, cols))

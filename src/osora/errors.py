@@ -22,7 +22,7 @@ class LengthMismatch(OsoraError):
 
 
 class InvalidConfig(OsoraError, ValueError):
-    """A training setting has the wrong type or an out-of-range value."""
+    """A setting or argument has the wrong type or an out-of-range value."""
 
 
 class NonFiniteLoss(OsoraError):

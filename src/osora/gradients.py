@@ -23,14 +23,19 @@ and w_eff v_r over w0_res v_r, which leans on v_r being orthonormal; dora
 forms w_eff = w0 + B A, the one d x k array a step makes.
 
 `gradient` and `training.train` compute the probe products and allocate one
-d x n workspace per call, and every step of the call writes into it: `apply`
-writes delta X into the prediction plane, which becomes the scaled residual
-R in place; a second plane takes its squares for the loss, and a magnitude
-method's third plane its rescaled copy. So a step makes no d x n array. What
-it still makes are r x n and d x r (or k x r) products, vectors of length d,
-k or r, and dora's d x k w_eff: vera's b_vec gradient is rowwise
-(R (diag(d) A X)^T) * B, and osora_k applies (diag(o) v_r)^T X and takes its
-o gradient as rowwise (X (diag(s_r) u_r^T R)^T) * v_r.
+d x n workspace plane per call (two for a magnitude method), and every step
+of the call writes into it: `apply` writes delta X into the prediction plane,
+which becomes the residual pred - Y in place, and a magnitude method's second
+plane takes its rescaled copy. The loss is one dot product of that plane with
+itself, and the 1/n of R is applied to the slot gradients, which are r, d or
+k long or d x r, r x k, so the residual plane is never rescaled. osora and
+vera scale the rows of their d x r factor, not of the d x n product. So a
+step makes no d x n array and passes over one only to fill it, to read it for
+the loss and to multiply it into the gradient products. What it still makes
+are r x n and d x r (or k x r) products, vectors of length d, k or r, and
+dora's d x k w_eff: vera's b_vec gradient is rowwise (R (diag(d) A X)^T) * B,
+and osora_k applies (diag(o) v_r)^T X and takes its o gradient as rowwise
+(X (diag(s_r) u_r^T R)^T) * v_r.
 """
 
 from __future__ import annotations
@@ -51,7 +56,7 @@ from .adapters import (
     trainable_slots,
     trainable_vector,
 )
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, InvalidConfig
 
 FD_STEP = 1e-6
 
@@ -92,20 +97,21 @@ def _step(state: AdapterState, fx: dict[str, np.ndarray], x: np.ndarray, y: np.n
     if entry.magnitude:
         norms, w = entry.norms(fz, t, fx)
         scale = _dora_scale(state, norms)
-        unscaled, r = r, np.multiply(scale[:, None], r, out=ws[2])
+        unscaled, r = r, np.multiply(scale[:, None], r, out=ws[1])
     r -= y
     n = x.shape[1]
-    loss = 0.5 / n * float(np.multiply(r, r, out=ws[1]).sum())
-    r /= n
+    flat = r.ravel()
+    loss = 0.5 / n * float(flat @ flat)
+    # r is the unscaled residual pred - Y; the 1/n of R = r/n goes on the small slot gradients.
     full: dict[str, np.ndarray] = {}
     if entry.magnitude:
         inv = np.where(norms > 0.0, 1.0 / np.where(norms > 0.0, norms, 1.0), 0.0)
-        full["m"] = _row_dots(r, unscaled) * inv
+        full["m"] = _row_dots(r, unscaled) / n * inv
         r *= scale[:, None]
         rows = entry.grad_rows(fz, t, scale * full["m"] * inv, w)
-        full.update({name: g - rows[name] for name, g in entry.grad(fz, t, fx, r, x).items()})
+        full.update({name: g / n - rows[name] for name, g in entry.grad(fz, t, fx, r, x).items()})
     else:
-        full.update(entry.grad(fz, t, fx, r, x))
+        full.update({name: g / n for name, g in entry.grad(fz, t, fx, r, x).items()})
     return LossGrad(loss=loss, slices={name: full[name] for name in trainable_slots(state)})
 
 
@@ -119,8 +125,8 @@ def _stepper(state: AdapterState, x_probes, y_targets) -> Callable[[AdapterState
     x, y = _check_probes(state, x_probes, y_targets)
     entry = _TABLE[state.method.tag]
     fx = entry.fixed(state.frozen, x)
-    # Planes: prediction then residual, its square, and a magnitude method's rescaled residual.
-    ws = np.empty((3 if entry.magnitude else 2, *y.shape))
+    # Planes: prediction then residual, and a magnitude method's rescaled residual.
+    ws = np.empty((2 if entry.magnitude else 1, *y.shape))
     return lambda st: _step(st, fx, x, y, ws)
 
 
@@ -132,7 +138,7 @@ def gradient(state: AdapterState, x_probes, y_targets) -> LossGrad:
 def finite_diff(state: AdapterState, x_probes, y_targets, h: float = FD_STEP) -> LossGrad:
     """Central-difference gradient over the flat trainable vector."""
     if h <= 0.0:
-        raise ValueError(f"step must be positive, got {h}")
+        raise InvalidConfig(f"step must be positive, got {h}")
     x, y = _check_probes(state, x_probes, y_targets)
     work = clone_state(state)
     theta0 = trainable_vector(work)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonFiniteInput, RankOutOfRange
+from .errors import DimensionMismatch, InvalidConfig, NonFiniteInput, RankOutOfRange
 
 # Sweep controls for the one-sided Jacobi loop: a column pair is converged
 # once its inner product is below JACOBI_TOL * ||w||_F and below
@@ -63,7 +63,7 @@ def random_matrix(rows: int, cols: int, seed: int | Sequence[int], scheme: str =
     elif scheme == "gaussian":
         out = rng.standard_normal(size=(rows, cols)) / math.sqrt(cols)
     else:
-        raise ValueError(f"unknown scheme {scheme!r}")
+        raise InvalidConfig(f"unknown scheme {scheme!r}")
     return np.ascontiguousarray(out)
 
 

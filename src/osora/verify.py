@@ -27,6 +27,7 @@ from .adapters import (
     merge,
     trainable_vector,
 )
+from .errors import InvalidConfig
 from .gradients import finite_diff, gradient
 from .linalg import jacobi_svd, random_matrix
 
@@ -206,5 +207,5 @@ SCOPES = (*SUITES, "all")
 
 def run_scope(scope: str, seed: int = 0, inject_fault: bool = False) -> list[CheckResult]:
     if scope not in SCOPES:
-        raise ValueError(f"scope must be one of {SCOPES}, got {scope!r}")
+        raise InvalidConfig(f"scope must be one of {SCOPES}, got {scope!r}")
     return [row for name in (SUITES if scope == "all" else [scope]) for row in SUITES[name](seed, inject_fault)]

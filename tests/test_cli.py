@@ -130,8 +130,8 @@ class TestTrain:
         assert code == 0
         digests = {name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest() for name in ("loss.csv", "adapter.ckpt")}
         assert digests == {
-            "loss.csv": "4ce5726ed29309a72cd36f499ae0e57b776ab403a10b1d325b5271dcb22526b8",
-            "adapter.ckpt": "da391c624676fc2c8dff304be8366c0689169ff0f29b395e96f8de9414e046df",
+            "loss.csv": "9e33d7ed57975ccd70854aa941e8330d422e18542aaf1e85b4e3e56db64dad0a",
+            "adapter.ckpt": "c5e3fc40d0647b23571d1bc48cf058872cbd454d7634bd5deb0c1d337c076f45",
         }
 
     @pytest.mark.parametrize(

@@ -1,0 +1,55 @@
+import numpy as np
+import pytest
+
+from osora import (
+    AdapterMethod,
+    OsoraError,
+    build_adapter,
+    count_trainable,
+    finite_diff,
+    get_preset,
+    param_ratio,
+    random_matrix,
+    save,
+    save_snapshot,
+    scaling_sweep,
+)
+from osora.verify import run_scope
+
+
+def _state_with_seed(seed):
+    state = build_adapter(np.eye(4), AdapterMethod(tag="lora", rank=1), seed=0)
+    state.seed = seed
+    return state
+
+
+# Every bad setting or argument the public API rejects, one case per raise site.
+BAD_CALLS = {
+    "count_unknown_method": lambda tmp: count_trainable("nope", 4, 4, 1),
+    "count_nonpositive_dims": lambda tmp: count_trainable("lora", 0, 4, 1),
+    "sweep_unsorted_ranks": lambda tmp: scaling_sweep(get_preset("mistral7b_v03"), ["osora"], [2, 1]),
+    "ratio_nonpositive_dims": lambda tmp: param_ratio(0, 4, 1),
+    "unknown_preset": lambda tmp: get_preset("nope"),
+    "method_unknown_tag": lambda tmp: AdapterMethod(tag="nope", rank=1),
+    "method_unknown_o_init": lambda tmp: AdapterMethod(tag="osora", rank=1, o_init="zeros"),
+    "method_o_init_outside_osora": lambda tmp: AdapterMethod(tag="lora", rank=1, o_init="gaussian"),
+    "method_unknown_trainable_set": lambda tmp: AdapterMethod(tag="osora", rank=1, trainable_set="only_x"),
+    "method_ablation_outside_osora": lambda tmp: AdapterMethod(tag="lora", rank=1, trainable_set="only_s"),
+    "save_seed_past_u64": lambda tmp: save(_state_with_seed(2**64), tmp / "a.ckpt"),
+    "snapshot_3d_section": lambda tmp: save_snapshot(
+        tmp / "s.ckpt", {"x": np.zeros((1, 1, 1))}, d=1, k=1, rank=1
+    ),
+    "finite_diff_nonpositive_step": lambda tmp: finite_diff(
+        build_adapter(np.eye(2), AdapterMethod(tag="osora", rank=1), 0), np.eye(2), np.eye(2), h=0.0
+    ),
+    "random_matrix_unknown_scheme": lambda tmp: random_matrix(2, 2, 0, "nope"),
+    "verify_unknown_scope": lambda tmp: run_scope("nope"),
+}
+
+
+@pytest.mark.parametrize("call", BAD_CALLS.values(), ids=BAD_CALLS.keys())
+def test_bad_argument_raises_package_error(call, tmp_path):
+    # InvalidConfig is both an OsoraError and a ValueError, so callers catching either still see it.
+    with pytest.raises(OsoraError) as info:
+        call(tmp_path)
+    assert isinstance(info.value, ValueError)

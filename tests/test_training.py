@@ -21,7 +21,8 @@ from osora import (
     train,
     trainable_vector,
 )
-from osora.gradients import _stepper
+from osora.gradients import _stepper, loss_mse
+from osora.verify import perturbed_state
 
 
 def als_floor(task, rank, rounds=300):
@@ -192,8 +193,8 @@ def test_train_step_forms_no_dense_weight(tag):
 
 @pytest.mark.parametrize("method", TRAINED_METHODS, ids=lambda m: f"{m.tag}-{m.trainable_set}")
 def test_train_step_allocates_no_probe_sized_array(method):
-    # A step writes its prediction, residual and squares into the d x n
-    # workspace that _stepper allocates once per call; what it still makes are
+    # A step writes its prediction and residual into the d x n workspace
+    # that _stepper allocates once per call; what it still makes are
     # r x n products of the probes (and dora's d x k effective weight), each a
     # small fraction of one d x n array when n >> d.
     d = k = 32
@@ -211,19 +212,54 @@ def test_train_step_allocates_no_probe_sized_array(method):
     assert peak < 0.5 * d * n * 8
 
 
+@pytest.mark.parametrize("method", TRAINED_METHODS, ids=lambda m: f"{m.tag}-{m.trainable_set}")
+def test_train_call_allocates_one_workspace_plane(method):
+    # One whole train call holds fx["base"] (d x n) plus one d x n workspace
+    # plane, two for a magnitude method, which keeps its unscaled prediction.
+    d = k = 32
+    n = 4096
+    task = make_task(d, k, 2, seed=16, n=n)
+    state = build_adapter(task.w0, method, seed=16)
+    config = TrainConfig(steps=2, lr=1e-2)
+    train(state, task, config)  # warm-up
+    tracemalloc.start()
+    try:
+        train(state, task, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    planes = 3.5 if method.tag in ("dora", "osora_dora") else 2.5
+    assert peak < planes * d * n * 8
+
+
+@pytest.mark.parametrize("method", TRAINED_METHODS, ids=lambda m: f"{m.tag}-{m.trainable_set}")
+def test_step_loss_matches_forward_loss(method):
+    # The step takes its loss as one dot product over the residual plane;
+    # loss_mse takes it from forward. Both must agree at any state.
+    state, _ = perturbed_state(method.tag, 12, 10, 3, 17, scale=0.3, trainable_set=method.trainable_set)
+    rng = np.random.default_rng(17)
+    x, y = rng.standard_normal((10, 24)), rng.standard_normal((12, 24))
+    expected = loss_mse(state, x, y)
+    assert abs(gradient(state, x, y).loss - expected) <= 1e-12 * expected
+    task = make_task(12, 10, 3, seed=17, n=24)
+    run = train(build_adapter(task.w0, method, seed=17), task, TrainConfig(steps=5, lr=1e-2))
+    final = loss_mse(run.final_state, task.probes, task.targets)
+    assert abs(run.loss_trace[-1] - final) <= 1e-12 * final
+
+
 # SHA-256 of loss_trace and the final trainable_vector of a 25-step Adam run
 # per method. They hold only where they were recorded: numpy 2.4.6 with its
 # bundled OpenBLAS 0.3.31, Python 3.11, x86-64. Another numpy or BLAS build may
 # sum in another order and move them while the code is correct; re-record them
 # there. test_deterministic_traces checks run-to-run equality anywhere.
 ADAM_RUN_DIGESTS = {
-    "lora": "7410893af6e43b6e27a7f186fc286097de160e81e66db4b429af6054ce62cdce",
-    "vera": "617e2a1d299861f2550cb6080ebf1125470017d5e239bf09ba5feec4b303c43b",
-    "pissa": "1c6deaabda9e5014141790afad88ab610844c9c5d2f052ce950f7fa59a981832",
-    "osora": "1717f69ba53588aa6a31c9420cacac0aa21994c17c479aeb19259dda546ac408",
-    "osora_k": "c2b7dfc8ed9f8677a438a4b3a02c129c49f2fd7bd067c0c0965dc586a8fa0878",
-    "dora": "024dc88516cd4887d62081e007d187a73416d4fe97f4e7c4fd1bbc9e90c9d5f5",
-    "osora_dora": "381c6008b98a310faec2f91db81473b8dc78356a402c40104a6eada2f7016fd9",
+    "lora": "ae1decf1461144ee2966e57ab6990d7872f40d9d5e8b8b42795b78c98ab02777",
+    "vera": "b39b1ebbc3130eb568d267f16cce962a4de062081469844a7d4b7930c19b8449",
+    "pissa": "2587074c20f1fbd94bc42d46e640d314f15ef0e3dc32330462ac8d956328eb89",
+    "osora": "6a8f6a5034bb685694f2f6542016f93e21d7e37ee621880e2dbf5544742fcf18",
+    "osora_k": "07c9ab398a48fea3e7703cfbefb7d98ba91e0cb9c57f80789be29f9340eb4e68",
+    "dora": "215304d23678f835ca35550a6a21ee24b4eaafed79bad402e36b388c4b5e7311",
+    "osora_dora": "ce70d18b39829d26d5fe695a7befe442df953c0e061f51ce1fbf3c96dacba173",
 }
 
 
