@@ -50,9 +50,11 @@ counts in accounting.py come out exactly.
 Each rule above is one record in `_TABLE`, keyed by tag: the frozen base
 tensor, the trainable slots in flat-layout order, and the init, dense update,
 factored update and per-slot gradient functions, plus `fixed`, the products
-of frozen tensors with the probes that the factored update and the gradient
-read. dora and osora_dora are the lora and osora records with the magnitude
-flag set, a trailing `m` slot, and the row norms of the effective weight.
+of frozen tensors with the probes, and `lift`, the r x n product of the
+probes that the factored update and the gradient share. dora and osora_dora
+are the lora and osora records with the magnitude flag set, a trailing `m`
+slot, the row norms of the effective weight, and a gradient that folds the
+row rescale onto its rank-r factors.
 build_adapter, effective_weight, forward, merge, the slot layout and the
 gradients.py train step are each one generic body over that table.
 """
@@ -146,7 +148,7 @@ def _no_products(fz, x) -> dict[str, np.ndarray]:
 
 @dataclass(frozen=True)
 class _Method:
-    """One method: forward(x) = fz[base] @ x + apply(fz, t, fx, x), merged as fz[base] + delta(fz, t).
+    """One method: forward(x) = fz[base] @ x + apply(fz, t, lift(fz, t, fx, x)), merged as fz[base] + delta(fz, t).
 
     `fz` and `t` are an adapter's frozen and trainable dicts, and `fx` is
     fixed(fz, x). A magnitude method instead rescales each row of that merged
@@ -159,11 +161,17 @@ class _Method:
     # SvdFactors entry for a w0_res base, else the read-only shared copy of w
     init: Callable
     delta: Callable  # (fz, t) -> dense d x k update
-    # (fz, t, fx, x, out) -> out, delta @ x written into the d x n out with one matmul, without
-    # forming delta; any row scale multiplies the d x r factor, never out
+    # (fz, t, fx, x) -> z, the r x n product of the probes that delta @ x factors through:
+    # A X, (diag(o) v_r)^T X, or a fixed product. One step forms it once; apply and grad share it.
+    lift: Callable
+    # (fz, t, z, out) -> out, delta @ x written into the d x n out with one matmul of a d x r
+    # factor and z, without forming delta; any row scale multiplies the d x r factor, never out
     apply: Callable
-    grad: Callable  # (fz, t, fx, r, x) -> {slot: gradient} for the update gradient r x^T; without m
-    products: Callable = _no_products  # (fz, x) -> frozen-times-probe products that apply and grad read
+    # (fz, t, z, r, x) -> {slot: gradient} for the update gradient r x^T; without m. A magnitude
+    # record's grad takes the row scale c as well and returns the gradient for diag(c) r x^T,
+    # plus under "m" the row dots of r with delta @ x, read off the d x r product r z^T.
+    grad: Callable
+    products: Callable = _no_products  # (fz, x) -> frozen-times-probe products that lift and norms read
     # Magnitude methods only: (fz, t, fx) -> (row norms of the effective weight, w),
     # and (fz, t, c, w) -> {slot: gradient} for the update gradient diag(c) w_eff.
     norms: Callable | None = None
@@ -200,8 +208,8 @@ def _vera_init(w: np.ndarray, method: AdapterMethod, seed: int, w0: np.ndarray):
     return frozen, {"d_vec": np.full(r, _VERA_D_INIT), "b_vec": np.zeros(d)}
 
 
-def _vera_grad(fz, t, fx, r, x):
-    b, ax = fz["b_base"], fx["ax"]
+def _vera_grad(fz, t, ax, r, x):
+    b = fz["b_base"]
     g_d = _row_dots((b * t["b_vec"][:, None]).T @ r, ax)
     g_b = _row_dots(r @ (t["d_vec"][:, None] * ax).T, b)
     return {"d_vec": g_d, "b_vec": g_b}
@@ -242,13 +250,23 @@ def _osora_grad_gv(fz, t, gv):
     }
 
 
-def _osora_k_grad(fz, t, fx, r, x):
-    u, v = fz["u_r"], fz["v_r"]
-    ur = u.T @ r  # r x n
+def _osora_k_grad(fz, t, vox, r, x):
+    ur = fz["u_r"].T @ r  # r x n
     return {
-        "s_r": _row_dots(ur, (v * t["o"][:, None]).T @ x),
-        "o": _row_dots(x @ (t["s_r"][:, None] * ur).T, v),
+        "s_r": _row_dots(ur, vox),
+        "o": _row_dots(x @ (t["s_r"][:, None] * ur).T, fz["v_r"]),
     }
+
+
+def _dora_grad(fz, t, ax, r, x, c):
+    b = t["b"]
+    gb = r @ ax.T  # d x r; delta @ x = B (A X)
+    return {"a": ((b * c[:, None]).T @ r) @ x.T, "b": c[:, None] * gb, "m": _row_dots(gb, b)}
+
+
+def _osora_dora_grad(fz, t, vtx, r, x, c):
+    gv = r @ vtx.T  # d x r; delta @ x = diag(o) u_r diag(s_r) (v_r^T X)
+    return {**_osora_grad_gv(fz, t, c[:, None] * gv), "m": t["o"] * _row_dots(gv, fz["u_r"] * t["s_r"])}
 
 
 def _dora_norms(fz, t, fx):
@@ -271,16 +289,18 @@ _LORA = _Method(
     slots=("a", "b"),
     init=_lora_init,
     delta=lambda fz, t: t["b"] @ t["a"],
-    apply=lambda fz, t, fx, x, out: np.matmul(t["b"], t["a"] @ x, out=out),
-    grad=lambda fz, t, fx, r, x: {"a": (t["b"].T @ r) @ x.T, "b": r @ (t["a"] @ x).T},
+    lift=lambda fz, t, fx, x: t["a"] @ x,
+    apply=lambda fz, t, ax, out: np.matmul(t["b"], ax, out=out),
+    grad=lambda fz, t, ax, r, x: {"a": (t["b"].T @ r) @ x.T, "b": r @ ax.T},
 )
 _OSORA = _Method(
     base="w0_res",
     slots=("s_r", "o"),
     init=_osora_init,
     delta=lambda fz, t: t["o"][:, None] * _core(fz, t),
-    apply=lambda fz, t, fx, x, out: np.matmul(fz["u_r"] * t["o"][:, None], t["s_r"][:, None] * fx["vtx"], out=out),
-    grad=lambda fz, t, fx, r, x: _osora_grad_gv(fz, t, r @ fx["vtx"].T),
+    lift=lambda fz, t, fx, x: fx["vtx"],
+    apply=lambda fz, t, vtx, out: np.matmul(fz["u_r"] * t["o"][:, None], t["s_r"][:, None] * vtx, out=out),
+    grad=lambda fz, t, vtx, r, x: _osora_grad_gv(fz, t, r @ vtx.T),
     products=lambda fz, x: {"vtx": fz["v_r"].T @ x},
 )
 _TABLE: dict[str, _Method] = {
@@ -290,9 +310,8 @@ _TABLE: dict[str, _Method] = {
         slots=("d_vec", "b_vec"),
         init=_vera_init,
         delta=lambda fz, t: (t["b_vec"][:, None] * fz["b_base"]) @ (t["d_vec"][:, None] * fz["a_base"]),
-        apply=lambda fz, t, fx, x, out: np.matmul(
-            fz["b_base"] * t["b_vec"][:, None], t["d_vec"][:, None] * fx["ax"], out=out
-        ),
+        lift=lambda fz, t, fx, x: fx["ax"],
+        apply=lambda fz, t, ax, out: np.matmul(fz["b_base"] * t["b_vec"][:, None], t["d_vec"][:, None] * ax, out=out),
         grad=_vera_grad,
         products=lambda fz, x: {"ax": fz["a_base"] @ x},
     ),
@@ -301,15 +320,15 @@ _TABLE: dict[str, _Method] = {
     "osora_k": replace(
         _OSORA,
         delta=lambda fz, t: _core(fz, t) * t["o"][None, :],
-        apply=lambda fz, t, fx, x, out: np.matmul(
-            fz["u_r"], t["s_r"][:, None] * ((fz["v_r"] * t["o"][:, None]).T @ x), out=out
-        ),
+        lift=lambda fz, t, fx, x: (fz["v_r"] * t["o"][:, None]).T @ x,
+        apply=lambda fz, t, vox, out: np.matmul(fz["u_r"], t["s_r"][:, None] * vox, out=out),
         grad=_osora_k_grad,
         products=_no_products,
         o_axis=1,
     ),
     "dora": _with_magnitude(
         _LORA,
+        grad=_dora_grad,
         norms=_dora_norms,
         grad_rows=lambda fz, t, c, w: {"a": (t["b"] * c[:, None]).T @ w, "b": c[:, None] * (w @ t["a"].T)},
     ),
@@ -320,6 +339,7 @@ _TABLE: dict[str, _Method] = {
             "w0_res_v": fz["w0_res"] @ fz["v_r"],
             "w0_res_sq": _row_dots(fz["w0_res"], fz["w0_res"]),
         },
+        grad=_osora_dora_grad,
         norms=_osora_dora_norms,
         grad_rows=lambda fz, t, c, wv: _osora_grad_gv(fz, t, c[:, None] * wv),
     ),
@@ -464,8 +484,9 @@ def forward(state: AdapterState, x) -> np.ndarray:
         w_eff = effective_weight(state)
         y = _dora_scale(state, _row_norms(w_eff))[:, None] * (w_eff @ xa)
     else:
-        fx = entry.fixed(state.frozen, xa)
-        y = entry.apply(state.frozen, state.trainable, fx, xa, np.empty((state.d, xa.shape[1])))
+        fz, t = state.frozen, state.trainable
+        fx = entry.fixed(fz, xa)
+        y = entry.apply(fz, t, entry.lift(fz, t, fx, xa), np.empty((state.d, xa.shape[1])))
         y += fx["base"]
     return y[:, 0] if single else y
 
@@ -512,16 +533,21 @@ def trainable_vector(state: AdapterState) -> np.ndarray:
     return np.concatenate([state.trainable[name].ravel() for name in trainable_slots(state)])
 
 
+def _slot_views(state: AdapterState, flat: np.ndarray) -> dict[str, np.ndarray]:
+    """Views of a flat vector in trainable_vector's layout, shaped like state's active slots."""
+    views, pos = {}, 0
+    for name in trainable_slots(state):
+        arr = state.trainable[name]
+        views[name] = flat[pos : pos + arr.size].reshape(arr.shape)
+        pos += arr.size
+    return views
+
+
 def load_trainable(state: AdapterState, flat) -> None:
-    """Install a flat vector produced by trainable_vector, in place."""
+    """Install a flat vector produced by trainable_vector, in place; a NaN or Inf leaves state as it was."""
     vec = np.ascontiguousarray(flat, dtype=np.float64).ravel()
-    slots = trainable_slots(state)
     total = trainable_count(state.method, state.d, state.k)
     if vec.size != total:
-        raise LengthMismatch(f"expected {total} values for {slots}, got {vec.size}")
-    pos = 0
-    for name in slots:
-        shape = state.trainable[name].shape
-        n = state.trainable[name].size
-        state.trainable[name] = vec[pos : pos + n].reshape(shape).copy()
-        pos += n
+        raise LengthMismatch(f"expected {total} values for {trainable_slots(state)}, got {vec.size}")
+    check_finite(vec, "trainable vector")
+    state.trainable.update({name: view.copy() for name, view in _slot_views(state, vec).items()})

@@ -7,8 +7,12 @@ The loss over n probe columns X (k x n) with targets Y (d x n) is
 so the gradient with respect to the dense update is G = R X^T, where
 R = (pred - Y)/n is the scaled residual. No step forms G. Each method's record
 in the adapters table gives `fixed`, the products of its frozen tensors with
-the probes (w0 X or w0_res X, v_r^T X, a_base X), and `grad`, which chains R
-and X through r x n products: for osora, with H = G v_r = R (v_r^T X)^T,
+the probes (w0 X or w0_res X, v_r^T X, a_base X); `lift`, the r x n product Z
+that its update factors through, delta X = F Z with F d x r (A X for lora,
+pissa and dora, (diag(o) v_r)^T X for osora_k, a fixed product for vera,
+osora and osora_dora); and `grad`, which chains R and X through r x n
+products. A step forms Z once: `apply` multiplies it out and `grad` reads it
+again. For osora, with H = G v_r = R (v_r^T X)^T,
 
     dL/ds_r = diag(u_r^T diag(o) H)
     dL/do   = rowwise sum of H * u_r diag(s_r)
@@ -16,26 +20,30 @@ and X through r x n products: for osora, with H = G v_r = R (v_r^T X)^T,
 so a step costs O(r n (d + k)), not O(d k n). The dora-style magnitude
 rescale contributes the usual normalized-row Jacobian (the row-norm
 denominator is differentiated, not detached): dL/dm = rowwise sum of R * P
-over the row norms, P the prediction before the rescale, and the update
-gradient becomes diag(scale) G - diag(c) w_eff, whose second term each
-magnitude record chains through `grad_rows`. osora_dora expands its row norms
-and w_eff v_r over w0_res v_r, which leans on v_r being orthonormal; dora
-forms w_eff = w0 + B A, the one d x k array a step makes.
+over the row norms, P = base + delta X the prediction before the rescale, and
+the update gradient becomes diag(scale) G - diag(c) w_eff. The first term
+puts diag(scale) on the d x r or r x k side of each product, as osora's o
+already is, and the second each magnitude record chains through `grad_rows`.
+The row sums of R * P are those of R * base plus rowwise (R Z^T) * F, a d x r
+product the gradient already holds: rowwise (R (A X)^T) * B for dora, and
+o * rowwise (R (v_r^T X)^T) * u_r diag(s_r) for osora_dora. osora_dora expands
+its row norms and w_eff v_r over w0_res v_r, which leans on v_r being
+orthonormal; dora forms w_eff = w0 + B A, the one d x k array a step makes.
 
 `gradient` and `training.train` compute the probe products and allocate one
-d x n workspace plane per call (two for a magnitude method), and every step
-of the call writes into it: `apply` writes delta X into the prediction plane,
-which becomes the residual pred - Y in place, and a magnitude method's second
-plane takes its rescaled copy. The loss is one dot product of that plane with
-itself, and the 1/n of R is applied to the slot gradients, which are r, d or
-k long or d x r, r x k, so the residual plane is never rescaled. osora and
-vera scale the rows of their d x r factor, not of the d x n product. So a
-step makes no d x n array and passes over one only to fill it, to read it for
-the loss and to multiply it into the gradient products. What it still makes
-are r x n and d x r (or k x r) products, vectors of length d, k or r, and
-dora's d x k w_eff: vera's b_vec gradient is rowwise (R (diag(d) A X)^T) * B,
-and osora_k applies (diag(o) v_r)^T X and takes its o gradient as rowwise
-(X (diag(s_r) u_r^T R)^T) * v_r.
+d x n workspace plane per call, for every method, and every step of the call
+writes into it: `apply` writes delta X into the plane, `fixed`'s base product
+is added to make the prediction, a magnitude method scales its rows in
+place, and subtracting Y leaves the residual pred - Y. The loss is one dot
+product of that plane with itself, and the 1/n of R is applied to the slot
+gradients, which are r, d or k long or d x r, r x k, so the residual plane is
+never rescaled. osora and vera scale the rows of their d x r factor, not of
+the d x n product. So a step makes no d x n array and passes over one only to
+fill it, to read it for the loss and the m row sums, and to multiply it into
+the gradient products. What it still makes are r x n and d x r (or k x r)
+products, vectors of length d, k or r, and dora's d x k w_eff: vera's b_vec
+gradient is rowwise (R (diag(d) A X)^T) * B, and osora_k takes its o
+gradient as rowwise (X (diag(s_r) u_r^T R)^T) * v_r.
 """
 
 from __future__ import annotations
@@ -50,9 +58,9 @@ from .adapters import (
     AdapterState,
     _dora_scale,
     _row_dots,
+    _slot_views,
     clone_state,
     forward,
-    load_trainable,
     trainable_slots,
     trainable_vector,
 )
@@ -68,8 +76,8 @@ class LossGrad:
     loss: float
     slices: dict[str, np.ndarray]
 
-    def flat(self) -> np.ndarray:
-        return np.concatenate([g.ravel() for g in self.slices.values()])
+    def flat(self, out: np.ndarray | None = None) -> np.ndarray:
+        return np.concatenate([g.ravel() for g in self.slices.values()], out=out)
 
 
 def _check_probes(state: AdapterState, x_probes, y_targets) -> tuple[np.ndarray, np.ndarray]:
@@ -89,29 +97,32 @@ def loss_mse(state: AdapterState, x_probes, y_targets) -> float:
 
 
 def _step(state: AdapterState, fx: dict[str, np.ndarray], x: np.ndarray, y: np.ndarray, ws: np.ndarray) -> LossGrad:
-    """Loss and gradient at state, given fx = fixed(state.frozen, x) and the d x n planes ws of _stepper."""
+    """Loss and gradient at state, given fx = fixed(state.frozen, x) and the d x n plane ws of _stepper."""
     entry = _TABLE[state.method.tag]
     fz, t = state.frozen, state.trainable
-    r = entry.apply(fz, t, fx, x, ws[0])
+    z = entry.lift(fz, t, fx, x)
+    r = entry.apply(fz, t, z, ws)
     r += fx["base"]  # forward's expression, before any rescale
     if entry.magnitude:
         norms, w = entry.norms(fz, t, fx)
         scale = _dora_scale(state, norms)
-        unscaled, r = r, np.multiply(scale[:, None], r, out=ws[1])
+        r *= scale[:, None]
     r -= y
     n = x.shape[1]
     flat = r.ravel()
     loss = 0.5 / n * float(flat @ flat)
-    # r is the unscaled residual pred - Y; the 1/n of R = r/n goes on the small slot gradients.
-    full: dict[str, np.ndarray] = {}
+    # r is the residual pred - Y, not R = r/n; the 1/n goes on the small slot gradients.
     if entry.magnitude:
+        grads = entry.grad(fz, t, z, r, x, scale)
+        # dL/dm_i = r_i . P_i / (n norms_i), P = base + delta @ x the prediction before the rescale;
+        # grad returns the r_i . (delta @ x)_i half.
         inv = np.where(norms > 0.0, 1.0 / np.where(norms > 0.0, norms, 1.0), 0.0)
-        full["m"] = _row_dots(r, unscaled) / n * inv
-        r *= scale[:, None]
-        rows = entry.grad_rows(fz, t, scale * full["m"] * inv, w)
-        full.update({name: g / n - rows[name] for name, g in entry.grad(fz, t, fx, r, x).items()})
+        g_m = (_row_dots(r, fx["base"]) + grads.pop("m")) / n * inv
+        rows = entry.grad_rows(fz, t, scale * g_m * inv, w)
+        full = {name: g / n - rows[name] for name, g in grads.items()}
+        full["m"] = g_m
     else:
-        full.update({name: g / n for name, g in entry.grad(fz, t, fx, r, x).items()})
+        full = {name: g / n for name, g in entry.grad(fz, t, z, r, x).items()}
     return LossGrad(loss=loss, slices={name: full[name] for name in trainable_slots(state)})
 
 
@@ -123,10 +134,9 @@ def _stepper(state: AdapterState, x_probes, y_targets) -> Callable[[AdapterState
     The returned closure is not reentrant: run one step at a time.
     """
     x, y = _check_probes(state, x_probes, y_targets)
-    entry = _TABLE[state.method.tag]
-    fx = entry.fixed(state.frozen, x)
-    # Planes: prediction then residual, and a magnitude method's rescaled residual.
-    ws = np.empty((2 if entry.magnitude else 1, *y.shape))
+    fx = _TABLE[state.method.tag].fixed(state.frozen, x)
+    # Plane: the prediction, rescaled in place by a magnitude method, then the residual.
+    ws = np.empty(y.shape)
     return lambda st: _step(st, fx, x, y, ws)
 
 
@@ -142,23 +152,15 @@ def finite_diff(state: AdapterState, x_probes, y_targets, h: float = FD_STEP) ->
     x, y = _check_probes(state, x_probes, y_targets)
     work = clone_state(state)
     theta0 = trainable_vector(work)
+    theta = theta0.copy()
+    work.trainable.update(_slot_views(work, theta))  # so each write to theta lands in work
     loss0 = loss_mse(work, x, y)
     grad = np.empty_like(theta0)
-    theta = theta0.copy()
     for i in range(theta0.size):
         theta[i] = theta0[i] + h
-        load_trainable(work, theta)
         loss_plus = loss_mse(work, x, y)
         theta[i] = theta0[i] - h
-        load_trainable(work, theta)
         loss_minus = loss_mse(work, x, y)
         theta[i] = theta0[i]
         grad[i] = (loss_plus - loss_minus) / (2.0 * h)
-    slices: dict[str, np.ndarray] = {}
-    pos = 0
-    for name in trainable_slots(state):
-        shape = state.trainable[name].shape
-        n = state.trainable[name].size
-        slices[name] = grad[pos : pos + n].reshape(shape).copy()
-        pos += n
-    return LossGrad(loss=loss0, slices=slices)
+    return LossGrad(loss=loss0, slices=_slot_views(state, grad))

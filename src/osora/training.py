@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .adapters import AdapterState, _shared_svd, clone_state, load_trainable, trainable_vector, weight_digest
+from .adapters import AdapterState, _shared_svd, _slot_views, clone_state, trainable_vector, weight_digest
 from .errors import DimensionMismatch, InvalidConfig, NonFiniteLoss, RankOutOfRange
 from .gradients import _stepper
 from .linalg import SvdFactors, random_matrix
@@ -57,9 +57,10 @@ class TrainConfig:
     def __post_init__(self):
         if self.optimizer not in ("sgd", "adam"):
             raise InvalidConfig(f"optimizer must be sgd or adam, got {self.optimizer!r}")
-        if not isinstance(self.steps, numbers.Integral) or self.steps < 0:
+        # bool is an Integral and a Real, but True is no step count or learning rate.
+        if isinstance(self.steps, bool) or not isinstance(self.steps, numbers.Integral) or self.steps < 0:
             raise InvalidConfig(f"steps must be an integer >= 0, got {self.steps!r}")
-        if not isinstance(self.lr, numbers.Real) or not math.isfinite(self.lr):
+        if isinstance(self.lr, bool) or not isinstance(self.lr, numbers.Real) or not math.isfinite(self.lr):
             raise InvalidConfig(f"lr must be a finite real number, got {self.lr!r}")
 
 
@@ -93,7 +94,8 @@ def train(state: AdapterState, task: ToyTask, config: TrainConfig) -> TrainRun:
     """Full-batch gradient descent on the adapter's trainable vector.
 
     Deterministic for fixed (state, task, config); the input state is left
-    untouched and the returned run owns its final state.
+    untouched and the returned run owns its final state, whose active slots
+    are views of one flat vector.
     """
     if state.d != task.w0.shape[0] or state.k != task.w0.shape[1]:
         raise DimensionMismatch(
@@ -101,27 +103,33 @@ def train(state: AdapterState, task: ToyTask, config: TrainConfig) -> TrainRun:
         )
     work = clone_state(state)
     step_at = _stepper(work, task.probes, task.targets)
+    # The active slots become views of theta, so each update lands in work in place.
     theta = trainable_vector(work)
+    work.trainable.update(_slot_views(work, theta))
     trace = np.empty(config.steps + 1)
-    m = np.zeros_like(theta)
-    v = np.zeros_like(theta)
+    m, v = np.zeros_like(theta), np.zeros_like(theta)
+    g, tmp, m_hat = (np.empty_like(theta) for _ in range(3))
     for step in range(config.steps):
         lg = step_at(work)
         trace[step] = lg.loss
         if not math.isfinite(lg.loss):
             raise NonFiniteLoss(f"loss became non-finite at step {step}")
-        g = lg.flat()
+        lg.flat(out=g)
         if config.optimizer == "sgd":
-            theta -= config.lr * g
+            theta -= np.multiply(config.lr, g, out=g)
         else:
+            # The moment updates and lr * m_hat / (sqrt(v_hat) + eps), operation by operation.
             m *= ADAM_BETA1
-            m += (1.0 - ADAM_BETA1) * g
+            m += np.multiply(1.0 - ADAM_BETA1, g, out=tmp)
             v *= ADAM_BETA2
-            v += (1.0 - ADAM_BETA2) * g * g
-            m_hat = m / (1.0 - ADAM_BETA1 ** (step + 1))
-            v_hat = v / (1.0 - ADAM_BETA2 ** (step + 1))
-            theta -= config.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
-        load_trainable(work, theta)
+            np.multiply(1.0 - ADAM_BETA2, g, out=tmp)
+            v += np.multiply(tmp, g, out=tmp)
+            np.divide(m, 1.0 - ADAM_BETA1 ** (step + 1), out=m_hat)
+            np.divide(v, 1.0 - ADAM_BETA2 ** (step + 1), out=tmp)
+            np.sqrt(tmp, out=tmp)
+            tmp += ADAM_EPS
+            np.multiply(config.lr, m_hat, out=m_hat)
+            theta -= np.divide(m_hat, tmp, out=m_hat)
     trace[config.steps] = step_at(work).loss
     if not math.isfinite(trace[config.steps]):
         raise NonFiniteLoss(f"loss became non-finite at step {config.steps}")

@@ -17,6 +17,7 @@ from osora import (
     AdapterMethod,
     DimensionMismatch,
     LengthMismatch,
+    NonFiniteInput,
     RankOutOfRange,
     TrainConfig,
     build_adapter,
@@ -184,6 +185,16 @@ class TestTrainableVector:
         state, _ = perturbed_state("osora", 5, 5, 2, 2)
         with pytest.raises(LengthMismatch):
             load_trainable(state, np.zeros(3))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_nonfinite_vector_rejected_before_install(self, bad):
+        state, _ = perturbed_state("osora", 5, 5, 2, 2)
+        before = {name: arr.tobytes() for name, arr in state.trainable.items()}
+        theta = trainable_vector(state)
+        theta[3] = bad
+        with pytest.raises(NonFiniteInput):
+            load_trainable(state, theta)
+        assert {name: arr.tobytes() for name, arr in state.trainable.items()} == before
 
 
 class TestInvariants:
