@@ -22,6 +22,7 @@ from importlib import resources
 
 from .adapters import _TABLE, METHODS, AdapterMethod, trainable_count
 from .errors import InvalidConfig, RankOutOfRange
+from .linalg import check_integers
 
 
 @dataclass(frozen=True)
@@ -50,6 +51,7 @@ class ParamReport:
 def _check_dims(method: str, d: int, k: int, r: int) -> None:
     if method not in METHODS:
         raise InvalidConfig(f"unknown method {method!r}; expected one of {METHODS}")
+    check_integers(d=d, k=k, rank=r)
     if d < 1 or k < 1:
         raise InvalidConfig(f"dims must be positive, got {d}x{k}")
     if r < 1:
@@ -92,6 +94,7 @@ def scaling_sweep(preset: ShapePreset, methods: list[str], ranks: list[int]) -> 
 
 def param_ratio(d: int, k: int, r: int) -> float:
     """Trainable-parameter ratio of the r+d vector methods over a rank-r lora pair."""
+    check_integers(d=d, k=k, rank=r)
     if d < 1 or k < 1 or r < 1:
         raise InvalidConfig(f"dims and rank must be positive, got d={d} k={k} r={r}")
     return (r + d) / (r * (d + k))

@@ -6,31 +6,25 @@ every adapter folds into a single dense matrix via merge() with no residual
 inference cost. Frozen tensors are stored as read-only arrays; training only
 ever touches the trainable dict.
 
-A build over the same weight bytes, shape, method and seed as an adapter
-still alive in the process shares that adapter's frozen dict and starts from
-copies of its initial trainables, so it runs no second SVD. The build is
-deterministic, so either path yields the same bytes. The registry holds its
-entries weakly: one lives exactly as long as some state holds its frozen
-dict, and never mutating a state's frozen dict is what makes sharing safe.
-Only a build or checkpoint load within the process that still holds the
-first adapter gains; a load in a fresh process (say, of the adapter.ckpt
-that `osora train` wrote) rebuilds in full, as before.
+Builds over one weight share its frozen tensors through two weak registries.
+pissa and the osora family freeze the top-r SVD of w0: one entry per (shape,
+weight digest, rank) holds read-only u_r, s_r, v_r and the residual
+w0 - u_r diag(s_r) v_r^T, whatever the method, seed, o_init or ablation.
+`training.make_task` gets its factors there too, so a task and every
+SVD-initialised build of rank r_gap over its weight run one SVD between them.
+With o_init "ones" the initial update is exactly u_r diag(s_r) v_r^T, so such
+a build's w0_res is the shared residual itself. lora, vera and dora freeze w0
+itself and share one read-only copy of it per (shape, weight digest).
 
-pissa and the osora family freeze the top-r SVD of w0, so they also share
-one decomposition per weight and rank. A second weak registry maps (shape,
-weight digest, rank) to read-only u_r, s_r, v_r and the residual
-w0 - u_r diag(s_r) v_r^T; method, seed, o_init and ablation are not in its
-key. `training.make_task` gets its factors there too, so a task and every
-SVD-initialised build of rank r_gap over its weight run one SVD between
-them. Each frozen dict built from an entry, and each task, holds the entry,
-so it lives while any of them does. With o_init "ones" the initial update is
-exactly u_r diag(s_r) v_r^T, so such a build's w0_res is the shared residual
-itself; a gaussian-o_init build computes its own, and keeps the shared one
-alive as well.
-
-lora, vera and dora freeze w0 itself. Their builds over one weight share
-one read-only copy of it, through a third weak registry keyed by (shape,
-weight digest), whatever their method, rank and seed.
+Every build and every checkpoint load makes its own frozen dict over those
+shared tensors, and its own trainables, and runs no SVD while an adapter or a
+task over the weight lives. The dict holds its factor entry (`factors`) or its
+w0 copy, so an entry lives exactly as long as something built on it; never
+mutating a frozen tensor is what makes sharing safe. The rest is recomputed
+by each build, deterministically: vera's two seeded draws, a gaussian-o_init
+build's own w0_res, and a magnitude build's initial m. A load in a fresh
+process (say, of the adapter.ckpt that `osora train` wrote) decomposes again,
+to the same bytes.
 
 Forward rules, for base weight w0 of shape d x k and column input x:
 
@@ -48,7 +42,7 @@ vector therefore has length d; this is what makes the per-target trainable
 counts in accounting.py come out exactly.
 
 Each rule above is one record in `_TABLE`, keyed by tag: the frozen base
-tensor, the trainable slots in flat-layout order, and the init, dense update,
+tensor, the trainable slots in flat-layout order, and the build, dense update,
 factored update and per-slot gradient functions, plus `fixed`, the products
 of frozen tensors with the probes, and `lift`, the r x n product of the
 probes that the factored update and the gradient share. dora and osora_dora
@@ -69,7 +63,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidConfig, LengthMismatch, RankOutOfRange
-from .linalg import SvdFactors, as_matrix, check_finite, random_matrix, svd_truncated
+from .linalg import SvdFactors, as_matrix, check_finite, check_integers, check_seed, random_matrix, svd_truncated
 
 METHODS = ("lora", "vera", "pissa", "osora", "osora_k", "dora", "osora_dora")
 OSORA_FAMILY = ("osora", "osora_k", "osora_dora")
@@ -98,6 +92,7 @@ class AdapterMethod:
     def __post_init__(self):
         if self.tag not in METHODS:
             raise InvalidConfig(f"unknown method tag {self.tag!r}; expected one of {METHODS}")
+        check_integers(rank=self.rank)
         if self.rank < 1:
             raise RankOutOfRange(f"rank must be >= 1, got {self.rank}")
         if self.o_init not in O_INITS:
@@ -159,7 +154,7 @@ class _Method:
     slots: tuple[str, ...]  # trainable slots in flat-layout order
     # (w, method, seed, shared) -> (frozen, trainable), without m; shared is the
     # SvdFactors entry for a w0_res base, else the read-only shared copy of w
-    init: Callable
+    build: Callable
     delta: Callable  # (fz, t) -> dense d x k update
     # (fz, t, fx, x) -> z, the r x n product of the probes that delta @ x factors through:
     # A X, (diag(o) v_r)^T X, or a fixed product. One step forms it once; apply and grad share it.
@@ -287,7 +282,7 @@ def _osora_dora_norms(fz, t, fx):
 _LORA = _Method(
     base="w0",
     slots=("a", "b"),
-    init=_lora_init,
+    build=_lora_init,
     delta=lambda fz, t: t["b"] @ t["a"],
     lift=lambda fz, t, fx, x: t["a"] @ x,
     apply=lambda fz, t, ax, out: np.matmul(t["b"], ax, out=out),
@@ -296,7 +291,7 @@ _LORA = _Method(
 _OSORA = _Method(
     base="w0_res",
     slots=("s_r", "o"),
-    init=_osora_init,
+    build=_osora_init,
     delta=lambda fz, t: t["o"][:, None] * _core(fz, t),
     lift=lambda fz, t, fx, x: fx["vtx"],
     apply=lambda fz, t, vtx, out: np.matmul(fz["u_r"] * t["o"][:, None], t["s_r"][:, None] * vtx, out=out),
@@ -308,14 +303,14 @@ _TABLE: dict[str, _Method] = {
     "vera": _Method(
         base="w0",
         slots=("d_vec", "b_vec"),
-        init=_vera_init,
+        build=_vera_init,
         delta=lambda fz, t: (t["b_vec"][:, None] * fz["b_base"]) @ (t["d_vec"][:, None] * fz["a_base"]),
         lift=lambda fz, t, fx, x: fx["ax"],
         apply=lambda fz, t, ax, out: np.matmul(fz["b_base"] * t["b_vec"][:, None], t["d_vec"][:, None] * ax, out=out),
         grad=_vera_grad,
         products=lambda fz, x: {"ax": fz["a_base"] @ x},
     ),
-    "pissa": replace(_LORA, base="w0_res", init=_pissa_init),
+    "pissa": replace(_LORA, base="w0_res", build=_pissa_init),
     "osora": _OSORA,
     "osora_k": replace(
         _OSORA,
@@ -350,20 +345,10 @@ _ABLATION_SLOTS = {"only_s": ("s_r",), "only_o": ("o",)}
 
 
 class _Frozen(dict):
-    """Read-only frozen tensors of one build.
+    """Read-only frozen tensors of one build; `factors` keeps alive the shared SVD entry (None for lora, vera, dora)."""
 
-    `init` holds read-only copies of its initial trainables, and `factors` the
-    shared SVD entry the build started from (None for lora, vera and dora),
-    which keeps that entry alive.
-    """
+    __slots__ = ("factors",)
 
-    __slots__ = ("__weakref__", "init", "factors")
-
-
-# (shape, weight digest, method, seed) -> the frozen tensors of a live build.
-# The digest leaves the shape out. Two threads racing on one key only repeat
-# the build, and both results hold the same bytes.
-_LIVE: weakref.WeakValueDictionary[tuple, _Frozen] = weakref.WeakValueDictionary()
 
 # (shape, weight digest, rank) -> read-only truncated factors of a weight that
 # some live task or build holds; a race on one key only repeats the SVD.
@@ -374,10 +359,9 @@ _FACTORS: weakref.WeakValueDictionary[tuple, SvdFactors] = weakref.WeakValueDict
 _BASES: weakref.WeakValueDictionary[tuple, np.ndarray] = weakref.WeakValueDictionary()
 
 
-def _read_only(tensors: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-    for arr in tensors.values():
+def _read_only(*arrays: np.ndarray) -> None:
+    for arr in arrays:
         arr.setflags(write=False)
-    return tensors
 
 
 def _shared_svd(w: np.ndarray, digest: bytes, r: int) -> SvdFactors:
@@ -390,8 +374,7 @@ def _shared_svd(w: np.ndarray, digest: bytes, r: int) -> SvdFactors:
     f = _FACTORS.get(key)
     if f is None:
         f = svd_truncated(w, r)
-        for arr in (f.u_r, f.s_r, f.v_r, f.residual):
-            arr.setflags(write=False)
+        _read_only(f.u_r, f.s_r, f.v_r, f.residual)
         _FACTORS[key] = f
     return f
 
@@ -402,7 +385,7 @@ def _shared_base(w: np.ndarray, digest: bytes) -> np.ndarray:
     base = _BASES.get(key)
     if base is None:
         base = w.copy()
-        base.setflags(write=False)
+        _read_only(base)
         _BASES[key] = base
     return base
 
@@ -410,11 +393,11 @@ def _shared_base(w: np.ndarray, digest: bytes) -> np.ndarray:
 def build_adapter(w0, method: AdapterMethod, seed: int) -> AdapterState:
     """Construct an adapter at the identity point: forward(x) == w0 @ x.
 
-    SVD-based methods decompose w0 here, unless a live adapter of the same
-    weight, method and seed, or a live task or SVD-based adapter of the same
-    weight and rank, already did; the residual is computed with the initial
-    trainable values and frozen thereafter.
+    SVD-based methods decompose w0 here, unless a live task or SVD-based
+    adapter of the same weight and rank already did; the residual is computed
+    with the initial trainable values and frozen thereafter.
     """
+    check_seed(seed)
     w = as_matrix(w0, "w0")
     return _build_adapter(w, weight_digest(w), method, seed)
 
@@ -422,33 +405,18 @@ def build_adapter(w0, method: AdapterMethod, seed: int) -> AdapterState:
 def _build_adapter(w: np.ndarray, digest: bytes, method: AdapterMethod, seed: int) -> AdapterState:
     """build_adapter over a float64 matrix w whose weight_digest the caller has already taken."""
     check_finite(w, "w0")
-    key = (w.shape, digest, method, seed)
-    frozen = _LIVE.get(key)
-    if frozen is None:
-        frozen = _build_frozen(w, digest, method, seed)
-        _LIVE[key] = frozen
-    return AdapterState(
-        method=method,
-        d=w.shape[0],
-        k=w.shape[1],
-        seed=seed,
-        frozen=frozen,
-        trainable={name: arr.copy() for name, arr in frozen.init.items()},
-        w0_digest=digest,
-    )
-
-
-def _build_frozen(w: np.ndarray, digest: bytes, method: AdapterMethod, seed: int) -> _Frozen:
     entry = _TABLE[method.tag]
     svd = entry.base == "w0_res"
     shared = _shared_svd(w, digest, method.rank) if svd else _shared_base(w, digest)
-    frozen, trainable = entry.init(w, method, seed, shared)
+    frozen, trainable = entry.build(w, method, seed, shared)
     if entry.magnitude:  # start each row at its own norm, so the rescale is the identity
         trainable["m"] = _row_norms(frozen[entry.base] + entry.delta(frozen, trainable))
-    out = _Frozen(_read_only(frozen))
-    out.init = _read_only(trainable)
-    out.factors = shared if svd else None
-    return out
+    _read_only(*frozen.values())
+    frozen = _Frozen(frozen)
+    frozen.factors = shared if svd else None
+    return AdapterState(
+        method=method, d=w.shape[0], k=w.shape[1], seed=seed, frozen=frozen, trainable=trainable, w0_digest=digest
+    )
 
 
 def clone_state(state: AdapterState) -> AdapterState:

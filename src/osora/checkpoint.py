@@ -19,14 +19,15 @@ Format version 1, all integers little-endian. Header (68 bytes):
 A trainable-only checkpoint is the header followed by the flat trainable
 vector as f64-LE; nothing else. Before anything is built, loading checks the
 digest, the header codes and the payload (its length, and that every value
-is finite). It then obtains the frozen tensors through build_adapter's
+is finite). It then builds the frozen tensors through build_adapter's
 builder, handing it the checked digest so the weight is hashed once,
 installs the payload, and checks that the merged weight is finite, as are
-the row norms that a magnitude method divides by. While an
-adapter of the same weight, method and seed is alive in the process (the one
-just saved, say, or a clone of it), the load reuses its frozen tensors and
-runs no SVD; otherwise it re-runs the deterministic build (seeded generators
-plus the sign-fixed SVD). Either way a reload reproduces the saved adapter
+the row norms that a magnitude method divides by. Every load builds its own
+frozen dict, over the factors and residual shared per (weight, rank) and the
+w0 copy shared per weight (see adapters.py), so it runs no SVD while an
+adapter or task over that weight lives (the one just saved, say); the rest
+comes again from the seeded generators, and with nothing alive the factors
+from the sign-fixed SVD. Either way a reload reproduces the saved adapter
 bit for bit.
 
 Because the frozen factors are rebuilt, the SVD's output bytes are part of
@@ -66,7 +67,7 @@ from .adapters import (
     weight_digest,
 )
 from .errors import CorruptPayload, DigestMismatch, InvalidConfig, IoFailure, RankOutOfRange, VersionUnsupported
-from .linalg import as_matrix
+from .linalg import as_matrix, check_seed
 
 MAGIC = b"OSRA"
 FORMAT_VERSION = 1
@@ -81,8 +82,7 @@ _METHOD_NONE = 255
 
 
 def _pack_header(state: AdapterState) -> bytes:
-    if not 0 <= state.seed < 2**64:
-        raise InvalidConfig(f"seed must fit in u64, got {state.seed}")
+    check_seed(state.seed)
     m = state.method
     return _HEADER.pack(
         MAGIC,

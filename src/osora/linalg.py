@@ -11,6 +11,7 @@ checkpoint format relies on to rebuild frozen factors from a seed.
 from __future__ import annotations
 
 import math
+import numbers
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -37,6 +38,20 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     if m.ndim != 2 or m.shape[0] < 1 or m.shape[1] < 1:
         raise DimensionMismatch(f"{name} must be 2-D with positive dims, got shape {m.shape}")
     return m
+
+
+def check_integers(**values) -> None:
+    """Raise InvalidConfig unless every value is an integer; bool is an Integral, but True is no count."""
+    for name, value in values.items():
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise InvalidConfig(f"{name} must be an integer, got {value!r}")
+
+
+def check_seed(seed) -> None:
+    """Raise InvalidConfig unless seed is an integer in [0, 2**64), the checkpoint's u64 seed field."""
+    check_integers(seed=seed)
+    if not 0 <= seed < 2**64:
+        raise InvalidConfig(f"seed must be in [0, 2**64), got {seed}")
 
 
 def check_finite(a: np.ndarray, name: str = "input") -> None:

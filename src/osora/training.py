@@ -18,7 +18,7 @@ import numpy as np
 from .adapters import AdapterState, _shared_svd, _slot_views, clone_state, trainable_vector, weight_digest
 from .errors import DimensionMismatch, InvalidConfig, NonFiniteLoss, RankOutOfRange
 from .gradients import _stepper
-from .linalg import SvdFactors, random_matrix
+from .linalg import SvdFactors, check_integers, check_seed, random_matrix
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -73,10 +73,13 @@ class TrainRun:
 
 def make_task(d: int, k: int, r_gap: int, seed: int, n: int | None = None) -> ToyTask:
     """Seeded task whose w0-to-teacher gap sits in w0's own top-r_gap subspace."""
+    check_integers(d=d, k=k, r_gap=r_gap)
+    check_seed(seed)
     if r_gap < 1 or r_gap > min(d, k):
         raise RankOutOfRange(f"r_gap {r_gap} outside [1, {min(d, k)}]")
     if n is None:
         n = 2 * max(d, k)
+    check_integers(n=n)
     if n < d:
         raise DimensionMismatch(f"need at least d={d} probe columns, got {n}")
     w0 = random_matrix(d, k, (seed, _SLOT_W0), "gaussian")

@@ -1,9 +1,43 @@
 import numpy as np
 import pytest
 
+import osora.adapters
+from osora.adapters import METHODS, OSORA_FAMILY
 from osora.verify import perturbed_state, rel_inf  # noqa: F401  (test modules import them from here)
 
 
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+@pytest.fixture
+def svd_calls(monkeypatch):
+    """The shapes of the SVDs that builds, loads and tasks run, in call order."""
+    calls = []
+    real = osora.adapters.svd_truncated
+
+    def counted(w, r):
+        calls.append(np.shape(w))
+        return real(w, r)
+
+    monkeypatch.setattr(osora.adapters, "svd_truncated", counted)
+    return calls
+
+
+# Every method, at both o_init values where it has them.
+LIVE_BUILDS = [(tag, "ones") for tag in METHODS] + [(tag, "gaussian") for tag in OSORA_FAMILY]
+
+
+def assert_frozen_rebuilt_over_shared(got, live):
+    """got was built while live lived: its own frozen dict, with equal bytes, that holds the shared tensors.
+
+    Those are u_r, v_r and w0, and the residual of an o_init "ones" build; vera's
+    draws and a gaussian build's residual are its own.
+    """
+    assert got.frozen is not live.frozen and got.frozen.factors is live.frozen.factors
+    shared = {"w0", "u_r", "v_r"} | ({"w0_res"} if live.method.o_init == "ones" else set())
+    assert {name for name, arr in got.frozen.items() if arr is live.frozen[name]} == shared & live.frozen.keys()
+    assert {name: arr.tobytes() for name, arr in got.frozen.items()} == {
+        name: arr.tobytes() for name, arr in live.frozen.items()
+    }

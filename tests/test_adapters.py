@@ -11,11 +11,12 @@ import osora.adapters
 from osora.adapters import O_INITS, OSORA_FAMILY, trainable_count, weight_digest
 from osora.linalg import as_matrix
 from osora.verify import check_init_identity, check_merge
-from conftest import perturbed_state, rel_inf
+from conftest import LIVE_BUILDS, assert_frozen_rebuilt_over_shared, perturbed_state, rel_inf
 from osora import (
     METHODS,
     AdapterMethod,
     DimensionMismatch,
+    InvalidConfig,
     LengthMismatch,
     NonFiniteInput,
     RankOutOfRange,
@@ -89,6 +90,22 @@ class TestBuild:
             AdapterMethod(tag="vera", rank=2, o_init="gaussian")
         with pytest.raises(RankOutOfRange):
             AdapterMethod(tag="osora", rank=0)
+
+    @pytest.mark.parametrize("rank", [True, "3", np.float64(2)], ids=["bool", "str", "np_float"])
+    def test_non_integer_rank_rejected(self, rank):
+        with pytest.raises(InvalidConfig):
+            AdapterMethod(tag="osora", rank=rank)
+        with pytest.raises(InvalidConfig):
+            count_trainable("osora", 8, 8, rank)
+
+    @pytest.mark.parametrize("seed", [-1, 2**64, 1.5, True], ids=["negative", "past_u64", "float", "bool"])
+    def test_seed_outside_u64_rejected(self, seed):
+        with pytest.raises(InvalidConfig):
+            build_adapter(np.eye(4), AdapterMethod(tag="osora", rank=1), seed=seed)
+
+    def test_numpy_integers_are_counts_and_seeds(self):
+        state = build_adapter(np.eye(4), AdapterMethod(tag="osora", rank=np.int64(2)), seed=np.uint64(2**64 - 1))
+        assert trainable_vector(state).size == count_trainable("osora", np.int32(4), 4, np.int64(2)) == 6
 
 
 class TestForward:
@@ -229,21 +246,9 @@ class TestInvariants:
         assert np.sqrt(((best - target.ravel()) ** 2).sum()) > 1e-3
 
 
-@pytest.fixture
-def svd_calls(monkeypatch):
-    """Count the SVDs that build_adapter runs."""
-    calls = []
-    real = osora.adapters.svd_truncated
-
-    def counted(w, r):
-        calls.append(np.shape(w))
-        return real(w, r)
-
-    monkeypatch.setattr(osora.adapters, "svd_truncated", counted)
-    return calls
-
-
 class TestLiveRegistry:
+    """A rebuild while an adapter over the weight lives: its own frozen dict and trainables over the shared tensors."""
+
     def test_second_build_shares_frozen_and_starts_at_init(self, svd_calls):
         w0 = random_matrix(9, 7, 60, "gaussian")
         method = AdapterMethod(tag="osora", rank=3)
@@ -253,7 +258,7 @@ class TestLiveRegistry:
         first.trainable["o"][0] = 7.0  # in place, too
         second = build_adapter(w0, method, seed=61)
         assert len(svd_calls) == 1
-        assert second.frozen is first.frozen
+        assert second.frozen is not first.frozen and second.frozen.factors is first.frozen.factors
         for name, arr in first.frozen.items():
             assert second.frozen[name] is arr
         assert {name: arr.tobytes() for name, arr in second.trainable.items()} == init
@@ -267,7 +272,7 @@ class TestLiveRegistry:
         run = train(first, task, TrainConfig(steps=20, lr=1e-2))
         assert trainable_vector(run.final_state).tobytes() != init
         second = build_adapter(task.w0, method, seed=62)
-        assert second.frozen is first.frozen
+        assert second.frozen.factors is first.frozen.factors
         assert trainable_vector(second).tobytes() == init
         assert len(svd_calls) == 1
 
@@ -278,7 +283,7 @@ class TestLiveRegistry:
         clone = clone_state(first)
         del first
         gc.collect()
-        assert build_adapter(w0, method, seed=64).frozen is clone.frozen
+        assert build_adapter(w0, method, seed=64).frozen.factors is clone.frozen.factors
         assert len(svd_calls) == 1
 
     def test_entry_dies_with_the_last_state(self, svd_calls):
@@ -294,6 +299,19 @@ class TestLiveRegistry:
         assert {name: arr.tobytes() for name, arr in again.frozen.items()} == frozen_bytes
         assert trainable_vector(again).tobytes() == init
 
+    @pytest.mark.parametrize("tag,o_init", LIVE_BUILDS)
+    def test_rebuild_of_a_live_adapter_runs_no_svd(self, tag, o_init, svd_calls):
+        w0 = random_matrix(9, 7, 69, "gaussian")
+        method = AdapterMethod(tag=tag, rank=2, o_init=o_init)
+        first = build_adapter(w0, method, seed=69)
+        init = {name: arr.tobytes() for name, arr in first.trainable.items()}
+        load_trainable(first, trainable_vector(first) + 0.5)
+        calls = len(svd_calls)
+        second = build_adapter(w0, method, seed=69)
+        assert len(svd_calls) == calls
+        assert_frozen_rebuilt_over_shared(second, first)
+        assert {name: arr.tobytes() for name, arr in second.trainable.items()} == init
+
     @pytest.mark.parametrize(
         "reshape,fields,seed,same_svd",
         [
@@ -306,12 +324,11 @@ class TestLiveRegistry:
         ids=["seed", "rank", "o_init", "trainable_set", "shape"],
     )
     def test_nothing_shared_across_keys(self, reshape, fields, seed, same_svd, svd_calls):
-        # No frozen dict crosses a live-adapter key; the SVD factors cross all but shape and rank.
+        # The SVD factors cross every key but shape and rank.
         w0 = random_matrix(6, 8, 67, "gaussian")
         first = build_adapter(w0, AdapterMethod(tag="osora", rank=2), seed=67)
         w = w0.reshape(8, 6) if reshape else w0  # same bytes, other shape
         other = build_adapter(w, AdapterMethod(**{"tag": "osora", "rank": 2, **fields}), seed=seed)
-        assert other.frozen is not first.frozen
         if same_svd:
             assert other.frozen["u_r"] is first.frozen["u_r"] and other.frozen["v_r"] is first.frozen["v_r"]
             assert len(svd_calls) == 1

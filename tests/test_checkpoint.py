@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import osora.adapters
 import osora.checkpoint
-from conftest import perturbed_state
+from conftest import assert_frozen_rebuilt_over_shared, perturbed_state
 from osora import (
     AdapterMethod,
     CorruptPayload,
@@ -37,6 +37,7 @@ from osora.checkpoint import (
     save,
     save_snapshot,
 )
+from osora.adapters import O_INITS, OSORA_FAMILY
 from osora.verify import verify_persist
 
 
@@ -51,6 +52,16 @@ def test_roundtrip_is_bitwise(tag, tmp_path, rng):
     assert np.abs(merge(state) - merge(loaded)).max() <= 1e-12
     for name, arr in state.frozen.items():
         assert loaded.frozen[name].tobytes() == arr.tobytes()
+
+
+@pytest.mark.parametrize("tag", ["vera", "osora"])
+def test_largest_u64_seed_round_trips(tag, tmp_path):
+    w0 = random_matrix(6, 5, 24, "gaussian")
+    state = build_adapter(w0, AdapterMethod(tag=tag, rank=2, o_init="gaussian" if tag == "osora" else "ones"), 2**64 - 1)
+    save(state, tmp_path / "u64.ckpt")
+    loaded = load(tmp_path / "u64.ckpt", w0)
+    assert loaded.seed == 2**64 - 1
+    assert trainable_vector(loaded).tobytes() == trainable_vector(state).tobytes()
 
 
 @pytest.mark.parametrize("tag,d,k,r", [("osora", 4096, 4096, 512), ("osora", 12, 30, 5)])
@@ -284,19 +295,22 @@ def test_overflowing_row_norm_is_corrupt(tag, tmp_path):
 
 
 @pytest.mark.parametrize("tag", METHODS)
-def test_load_of_a_live_adapter_runs_no_svd(tag, tmp_path, rng, monkeypatch):
-    state, w0 = perturbed_state(tag, 9, 7, 2, 37)
-    path = tmp_path / "live.ckpt"
-    save(state, path)
-    monkeypatch.setattr(osora.adapters, "svd_truncated", _unreachable)
-    loaded = load(path, w0)
-    assert loaded.frozen is state.frozen
-    x = rng.standard_normal((7, 3))
-    assert forward(loaded, x).tobytes() == forward(state, x).tobytes()
+def test_load_of_a_live_adapter_runs_no_svd(tag, tmp_path, rng, svd_calls):
+    for o_init in O_INITS if tag in OSORA_FAMILY else ("ones",):
+        state, w0 = perturbed_state(tag, 9, 7, 2, 37, o_init=o_init)
+        path = tmp_path / f"live-{o_init}.ckpt"
+        save(state, path)
+        calls = len(svd_calls)
+        loaded = load(path, w0)
+        assert len(svd_calls) == calls
+        assert_frozen_rebuilt_over_shared(loaded, state)
+        assert not any(loaded.trainable[name] is arr for name, arr in state.trainable.items())
+        x = rng.standard_normal((7, 3))
+        assert forward(loaded, x).tobytes() == forward(state, x).tobytes()
 
 
 @pytest.mark.parametrize("tag", METHODS)
-def test_cold_rebuild_is_bitwise(tag, tmp_path, rng):
+def test_cold_rebuild_is_bitwise(tag, tmp_path, rng, svd_calls):
     state, w0 = perturbed_state(tag, 9, 7, 2, 38)
     clone = clone_state(state)
     path = tmp_path / "cold.ckpt"
@@ -304,17 +318,20 @@ def test_cold_rebuild_is_bitwise(tag, tmp_path, rng):
     x = rng.standard_normal((7, 3))
     want_forward = forward(state, x).tobytes()
     want_frozen = {name: arr.tobytes() for name, arr in state.frozen.items()}
-    gone = weakref.ref(state.frozen)
-    del state, clone
+    factors = state.frozen.factors
+    gone = weakref.ref(state.frozen["w0"] if factors is None else factors)
+    del state, clone, factors
     gc.collect()
     assert gone() is None  # nothing left to share: the load must rebuild
+    calls = len(svd_calls)
     loaded = load(path, w0)
+    assert len(svd_calls) == calls + (loaded.frozen.factors is not None)
     assert forward(loaded, x).tobytes() == want_forward
     assert {name: arr.tobytes() for name, arr in loaded.frozen.items()} == want_frozen
 
 
 @pytest.mark.parametrize("tag", ["osora", "osora_k", "osora_dora", "pissa"])
-def test_cold_rebuild_over_a_rank_deficient_weight(tag, tmp_path, rng):
+def test_cold_rebuild_over_a_rank_deficient_weight(tag, tmp_path, rng, svd_calls):
     # An exact rank-2 weight at adapter rank 4: u_r holds two QR-completed columns.
     w0 = random_matrix(12, 2, (43, 1), "gaussian") @ random_matrix(2, 10, (43, 2), "gaussian")
     state = build_adapter(w0, AdapterMethod(tag=tag, rank=4), 43)
@@ -325,28 +342,21 @@ def test_cold_rebuild_over_a_rank_deficient_weight(tag, tmp_path, rng):
     x = rng.standard_normal((10, 3))
     want_forward = forward(state, x).tobytes()
     want_frozen = {name: arr.tobytes() for name, arr in state.frozen.items()}
-    live, factors = weakref.ref(state.frozen), weakref.ref(state.frozen.factors)
+    factors = weakref.ref(state.frozen.factors)
     del state
     gc.collect()
-    assert live() is None and factors() is None  # the _LIVE and _FACTORS entries are gone
+    assert factors() is None  # the shared factor entry is gone
     loaded = load(path, w0)
+    assert svd_calls == [(12, 10), (12, 10)]  # the build's SVD, and the load's again
     assert not loaded.frozen.factors.s_r[2:].any()
     assert forward(loaded, x).tobytes() == want_forward
     assert {name: arr.tobytes() for name, arr in loaded.frozen.items()} == want_frozen
 
 
-def test_verify_persist_runs_the_cold_rebuild(monkeypatch):
-    calls = []
-    real = osora.adapters.svd_truncated
-
-    def counted(w, r):
-        calls.append(np.shape(w))
-        return real(w, r)
-
-    monkeypatch.setattr(osora.adapters, "svd_truncated", counted)
+def test_verify_persist_runs_the_cold_rebuild(svd_calls):
     assert all(row.passed for row in verify_persist(seed=3))
     svd_methods = [tag for tag in METHODS if tag == "pissa" or tag.startswith("osora")]
-    assert len(calls) == 2 * len(svd_methods)  # one build and one load each; the load shares nothing
+    assert len(svd_calls) == 2 * len(svd_methods)  # one build and one load each; the load shares nothing
 
 
 @pytest.fixture(scope="module")

@@ -8,6 +8,7 @@ from osora import (
     count_trainable,
     finite_diff,
     get_preset,
+    make_task,
     param_ratio,
     random_matrix,
     save,
@@ -27,15 +28,23 @@ def _state_with_seed(seed):
 BAD_CALLS = {
     "count_unknown_method": lambda tmp: count_trainable("nope", 4, 4, 1),
     "count_nonpositive_dims": lambda tmp: count_trainable("lora", 0, 4, 1),
+    "count_non_integer_dims": lambda tmp: count_trainable("osora", 8.5, 8, 2),
     "sweep_unsorted_ranks": lambda tmp: scaling_sweep(get_preset("mistral7b_v03"), ["osora"], [2, 1]),
     "ratio_nonpositive_dims": lambda tmp: param_ratio(0, 4, 1),
+    "ratio_boolean_rank": lambda tmp: param_ratio(8, 8, True),
     "unknown_preset": lambda tmp: get_preset("nope"),
     "method_unknown_tag": lambda tmp: AdapterMethod(tag="nope", rank=1),
+    "method_non_integer_rank": lambda tmp: AdapterMethod(tag="osora", rank=2.0),
     "method_unknown_o_init": lambda tmp: AdapterMethod(tag="osora", rank=1, o_init="zeros"),
     "method_o_init_outside_osora": lambda tmp: AdapterMethod(tag="lora", rank=1, o_init="gaussian"),
     "method_unknown_trainable_set": lambda tmp: AdapterMethod(tag="osora", rank=1, trainable_set="only_x"),
     "method_ablation_outside_osora": lambda tmp: AdapterMethod(tag="lora", rank=1, trainable_set="only_s"),
+    "build_negative_seed": lambda tmp: build_adapter(np.eye(4), AdapterMethod(tag="lora", rank=1), seed=-1),
     "save_seed_past_u64": lambda tmp: save(_state_with_seed(2**64), tmp / "a.ckpt"),
+    "save_non_integer_seed": lambda tmp: save(_state_with_seed(1.5), tmp / "a.ckpt"),
+    "task_non_integer_dims": lambda tmp: make_task(8.0, 8, 2, 0),
+    "task_non_integer_probe_count": lambda tmp: make_task(8, 8, 2, 0, n=16.0),
+    "task_negative_seed": lambda tmp: make_task(8, 8, 2, seed=-1),
     "snapshot_3d_section": lambda tmp: save_snapshot(
         tmp / "s.ckpt", {"x": np.zeros((1, 1, 1))}, d=1, k=1, rank=1
     ),

@@ -84,6 +84,11 @@ class TestMakeTask:
         with pytest.raises(DimensionMismatch):
             make_task(8, 4, 2, seed=0, n=6)
 
+    @pytest.mark.parametrize("args", [(8, 8, True, 0), (8, 8, 2, 0.5), (8, 8, 2, 2**64)], ids=["bool_rank", "float_seed", "seed_past_u64"])
+    def test_non_integer_count_or_seed_rejected(self, args):
+        with pytest.raises(InvalidConfig):
+            make_task(*args)
+
 
 class TestTrain:
     def test_zero_learning_rate_keeps_loss_constant(self):
