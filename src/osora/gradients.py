@@ -48,6 +48,8 @@ gradient as rowwise (X (diag(s_r) u_r^T R)^T) * v_r.
 
 from __future__ import annotations
 
+import math
+import numbers
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -147,8 +149,8 @@ def gradient(state: AdapterState, x_probes, y_targets) -> LossGrad:
 
 def finite_diff(state: AdapterState, x_probes, y_targets, h: float = FD_STEP) -> LossGrad:
     """Central-difference gradient over the flat trainable vector."""
-    if h <= 0.0:
-        raise InvalidConfig(f"step must be positive, got {h}")
+    if isinstance(h, bool) or not isinstance(h, numbers.Real) or not (math.isfinite(h) and h > 0.0):
+        raise InvalidConfig(f"step must be a positive finite number, got {h!r}")
     x, y = _check_probes(state, x_probes, y_targets)
     work = clone_state(state)
     theta0 = trainable_vector(work)

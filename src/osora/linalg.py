@@ -69,6 +69,12 @@ def random_matrix(rows: int, cols: int, seed: int | Sequence[int], scheme: str =
     uniform_scaled draws from uniform(-a, a) with a = sqrt(6 / (rows + cols));
     gaussian draws standard normal entries scaled by 1 / sqrt(cols).
     """
+    check_integers(rows=rows, cols=cols)
+    if rows < 0 or cols < 0:
+        raise InvalidConfig(f"rows and cols must be non-negative, got {rows}x{cols}")
+    for entry in seed if isinstance(seed, Sequence) and not isinstance(seed, (str, bytes)) else [seed]:
+        if isinstance(entry, bool) or not isinstance(entry, numbers.Integral) or entry < 0:
+            raise InvalidConfig(f"seed must be a non-negative integer or a sequence of them, got {seed!r}")
     if rows < 1 or cols < 1:
         raise DimensionMismatch(f"rows and cols must be >= 1, got {rows}x{cols}")
     rng = np.random.default_rng(seed)
@@ -135,38 +141,50 @@ def jacobi_svd(w) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     # same reason a null column p stays null through its row of pairs, so its
     # test is taken once per row.
     null_sq = (_DEFICIENT_REL * fro) ** 2 / k
+    # Column views, bound once: the rotations write through them into a and v.
+    a_cols = [a[:, j] for j in range(k)]
+    v_cols = [v[:, j] for j in range(k)]
     if fro > 0.0:
         for _ in range(JACOBI_MAX_SWEEPS):
             # Running estimate of the squared column norms, updated in O(1) per
-            # rotation and recomputed here each sweep, which corrects drift.
+            # rotation and recomputed here each sweep, which corrects drift. It
+            # is a list of Python floats: they round exactly as numpy float64
+            # scalars do, so the factors keep their bytes, but each read and
+            # write costs a list access instead of a numpy scalar op.
             # The update is clamped at zero: on a null column of an exactly
             # rank-deficient w it can round below zero and break the sqrt.
-            sq = (a * a).sum(axis=0)
+            sq = (a * a).sum(axis=0).tolist()
             rotations = 0
             for p in range(k - 1):
-                p_null = sq[p] <= null_sq
+                ap_col, vp_col = a_cols[p], v_cols[p]
+                sq_p = sq[p]
+                p_null = sq_p <= null_sq
                 for q in range(p + 1, k):
-                    if p_null and sq[q] <= null_sq:
+                    sq_q = sq[q]
+                    if p_null and sq_q <= null_sq:
                         continue
-                    gamma = float(a[:, p] @ a[:, q])
-                    scale = math.sqrt(float(sq[p]) * float(sq[q]))
-                    if abs(gamma) <= tol_abs and abs(gamma) <= JACOBI_TOL * scale:
+                    aq_col = a_cols[q]
+                    gamma = float(ap_col @ aq_col)
+                    abs_gamma = abs(gamma)
+                    scale = math.sqrt(sq_p * sq_q)
+                    if abs_gamma <= tol_abs and abs_gamma <= JACOBI_TOL * scale:
                         continue
-                    if abs(gamma) <= _ROUNDOFF_FLOOR * scale:
+                    if abs_gamma <= _ROUNDOFF_FLOOR * scale:
                         continue  # below roundoff, rotation would be a no-op
                     rotations += 1
-                    zeta = (float(sq[q]) - float(sq[p])) / (2.0 * gamma)
+                    zeta = (sq_q - sq_p) / (2.0 * gamma)
                     t = math.copysign(1.0, zeta) / (abs(zeta) + math.sqrt(1.0 + zeta * zeta))
                     c = 1.0 / math.sqrt(1.0 + t * t)
                     s = t * c
-                    ap = a[:, p].copy()
-                    a[:, p] = c * ap - s * a[:, q]
-                    a[:, q] = s * ap + c * a[:, q]
-                    sq[p] = max(sq[p] - t * gamma, 0.0)
-                    sq[q] = max(sq[q] + t * gamma, 0.0)
-                    vp = v[:, p].copy()
-                    v[:, p] = c * vp - s * v[:, q]
-                    v[:, q] = s * vp + c * v[:, q]
+                    ap = ap_col.copy()
+                    ap_col[:] = c * ap - s * aq_col
+                    aq_col[:] = s * ap + c * aq_col
+                    sq_p = sq[p] = max(sq_p - t * gamma, 0.0)
+                    sq[q] = max(sq_q + t * gamma, 0.0)
+                    vq_col = v_cols[q]
+                    vp = vp_col.copy()
+                    vp_col[:] = c * vp - s * vq_col
+                    vq_col[:] = s * vp + c * vq_col
             if rotations == 0:
                 break
 
@@ -195,6 +213,7 @@ def jacobi_svd(w) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def svd_truncated(w, r: int) -> SvdFactors:
     """Top-r singular factors of w and the residual w - u_r @ diag(s_r) @ v_r.T."""
+    check_integers(rank=r)
     m = as_matrix(w, "svd input")
     max_rank = min(m.shape)
     if r < 1 or r > max_rank:

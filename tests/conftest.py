@@ -6,6 +6,12 @@ from osora.adapters import METHODS, OSORA_FAMILY
 from osora.verify import perturbed_state, rel_inf  # noqa: F401  (test modules import them from here)
 
 
+def pytest_report_header(config):
+    # The pinned-bytes tests hold only on the numpy and BLAS build they were recorded on.
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return f"numpy {np.__version__}, BLAS {blas.get('name')} {blas.get('version')}"
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)

@@ -14,6 +14,7 @@ from osora import (
     save,
     save_snapshot,
     scaling_sweep,
+    svd_truncated,
 )
 from osora.verify import run_scope
 
@@ -51,7 +52,14 @@ BAD_CALLS = {
     "finite_diff_nonpositive_step": lambda tmp: finite_diff(
         build_adapter(np.eye(2), AdapterMethod(tag="osora", rank=1), 0), np.eye(2), np.eye(2), h=0.0
     ),
+    "finite_diff_non_finite_step": lambda tmp: finite_diff(
+        build_adapter(np.eye(2), AdapterMethod(tag="osora", rank=1), 0), np.eye(2), np.eye(2), h=float("nan")
+    ),
     "random_matrix_unknown_scheme": lambda tmp: random_matrix(2, 2, 0, "nope"),
+    "random_matrix_non_integer_dims": lambda tmp: random_matrix(2.0, 2, 0),
+    "random_matrix_negative_dims": lambda tmp: random_matrix(-1, 2, 0),
+    "random_matrix_negative_seed": lambda tmp: random_matrix(2, 2, -1),
+    "svd_non_integer_rank": lambda tmp: svd_truncated(np.eye(3), 2.5),
     "verify_unknown_scope": lambda tmp: run_scope("nope"),
 }
 

@@ -6,6 +6,7 @@ from osora import (
     METHODS,
     AdapterMethod,
     DimensionMismatch,
+    InvalidConfig,
     build_adapter,
     effective_weight,
     finite_diff,
@@ -194,6 +195,12 @@ class TestFiniteDiff:
         state, _ = perturbed_state("osora", 5, 4, 1, 16)
         with pytest.raises(ValueError):
             finite_diff(state, np.zeros((4, 1)), np.zeros((5, 1)), h=0.0)
+
+    @pytest.mark.parametrize("h", [float("nan"), float("inf"), True], ids=["nan", "inf", "bool"])
+    def test_rejects_non_finite_or_boolean_step(self, h):
+        state, _ = perturbed_state("osora", 5, 4, 1, 16)
+        with pytest.raises(InvalidConfig):
+            finite_diff(state, np.zeros((4, 1)), np.zeros((5, 1)), h=h)
 
     def test_second_order_accuracy_ratio(self, rng):
         # the row-norm rescale makes the loss genuinely non-quadratic per

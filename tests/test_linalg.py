@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from osora import (
     DimensionMismatch,
+    InvalidConfig,
     NonFiniteInput,
     RankOutOfRange,
     jacobi_svd,
@@ -61,6 +62,14 @@ class TestSvdTruncated:
             svd_truncated(w, 0)
         with pytest.raises(RankOutOfRange):
             svd_truncated(w, 4)
+
+    def test_non_integer_rank(self):
+        with pytest.raises(InvalidConfig):
+            svd_truncated(np.eye(3), 2.5)
+
+    def test_boolean_rank(self):
+        with pytest.raises(InvalidConfig):
+            svd_truncated(np.eye(3), True)
 
     def test_non_finite_input(self):
         w = np.eye(3)
@@ -239,6 +248,32 @@ def test_full_rank_factor_bytes_are_pinned():
     assert h.hexdigest() == "bca5375c0b417bed3a3ed83efa9a20e8925e2775a404231974c0054e25b7fe74"
 
 
+def _low_rank(d, k, r, seed):
+    return random_matrix(d, r, (seed, 1), "gaussian") @ random_matrix(r, k, (seed, 2), "gaussian")
+
+
+def test_deficient_factor_bytes_are_pinned():
+    # SHA-256 of jacobi_svd's (u, s, v) over seeded inputs that take the
+    # null-pair skip and the QR completion (exact low-rank products, a zero row
+    # and column, all zeros), a repeated spectrum, and one full-rank shape with
+    # k >= 80. Same build caveat as test_full_rank_factor_bytes_are_pinned.
+    zero_row_and_col = _zero_rows(18, 12, [5], 72)
+    zero_row_and_col[:, 7] = 0.0
+    inputs = [
+        _low_rank(26, 14, 3, 70),
+        _low_rank(14, 26, 4, 71),
+        zero_row_and_col,
+        np.zeros((9, 6)),
+        _repeated(20, 12, 5, 73),
+        random_matrix(96, 80, (74, 0), "uniform_scaled"),
+    ]
+    h = hashlib.sha256()
+    for w in inputs:
+        for arr in jacobi_svd(w):
+            h.update(arr.tobytes())
+    assert h.hexdigest() == "c216dd0a6e7201da74525645c576e6ce5d6be727ca4a2914f2b61f288df47ba6"
+
+
 class TestRandomMatrix:
     def test_deterministic(self):
         a = random_matrix(6, 5, 3, "uniform_scaled")
@@ -263,3 +298,27 @@ class TestRandomMatrix:
             random_matrix(0, 3, 1, "gaussian")
         with pytest.raises(ValueError):
             random_matrix(2, 2, 1, "bogus")
+
+    def test_negative_dims(self):
+        with pytest.raises(InvalidConfig):
+            random_matrix(-1, 2, 0)
+
+    def test_non_integer_dims(self):
+        with pytest.raises(InvalidConfig):
+            random_matrix(2.0, 2, 0)
+
+    def test_boolean_dims(self):
+        with pytest.raises(InvalidConfig):
+            random_matrix(True, 2, 0)
+
+    def test_negative_seed(self):
+        with pytest.raises(InvalidConfig):
+            random_matrix(2, 2, -1)
+
+    def test_non_integer_seed(self):
+        with pytest.raises(InvalidConfig):
+            random_matrix(2, 2, 1.5)
+
+    def test_bad_seed_in_sequence(self):
+        with pytest.raises(InvalidConfig):
+            random_matrix(2, 2, (3, -1))
