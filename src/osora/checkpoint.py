@@ -41,9 +41,11 @@ is why a build refuses any value there that it does not know.
 
 The debug snapshot (kind=1) appends named tensor sections instead:
 u32 section count, then per section u16 name length, name bytes (utf-8),
-u8 ndim, u32 rows, u32 cols, and the f64-LE data. save_snapshot is its one
-writer and load_snapshot its one reader; it exists for test fixtures and
-factor dumps, not for the storage-ratio guarantees.
+u8 ndim, u32 rows, u32 cols, and the f64-LE data. A 1-D section has ndim 1
+and rows 1, a 2-D one ndim 2, and no name repeats; load_snapshot refuses
+anything else, and a name that is not UTF-8, as CorruptPayload. save_snapshot
+is its one writer and load_snapshot its one reader; it exists for test
+fixtures and factor dumps, not for the storage-ratio guarantees.
 """
 
 from __future__ import annotations
@@ -67,7 +69,7 @@ from .adapters import (
     weight_digest,
 )
 from .errors import CorruptPayload, DigestMismatch, InvalidConfig, IoFailure, RankOutOfRange, VersionUnsupported
-from .linalg import as_matrix, check_seed
+from .linalg import as_matrix, check_integers, check_seed
 
 MAGIC = b"OSRA"
 FORMAT_VERSION = 1
@@ -179,14 +181,19 @@ def load(path, w0) -> AdapterState:
 def _pack_sections(arrays: dict[str, np.ndarray]) -> bytes:
     parts = [struct.pack("<I", len(arrays))]
     for name, arr in arrays.items():
-        a = np.ascontiguousarray(arr, dtype=np.float64)
+        encoded = name.encode("utf-8")
+        if len(encoded) > 0xFFFF:
+            raise InvalidConfig(f"section name is {len(encoded)} UTF-8 bytes, at most 65535 fit")
+        a = np.asarray(arr)
+        if a.dtype.kind not in "biuf":
+            raise InvalidConfig(f"section {name!r} must hold real numbers, got dtype {a.dtype}")
+        a = np.ascontiguousarray(a, dtype=np.float64)
         if a.ndim == 1:
             ndim, rows, cols = 1, 1, a.shape[0]
         elif a.ndim == 2:
             ndim, rows, cols = 2, a.shape[0], a.shape[1]
         else:
             raise InvalidConfig(f"section {name!r} must be 1-D or 2-D")
-        encoded = name.encode("utf-8")
         parts.append(struct.pack("<H", len(encoded)) + encoded)
         parts.append(struct.pack("<BII", ndim, rows, cols))
         parts.append(a.astype("<f8").tobytes())
@@ -206,10 +213,19 @@ def _unpack_sections(blob: bytes, offset: int, path) -> dict[str, np.ndarray]:
     arrays: dict[str, np.ndarray] = {}
     for _ in range(count):
         (name_len,) = struct.unpack("<H", take(2))
-        name = take(name_len).decode("utf-8")
+        try:
+            name = take(name_len).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise CorruptPayload(f"{path}: section name is not UTF-8: {exc}") from exc
+        if name in arrays:
+            raise CorruptPayload(f"{path}: section {name!r} repeats")
         ndim, rows, cols = struct.unpack("<BII", take(9))
+        if ndim not in (1, 2):
+            raise CorruptPayload(f"{path}: section {name!r} has ndim {ndim}, not 1 or 2")
+        if ndim == 1 and rows != 1:
+            raise CorruptPayload(f"{path}: 1-D section {name!r} has {rows} rows, not 1")
         data = np.frombuffer(take(8 * rows * cols), dtype="<f8")
-        arrays[name] = data.copy() if ndim == 1 else data.reshape(rows, cols).copy()
+        arrays[name] = data.reshape((cols,) if ndim == 1 else (rows, cols)).copy()
     if offset != len(blob):
         raise CorruptPayload(f"{path}: {len(blob) - offset} trailing bytes after sections")
     return arrays
@@ -217,6 +233,13 @@ def _unpack_sections(blob: bytes, offset: int, path) -> dict[str, np.ndarray]:
 
 def save_snapshot(path, arrays: dict[str, np.ndarray], *, d: int, k: int, rank: int, seed: int = 0, digest: bytes = b"\x00" * 32) -> None:
     """Debug dump of named tensors (factor dumps, fixtures); not size-optimal."""
+    check_integers(d=d, k=k, rank=rank)
+    for name, value in (("d", d), ("k", k), ("rank", rank)):
+        if not 0 <= value < 2**32:
+            raise InvalidConfig(f"{name} must be in [0, 2**32), got {value}")
+    check_seed(seed)
+    if not isinstance(digest, bytes) or len(digest) != 32:
+        raise InvalidConfig(f"digest must be 32 bytes, got {digest!r}")
     header = _HEADER.pack(MAGIC, FORMAT_VERSION, _METHOD_NONE, 0, 0, _KIND_SNAPSHOT, d, k, rank, 0, seed, digest)
     _write(path, header + _pack_sections(arrays))
 

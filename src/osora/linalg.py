@@ -141,9 +141,12 @@ def jacobi_svd(w) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     # same reason a null column p stays null through its row of pairs, so its
     # test is taken once per row.
     null_sq = (_DEFICIENT_REL * fro) ** 2 / k
-    # Column views, bound once: the rotations write through them into a and v.
+    # Column views, bound once: the rotations update them, and so a and v, in
+    # place through two scratch columns per matrix, allocated once per call.
     a_cols = [a[:, j] for j in range(k)]
     v_cols = [v[:, j] for j in range(k)]
+    a_t1, a_t2 = np.empty(d), np.empty(d)
+    v_t1, v_t2 = np.empty(k), np.empty(k)
     if fro > 0.0:
         for _ in range(JACOBI_MAX_SWEEPS):
             # Running estimate of the squared column norms, updated in O(1) per
@@ -176,15 +179,25 @@ def jacobi_svd(w) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
                     t = math.copysign(1.0, zeta) / (abs(zeta) + math.sqrt(1.0 + zeta * zeta))
                     c = 1.0 / math.sqrt(1.0 + t * t)
                     s = t * c
-                    ap = ap_col.copy()
-                    ap_col[:] = c * ap - s * aq_col
-                    aq_col[:] = s * ap + c * aq_col
+                    # In place through the scratch columns, with the same four
+                    # products and two sums of the old values as p' = c*p - s*q
+                    # and q' = s*p + c*q, so the factor bytes that checkpoints
+                    # rebuild are unchanged.
+                    np.multiply(ap_col, s, out=a_t1)
+                    np.multiply(aq_col, s, out=a_t2)
+                    aq_col *= c
+                    aq_col += a_t1
+                    ap_col *= c
+                    ap_col -= a_t2
+                    vq_col = v_cols[q]
+                    np.multiply(vp_col, s, out=v_t1)
+                    np.multiply(vq_col, s, out=v_t2)
+                    vq_col *= c
+                    vq_col += v_t1
+                    vp_col *= c
+                    vp_col -= v_t2
                     sq_p = sq[p] = max(sq_p - t * gamma, 0.0)
                     sq[q] = max(sq_q + t * gamma, 0.0)
-                    vq_col = v_cols[q]
-                    vp = vp_col.copy()
-                    vp_col[:] = c * vp - s * vq_col
-                    vq_col[:] = s * vp + c * vq_col
             if rotations == 0:
                 break
 
@@ -201,12 +214,11 @@ def jacobi_svd(w) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     if kept < k:
         _fill_deficient_columns(u, kept)
 
-    # Sign convention: largest-magnitude entry of each u column positive.
-    for j in range(k):
-        i = int(np.argmax(np.abs(u[:, j])))
-        if u[i, j] < 0.0:
-            u[:, j] = -u[:, j]
-            v[:, j] = -v[:, j]
+    # Sign convention: largest-magnitude entry of each u column positive
+    # (argmax takes the first of tied entries; negation is exact).
+    flip = u[np.argmax(np.abs(u), axis=0), np.arange(k)] < 0.0
+    u[:, flip] *= -1.0
+    v[:, flip] *= -1.0
 
     return (np.ascontiguousarray(u), np.ascontiguousarray(s_vals), np.ascontiguousarray(v))
 

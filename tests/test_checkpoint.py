@@ -239,6 +239,76 @@ def test_nonzero_reserved_field_is_corrupt(tmp_path, monkeypatch):
             read(path)
 
 
+# A two-section snapshot: "s_r" (1-D, 4 values) and then "u_r" (3x2). Section
+# one's fields sit at fixed offsets after the header's 68 bytes and the u32
+# section count: u16 name length at 72, name at 74, ndim at 77, rows at 78,
+# cols at 82, data from 86; section two starts at 118 with its name at 120.
+_S_NAME, _S_NDIM, _S_ROWS, _U_NAME = 74, 77, 78, 120
+
+
+def _snapshot_blob(tmp_path):
+    path = tmp_path / "two.snap"
+    save_snapshot(path, {"s_r": np.arange(1.0, 5.0), "u_r": np.ones((3, 2))}, d=3, k=2, rank=2)
+    return path, bytearray(path.read_bytes())
+
+
+def _load_mutated(path, blob):
+    path.write_bytes(bytes(blob))
+    return load_snapshot(path)
+
+
+def test_snapshot_name_not_utf8_is_corrupt(tmp_path):
+    path, blob = _snapshot_blob(tmp_path)
+    blob[_S_NAME] = 0xFF
+    with pytest.raises(CorruptPayload):
+        _load_mutated(path, blob)
+
+
+@pytest.mark.parametrize("ndim", [0, 3, 9])
+def test_snapshot_ndim_other_than_one_or_two_is_corrupt(ndim, tmp_path):
+    path, blob = _snapshot_blob(tmp_path)
+    blob[_S_NDIM] = ndim
+    with pytest.raises(CorruptPayload):
+        _load_mutated(path, blob)
+
+
+def test_snapshot_one_d_section_with_rows_is_corrupt(tmp_path):
+    # 2 rows of 2 columns hold the same 4 values as the 1-D section declared.
+    path, blob = _snapshot_blob(tmp_path)
+    struct.pack_into("<II", blob, _S_ROWS, 2, 2)
+    with pytest.raises(CorruptPayload):
+        _load_mutated(path, blob)
+
+
+def test_snapshot_repeated_name_is_corrupt(tmp_path):
+    path, blob = _snapshot_blob(tmp_path)
+    blob[_U_NAME] = ord("s")
+    with pytest.raises(CorruptPayload):
+        _load_mutated(path, blob)
+
+
+@settings(max_examples=200, deadline=None)
+@given(in_header=st.booleans(), offset=st.integers(0, 2**16), mask=st.integers(1, 255))
+@example(in_header=False, offset=_S_NAME - HEADER_SIZE, mask=0x80)  # name not UTF-8
+@example(in_header=False, offset=_U_NAME - HEADER_SIZE, mask=0x06)  # "u_r" becomes a second "s_r"
+@example(in_header=False, offset=_S_NDIM - HEADER_SIZE, mask=0x02)  # ndim 1 becomes 3
+@example(in_header=False, offset=_S_NDIM - HEADER_SIZE, mask=0x03)  # ndim 1 becomes 2: a 1x4 section
+@example(in_header=True, offset=8, mask=0x01)  # method code, which a snapshot does not check
+def test_snapshot_byte_flip_fuzz(tmp_path_factory, in_header, offset, mask):
+    path, blob = _snapshot_blob(tmp_path_factory.mktemp("snapfuzz"))
+    at = offset % HEADER_SIZE if in_header else HEADER_SIZE + offset % (len(blob) - HEADER_SIZE)
+    blob[at] ^= mask
+    try:
+        meta, arrays = _load_mutated(path, blob)
+    except OsoraError:
+        return
+    # Whatever loads has the shapes and values its sections declare: writing
+    # it out again reproduces the flipped file's sections byte for byte.
+    again = path.with_name("again.snap")
+    save_snapshot(again, arrays, d=meta["d"], k=meta["k"], rank=meta["rank"], seed=meta["seed"], digest=meta["digest"])
+    assert again.read_bytes()[HEADER_SIZE:] == bytes(blob[HEADER_SIZE:])
+
+
 def test_load_hashes_the_base_weight_once(tmp_path, monkeypatch):
     state, w0 = perturbed_state("osora", 9, 7, 2, 42)
     path = tmp_path / "d.ckpt"

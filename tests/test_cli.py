@@ -118,6 +118,7 @@ class TestTrain:
             blobs.append((out_dir / "loss.csv").read_bytes() + (out_dir / "adapter.ckpt").read_bytes())
         assert blobs[0] == blobs[1]
 
+    @pytest.mark.pinned
     def test_standard_run_bytes_are_pinned(self, tmp_path, capsys):
         # SHA-256 of the 200-step standard run; any change to the build, the
         # SVD, the trainer or the checkpoint layout moves these. They hold only
@@ -187,6 +188,7 @@ class TestCount:
         code, _, _ = run_cli(capsys, "count", "--preset", "qwen2_7b", "--rank", "16,banana")
         assert code == 3
 
+    @pytest.mark.pinned
     @pytest.mark.parametrize(
         "preset,digest",
         [
@@ -234,6 +236,7 @@ class TestVerify:
         code, _, err = run_cli(capsys, "verify", scope, "--seed", seed)
         assert code == 3 and err.startswith("error:")
 
+    @pytest.mark.pinned
     @pytest.mark.parametrize(
         "seed,digest",
         [

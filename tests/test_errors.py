@@ -49,6 +49,14 @@ BAD_CALLS = {
     "snapshot_3d_section": lambda tmp: save_snapshot(
         tmp / "s.ckpt", {"x": np.zeros((1, 1, 1))}, d=1, k=1, rank=1
     ),
+    "snapshot_name_past_u16": lambda tmp: save_snapshot(tmp / "s.ckpt", {"x" * 65536: np.zeros(1)}, d=1, k=1, rank=1),
+    "snapshot_dims_past_u32": lambda tmp: save_snapshot(tmp / "s.ckpt", {}, d=2**32, k=1, rank=1),
+    "snapshot_negative_rank": lambda tmp: save_snapshot(tmp / "s.ckpt", {}, d=1, k=1, rank=-1),
+    "snapshot_seed_past_u64": lambda tmp: save_snapshot(tmp / "s.ckpt", {}, d=1, k=1, rank=1, seed=2**64),
+    "snapshot_short_digest": lambda tmp: save_snapshot(tmp / "s.ckpt", {}, d=1, k=1, rank=1, digest=b"ab"),
+    "snapshot_non_numeric_array": lambda tmp: save_snapshot(
+        tmp / "s.ckpt", {"x": np.array(["a", "b"])}, d=1, k=1, rank=1
+    ),
     "finite_diff_nonpositive_step": lambda tmp: finite_diff(
         build_adapter(np.eye(2), AdapterMethod(tag="osora", rank=1), 0), np.eye(2), np.eye(2), h=0.0
     ),

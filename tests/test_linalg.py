@@ -233,6 +233,7 @@ class TestDeficientPath:
         self.check(np.zeros(shape), 0)
 
 
+@pytest.mark.pinned
 def test_full_rank_factor_bytes_are_pinned():
     # SHA-256 of jacobi_svd's (u, s, v) over seeded full-rank inputs. No column
     # of these comes near the deficiency cutoff, so the bytes are those of the
@@ -252,6 +253,7 @@ def _low_rank(d, k, r, seed):
     return random_matrix(d, r, (seed, 1), "gaussian") @ random_matrix(r, k, (seed, 2), "gaussian")
 
 
+@pytest.mark.pinned
 def test_deficient_factor_bytes_are_pinned():
     # SHA-256 of jacobi_svd's (u, s, v) over seeded inputs that take the
     # null-pair skip and the QR completion (exact low-rank products, a zero row
@@ -272,6 +274,29 @@ def test_deficient_factor_bytes_are_pinned():
         for arr in jacobi_svd(w):
             h.update(arr.tobytes())
     assert h.hexdigest() == "c216dd0a6e7201da74525645c576e6ce5d6be727ca4a2914f2b61f288df47ba6"
+
+
+@pytest.mark.parametrize(
+    "w",
+    [
+        random_matrix(12, 7, 80, "gaussian"),
+        random_matrix(7, 12, 81, "gaussian"),
+        _low_rank(12, 7, 2, 82),
+        _low_rank(7, 12, 3, 83),
+    ],
+    ids=["tall", "wide", "tall_deficient", "wide_deficient"],
+)
+def test_outputs_own_their_memory(w):
+    # Each output is a fresh array: no scratch column or view of the input may leak out.
+    before = w.tobytes()
+    first, second = jacobi_svd(w), jacobi_svd(w)
+    assert w.tobytes() == before
+    outputs = [*first, *second]
+    for i, arr in enumerate(outputs):
+        assert arr.flags.c_contiguous and arr.flags.writeable
+        assert not np.shares_memory(arr, w)
+        for other in outputs[i + 1 :]:
+            assert not np.shares_memory(arr, other)
 
 
 class TestRandomMatrix:

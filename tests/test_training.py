@@ -291,6 +291,7 @@ ADAM_RUN_DIGESTS = {
 }
 
 
+@pytest.mark.pinned
 @pytest.mark.parametrize("tag", METHODS)
 def test_adam_run_bytes_are_pinned(tag):
     task = make_task(64, 64, 4, seed=21, n=128)
