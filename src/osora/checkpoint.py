@@ -12,7 +12,7 @@ Format version 1, all integers little-endian. Header (68 bytes):
     12      4     d (u32)
     16      4     k (u32)
     20      4     rank (u32)
-    24      4     reserved (u32) = 0; any other value is rejected
+    24      4     SVD path code (u32: 0=jacobi, 1=top_r; 0 in a snapshot)
     28      8     seed (u64)
     36      32    SHA-256 of the base weight's row-major f64-LE bytes
 
@@ -36,10 +36,21 @@ Over a weight whose SVD has a column at or below 1e-12 * ||w||_F, the SVD now
 completes the null columns of u by one QR and no longer rotates null columns
 against each other: a checkpoint that an older build saved over such a weight
 rebuilds different null-space factors, and kept factors that may differ at
-roundoff. A code for the SVD algorithm is to go in the reserved field, which
-is why a build refuses any value there that it does not know.
+roundoff.
 
-The debug snapshot (kind=1) appends named tensor sections instead:
+The u32 at offset 24 names the SVD path that linalg.svd_path selects for the
+header's (d, k, rank), whatever the method: 0 for the full Jacobi SVD, 1 for
+the top-r power iteration (min(d, k) >= 128 and 2 * (rank + 8) <= min(d, k)).
+The two paths give different factor bytes, so load refuses a code that is not
+the one this build selects with VersionUnsupported: a checkpoint that an older
+build, which wrote 0 there for every shape, saved over a top-r shape names the
+Jacobi factors it was trained on, which this build no longer rebuilds. Any
+other code is CorruptPayload. Older checkpoints of Jacobi shapes load as
+before, and their bytes are unchanged.
+
+The debug snapshot (kind=1) carries method code 255 and o_init,
+trainable_set and SVD path codes 0 (load_snapshot refuses any other codes as
+CorruptPayload), and appends named tensor sections instead of a payload:
 u32 section count, then per section u16 name length, name bytes (utf-8),
 u8 ndim, u32 rows, u32 cols, and the f64-LE data. A 1-D section has ndim 1
 and rows 1, a 2-D one ndim 2, and no name repeats; load_snapshot refuses
@@ -69,7 +80,7 @@ from .adapters import (
     weight_digest,
 )
 from .errors import CorruptPayload, DigestMismatch, InvalidConfig, IoFailure, RankOutOfRange, VersionUnsupported
-from .linalg import as_matrix, check_integers, check_seed
+from .linalg import SVD_PATHS, as_matrix, check_integers, check_seed, svd_path
 
 MAGIC = b"OSRA"
 FORMAT_VERSION = 1
@@ -96,7 +107,7 @@ def _pack_header(state: AdapterState) -> bytes:
         state.d,
         state.k,
         m.rank,
-        0,
+        SVD_PATHS.index(svd_path(state.d, state.k, m.rank)),
         state.seed,
         state.w0_digest,
     )
@@ -105,14 +116,12 @@ def _pack_header(state: AdapterState) -> bytes:
 def _unpack_header(blob: bytes, path) -> tuple:
     if len(blob) < HEADER_SIZE:
         raise CorruptPayload(f"{path}: file shorter than the {HEADER_SIZE}-byte header")
-    magic, version, method_code, o_code, set_code, kind, d, k, rank, reserved, seed, digest = _HEADER.unpack_from(blob)
+    magic, version, *fields = _HEADER.unpack_from(blob)
     if magic != MAGIC:
         raise CorruptPayload(f"{path}: bad magic {magic!r}")
     if version != FORMAT_VERSION:
         raise VersionUnsupported(f"{path}: format version {version}, this build reads {FORMAT_VERSION}")
-    if reserved != 0:
-        raise CorruptPayload(f"{path}: reserved header field is {reserved}, this build reads only 0")
-    return method_code, o_code, set_code, kind, d, k, rank, seed, digest
+    return fields
 
 
 def _write(path, blob: bytes) -> None:
@@ -138,7 +147,7 @@ def save(state: AdapterState, path) -> None:
 def load(path, w0) -> AdapterState:
     """Rebuild an adapter from a checkpoint against its original base weight."""
     blob = _read(path)
-    method_code, o_code, set_code, kind, d, k, rank, seed, digest = _unpack_header(blob, path)
+    method_code, o_code, set_code, kind, d, k, rank, svd_code, seed, digest = _unpack_header(blob, path)
     if kind != _KIND_CHECKPOINT:
         raise CorruptPayload(f"{path}: not a trainable-only checkpoint (kind={kind})")
     if method_code >= len(METHODS):
@@ -147,6 +156,8 @@ def load(path, w0) -> AdapterState:
         raise CorruptPayload(f"{path}: unknown o_init code {o_code}")
     if set_code >= len(TRAINABLE_SETS):
         raise CorruptPayload(f"{path}: unknown trainable_set code {set_code}")
+    if svd_code >= len(SVD_PATHS):
+        raise CorruptPayload(f"{path}: unknown SVD path code {svd_code}")
     w = as_matrix(w0, "w0")
     if weight_digest(w) != digest:
         raise DigestMismatch(f"{path}: base weight digest does not match the checkpoint")
@@ -168,6 +179,11 @@ def load(path, w0) -> AdapterState:
     theta = np.frombuffer(payload, dtype="<f8")
     if not np.isfinite(theta).all():
         raise CorruptPayload(f"{path}: payload holds NaN or Inf")
+    if SVD_PATHS[svd_code] != svd_path(d, k, rank):
+        raise VersionUnsupported(
+            f"{path}: saved with the {SVD_PATHS[svd_code]} SVD path, but this build takes the "
+            f"{svd_path(d, k, rank)} path at {d}x{k} rank {rank} and would rebuild other factors"
+        )
     try:
         state = _build_adapter(w, digest, method, seed)  # svd_truncated checks the rank before it decomposes
     except RankOutOfRange as exc:
@@ -247,8 +263,13 @@ def save_snapshot(path, arrays: dict[str, np.ndarray], *, d: int, k: int, rank: 
 def load_snapshot(path) -> tuple[dict, dict[str, np.ndarray]]:
     """Read any snapshot as (header metadata, named arrays)."""
     blob = _read(path)
-    method_code, o_code, set_code, kind, d, k, rank, seed, digest = _unpack_header(blob, path)
+    method_code, o_code, set_code, kind, d, k, rank, svd_code, seed, digest = _unpack_header(blob, path)
     if kind != _KIND_SNAPSHOT:
         raise CorruptPayload(f"{path}: not a snapshot file")
+    if (method_code, o_code, set_code, svd_code) != (_METHOD_NONE, 0, 0, 0):
+        raise CorruptPayload(
+            f"{path}: snapshot header codes are ({method_code}, {o_code}, {set_code}, {svd_code}), "
+            f"this build writes only ({_METHOD_NONE}, 0, 0, 0)"
+        )
     meta = {"method_code": method_code, "d": d, "k": k, "rank": rank, "seed": seed, "digest": digest}
     return meta, _unpack_sections(blob, HEADER_SIZE, path)

@@ -24,7 +24,7 @@ from . import checkpoint
 from .accounting import get_preset, report, scaling_sweep
 from .adapters import METHODS, O_INITS, TRAINABLE_SETS, AdapterMethod, build_adapter
 from .errors import IoFailure, NonFiniteLoss, OsoraError, RankOutOfRange
-from .linalg import svd_truncated
+from .linalg import svd_path, svd_truncated
 from .training import STANDARD_TASK, TrainConfig, make_task, train
 from .verify import SCOPES, run_scope
 
@@ -142,6 +142,8 @@ def cmd_decompose(args) -> int:
     print(f"rows={w.shape[0]} cols={w.shape[1]} rank={factors.rank}")
     print("singular_values=" + ",".join(repr(s) for s in factors.s_r.tolist()))
     print(f"truncation_error={trunc_err!r}")
+    path = svd_path(*w.shape, factors.rank)
+    print(f"svd={path} iterations={factors.iterations} converged={str(factors.converged).lower()}")
     if args.out:
         checkpoint.save_snapshot(
             args.out,

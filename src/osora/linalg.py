@@ -1,7 +1,11 @@
-"""Dense linear algebra kernels: one-sided Jacobi SVD and seeded generators.
+"""Dense linear algebra kernels: one-sided Jacobi SVD, top-r SVD and seeded generators.
 
 On rank-deficient input the SVD never rotates two null columns against each
 other, and one complete QR of the kept columns of u completes the null ones.
+
+svd_truncated takes one of two paths, chosen from the shape and rank alone
+(svd_path): the full Jacobi SVD, sliced, or for large shapes a seeded block
+power iteration whose factors come with a residual certificate.
 
 Everything operates on C-contiguous float64 numpy arrays and is deterministic:
 identical input bytes always produce identical output bytes, which the
@@ -30,6 +34,24 @@ _ROUNDOFF_FLOOR = 1e-15
 # Columns whose post-sweep norm is below this (relative to ||w||_F) carry no
 # reliable direction; they are replaced by an orthonormal completion.
 _DEFICIENT_REL = 1e-12
+
+# Top-r path: taken when min(d, k) >= TOP_R_MIN_DIM and 2 * (r + TOP_R_OVERSAMPLE)
+# <= min(d, k). A block of r + TOP_R_OVERSAMPLE columns, drawn from the fixed
+# seed TOP_R_SEED (so the factors depend on w and r alone), goes through power
+# iterations, each one product with w and one with w^T, re-orthonormalised by
+# QR. Every TOP_R_CHECK_EVERY iterations the Jacobi SVD of the projection Q^T w
+# gives Ritz factors; they are certified once every pair has
+# max(||w v_i - s_i u_i||, ||w^T u_i - s_i v_i||) <= TOP_R_TOL * s_1, and the
+# loop stops uncertified after TOP_R_MAX_ITERATIONS.
+TOP_R_MIN_DIM = 128
+TOP_R_OVERSAMPLE = 8
+TOP_R_TOL = 1e-12
+TOP_R_CHECK_EVERY = 8
+TOP_R_MAX_ITERATIONS = 512
+TOP_R_SEED = 0x05057A
+
+# Names of the two paths, indexed by the code a checkpoint header stores.
+SVD_PATHS = ("jacobi", "top_r")
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
@@ -94,6 +116,9 @@ class SvdFactors:
 
     u_r is d x r, s_r a descending nonnegative length-r vector, v_r is k x r,
     and residual = w - u_r @ diag(s_r) @ v_r.T at construction time.
+    iterations counts the Jacobi sweeps (full path) or power iterations
+    (top-r path) that ran; converged is False when the path stopped at its
+    cap instead of at its convergence test.
     """
 
     u_r: np.ndarray
@@ -101,6 +126,8 @@ class SvdFactors:
     v_r: np.ndarray
     residual: np.ndarray
     rank: int
+    iterations: int
+    converged: bool
 
 
 def _fill_deficient_columns(u: np.ndarray, kept: int) -> None:
@@ -117,19 +144,25 @@ def jacobi_svd(w) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     descending, v of shape k x m, and w == u @ diag(s) @ v.T to machine
     precision. Sweeps run until every column pair passes both the absolute
     and the relative convergence tests (see JACOBI_TOL) or the sweep cap is
-    hit. Columns of u carry the sign convention that their largest-magnitude
-    entry is positive, with v flipped to compensate.
+    hit. The factor on the longer side (u when d >= k, v when d < k) carries
+    the sign convention that each column's largest-magnitude entry is
+    positive, with the other factor flipped to compensate.
 
     Null columns, at or below 1e-12 * ||w||_F, get s exactly 0, are never
     rotated against each other, and take their u columns from one complete QR
     of the kept ones. Neither path runs on full-rank input.
     """
+    return _jacobi(w)[:3]
+
+
+def _jacobi(w) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, bool]:
+    """jacobi_svd's (u, s, v), the number of sweeps run, and whether they stopped below the cap."""
     m0 = as_matrix(w, "svd input")
     check_finite(m0, "svd input")
     d, k = m0.shape
     if d < k:
-        v, s, u = jacobi_svd(np.ascontiguousarray(m0.T))
-        return u, s, v
+        v, s, u, sweeps, converged = _jacobi(np.ascontiguousarray(m0.T))
+        return u, s, v, sweeps, converged
 
     a = m0.copy()
     v = np.eye(k)
@@ -147,8 +180,9 @@ def jacobi_svd(w) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     v_cols = [v[:, j] for j in range(k)]
     a_t1, a_t2 = np.empty(d), np.empty(d)
     v_t1, v_t2 = np.empty(k), np.empty(k)
+    sweeps, converged = 0, fro == 0.0
     if fro > 0.0:
-        for _ in range(JACOBI_MAX_SWEEPS):
+        for sweeps in range(1, JACOBI_MAX_SWEEPS + 1):
             # Running estimate of the squared column norms, updated in O(1) per
             # rotation and recomputed here each sweep, which corrects drift. It
             # is a list of Python floats: they round exactly as numpy float64
@@ -199,6 +233,7 @@ def jacobi_svd(w) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
                     sq_p = sq[p] = max(sq_p - t * gamma, 0.0)
                     sq[q] = max(sq_q + t * gamma, 0.0)
             if rotations == 0:
+                converged = True
                 break
 
     norms = np.sqrt((a * a).sum(axis=0))
@@ -214,25 +249,74 @@ def jacobi_svd(w) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     if kept < k:
         _fill_deficient_columns(u, kept)
 
-    # Sign convention: largest-magnitude entry of each u column positive
+    _fix_signs(u, v)
+
+    return (np.ascontiguousarray(u), np.ascontiguousarray(s_vals), np.ascontiguousarray(v), sweeps, converged)
+
+
+def _fix_signs(u: np.ndarray, v: np.ndarray) -> None:
+    # Largest-magnitude entry of each u column positive, v flipped to match
     # (argmax takes the first of tied entries; negation is exact).
-    flip = u[np.argmax(np.abs(u), axis=0), np.arange(k)] < 0.0
+    flip = u[np.argmax(np.abs(u), axis=0), np.arange(u.shape[1])] < 0.0
     u[:, flip] *= -1.0
     v[:, flip] *= -1.0
 
-    return (np.ascontiguousarray(u), np.ascontiguousarray(s_vals), np.ascontiguousarray(v))
+
+def svd_path(d: int, k: int, r: int) -> str:
+    """The SVD path svd_truncated takes for a d x k weight at rank r: "jacobi" or "top_r"."""
+    m = min(d, k)
+    return "top_r" if m >= TOP_R_MIN_DIM and 2 * (r + TOP_R_OVERSAMPLE) <= m else "jacobi"
+
+
+def _top_r(a: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, bool]:
+    """Top-r (u, s, v) of a finite matrix by seeded block power iteration.
+
+    Also returns the iterations run and whether the residual certificate was met.
+    """
+    d, k = a.shape
+    if d < k:  # run on the tall side, so the sign convention lands where jacobi_svd puts it
+        v, s, u, iterations, converged = _top_r(np.ascontiguousarray(a.T), r)
+        return u, s, v, iterations, converged
+    at = a.T
+    q = np.random.default_rng(TOP_R_SEED).standard_normal((k, r + TOP_R_OVERSAMPLE))
+    converged = False
+    for iterations in range(1, TOP_R_MAX_ITERATIONS + 1):
+        q, _ = np.linalg.qr(a @ q)
+        if iterations % TOP_R_CHECK_EVERY == 0 or iterations == TOP_R_MAX_ITERATIONS:
+            ub, sb, vb = jacobi_svd(q.T @ a)
+            u, s, v = q @ ub[:, :r], sb[:r], vb[:, :r]
+            left = np.sqrt(((a @ v - u * s) ** 2).sum(axis=0)).max()
+            right = np.sqrt(((at @ u - v * s) ** 2).sum(axis=0)).max()
+            converged = bool(max(left, right) <= TOP_R_TOL * s[0])
+            if converged:
+                break
+        q, _ = np.linalg.qr(at @ q)
+    _fix_signs(u, v)
+    return u, s, v, iterations, converged
 
 
 def svd_truncated(w, r: int) -> SvdFactors:
-    """Top-r singular factors of w and the residual w - u_r @ diag(s_r) @ v_r.T."""
+    """Top-r singular factors of w and the residual w - u_r @ diag(s_r) @ v_r.T.
+
+    The path comes from svd_path: below the cut-over the factors are the
+    leading columns of jacobi_svd; above it they come from the top-r power
+    iteration, which reports in `converged` whether its residual certificate
+    was met. Either way the residual is exact for the factors returned.
+    """
     check_integers(rank=r)
     m = as_matrix(w, "svd input")
     max_rank = min(m.shape)
     if r < 1 or r > max_rank:
         raise RankOutOfRange(f"rank {r} outside [1, {max_rank}] for shape {m.shape}")
-    u, s, v = jacobi_svd(m)
+    if svd_path(*m.shape, r) == "top_r":
+        check_finite(m, "svd input")
+        u, s, v, iterations, converged = _top_r(m, r)
+    else:
+        u, s, v, iterations, converged = _jacobi(m)
     u_r = np.ascontiguousarray(u[:, :r])
-    s_r = np.ascontiguousarray(s[:r])
+    s_r = s[:r].copy()
     v_r = np.ascontiguousarray(v[:, :r])
     residual = m - (u_r * s_r) @ v_r.T
-    return SvdFactors(u_r=u_r, s_r=s_r, v_r=v_r, residual=residual, rank=r)
+    return SvdFactors(
+        u_r=u_r, s_r=s_r, v_r=v_r, residual=residual, rank=r, iterations=iterations, converged=converged
+    )

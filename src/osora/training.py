@@ -1,10 +1,12 @@
 """Toy teacher-student matrix tasks and a deterministic full-batch training loop.
 
 A task plants a known low-rank gap between a seeded base weight w0 and a
-teacher w_target: the top r_gap singular components of w0 are replaced by a
-randomly row-scaled, randomly re-weighted copy of themselves. An osora
-adapter of rank r_gap can therefore represent the teacher exactly (zero
-achievable loss); smaller ranks and single-vector ablations cannot.
+teacher w_target: the top r_gap singular components of w0, as svd_truncated
+returns them, are replaced by a randomly row-scaled, randomly re-weighted
+copy of themselves. An osora adapter of rank r_gap is built from the same
+factors, so it can represent the teacher exactly (zero achievable loss)
+even when the top-r SVD stopped at its cap short of w0's exact top
+subspace; smaller ranks and single-vector ablations cannot.
 """
 
 from __future__ import annotations
@@ -72,7 +74,12 @@ class TrainRun:
 
 
 def make_task(d: int, k: int, r_gap: int, seed: int, n: int | None = None) -> ToyTask:
-    """Seeded task whose w0-to-teacher gap sits in w0's own top-r_gap subspace."""
+    """Seeded task whose w0-to-teacher gap sits in the span of w0's top-r_gap factors.
+
+    The factors are svd_truncated's, shared with every SVD-initialised build of
+    rank r_gap over w0: w0's own top-r_gap subspace when `task.factors.converged`,
+    otherwise the nearby subspace the capped top-r path returned.
+    """
     check_integers(d=d, k=k, r_gap=r_gap)
     check_seed(seed)
     if r_gap < 1 or r_gap > min(d, k):

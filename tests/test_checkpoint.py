@@ -225,18 +225,88 @@ def test_non_finite_payload_is_corrupt(bad, tmp_path, monkeypatch):
 
 
 def test_nonzero_reserved_field_is_corrupt(tmp_path, monkeypatch):
-    # The u32 at offset 24 is reserved for a later format code; an older build must refuse it, not ignore it.
+    # The u32 at offset 24 names the SVD path in a checkpoint (0 or 1) and is
+    # reserved, 0, in a snapshot; a value this build does not know is refused, not ignored.
     state, w0 = perturbed_state("osora", 8, 6, 2, 41)
     save(state, tmp_path / "c.ckpt")
     save_snapshot(tmp_path / "s.snap", {"s_r": state.trainable["s_r"]}, d=8, k=6, rank=2)
     monkeypatch.setattr("osora.checkpoint._build_adapter", _unreachable)  # rejected before any rebuild
-    for name, read in (("c.ckpt", lambda p: load(p, w0)), ("s.snap", load_snapshot)):
+    for name, read, code in (("c.ckpt", lambda p: load(p, w0), 2), ("s.snap", load_snapshot, 1)):
         path = tmp_path / name
         blob = bytearray(path.read_bytes())
-        blob[24] = 1
+        blob[24] = code
         path.write_bytes(bytes(blob))
         with pytest.raises(CorruptPayload):
             read(path)
+
+
+@pytest.fixture(scope="module")
+def saved_top_r(tmp_path_factory):
+    """An osora checkpoint at 128x128 rank 4, a top-r SVD shape, and its live adapter."""
+    state, w0 = perturbed_state("osora", 128, 128, 4, 44)
+    path = tmp_path_factory.mktemp("top_r") / "top_r.ckpt"
+    save(state, path)
+    return state, w0, path
+
+
+def test_svd_path_code_is_written(saved_top_r, tmp_path):
+    _, _, path = saved_top_r
+    assert struct.unpack_from("<I", path.read_bytes(), 24) == (1,)
+    state, _ = perturbed_state("osora", 8, 6, 2, 45)
+    save(state, tmp_path / "small.ckpt")
+    assert struct.unpack_from("<I", (tmp_path / "small.ckpt").read_bytes(), 24) == (0,)
+
+
+def test_svd_path_code_of_the_other_path_is_unsupported(saved_top_r, tmp_path, monkeypatch):
+    # Code 0 at a top-r shape is what an older build wrote there: its factors
+    # came from the full Jacobi SVD, which this build no longer runs at that
+    # shape. Code 1 at a Jacobi shape names factors this build never makes.
+    _, w0_large, large = saved_top_r
+    small_state, w0_small = perturbed_state("osora", 8, 6, 2, 46)
+    small = tmp_path / "small.ckpt"
+    save(small_state, small)
+    monkeypatch.setattr("osora.checkpoint._build_adapter", _unreachable)  # rejected before any rebuild
+    for path, w0, code, saved_as in ((large, w0_large, 0, "jacobi"), (small, w0_small, 1, "top_r")):
+        blob = bytearray(path.read_bytes())
+        struct.pack_into("<I", blob, 24, code)
+        mutated = tmp_path / f"code-{code}.ckpt"
+        mutated.write_bytes(bytes(blob))
+        with pytest.raises(VersionUnsupported, match=f"saved with the {saved_as} SVD path"):
+            load(mutated, w0)
+
+
+def test_cold_rebuild_over_the_top_r_path_is_bitwise(tmp_path, rng, svd_calls):
+    state, w0 = perturbed_state("osora_k", 128, 128, 4, 47)
+    path = tmp_path / "cold.ckpt"
+    save(state, path)
+    x = rng.standard_normal((128, 3))
+    want_forward = forward(state, x).tobytes()
+    want_frozen = {name: arr.tobytes() for name, arr in state.frozen.items()}
+    factors = weakref.ref(state.frozen.factors)
+    assert factors().converged
+    del state
+    gc.collect()
+    assert factors() is None  # nothing left to share: the load must rebuild
+    loaded = load(path, w0)
+    assert svd_calls == [(128, 128), (128, 128)]
+    assert forward(loaded, x).tobytes() == want_forward
+    assert {name: arr.tobytes() for name, arr in loaded.frozen.items()} == want_frozen
+
+
+@pytest.mark.parametrize(
+    "offset,value",
+    [(8, 3), (9, 0x7F), (10, 0x7F), (24, 1)],
+    ids=["method_code", "o_init_code", "trainable_set_code", "svd_path_code"],
+)
+def test_snapshot_header_codes_are_checked(offset, value, tmp_path):
+    # save_snapshot writes method 255, codes 0 and SVD path 0; load_snapshot reads nothing else.
+    path = tmp_path / "h.snap"
+    save_snapshot(path, {"s_r": np.arange(3.0)}, d=3, k=2, rank=1)
+    blob = bytearray(path.read_bytes())
+    blob[offset] = value
+    path.write_bytes(bytes(blob))
+    with pytest.raises(CorruptPayload):
+        load_snapshot(path)
 
 
 # A two-section snapshot: "s_r" (1-D, 4 values) and then "u_r" (3x2). Section
@@ -293,7 +363,7 @@ def test_snapshot_repeated_name_is_corrupt(tmp_path):
 @example(in_header=False, offset=_U_NAME - HEADER_SIZE, mask=0x06)  # "u_r" becomes a second "s_r"
 @example(in_header=False, offset=_S_NDIM - HEADER_SIZE, mask=0x02)  # ndim 1 becomes 3
 @example(in_header=False, offset=_S_NDIM - HEADER_SIZE, mask=0x03)  # ndim 1 becomes 2: a 1x4 section
-@example(in_header=True, offset=8, mask=0x01)  # method code, which a snapshot does not check
+@example(in_header=True, offset=8, mask=0x01)  # method code, which a snapshot holds at 255
 def test_snapshot_byte_flip_fuzz(tmp_path_factory, in_header, offset, mask):
     path, blob = _snapshot_blob(tmp_path_factory.mktemp("snapfuzz"))
     at = offset % HEADER_SIZE if in_header else HEADER_SIZE + offset % (len(blob) - HEADER_SIZE)

@@ -43,6 +43,19 @@ class TestDecompose:
         assert parse_kv(lines[0]) == {"rows": "2", "cols": "2", "rank": "1"}
         assert lines[1] == "singular_values=3.0"
         assert float(lines[2].split("=")[1]) == 1.0
+        assert parse_kv(lines[3]) == {"svd": "jacobi", "iterations": "1", "converged": "true"}
+
+    def test_top_r_shape_reports_its_path(self, tmp_path, capsys):
+        w = random_matrix(128, 136, 78, "gaussian")
+        path = tmp_path / "m.txt"
+        write_matrix(path, w)
+        code, out, _ = run_cli(capsys, "decompose", str(path), "--rank", "3")
+        assert code == 0
+        lines = out.strip().splitlines()
+        s = [float(x) for x in lines[1].split("=")[1].split(",")]
+        assert np.abs(np.array(s) - np.linalg.svd(w, compute_uv=False)[:3]).max() <= 1e-12 * s[0]
+        kv = parse_kv(lines[3])
+        assert kv["svd"] == "top_r" and kv["converged"] == "true" and int(kv["iterations"]) > 0
 
     def test_identity_full_rank_error_tiny(self, tmp_path, capsys):
         path = tmp_path / "m.txt"

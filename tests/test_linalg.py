@@ -1,4 +1,5 @@
 import hashlib
+import time
 
 import numpy as np
 import pytest
@@ -6,14 +7,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from osora import (
+    AdapterMethod,
     DimensionMismatch,
     InvalidConfig,
     NonFiniteInput,
     RankOutOfRange,
+    build_adapter,
+    forward,
     jacobi_svd,
+    merge,
     random_matrix,
     svd_truncated,
 )
+from osora.linalg import JACOBI_MAX_SWEEPS, TOP_R_MAX_ITERATIONS, svd_path
 
 
 def reassembly_error(w, f):
@@ -276,27 +282,183 @@ def test_deficient_factor_bytes_are_pinned():
     assert h.hexdigest() == "c216dd0a6e7201da74525645c576e6ce5d6be727ca4a2914f2b61f288df47ba6"
 
 
-@pytest.mark.parametrize(
-    "w",
-    [
-        random_matrix(12, 7, 80, "gaussian"),
-        random_matrix(7, 12, 81, "gaussian"),
-        _low_rank(12, 7, 2, 82),
-        _low_rank(7, 12, 3, 83),
-    ],
-    ids=["tall", "wide", "tall_deficient", "wide_deficient"],
-)
-def test_outputs_own_their_memory(w):
-    # Each output is a fresh array: no scratch column or view of the input may leak out.
-    before = w.tobytes()
-    first, second = jacobi_svd(w), jacobi_svd(w)
-    assert w.tobytes() == before
-    outputs = [*first, *second]
+def _assert_own_memory(w, outputs):
     for i, arr in enumerate(outputs):
         assert arr.flags.c_contiguous and arr.flags.writeable
         assert not np.shares_memory(arr, w)
         for other in outputs[i + 1 :]:
             assert not np.shares_memory(arr, other)
+
+
+_OWN_MEMORY_INPUTS = {
+    "tall": random_matrix(12, 7, 80, "gaussian"),
+    "wide": random_matrix(7, 12, 81, "gaussian"),
+    "tall_deficient": _low_rank(12, 7, 2, 82),
+    "wide_deficient": _low_rank(7, 12, 3, 83),
+}
+
+
+@pytest.mark.parametrize("w", _OWN_MEMORY_INPUTS.values(), ids=_OWN_MEMORY_INPUTS.keys())
+def test_outputs_own_their_memory(w):
+    # Each output is a fresh array: no scratch column or view of the input may leak out.
+    before = w.tobytes()
+    first, second = jacobi_svd(w), jacobi_svd(w)
+    assert w.tobytes() == before
+    _assert_own_memory(w, [*first, *second])
+
+
+_OWN_MEMORY_TRUNCATED = {
+    **{name: (w, 3) for name, w in _OWN_MEMORY_INPUTS.items()},
+    "wide_full_rank": (random_matrix(7, 12, 84, "gaussian"), 7),
+    "top_r_wide": (random_matrix(128, 144, 85, "gaussian"), 4),
+    "top_r_tall": (random_matrix(144, 128, 86, "gaussian"), 4),
+}
+
+
+@pytest.mark.parametrize("w,r", _OWN_MEMORY_TRUNCATED.values(), ids=_OWN_MEMORY_TRUNCATED.keys())
+def test_truncated_outputs_own_their_memory(w, r):
+    # Each factor owns exactly its own entries: s_r is no view of the full spectrum.
+    before = w.tobytes()
+    first, second = svd_truncated(w, r), svd_truncated(w, r)
+    assert w.tobytes() == before
+    outputs = [arr for f in (first, second) for arr in (f.u_r, f.s_r, f.v_r, f.residual)]
+    _assert_own_memory(w, outputs)
+    for arr in outputs:
+        assert arr.base is None or arr.base.size == arr.size
+
+
+def _known_spectrum(d, k, sigma, seed):
+    # Two Householder reflections on each side of diag(sigma): an exact, stated
+    # spectrum and dense singular vectors, built in O(dk) memory and time.
+    rng = np.random.default_rng(seed)
+    w = np.zeros((d, k))
+    w[np.arange(sigma.size), np.arange(sigma.size)] = sigma
+    for _ in range(2):
+        h = rng.standard_normal(d)
+        h /= np.linalg.norm(h)
+        w -= 2.0 * np.outer(h, h @ w)
+        g = rng.standard_normal(k)
+        g /= np.linalg.norm(g)
+        w -= 2.0 * np.outer(w @ g, g)
+    return w
+
+
+def _assert_certified(w, f):
+    """The top-r factors: orthonormal, sign-fixed on the longer side, meeting the residual certificate."""
+    r = f.rank
+    eye = np.eye(r)
+    assert f.converged
+    assert np.abs(f.u_r.T @ f.u_r - eye).max() <= 1e-12
+    assert np.abs(f.v_r.T @ f.v_r - eye).max() <= 1e-12
+    s1 = f.s_r[0]
+    assert np.sqrt(((w @ f.v_r - f.u_r * f.s_r) ** 2).sum(axis=0)).max() <= 1e-12 * s1
+    assert np.sqrt(((w.T @ f.u_r - f.v_r * f.s_r) ** 2).sum(axis=0)).max() <= 1e-12 * s1
+    lead = f.u_r if w.shape[0] >= w.shape[1] else f.v_r
+    assert (lead[np.argmax(np.abs(lead), axis=0), np.arange(r)] > 0.0).all()
+    assert reassembly_error(w, f) <= 1e-12 * np.sqrt((w * w).sum())
+
+
+class TestTopRPath:
+    """svd_truncated's seeded power iteration, taken for min(d, k) >= 128."""
+
+    def test_path_follows_shape_and_rank(self):
+        assert svd_path(127, 127, 4) == "jacobi"
+        assert svd_path(128, 127, 4) == "jacobi"
+        assert svd_path(128, 128, 4) == "top_r"
+        assert svd_path(4096, 128, 56) == "top_r"
+        assert svd_path(128, 4096, 57) == "jacobi"  # 2 * (r + 8) > 128
+        assert svd_path(4096, 4096, 2040) == "top_r"
+
+    @pytest.mark.parametrize("d,k", [(128, 160), (160, 128)], ids=["wide", "tall"])
+    def test_matches_lapack(self, d, k):
+        w = random_matrix(d, k, (90, d), "gaussian")
+        f = svd_truncated(w, 8)
+        _assert_certified(w, f)
+        s = np.linalg.svd(w, compute_uv=False)
+        assert np.abs(f.s_r - s[:8]).max() <= 1e-12 * s[0]
+
+    def test_decaying_spectrum_at_scale(self):
+        # sigma_i = 1 / i, a decaying spectrum like a pretrained weight's; the
+        # full Jacobi SVD of this shape would run for hours.
+        sigma = 1.0 / np.arange(1.0, 1025.0)
+        w = _known_spectrum(1024, 4096, sigma, 91)
+        start = time.perf_counter()
+        f = svd_truncated(w, 8)
+        elapsed = time.perf_counter() - start
+        assert elapsed < 10.0
+        _assert_certified(w, f)
+        assert np.abs(f.s_r - np.linalg.svd(w, compute_uv=False)[:8]).max() <= 1e-12
+        assert np.abs(f.s_r - sigma[:8]).max() <= 1e-12
+
+    def test_exact_rank_two(self):
+        w = _low_rank(128, 128, 2, 92)
+        f = svd_truncated(w, 4)
+        _assert_certified(w, f)
+        assert (f.s_r[:2] > 0.0).all() and (f.s_r[2:] == 0.0).all()
+        assert np.abs(f.residual).max() <= 1e-12 * f.s_r[0]
+
+    def test_all_zero(self):
+        w = np.zeros((128, 128))
+        f = svd_truncated(w, 4)
+        _assert_certified(w, f)
+        assert f.s_r.tolist() == [0.0] * 4 and not f.residual.any()
+
+    def test_tied_spectrum_stops_at_the_cap(self):
+        # sigma_4 = sigma_5 inside a cluster within 1 % of them that runs past
+        # the oversampled block: no Ritz pair there can meet the certificate,
+        # so the loop stops at its cap. The residual is still exact for the
+        # factors it returns, so a build starts at its base weight.
+        sigma = np.concatenate([[4.0, 3.0, 2.0, 1.0], np.linspace(1.0, 0.99, 124)])
+        w = _known_spectrum(128, 128, sigma, 93)
+        start = time.perf_counter()
+        f = svd_truncated(w, 4)
+        assert time.perf_counter() - start < 5.0
+        assert not f.converged and f.iterations == TOP_R_MAX_ITERATIONS
+        assert np.abs(f.s_r[:3] - sigma[:3]).max() <= 1e-12  # outside the cluster, certified anyway
+        assert 0.99 <= f.s_r[3] <= 1.0
+        assert np.abs(f.u_r.T @ f.u_r - np.eye(4)).max() <= 1e-12
+        state = build_adapter(w, AdapterMethod(tag="osora", rank=4), seed=93)
+        assert state.frozen.factors.converged is False
+        x = np.random.default_rng(93).standard_normal((128, 3))
+        assert np.abs(forward(state, x) - w @ x).max() <= 1e-12 * np.abs(w @ x).max()
+        assert np.abs(merge(state) - w).max() <= 1e-12
+
+    def test_reruns_are_bitwise(self):
+        w = random_matrix(144, 128, 94, "uniform_scaled")
+        a, b = svd_truncated(w, 6), svd_truncated(w.copy(), 6)
+        for name in ("u_r", "s_r", "v_r", "residual"):
+            assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+        assert (a.iterations, a.converged) == (b.iterations, b.converged)
+
+    def test_below_the_cut_over_slices_jacobi(self):
+        w = random_matrix(127, 127, 95, "gaussian")
+        f = svd_truncated(w, 4)
+        u, s, v = jacobi_svd(w)
+        assert f.u_r.tobytes() == np.ascontiguousarray(u[:, :4]).tobytes()
+        assert f.s_r.tobytes() == s[:4].tobytes()
+        assert f.v_r.tobytes() == np.ascontiguousarray(v[:, :4]).tobytes()
+        assert f.converged and 1 <= f.iterations < JACOBI_MAX_SWEEPS
+
+
+def test_full_path_reports_its_sweeps():
+    f = svd_truncated(random_matrix(9, 6, 96, "gaussian"), 2)
+    assert f.converged and 2 <= f.iterations < JACOBI_MAX_SWEEPS
+    z = svd_truncated(np.zeros((5, 4)), 2)
+    assert (z.iterations, z.converged) == (0, True)
+
+
+@pytest.mark.pinned
+def test_top_r_factor_bytes_are_pinned():
+    # SHA-256 of svd_truncated's (u_r, s_r, v_r, residual) at one seeded 128x128
+    # gaussian weight, rank 4: the shape and rank of the benchmark's training
+    # tasks. Same build caveat as test_full_rank_factor_bytes_are_pinned; the
+    # power iteration's products and QRs go through BLAS and LAPACK as well.
+    f = svd_truncated(random_matrix(128, 128, (97, 10), "gaussian"), 4)
+    h = hashlib.sha256()
+    for arr in (f.u_r, f.s_r, f.v_r, f.residual):
+        h.update(arr.tobytes())
+    assert (f.iterations, f.converged) == (104, True)
+    assert h.hexdigest() == "76dd39a35b60c7701ccd6d106796cf544f627ca83caf3dee366314c1ea3bc07a"
 
 
 class TestRandomMatrix:

@@ -187,7 +187,9 @@ def test_train_step_forms_no_dense_weight(tag):
     d = k = 256
     rng = np.random.default_rng(14)
     q, _ = np.linalg.qr(rng.standard_normal((d, k)))
-    w0 = q * np.linspace(2.0, 1.0, k)  # orthogonal columns, so the SVD ends after one sweep
+    # A linspace spectrum decays too slowly for the top-r SVD to certify its
+    # factors: it stops at its iteration cap, which the build and this bound do not depend on.
+    w0 = q * np.linspace(2.0, 1.0, k)
     probes = rng.standard_normal((k, 8))
     task = ToyTask(w0=w0, w_target=1.1 * w0, probes=probes, targets=1.1 * w0 @ probes, seed=14, r_gap=2)
     state = build_adapter(task.w0, AdapterMethod(tag=tag, rank=2), seed=14)
