@@ -32,7 +32,7 @@ from .adapters import (
     trainable_vector,
     weight_digest,
 )
-from .checkpoint import load, load_snapshot, save, save_snapshot
+from .checkpoint import load, save
 from .errors import (
     CorruptPayload,
     DigestMismatch,
@@ -88,7 +88,6 @@ __all__ = [
     "jacobi_svd",
     "list_presets",
     "load",
-    "load_snapshot",
     "load_trainable",
     "loss_mse",
     "make_task",
@@ -97,7 +96,6 @@ __all__ = [
     "random_matrix",
     "report",
     "save",
-    "save_snapshot",
     "scaling_sweep",
     "svd_truncated",
     "train",

@@ -421,15 +421,7 @@ def _build_adapter(w: np.ndarray, digest: bytes, method: AdapterMethod, seed: in
 
 def clone_state(state: AdapterState) -> AdapterState:
     """Copy with fresh trainable arrays; frozen tensors are shared (read-only)."""
-    return AdapterState(
-        method=state.method,
-        d=state.d,
-        k=state.k,
-        seed=state.seed,
-        frozen=state.frozen,
-        trainable={name: arr.copy() for name, arr in state.trainable.items()},
-        w0_digest=state.w0_digest,
-    )
+    return replace(state, trainable={name: arr.copy() for name, arr in state.trainable.items()})
 
 
 def effective_weight(state: AdapterState) -> np.ndarray:

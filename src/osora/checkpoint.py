@@ -8,27 +8,30 @@ Format version 1, all integers little-endian. Header (68 bytes):
     8       1     method code (u8, index into METHODS)
     9       1     o_init code (u8: 0=ones, 1=gaussian)
     10      1     trainable_set code (u8: 0=both, 1=only_s, 2=only_o)
-    11      1     kind (u8: 0=trainable-only checkpoint, 1=debug snapshot)
+    11      1     kind (u8: 0; any other value is refused)
     12      4     d (u32)
     16      4     k (u32)
     20      4     rank (u32)
-    24      4     SVD path code (u32: 0=jacobi, 1=top_r; 0 in a snapshot)
+    24      4     SVD path code (u32: 0=jacobi, 1=top_r)
     28      8     seed (u64)
     36      32    SHA-256 of the base weight's row-major f64-LE bytes
 
 A trainable-only checkpoint is the header followed by the flat trainable
-vector as f64-LE; nothing else. Before anything is built, loading checks the
-digest, the header codes and the payload (its length, and that every value
-is finite). It then builds the frozen tensors through build_adapter's
-builder, handing it the checked digest so the weight is hashed once,
-installs the payload, and checks that the merged weight is finite, as are
-the row norms that a magnitude method divides by. Every load builds its own
-frozen dict, over the factors and residual shared per (weight, rank) and the
-w0 copy shared per weight (see adapters.py), so it runs no SVD while an
-adapter or task over that weight lives (the one just saved, say); the rest
-comes again from the seeded generators, and with nothing alive the factors
-from the sign-fixed SVD. Either way a reload reproduces the saved adapter
-bit for bit.
+vector as f64-LE; nothing else. It is the one kind this build writes or
+reads: load refuses any other kind byte, the debug snapshots (kind 1) of
+older builds included, as CorruptPayload.
+
+Before anything is built, loading checks the digest, the header codes and
+the payload (its length, and that every value is finite). It then builds
+the frozen tensors through build_adapter's builder, handing it the checked
+digest so the weight is hashed once, installs the payload, and checks that
+the merged weight is finite, as are the row norms that a magnitude method
+divides by. Every load builds its own frozen dict, over the factors and
+residual shared per (weight, rank) and the w0 copy shared per weight (see
+adapters.py), so it runs no SVD while an adapter or task over that weight
+lives (the one just saved, say); the rest comes again from the seeded
+generators, and with nothing alive the factors from the sign-fixed SVD.
+Either way a reload reproduces the saved adapter bit for bit.
 
 Because the frozen factors are rebuilt, the SVD's output bytes are part of
 the format. Over a full-rank weight they are those of every earlier build.
@@ -47,16 +50,6 @@ build, which wrote 0 there for every shape, saved over a top-r shape names the
 Jacobi factors it was trained on, which this build no longer rebuilds. Any
 other code is CorruptPayload. Older checkpoints of Jacobi shapes load as
 before, and their bytes are unchanged.
-
-The debug snapshot (kind=1) carries method code 255 and o_init,
-trainable_set and SVD path codes 0 (load_snapshot refuses any other codes as
-CorruptPayload), and appends named tensor sections instead of a payload:
-u32 section count, then per section u16 name length, name bytes (utf-8),
-u8 ndim, u32 rows, u32 cols, and the f64-LE data. A 1-D section has ndim 1
-and rows 1, a 2-D one ndim 2, and no name repeats; load_snapshot refuses
-anything else, and a name that is not UTF-8, as CorruptPayload. save_snapshot
-is its one writer and load_snapshot its one reader; it exists for test
-fixtures and factor dumps, not for the storage-ratio guarantees.
 """
 
 from __future__ import annotations
@@ -79,8 +72,8 @@ from .adapters import (
     trainable_vector,
     weight_digest,
 )
-from .errors import CorruptPayload, DigestMismatch, InvalidConfig, IoFailure, RankOutOfRange, VersionUnsupported
-from .linalg import SVD_PATHS, as_matrix, check_integers, check_seed, svd_path
+from .errors import CorruptPayload, DigestMismatch, IoFailure, RankOutOfRange, VersionUnsupported
+from .linalg import SVD_PATHS, as_matrix, check_seed, svd_path
 
 MAGIC = b"OSRA"
 FORMAT_VERSION = 1
@@ -88,10 +81,6 @@ _HEADER = struct.Struct("<4sIBBBBIIIIQ32s")
 HEADER_SIZE = _HEADER.size  # 68
 
 _KIND_CHECKPOINT = 0
-_KIND_SNAPSHOT = 1
-
-# Method code 255 marks a snapshot that carries bare factors, not an adapter.
-_METHOD_NONE = 255
 
 
 def _pack_header(state: AdapterState) -> bytes:
@@ -192,84 +181,3 @@ def load(path, w0) -> AdapterState:
     if not is_finite(state):
         raise CorruptPayload(f"{path}: payload gives a non-finite merged weight or row norm")
     return state
-
-
-def _pack_sections(arrays: dict[str, np.ndarray]) -> bytes:
-    parts = [struct.pack("<I", len(arrays))]
-    for name, arr in arrays.items():
-        encoded = name.encode("utf-8")
-        if len(encoded) > 0xFFFF:
-            raise InvalidConfig(f"section name is {len(encoded)} UTF-8 bytes, at most 65535 fit")
-        a = np.asarray(arr)
-        if a.dtype.kind not in "biuf":
-            raise InvalidConfig(f"section {name!r} must hold real numbers, got dtype {a.dtype}")
-        a = np.ascontiguousarray(a, dtype=np.float64)
-        if a.ndim == 1:
-            ndim, rows, cols = 1, 1, a.shape[0]
-        elif a.ndim == 2:
-            ndim, rows, cols = 2, a.shape[0], a.shape[1]
-        else:
-            raise InvalidConfig(f"section {name!r} must be 1-D or 2-D")
-        parts.append(struct.pack("<H", len(encoded)) + encoded)
-        parts.append(struct.pack("<BII", ndim, rows, cols))
-        parts.append(a.astype("<f8").tobytes())
-    return b"".join(parts)
-
-
-def _unpack_sections(blob: bytes, offset: int, path) -> dict[str, np.ndarray]:
-    def take(n):
-        nonlocal offset
-        if offset + n > len(blob):
-            raise CorruptPayload(f"{path}: snapshot sections truncated")
-        chunk = blob[offset : offset + n]
-        offset += n
-        return chunk
-
-    (count,) = struct.unpack("<I", take(4))
-    arrays: dict[str, np.ndarray] = {}
-    for _ in range(count):
-        (name_len,) = struct.unpack("<H", take(2))
-        try:
-            name = take(name_len).decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise CorruptPayload(f"{path}: section name is not UTF-8: {exc}") from exc
-        if name in arrays:
-            raise CorruptPayload(f"{path}: section {name!r} repeats")
-        ndim, rows, cols = struct.unpack("<BII", take(9))
-        if ndim not in (1, 2):
-            raise CorruptPayload(f"{path}: section {name!r} has ndim {ndim}, not 1 or 2")
-        if ndim == 1 and rows != 1:
-            raise CorruptPayload(f"{path}: 1-D section {name!r} has {rows} rows, not 1")
-        data = np.frombuffer(take(8 * rows * cols), dtype="<f8")
-        arrays[name] = data.reshape((cols,) if ndim == 1 else (rows, cols)).copy()
-    if offset != len(blob):
-        raise CorruptPayload(f"{path}: {len(blob) - offset} trailing bytes after sections")
-    return arrays
-
-
-def save_snapshot(path, arrays: dict[str, np.ndarray], *, d: int, k: int, rank: int, seed: int = 0, digest: bytes = b"\x00" * 32) -> None:
-    """Debug dump of named tensors (factor dumps, fixtures); not size-optimal."""
-    check_integers(d=d, k=k, rank=rank)
-    for name, value in (("d", d), ("k", k), ("rank", rank)):
-        if not 0 <= value < 2**32:
-            raise InvalidConfig(f"{name} must be in [0, 2**32), got {value}")
-    check_seed(seed)
-    if not isinstance(digest, bytes) or len(digest) != 32:
-        raise InvalidConfig(f"digest must be 32 bytes, got {digest!r}")
-    header = _HEADER.pack(MAGIC, FORMAT_VERSION, _METHOD_NONE, 0, 0, _KIND_SNAPSHOT, d, k, rank, 0, seed, digest)
-    _write(path, header + _pack_sections(arrays))
-
-
-def load_snapshot(path) -> tuple[dict, dict[str, np.ndarray]]:
-    """Read any snapshot as (header metadata, named arrays)."""
-    blob = _read(path)
-    method_code, o_code, set_code, kind, d, k, rank, svd_code, seed, digest = _unpack_header(blob, path)
-    if kind != _KIND_SNAPSHOT:
-        raise CorruptPayload(f"{path}: not a snapshot file")
-    if (method_code, o_code, set_code, svd_code) != (_METHOD_NONE, 0, 0, 0):
-        raise CorruptPayload(
-            f"{path}: snapshot header codes are ({method_code}, {o_code}, {set_code}, {svd_code}), "
-            f"this build writes only ({_METHOD_NONE}, 0, 0, 0)"
-        )
-    meta = {"method_code": method_code, "d": d, "k": k, "rank": rank, "seed": seed, "digest": digest}
-    return meta, _unpack_sections(blob, HEADER_SIZE, path)

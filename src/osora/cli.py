@@ -38,7 +38,10 @@ EXIT_NONFINITE = 4
 # flag wins over the command's --config section, and the section over the
 # default; a section may hold only its command's keys.
 _SETTINGS = {
-    "decompose": {"rank": (int, None, {}), "out": (str, None, {"help": "write factors to a debug snapshot"})},
+    "decompose": {
+        "rank": (int, None, {}),
+        "out": (str, None, {"help": "output directory for u_r.txt, s_r.txt, v_r.txt and residual.txt"}),
+    },
     "train": {
         "seed": (int, 0, {}),
         "rank": (int, STANDARD_TASK["r_gap"], {}),
@@ -86,9 +89,22 @@ def read_matrix(path) -> np.ndarray:
 
 
 def write_matrix(path, w: np.ndarray) -> None:
+    """Write w in the text matrix format; repr floats read back bit for bit."""
     lines = [f"{w.shape[0]} {w.shape[1]}"]
     lines += [" ".join(repr(x) for x in row) for row in w.tolist()]
-    Path(path).write_text("\n".join(lines) + "\n")
+    try:
+        Path(path).write_text("\n".join(lines) + "\n")
+    except OSError as exc:
+        raise IoFailure(f"cannot write {path}: {exc}") from exc
+
+
+def _make_out_dir(out) -> Path:
+    out_dir = Path(out)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise IoFailure(f"cannot create {out_dir}: {exc}") from exc
+    return out_dir
 
 
 def _resolve_settings(args) -> None:
@@ -145,18 +161,14 @@ def cmd_decompose(args) -> int:
     path = svd_path(*w.shape, factors.rank)
     print(f"svd={path} iterations={factors.iterations} converged={str(factors.converged).lower()}")
     if args.out:
-        checkpoint.save_snapshot(
-            args.out,
-            {
-                "u_r": factors.u_r,
-                "s_r": factors.s_r,
-                "v_r": factors.v_r,
-                "residual": factors.residual,
-            },
-            d=w.shape[0],
-            k=w.shape[1],
-            rank=factors.rank,
-        )
+        out_dir = _make_out_dir(args.out)
+        for name, factor in (
+            ("u_r", factors.u_r),
+            ("s_r", factors.s_r[None, :]),
+            ("v_r", factors.v_r),
+            ("residual", factors.residual),
+        ):
+            write_matrix(out_dir / f"{name}.txt", factor)
     return 0
 
 
@@ -174,11 +186,7 @@ def cmd_train(args) -> int:
         raise CliError(f"out of memory: {exc}", EXIT_PARSE) from exc
 
     if args.out:
-        out_dir = Path(args.out)
-        try:
-            out_dir.mkdir(parents=True, exist_ok=True)
-        except OSError as exc:
-            raise IoFailure(f"cannot create {out_dir}: {exc}") from exc
+        out_dir = _make_out_dir(args.out)
         _write_csv(out_dir / "loss.csv", ["step", "loss"], [[i, repr(v)] for i, v in enumerate(run.loss_trace.tolist())])
         checkpoint.save(run.final_state, out_dir / "adapter.ckpt")
     print(

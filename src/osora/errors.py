@@ -9,8 +9,8 @@ class RankOutOfRange(OsoraError):
     """Requested rank is zero or exceeds what the matrix shape allows."""
 
 
-class NonFiniteInput(OsoraError):
-    """An input tensor contains NaN or Inf entries."""
+class NonFiniteInput(OsoraError, ValueError):
+    """An input tensor contains NaN or Inf entries, or its norm is too large to decompose."""
 
 
 class DimensionMismatch(OsoraError):

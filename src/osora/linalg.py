@@ -35,6 +35,13 @@ _ROUNDOFF_FLOOR = 1e-15
 # reliable direction; they are replaced by an orthonormal completion.
 _DEFICIENT_REL = 1e-12
 
+# Largest ||w||_F either SVD path takes. The Jacobi pair test multiplies two
+# squared column norms, each up to ||w||_F^2, so it stays finite below 2^256;
+# past that the sweep would skip the rotations it needs and return wrong
+# factors, often marked converged. The top-r path runs that sweep on a
+# projection of w.
+_MAX_FRO = 2.0**255
+
 # Top-r path: taken when min(d, k) >= TOP_R_MIN_DIM and 2 * (r + TOP_R_OVERSAMPLE)
 # <= min(d, k). A block of r + TOP_R_OVERSAMPLE columns, drawn from the fixed
 # seed TOP_R_SEED (so the factors depend on w and r alone), goes through power
@@ -83,6 +90,15 @@ def check_finite(a: np.ndarray, name: str = "input") -> None:
 
 def fro_norm(a: np.ndarray) -> float:
     return math.sqrt(float((a * a).sum()))
+
+
+def check_fro_norm(a: np.ndarray, name: str = "input") -> float:
+    """fro_norm of a finite a; raise NonFiniteInput when it overflows or exceeds _MAX_FRO."""
+    with np.errstate(over="ignore"):  # an overflow reads as Inf and is refused below
+        fro = fro_norm(a)
+    if not fro <= _MAX_FRO:
+        raise NonFiniteInput(f"{name} has Frobenius norm {fro:.3g}, above the {_MAX_FRO:.3g} the SVD can square")
+    return fro
 
 
 def random_matrix(rows: int, cols: int, seed: int | Sequence[int], scheme: str = "uniform_scaled") -> np.ndarray:
@@ -166,7 +182,7 @@ def _jacobi(w) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, bool]:
 
     a = m0.copy()
     v = np.eye(k)
-    fro = fro_norm(a)
+    fro = check_fro_norm(a, "svd input")
     tol_abs = JACOBI_TOL * fro
     # A rotation never grows the smaller of its columns, so columns with squared
     # norms at most cutoff^2 / k hold at most cutoff^2 together and no rotation
@@ -310,6 +326,7 @@ def svd_truncated(w, r: int) -> SvdFactors:
         raise RankOutOfRange(f"rank {r} outside [1, {max_rank}] for shape {m.shape}")
     if svd_path(*m.shape, r) == "top_r":
         check_finite(m, "svd input")
+        check_fro_norm(m, "svd input")
         u, s, v, iterations, converged = _top_r(m, r)
     else:
         u, s, v, iterations, converged = _jacobi(m)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import tempfile
 from collections.abc import Iterable
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -165,15 +165,7 @@ def _perturbed_copy(state: AdapterState) -> AdapterState:
     frozen[target][0, 0] += 1e-3
     for arr in frozen.values():
         arr.setflags(write=False)
-    return AdapterState(
-        method=state.method,
-        d=state.d,
-        k=state.k,
-        seed=state.seed,
-        frozen=frozen,
-        trainable={n: a.copy() for n, a in state.trainable.items()},
-        w0_digest=state.w0_digest,
-    )
+    return replace(state, frozen=frozen, trainable={n: a.copy() for n, a in state.trainable.items()})
 
 
 def verify_merge(seed: int = 0, inject_fault: bool = False) -> list[CheckResult]:

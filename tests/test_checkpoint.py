@@ -26,16 +26,13 @@ from osora import (
     merge,
     param_ratio,
     random_matrix,
-    svd_truncated,
     trainable_vector,
     weight_digest,
 )
 from osora.checkpoint import (
     HEADER_SIZE,
     load,
-    load_snapshot,
     save,
-    save_snapshot,
 )
 from osora.adapters import O_INITS, OSORA_FAMILY
 from osora.verify import verify_persist
@@ -176,28 +173,24 @@ def test_gaussian_o_init_roundtrip(tmp_path, rng):
     assert loaded.method.o_init == "gaussian"
 
 
-def test_factor_snapshot_roundtrip(tmp_path):
-    w = random_matrix(10, 6, 33, "gaussian")
-    f = svd_truncated(w, 3)
-    path = tmp_path / "factors.snap"
-    save_snapshot(path, {"u_r": f.u_r, "s_r": f.s_r, "v_r": f.v_r, "residual": f.residual}, d=10, k=6, rank=3)
-    meta, arrays = load_snapshot(path)
-    assert meta["d"] == 10 and meta["rank"] == 3
-    assert arrays["u_r"].tobytes() == f.u_r.tobytes()
-    assert arrays["s_r"].shape == (3,)
-    assert arrays["residual"].shape == (10, 6)
-
-
-def test_snapshot_not_loadable_as_checkpoint(tmp_path):
-    state, w0 = perturbed_state("osora", 8, 6, 2, 34)
-    path = tmp_path / "full.snap"
-    save_snapshot(path, dict(state.frozen), d=8, k=6, rank=2, digest=state.w0_digest)
-    with pytest.raises(CorruptPayload):
-        load(path, w0)
-
-
 def _unreachable(*_args):
     raise AssertionError("must not be called on this path")
+
+
+def test_snapshot_not_loadable_as_checkpoint(tmp_path, monkeypatch):
+    # A valid checkpoint's header and payload with only the kind byte changed:
+    # 1 was the debug snapshot of older builds, and no kind but 0 is read.
+    state, w0 = perturbed_state("osora", 8, 6, 2, 34)
+    payload = trainable_vector(state).astype("<f8").tobytes()
+    monkeypatch.setattr("osora.checkpoint._build_adapter", _unreachable)  # rejected before any rebuild
+    for kind in (1, 2, 255):
+        header = osora.checkpoint._HEADER.pack(
+            osora.checkpoint.MAGIC, 1, METHODS.index("osora"), 0, 0, kind, 8, 6, 2, 0, state.seed, state.w0_digest
+        )
+        path = tmp_path / f"kind-{kind}.ckpt"
+        path.write_bytes(header + payload)
+        with pytest.raises(CorruptPayload, match=f"kind={kind}"):
+            load(path, w0)
 
 
 @pytest.mark.parametrize("offset,value", [(9, 0x7F), (10, 0x7F)], ids=["o_init_code", "trainable_set_code"])
@@ -225,19 +218,17 @@ def test_non_finite_payload_is_corrupt(bad, tmp_path, monkeypatch):
 
 
 def test_nonzero_reserved_field_is_corrupt(tmp_path, monkeypatch):
-    # The u32 at offset 24 names the SVD path in a checkpoint (0 or 1) and is
-    # reserved, 0, in a snapshot; a value this build does not know is refused, not ignored.
+    # The u32 at offset 24 names the SVD path (0 or 1); a value this build
+    # does not know is refused, not ignored.
     state, w0 = perturbed_state("osora", 8, 6, 2, 41)
-    save(state, tmp_path / "c.ckpt")
-    save_snapshot(tmp_path / "s.snap", {"s_r": state.trainable["s_r"]}, d=8, k=6, rank=2)
+    path = tmp_path / "c.ckpt"
+    save(state, path)
+    blob = bytearray(path.read_bytes())
+    blob[24] = 2
+    path.write_bytes(bytes(blob))
     monkeypatch.setattr("osora.checkpoint._build_adapter", _unreachable)  # rejected before any rebuild
-    for name, read, code in (("c.ckpt", lambda p: load(p, w0), 2), ("s.snap", load_snapshot, 1)):
-        path = tmp_path / name
-        blob = bytearray(path.read_bytes())
-        blob[24] = code
-        path.write_bytes(bytes(blob))
-        with pytest.raises(CorruptPayload):
-            read(path)
+    with pytest.raises(CorruptPayload):
+        load(path, w0)
 
 
 @pytest.fixture(scope="module")
@@ -291,92 +282,6 @@ def test_cold_rebuild_over_the_top_r_path_is_bitwise(tmp_path, rng, svd_calls):
     assert svd_calls == [(128, 128), (128, 128)]
     assert forward(loaded, x).tobytes() == want_forward
     assert {name: arr.tobytes() for name, arr in loaded.frozen.items()} == want_frozen
-
-
-@pytest.mark.parametrize(
-    "offset,value",
-    [(8, 3), (9, 0x7F), (10, 0x7F), (24, 1)],
-    ids=["method_code", "o_init_code", "trainable_set_code", "svd_path_code"],
-)
-def test_snapshot_header_codes_are_checked(offset, value, tmp_path):
-    # save_snapshot writes method 255, codes 0 and SVD path 0; load_snapshot reads nothing else.
-    path = tmp_path / "h.snap"
-    save_snapshot(path, {"s_r": np.arange(3.0)}, d=3, k=2, rank=1)
-    blob = bytearray(path.read_bytes())
-    blob[offset] = value
-    path.write_bytes(bytes(blob))
-    with pytest.raises(CorruptPayload):
-        load_snapshot(path)
-
-
-# A two-section snapshot: "s_r" (1-D, 4 values) and then "u_r" (3x2). Section
-# one's fields sit at fixed offsets after the header's 68 bytes and the u32
-# section count: u16 name length at 72, name at 74, ndim at 77, rows at 78,
-# cols at 82, data from 86; section two starts at 118 with its name at 120.
-_S_NAME, _S_NDIM, _S_ROWS, _U_NAME = 74, 77, 78, 120
-
-
-def _snapshot_blob(tmp_path):
-    path = tmp_path / "two.snap"
-    save_snapshot(path, {"s_r": np.arange(1.0, 5.0), "u_r": np.ones((3, 2))}, d=3, k=2, rank=2)
-    return path, bytearray(path.read_bytes())
-
-
-def _load_mutated(path, blob):
-    path.write_bytes(bytes(blob))
-    return load_snapshot(path)
-
-
-def test_snapshot_name_not_utf8_is_corrupt(tmp_path):
-    path, blob = _snapshot_blob(tmp_path)
-    blob[_S_NAME] = 0xFF
-    with pytest.raises(CorruptPayload):
-        _load_mutated(path, blob)
-
-
-@pytest.mark.parametrize("ndim", [0, 3, 9])
-def test_snapshot_ndim_other_than_one_or_two_is_corrupt(ndim, tmp_path):
-    path, blob = _snapshot_blob(tmp_path)
-    blob[_S_NDIM] = ndim
-    with pytest.raises(CorruptPayload):
-        _load_mutated(path, blob)
-
-
-def test_snapshot_one_d_section_with_rows_is_corrupt(tmp_path):
-    # 2 rows of 2 columns hold the same 4 values as the 1-D section declared.
-    path, blob = _snapshot_blob(tmp_path)
-    struct.pack_into("<II", blob, _S_ROWS, 2, 2)
-    with pytest.raises(CorruptPayload):
-        _load_mutated(path, blob)
-
-
-def test_snapshot_repeated_name_is_corrupt(tmp_path):
-    path, blob = _snapshot_blob(tmp_path)
-    blob[_U_NAME] = ord("s")
-    with pytest.raises(CorruptPayload):
-        _load_mutated(path, blob)
-
-
-@settings(max_examples=200, deadline=None)
-@given(in_header=st.booleans(), offset=st.integers(0, 2**16), mask=st.integers(1, 255))
-@example(in_header=False, offset=_S_NAME - HEADER_SIZE, mask=0x80)  # name not UTF-8
-@example(in_header=False, offset=_U_NAME - HEADER_SIZE, mask=0x06)  # "u_r" becomes a second "s_r"
-@example(in_header=False, offset=_S_NDIM - HEADER_SIZE, mask=0x02)  # ndim 1 becomes 3
-@example(in_header=False, offset=_S_NDIM - HEADER_SIZE, mask=0x03)  # ndim 1 becomes 2: a 1x4 section
-@example(in_header=True, offset=8, mask=0x01)  # method code, which a snapshot holds at 255
-def test_snapshot_byte_flip_fuzz(tmp_path_factory, in_header, offset, mask):
-    path, blob = _snapshot_blob(tmp_path_factory.mktemp("snapfuzz"))
-    at = offset % HEADER_SIZE if in_header else HEADER_SIZE + offset % (len(blob) - HEADER_SIZE)
-    blob[at] ^= mask
-    try:
-        meta, arrays = _load_mutated(path, blob)
-    except OsoraError:
-        return
-    # Whatever loads has the shapes and values its sections declare: writing
-    # it out again reproduces the flipped file's sections byte for byte.
-    again = path.with_name("again.snap")
-    save_snapshot(again, arrays, d=meta["d"], k=meta["k"], rank=meta["rank"], seed=meta["seed"], digest=meta["digest"])
-    assert again.read_bytes()[HEADER_SIZE:] == bytes(blob[HEADER_SIZE:])
 
 
 def test_load_hashes_the_base_weight_once(tmp_path, monkeypatch):

@@ -4,8 +4,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from osora import jacobi_svd, random_matrix
-from osora.checkpoint import load_snapshot
+from osora import IoFailure, jacobi_svd, random_matrix, svd_truncated
 from osora.cli import main, read_matrix, write_matrix
 
 
@@ -25,6 +24,10 @@ class TestMatrixIo:
         path = tmp_path / "m.txt"
         write_matrix(path, w)
         assert np.array_equal(read_matrix(path), w)
+
+    def test_unwritable_path_is_io_failure(self, tmp_path):
+        with pytest.raises(IoFailure):
+            write_matrix(tmp_path / "missing" / "m.txt", np.eye(2))
 
     def test_malformed_rejected(self, tmp_path):
         path = tmp_path / "bad.txt"
@@ -69,14 +72,36 @@ class TestDecompose:
         w = random_matrix(64, 48, 77, "gaussian")
         path = tmp_path / "m.txt"
         write_matrix(path, w)
-        code, out, _ = run_cli(capsys, "decompose", str(path), "--rank", "8", "--out", str(tmp_path / "f.snap"))
+        code, out, _ = run_cli(capsys, "decompose", str(path), "--rank", "8", "--out", str(tmp_path / "f"))
         assert code == 0
         reported = float(out.strip().splitlines()[2].split("=")[1])
         _, s, _ = jacobi_svd(w)
         tail = float(np.sqrt((s[8:] ** 2).sum()))
         assert abs(reported - tail) <= 1e-9 * (1.0 + tail)
-        meta, arrays = load_snapshot(tmp_path / "f.snap")
-        assert meta["rank"] == 8 and arrays["u_r"].shape == (64, 8)
+        assert read_matrix(tmp_path / "f" / "u_r.txt").shape == (64, 8)
+        assert read_matrix(tmp_path / "f" / "s_r.txt").shape == (1, 8)
+
+    @pytest.mark.parametrize("d,k,r", [(10, 6, 3), (6, 10, 3), (128, 160, 4)], ids=["jacobi", "jacobi_wide", "top_r"])
+    def test_out_dir_factors_read_back_bit_for_bit(self, d, k, r, tmp_path, capsys):
+        w = random_matrix(d, k, 79, "gaussian")
+        path, out_dir = tmp_path / "m.txt", tmp_path / "nested" / "factors"
+        write_matrix(path, w)
+        code, out, _ = run_cli(capsys, "decompose", str(path), "--rank", str(r), "--out", str(out_dir))
+        assert code == 0
+        f = svd_truncated(w, r)
+        want = {"u_r": f.u_r, "s_r": f.s_r[None, :], "v_r": f.v_r, "residual": f.residual}
+        assert sorted(p.name for p in out_dir.iterdir()) == sorted(f"{name}.txt" for name in want)
+        for name, factor in want.items():
+            got = read_matrix(out_dir / f"{name}.txt")
+            assert got.shape == factor.shape and got.tobytes() == factor.tobytes(), name
+
+    def test_unwritable_out_dir_exit_code(self, tmp_path, capsys):
+        path, blocker = tmp_path / "m.txt", tmp_path / "plain_file"
+        write_matrix(path, np.eye(2))
+        blocker.write_text("not a directory\n")
+        for out in (blocker / "factors", blocker):
+            code, _, err = run_cli(capsys, "decompose", str(path), "--rank", "1", "--out", str(out))
+            assert code == 3 and err.startswith("error: cannot create") and "Traceback" not in err
 
     def test_exact_low_rank_matrix(self, tmp_path, capsys):
         # rank-3 product asked for 5 factors: the two extra singular values are zero
@@ -327,12 +352,12 @@ class TestConfigFile:
         assert code == 3
 
     def test_decompose_reads_its_section_and_flags_override(self, tmp_path, capsys):
-        matrix, snap = tmp_path / "m.txt", tmp_path / "f.snap"
+        matrix, out_dir = tmp_path / "m.txt", tmp_path / "factors"
         write_matrix(matrix, np.diag([3.0, 2.0, 1.0]))
         cfg = tmp_path / "run.ini"
-        cfg.write_text(f"[decompose]\nrank = 2\nout = {snap}\n")
+        cfg.write_text(f"[decompose]\nrank = 2\nout = {out_dir}\n")
         code, out, _ = run_cli(capsys, "decompose", str(matrix), "--config", str(cfg))
         assert code == 0 and out.splitlines()[1] == "singular_values=3.0,2.0"
-        assert load_snapshot(snap)[0]["rank"] == 2
+        assert read_matrix(out_dir / "s_r.txt").tolist() == [[3.0, 2.0]]
         code, out, _ = run_cli(capsys, "decompose", str(matrix), "--config", str(cfg), "--rank", "1")
         assert code == 0 and out.splitlines()[1] == "singular_values=3.0"

@@ -12,7 +12,6 @@ from osora import (
     param_ratio,
     random_matrix,
     save,
-    save_snapshot,
     scaling_sweep,
     svd_truncated,
 )
@@ -46,17 +45,6 @@ BAD_CALLS = {
     "task_non_integer_dims": lambda tmp: make_task(8.0, 8, 2, 0),
     "task_non_integer_probe_count": lambda tmp: make_task(8, 8, 2, 0, n=16.0),
     "task_negative_seed": lambda tmp: make_task(8, 8, 2, seed=-1),
-    "snapshot_3d_section": lambda tmp: save_snapshot(
-        tmp / "s.ckpt", {"x": np.zeros((1, 1, 1))}, d=1, k=1, rank=1
-    ),
-    "snapshot_name_past_u16": lambda tmp: save_snapshot(tmp / "s.ckpt", {"x" * 65536: np.zeros(1)}, d=1, k=1, rank=1),
-    "snapshot_dims_past_u32": lambda tmp: save_snapshot(tmp / "s.ckpt", {}, d=2**32, k=1, rank=1),
-    "snapshot_negative_rank": lambda tmp: save_snapshot(tmp / "s.ckpt", {}, d=1, k=1, rank=-1),
-    "snapshot_seed_past_u64": lambda tmp: save_snapshot(tmp / "s.ckpt", {}, d=1, k=1, rank=1, seed=2**64),
-    "snapshot_short_digest": lambda tmp: save_snapshot(tmp / "s.ckpt", {}, d=1, k=1, rank=1, digest=b"ab"),
-    "snapshot_non_numeric_array": lambda tmp: save_snapshot(
-        tmp / "s.ckpt", {"x": np.array(["a", "b"])}, d=1, k=1, rank=1
-    ),
     "finite_diff_nonpositive_step": lambda tmp: finite_diff(
         build_adapter(np.eye(2), AdapterMethod(tag="osora", rank=1), 0), np.eye(2), np.eye(2), h=0.0
     ),
@@ -68,13 +56,16 @@ BAD_CALLS = {
     "random_matrix_negative_dims": lambda tmp: random_matrix(-1, 2, 0),
     "random_matrix_negative_seed": lambda tmp: random_matrix(2, 2, -1),
     "svd_non_integer_rank": lambda tmp: svd_truncated(np.eye(3), 2.5),
+    "svd_norm_overflow_jacobi": lambda tmp: svd_truncated(random_matrix(12, 8, 3, "gaussian") * 1e160, 4),
+    "svd_norm_overflow_top_r": lambda tmp: svd_truncated(random_matrix(128, 128, 3, "gaussian") * 1e160, 4),
     "verify_unknown_scope": lambda tmp: run_scope("nope"),
 }
 
 
 @pytest.mark.parametrize("call", BAD_CALLS.values(), ids=BAD_CALLS.keys())
 def test_bad_argument_raises_package_error(call, tmp_path):
-    # InvalidConfig is both an OsoraError and a ValueError, so callers catching either still see it.
+    # InvalidConfig and NonFiniteInput are both OsoraErrors and ValueErrors,
+    # so callers catching either still see them.
     with pytest.raises(OsoraError) as info:
         call(tmp_path)
     assert isinstance(info.value, ValueError)

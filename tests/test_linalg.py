@@ -83,6 +83,22 @@ class TestSvdTruncated:
         with pytest.raises(NonFiniteInput):
             svd_truncated(w, 1)
 
+    @pytest.mark.parametrize("shape", [(12, 8), (8, 12), (128, 128)], ids=["jacobi", "jacobi_wide", "top_r"])
+    def test_norm_past_the_squarable_range_is_refused(self, shape):
+        # At 1e100 ||w||_F is finite, but the Jacobi pair test's product of
+        # two squared column norms overflows, and such weights once decomposed
+        # silently to wrong factors. (test_errors covers 1e160, where ||w||_F
+        # itself overflows.) Just inside the range the factors are right.
+        base = random_matrix(*shape, 3, "gaussian")
+        with pytest.raises(NonFiniteInput):
+            svd_truncated(base * 1e100, 4)
+        with pytest.raises(NonFiniteInput):
+            jacobi_svd(base * 1e100)
+        w = base * (2.0**254 / np.linalg.norm(base))
+        f = svd_truncated(w, 4)
+        assert f.converged
+        assert np.abs(f.s_r - np.linalg.svd(w, compute_uv=False)[:4]).max() <= 1e-12 * f.s_r[0]
+
     def test_rank_deficient_input_keeps_orthonormal_factors(self):
         # rank-1 matrix decomposed at full requested rank
         w = np.outer(np.arange(1.0, 5.0), np.arange(1.0, 4.0))
