@@ -20,7 +20,7 @@ import configparser
 from dataclasses import dataclass
 from importlib import resources
 
-from .adapters import _TABLE, METHODS, AdapterMethod, trainable_count
+from .adapters import _TABLE, AdapterMethod, trainable_count
 from .errors import InvalidConfig, RankOutOfRange
 from .linalg import check_integers
 
@@ -48,22 +48,20 @@ class ParamReport:
     memory_footprint: int
 
 
-def _check_dims(method: str, d: int, k: int, r: int) -> None:
-    if method not in METHODS:
-        raise InvalidConfig(f"unknown method {method!r}; expected one of {METHODS}")
-    check_integers(d=d, k=k, rank=r)
+def _check_dims(method: str, d: int, k: int, r: int) -> AdapterMethod:
+    """The AdapterMethod of (method, r), once a d x k weight is checked to hold it."""
+    spec = AdapterMethod(tag=method, rank=r)
+    check_integers(d=d, k=k)
     if d < 1 or k < 1:
         raise InvalidConfig(f"dims must be positive, got {d}x{k}")
-    if r < 1:
-        raise RankOutOfRange(f"rank must be >= 1, got {r}")
     if _TABLE[method].base == "w0_res" and r > min(d, k):  # built over a rank-r truncated SVD
         raise RankOutOfRange(f"rank {r} exceeds min(d, k) = {min(d, k)} for {method}")
+    return spec
 
 
 def count_trainable(method: str, d: int, k: int, r: int) -> int:
     """Trainable parameters of one method on a single d x k weight at rank r."""
-    _check_dims(method, d, k, r)
-    return trainable_count(AdapterMethod(tag=method, rank=r), d, k)
+    return trainable_count(_check_dims(method, d, k, r), d, k)
 
 
 def frozen_elements(method: str, d: int, k: int, r: int) -> int:

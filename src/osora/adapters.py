@@ -63,7 +63,16 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidConfig, LengthMismatch, RankOutOfRange
-from .linalg import SvdFactors, as_matrix, check_finite, check_integers, check_seed, random_matrix, svd_truncated
+from .linalg import (
+    SvdFactors,
+    as_matrix,
+    as_real_array,
+    check_finite,
+    check_integers,
+    check_seed,
+    random_matrix,
+    svd_truncated,
+)
 
 METHODS = ("lora", "vera", "pissa", "osora", "osora_k", "dora", "osora_dora")
 OSORA_FAMILY = ("osora", "osora_k", "osora_dora")
@@ -432,7 +441,7 @@ def effective_weight(state: AdapterState) -> np.ndarray:
 
 def forward(state: AdapterState, x) -> np.ndarray:
     """Apply the adapted linear map to x (shape (k,) or (k, n))."""
-    xa = np.ascontiguousarray(x, dtype=np.float64)
+    xa = as_real_array(x, "x")
     single = xa.ndim == 1
     if single:
         xa = xa[:, None]
@@ -505,7 +514,7 @@ def _slot_views(state: AdapterState, flat: np.ndarray) -> dict[str, np.ndarray]:
 
 def load_trainable(state: AdapterState, flat) -> None:
     """Install a flat vector produced by trainable_vector, in place; a NaN or Inf leaves state as it was."""
-    vec = np.ascontiguousarray(flat, dtype=np.float64).ravel()
+    vec = as_real_array(flat, "trainable vector").ravel()
     total = trainable_count(state.method, state.d, state.k)
     if vec.size != total:
         raise LengthMismatch(f"expected {total} values for {trainable_slots(state)}, got {vec.size}")

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import checkpoint
-from .accounting import get_preset, report, scaling_sweep
+from .accounting import get_preset, report
 from .adapters import METHODS, O_INITS, TRAINABLE_SETS, AdapterMethod, build_adapter
 from .errors import IoFailure, NonFiniteLoss, OsoraError, RankOutOfRange
 from .linalg import svd_path, svd_truncated
@@ -173,11 +173,8 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_train(args) -> int:
-    try:
-        method = AdapterMethod(tag=args.method, rank=args.rank, o_init=args.o_init, trainable_set=args.trainable)
-        config = TrainConfig(steps=args.steps, lr=args.lr, optimizer=args.optimizer)
-    except ValueError as exc:
-        raise CliError(str(exc), EXIT_PARSE) from exc
+    method = AdapterMethod(tag=args.method, rank=args.rank, o_init=args.o_init, trainable_set=args.trainable)
+    config = TrainConfig(steps=args.steps, lr=args.lr, optimizer=args.optimizer)
     try:
         task = make_task(args.d, args.k, args.r_gap, args.seed, n=args.n)
         state = build_adapter(task.w0, method, args.seed)
@@ -210,16 +207,10 @@ def cmd_count(args) -> int:
         ranks = sorted({int(r) for r in args.rank.split(",")})
     except ValueError as exc:
         raise CliError(f"bad rank list {args.rank!r}: {exc}", EXIT_PARSE) from exc
-    try:
-        scaling_sweep(preset, methods, ranks)  # validates methods and ranks early
-    except ValueError as exc:
-        raise CliError(str(exc), EXIT_PARSE) from exc
-    rows = []
-    for method in methods:
-        for r in ranks:
-            rep = report(preset, method, r)
-            rows.append([method, r, rep.total, rep.memory_footprint])
-    rows.sort(key=lambda row: (row[0], row[1]))
+    rows = []  # every row is counted before any is printed, so a bad method or rank prints none
+    for method, r in sorted((m, r) for m in methods for r in ranks):
+        rep = report(preset, method, r)
+        rows.append([method, r, rep.total, rep.memory_footprint])
     for row in rows:
         print(f"{row[0]} r={row[1]} trainable={row[2]} footprint={row[3]}")
     if args.out:

@@ -10,7 +10,12 @@ class RankOutOfRange(OsoraError):
 
 
 class NonFiniteInput(OsoraError, ValueError):
-    """An input tensor contains NaN or Inf entries, or its norm is too large to decompose."""
+    """An input tensor contains NaN or Inf entries, or a weight's Frobenius norm is above 2**255.
+
+    The SVD runs on a power-of-two rescaling of the weight, but the squares
+    taken of what its factors rebuild (the residual norm, a magnitude
+    method's row norms) need the bound.
+    """
 
 
 class DimensionMismatch(OsoraError):

@@ -67,6 +67,7 @@ from .adapters import (
     trainable_vector,
 )
 from .errors import DimensionMismatch, InvalidConfig
+from .linalg import as_real_array
 
 FD_STEP = 1e-6
 
@@ -83,8 +84,8 @@ class LossGrad:
 
 
 def _check_probes(state: AdapterState, x_probes, y_targets) -> tuple[np.ndarray, np.ndarray]:
-    x = np.ascontiguousarray(x_probes, dtype=np.float64)
-    y = np.ascontiguousarray(y_targets, dtype=np.float64)
+    x = as_real_array(x_probes, "probes")
+    y = as_real_array(y_targets, "targets")
     if x.ndim != 2 or y.ndim != 2 or x.shape[1] != y.shape[1]:
         raise DimensionMismatch(f"probe/target column counts differ: {x.shape} vs {y.shape}")
     if x.shape[0] != state.k or y.shape[0] != state.d:

@@ -35,11 +35,10 @@ _ROUNDOFF_FLOOR = 1e-15
 # reliable direction; they are replaced by an orthonormal completion.
 _DEFICIENT_REL = 1e-12
 
-# Largest ||w||_F either SVD path takes. The Jacobi pair test multiplies two
-# squared column norms, each up to ||w||_F^2, so it stays finite below 2^256;
-# past that the sweep would skip the rotations it needs and return wrong
-# factors, often marked converged. The top-r path runs that sweep on a
-# projection of w.
+# Largest ||w||_F either SVD path takes. The Jacobi sweep runs on a
+# power-of-two rescaling of w and needs no bound, but what callers compute
+# from the factors squares them: the residual norm `osora decompose` prints
+# and the row norms of the magnitude methods would overflow past it.
 _MAX_FRO = 2.0**255
 
 # Top-r path: taken when min(d, k) >= TOP_R_MIN_DIM and 2 * (r + TOP_R_OVERSAMPLE)
@@ -61,9 +60,20 @@ TOP_R_SEED = 0x05057A
 SVD_PATHS = ("jacobi", "top_r")
 
 
+def as_real_array(a, name: str = "input") -> np.ndarray:
+    """Coerce to a C-contiguous float64 array; InvalidConfig unless every entry is a real number."""
+    try:
+        arr = np.asarray(a)
+        if arr.dtype.kind in "biufO":  # not complex, text or dates; an object entry must convert to float
+            return np.ascontiguousarray(arr, dtype=np.float64)
+    except (TypeError, ValueError):  # ragged nesting, or an entry with no real value
+        pass
+    raise InvalidConfig(f"{name} must be an array of real numbers, got {type(a).__name__}")
+
+
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
     """Coerce to a C-contiguous float64 2-D array with positive dimensions."""
-    m = np.ascontiguousarray(a, dtype=np.float64)
+    m = as_real_array(a, name)
     if m.ndim != 2 or m.shape[0] < 1 or m.shape[1] < 1:
         raise DimensionMismatch(f"{name} must be 2-D with positive dims, got shape {m.shape}")
     return m
@@ -92,13 +102,12 @@ def fro_norm(a: np.ndarray) -> float:
     return math.sqrt(float((a * a).sum()))
 
 
-def check_fro_norm(a: np.ndarray, name: str = "input") -> float:
-    """fro_norm of a finite a; raise NonFiniteInput when it overflows or exceeds _MAX_FRO."""
+def check_fro_norm(a: np.ndarray, name: str = "input") -> None:
+    """Raise NonFiniteInput when the Frobenius norm of a finite a overflows or exceeds _MAX_FRO."""
     with np.errstate(over="ignore"):  # an overflow reads as Inf and is refused below
         fro = fro_norm(a)
     if not fro <= _MAX_FRO:
-        raise NonFiniteInput(f"{name} has Frobenius norm {fro:.3g}, above the {_MAX_FRO:.3g} the SVD can square")
-    return fro
+        raise NonFiniteInput(f"{name} has Frobenius norm {fro:.3g}, above the {_MAX_FRO:.3g} whose square is finite")
 
 
 def random_matrix(rows: int, cols: int, seed: int | Sequence[int], scheme: str = "uniform_scaled") -> np.ndarray:
@@ -180,9 +189,15 @@ def _jacobi(w) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, bool]:
         v, s, u, sweeps, converged = _jacobi(np.ascontiguousarray(m0.T))
         return u, s, v, sweeps, converged
 
-    a = m0.copy()
+    check_fro_norm(m0, "svd input")
+    # The sweep runs on w times the power of two that puts its largest entry
+    # in [0.5, 1), so the squared norms it takes neither overflow nor underflow.
+    # The scaling is exact, and s is scaled back exactly: wherever w's own
+    # squares stay in range, the factors keep the bytes an unscaled sweep gives.
+    e = math.frexp(float(np.abs(m0).max()))[1]
+    a = np.ldexp(m0, -e)
     v = np.eye(k)
-    fro = check_fro_norm(a, "svd input")
+    fro = fro_norm(a)
     tol_abs = JACOBI_TOL * fro
     # A rotation never grows the smaller of its columns, so columns with squared
     # norms at most cutoff^2 / k hold at most cutoff^2 together and no rotation
@@ -262,6 +277,7 @@ def _jacobi(w) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, bool]:
     s_vals[kept:] = 0.0
     u = np.zeros((d, k))
     u[:, :kept] = a[:, :kept] / s_vals[:kept]
+    s_vals = np.ldexp(s_vals, e)
     if kept < k:
         _fill_deficient_columns(u, kept)
 
@@ -284,6 +300,11 @@ def svd_path(d: int, k: int, r: int) -> str:
     return "top_r" if m >= TOP_R_MIN_DIM and 2 * (r + TOP_R_OVERSAMPLE) <= m else "jacobi"
 
 
+def _rel_residual(a: np.ndarray, v: np.ndarray, u: np.ndarray, s: np.ndarray) -> float:
+    """max_i ||a v_i - s_i u_i|| / s_1, divided before squaring so a tiny a does not underflow to 0."""
+    return float(np.sqrt((((a @ v - u * s) / s[0]) ** 2).sum(axis=0)).max())
+
+
 def _top_r(a: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, bool]:
     """Top-r (u, s, v) of a finite matrix by seeded block power iteration.
 
@@ -295,16 +316,14 @@ def _top_r(a: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, i
         return u, s, v, iterations, converged
     at = a.T
     q = np.random.default_rng(TOP_R_SEED).standard_normal((k, r + TOP_R_OVERSAMPLE))
-    converged = False
     for iterations in range(1, TOP_R_MAX_ITERATIONS + 1):
         q, _ = np.linalg.qr(a @ q)
         if iterations % TOP_R_CHECK_EVERY == 0 or iterations == TOP_R_MAX_ITERATIONS:
             ub, sb, vb = jacobi_svd(q.T @ a)
             u, s, v = q @ ub[:, :r], sb[:r], vb[:, :r]
-            left = np.sqrt(((a @ v - u * s) ** 2).sum(axis=0)).max()
-            right = np.sqrt(((at @ u - v * s) ** 2).sum(axis=0)).max()
-            converged = bool(max(left, right) <= TOP_R_TOL * s[0])
-            if converged:
+            # s_1 = 0 only for a zero w, whose zero factors are exact.
+            converged = bool(s[0] == 0.0 or max(_rel_residual(a, v, u, s), _rel_residual(at, u, v, s)) <= TOP_R_TOL)
+            if converged or iterations == TOP_R_MAX_ITERATIONS:
                 break
         q, _ = np.linalg.qr(at @ q)
     _fix_signs(u, v)

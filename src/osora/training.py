@@ -107,10 +107,6 @@ def train(state: AdapterState, task: ToyTask, config: TrainConfig) -> TrainRun:
     untouched and the returned run owns its final state, whose active slots
     are views of one flat vector.
     """
-    if state.d != task.w0.shape[0] or state.k != task.w0.shape[1]:
-        raise DimensionMismatch(
-            f"adapter is {state.d}x{state.k} but task weight is {task.w0.shape[0]}x{task.w0.shape[1]}"
-        )
     work = clone_state(state)
     step_at = _stepper(work, task.probes, task.targets)
     # The active slots become views of theta, so each update lands in work in place.

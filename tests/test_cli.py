@@ -226,6 +226,27 @@ class TestCount:
         code, _, _ = run_cli(capsys, "count", "--preset", "qwen2_7b", "--rank", "16,banana")
         assert code == 3
 
+    def test_unknown_method_exit_code(self, tmp_path, capsys):
+        # The bad tag comes after a good one: no row is printed or written.
+        table = tmp_path / "t.csv"
+        argv = ["count", "--preset", "qwen2_7b", "--rank", "4", "--method", "osora,bogus", "--out", str(table)]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 3 and out == "" and "unknown method" in err
+        assert not table.exists()
+
+    def test_repeated_method_rows_sorted_by_method_then_rank(self, capsys):
+        argv = ["count", "--preset", "qwen2_7b", "--method", "osora,lora,osora", "--rank", "8,1"]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        rows = [line.split()[:2] for line in out.splitlines()]
+        assert rows == [["lora", "r=1"], ["lora", "r=8"]] + [["osora", "r=1"]] * 2 + [["osora", "r=8"]] * 2
+
+    @pytest.mark.parametrize("ranks", ["0", "4,-1", "4,513"])
+    def test_rank_out_of_range_exit_code(self, ranks, capsys):
+        # 513 exceeds min(d, k) = 512 of qwen2_7b's 512x3584 target, a bound of the SVD-initialised methods.
+        code, out, err = run_cli(capsys, "count", "--preset", "qwen2_7b", "--rank", ranks)
+        assert code == 2 and out == "" and err.startswith("error:")
+
     @pytest.mark.pinned
     @pytest.mark.parametrize(
         "preset,digest",

@@ -7,19 +7,27 @@ from osora import (
     build_adapter,
     count_trainable,
     finite_diff,
+    forward,
     get_preset,
+    gradient,
+    load_trainable,
     make_task,
     param_ratio,
     random_matrix,
     save,
     scaling_sweep,
     svd_truncated,
+    weight_digest,
 )
 from osora.verify import run_scope
 
 
+def _lora():
+    return build_adapter(np.eye(4), AdapterMethod(tag="lora", rank=1), seed=0)
+
+
 def _state_with_seed(seed):
-    state = build_adapter(np.eye(4), AdapterMethod(tag="lora", rank=1), seed=0)
+    state = _lora()
     state.seed = seed
     return state
 
@@ -59,6 +67,16 @@ BAD_CALLS = {
     "svd_norm_overflow_jacobi": lambda tmp: svd_truncated(random_matrix(12, 8, 3, "gaussian") * 1e160, 4),
     "svd_norm_overflow_top_r": lambda tmp: svd_truncated(random_matrix(128, 128, 3, "gaussian") * 1e160, 4),
     "verify_unknown_scope": lambda tmp: run_scope("nope"),
+    "build_non_numeric_weight": lambda tmp: build_adapter("abc", AdapterMethod(tag="lora", rank=1), 0),
+    "build_ragged_weight": lambda tmp: build_adapter([[1.0, 2.0], [3.0]], AdapterMethod(tag="lora", rank=1), 0),
+    "build_complex_weight": lambda tmp: build_adapter(np.eye(4) * (1 + 1j), AdapterMethod(tag="osora", rank=1), 0),
+    "forward_non_numeric_input": lambda tmp: forward(_lora(), "abc"),
+    "forward_complex_input": lambda tmp: forward(_lora(), np.ones(4) * 1j),
+    "load_trainable_non_numeric": lambda tmp: load_trainable(_lora(), "abc"),
+    "gradient_non_numeric_probes": lambda tmp: gradient(_lora(), "abc", np.eye(4)),
+    "gradient_complex_targets": lambda tmp: gradient(_lora(), np.eye(4), np.eye(4) * 1j),
+    "svd_non_numeric_input": lambda tmp: svd_truncated("abc", 1),
+    "digest_non_numeric_weight": lambda tmp: weight_digest("abc"),
 }
 
 

@@ -19,6 +19,7 @@ from osora import (
     random_matrix,
     svd_truncated,
 )
+from osora import linalg
 from osora.linalg import JACOBI_MAX_SWEEPS, TOP_R_MAX_ITERATIONS, svd_path
 
 
@@ -98,6 +99,22 @@ class TestSvdTruncated:
         f = svd_truncated(w, 4)
         assert f.converged
         assert np.abs(f.s_r - np.linalg.svd(w, compute_uv=False)[:4]).max() <= 1e-12 * f.s_r[0]
+
+    @pytest.mark.parametrize("scale", [1e-100, 1e-160, 1e-200, 1e-300])
+    @pytest.mark.parametrize(
+        "shape", [(12, 8), (8, 12), (128, 128), (128, 160)], ids=["jacobi", "jacobi_wide", "top_r", "top_r_wide"]
+    )
+    def test_tiny_weights_decompose(self, shape, scale):
+        # The squared norms of these weights underflow. Unscaled, the sweep
+        # returned s_r = 0 or stopped at its cap, and the top-r certificate
+        # passed on residuals that had underflowed, all marked converged.
+        w = random_matrix(*shape, 3, "gaussian") * scale
+        f = svd_truncated(w, 4)
+        s = np.linalg.svd(w, compute_uv=False)
+        assert f.converged
+        assert np.abs(f.s_r - s[:4]).max() <= 1e-12 * s[0]
+        assert np.abs(f.u_r.T @ f.u_r - np.eye(4)).max() <= 1e-12
+        assert np.abs(f.v_r.T @ f.v_r - np.eye(4)).max() <= 1e-12
 
     def test_rank_deficient_input_keeps_orthonormal_factors(self):
         # rank-1 matrix decomposed at full requested rank
@@ -275,6 +292,28 @@ def _low_rank(d, k, r, seed):
     return random_matrix(d, r, (seed, 1), "gaussian") @ random_matrix(r, k, (seed, 2), "gaussian")
 
 
+@settings(max_examples=30, deadline=None)
+@given(
+    kind=st.sampled_from(["low_rank", "repeated", "zero_rows"]),
+    tall=st.booleans(),
+    seed=st.integers(0, 2**16),
+    j=st.integers(-900, 200),
+)
+def test_power_of_two_scaling_is_exact(kind, tall, seed, j):
+    # The sweep runs on w scaled so its largest entry is in [0.5, 1): 2**j * w
+    # runs the same sweep, so u and v keep their bytes and s scales exactly.
+    d, k = (10, 7) if tall else (7, 10)
+    w = {
+        "low_rank": lambda: _low_rank(d, k, 3, seed),
+        "repeated": lambda: _repeated(d, k, 4, seed),
+        "zero_rows": lambda: _zero_rows(d, k, [1, 4], seed),
+    }[kind]()
+    u, s, v = jacobi_svd(w)
+    u2, s2, v2 = jacobi_svd(2.0**j * w)
+    assert u2.tobytes() == u.tobytes() and v2.tobytes() == v.tobytes()
+    assert s2.tobytes() == (2.0**j * s).tobytes()
+
+
 @pytest.mark.pinned
 def test_deficient_factor_bytes_are_pinned():
     # SHA-256 of jacobi_svd's (u, s, v) over seeded inputs that take the
@@ -438,6 +477,16 @@ class TestTopRPath:
         x = np.random.default_rng(93).standard_normal((128, 3))
         assert np.abs(forward(state, x) - w @ x).max() <= 1e-12 * np.abs(w @ x).max()
         assert np.abs(merge(state) - w).max() <= 1e-12
+
+    def test_uncertified_loop_ends_at_its_last_check(self, monkeypatch):
+        # Nothing reads a product taken after the last certificate check.
+        monkeypatch.setattr(linalg, "TOP_R_MAX_ITERATIONS", 3)
+        calls = []
+        qr = np.linalg.qr
+        monkeypatch.setattr(np.linalg, "qr", lambda m, *args, **kw: calls.append(m.shape) or qr(m, *args, **kw))
+        f = svd_truncated(random_matrix(128, 128, 98, "gaussian"), 4)
+        assert (f.iterations, f.converged) == (3, False)
+        assert len(calls) == 2 * 3 - 1
 
     def test_reruns_are_bitwise(self):
         w = random_matrix(144, 128, 94, "uniform_scaled")

@@ -18,6 +18,7 @@ from osora import (
     clone_state,
     gradient,
     make_task,
+    random_matrix,
     save,
     svd_truncated,
     train,
@@ -145,6 +146,14 @@ class TestTrain:
     def test_shape_mismatch(self):
         task = make_task(8, 8, 2, seed=12)
         state = build_adapter(np.eye(6), AdapterMethod(tag="osora", rank=2), seed=12)
+        with pytest.raises(DimensionMismatch):
+            train(state, task, TrainConfig(steps=1, lr=1e-3, optimizer="sgd"))
+
+    @pytest.mark.parametrize("shape", [(6, 8), (10, 6)], ids=["transposed", "rows_differ"])
+    def test_shape_mismatch_with_a_rectangular_task(self, shape):
+        # The probe check in the train step is the one that refuses these.
+        task = make_task(8, 6, 2, seed=13)
+        state = build_adapter(random_matrix(*shape, 13, "gaussian"), AdapterMethod(tag="osora", rank=2), seed=13)
         with pytest.raises(DimensionMismatch):
             train(state, task, TrainConfig(steps=1, lr=1e-3, optimizer="sgd"))
 
