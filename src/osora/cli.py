@@ -24,7 +24,7 @@ from . import checkpoint
 from .accounting import get_preset, report
 from .adapters import METHODS, O_INITS, TRAINABLE_SETS, AdapterMethod, build_adapter
 from .errors import IoFailure, NonFiniteLoss, OsoraError, RankOutOfRange
-from .linalg import svd_path, svd_truncated
+from .linalg import fro_norm, svd_path, svd_truncated
 from .training import STANDARD_TASK, TrainConfig, make_task, train
 from .verify import SCOPES, run_scope
 
@@ -154,7 +154,7 @@ def cmd_decompose(args) -> int:
     if args.rank is None:
         raise CliError("--rank is required", EXIT_PARSE)
     factors = svd_truncated(w, args.rank)
-    trunc_err = float(np.sqrt((factors.residual**2).sum()))
+    trunc_err = fro_norm(factors.residual)
     print(f"rows={w.shape[0]} cols={w.shape[1]} rank={factors.rank}")
     print("singular_values=" + ",".join(repr(s) for s in factors.s_r.tolist()))
     print(f"truncation_error={trunc_err!r}")

@@ -12,9 +12,9 @@ class RankOutOfRange(OsoraError):
 class NonFiniteInput(OsoraError, ValueError):
     """An input tensor contains NaN or Inf entries, or a weight's Frobenius norm is above 2**255.
 
-    The SVD runs on a power-of-two rescaling of the weight, but the squares
-    taken of what its factors rebuild (the residual norm, a magnitude
-    method's row norms) need the bound.
+    The SVD and the residual norm run on a power-of-two rescaling of the
+    weight, but a magnitude method's row norms square what its factors
+    rebuild and need the bound.
     """
 
 

@@ -35,10 +35,10 @@ _ROUNDOFF_FLOOR = 1e-15
 # reliable direction; they are replaced by an orthonormal completion.
 _DEFICIENT_REL = 1e-12
 
-# Largest ||w||_F either SVD path takes. The Jacobi sweep runs on a
-# power-of-two rescaling of w and needs no bound, but what callers compute
-# from the factors squares them: the residual norm `osora decompose` prints
-# and the row norms of the magnitude methods would overflow past it.
+# Largest ||w||_F either SVD path takes. The Jacobi sweep and fro_norm run on
+# a power-of-two rescaling and need no bound, but the row norms of the
+# magnitude methods square the entries of what the factors rebuild and would
+# overflow past it.
 _MAX_FRO = 2.0**255
 
 # Top-r path: taken when min(d, k) >= TOP_R_MIN_DIM and 2 * (r + TOP_R_OVERSAMPLE)
@@ -99,7 +99,14 @@ def check_finite(a: np.ndarray, name: str = "input") -> None:
 
 
 def fro_norm(a: np.ndarray) -> float:
-    return math.sqrt(float((a * a).sum()))
+    """||a||_F, squared on a times the power of two that puts its largest entry in [0.5, 1).
+
+    The squares neither overflow nor underflow, and the scaling is exact, so
+    wherever a's own squares stay in range this is their plain norm, bit for bit.
+    """
+    e = math.frexp(float(np.abs(a).max(initial=0.0)))[1]
+    b = np.ldexp(a, -e)
+    return float(np.ldexp(math.sqrt(float((b * b).sum())), e))
 
 
 def check_fro_norm(a: np.ndarray, name: str = "input") -> None:
@@ -195,8 +202,13 @@ def _jacobi(w) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, bool]:
     # The scaling is exact, and s is scaled back exactly: wherever w's own
     # squares stay in range, the factors keep the bytes an unscaled sweep gives.
     e = math.frexp(float(np.abs(m0).max()))[1]
-    a = np.ldexp(m0, -e)
-    v = np.eye(k)
+    # a and v are the row blocks of one C-ordered (d+k) x k array, so one
+    # rotation of a stacked column pair turns both. The a-block column views
+    # keep a d x k array's stride, so the pair test's dots sum as before.
+    av = np.empty((d + k, k))
+    a, v = av[:d], av[d:]
+    np.ldexp(m0, -e, out=a)
+    v[...] = np.eye(k)
     fro = fro_norm(a)
     tol_abs = JACOBI_TOL * fro
     # A rotation never grows the smaller of its columns, so columns with squared
@@ -205,12 +217,11 @@ def _jacobi(w) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, bool]:
     # same reason a null column p stays null through its row of pairs, so its
     # test is taken once per row.
     null_sq = (_DEFICIENT_REL * fro) ** 2 / k
-    # Column views, bound once: the rotations update them, and so a and v, in
-    # place through two scratch columns per matrix, allocated once per call.
+    # Column views, bound once: the rotations update the stacked ones, and so
+    # a and v, in place through two scratch columns allocated once per call.
     a_cols = [a[:, j] for j in range(k)]
-    v_cols = [v[:, j] for j in range(k)]
-    a_t1, a_t2 = np.empty(d), np.empty(d)
-    v_t1, v_t2 = np.empty(k), np.empty(k)
+    av_cols = [av[:, j] for j in range(k)]
+    t1, t2 = np.empty(d + k), np.empty(d + k)
     sweeps, converged = 0, fro == 0.0
     if fro > 0.0:
         for sweeps in range(1, JACOBI_MAX_SWEEPS + 1):
@@ -224,15 +235,14 @@ def _jacobi(w) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, bool]:
             sq = (a * a).sum(axis=0).tolist()
             rotations = 0
             for p in range(k - 1):
-                ap_col, vp_col = a_cols[p], v_cols[p]
+                ap_col, p_col = a_cols[p], av_cols[p]
                 sq_p = sq[p]
                 p_null = sq_p <= null_sq
                 for q in range(p + 1, k):
                     sq_q = sq[q]
                     if p_null and sq_q <= null_sq:
                         continue
-                    aq_col = a_cols[q]
-                    gamma = float(ap_col @ aq_col)
+                    gamma = float(ap_col @ a_cols[q])
                     abs_gamma = abs(gamma)
                     scale = math.sqrt(sq_p * sq_q)
                     if abs_gamma <= tol_abs and abs_gamma <= JACOBI_TOL * scale:
@@ -244,23 +254,17 @@ def _jacobi(w) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, bool]:
                     t = math.copysign(1.0, zeta) / (abs(zeta) + math.sqrt(1.0 + zeta * zeta))
                     c = 1.0 / math.sqrt(1.0 + t * t)
                     s = t * c
-                    # In place through the scratch columns, with the same four
-                    # products and two sums of the old values as p' = c*p - s*q
-                    # and q' = s*p + c*q, so the factor bytes that checkpoints
-                    # rebuild are unchanged.
-                    np.multiply(ap_col, s, out=a_t1)
-                    np.multiply(aq_col, s, out=a_t2)
-                    aq_col *= c
-                    aq_col += a_t1
-                    ap_col *= c
-                    ap_col -= a_t2
-                    vq_col = v_cols[q]
-                    np.multiply(vp_col, s, out=v_t1)
-                    np.multiply(vq_col, s, out=v_t2)
-                    vq_col *= c
-                    vq_col += v_t1
-                    vp_col *= c
-                    vp_col -= v_t2
+                    # One stacked pair in place through the scratch columns,
+                    # with the same four products and two sums of the old
+                    # values as p' = c*p - s*q and q' = s*p + c*q, so the
+                    # factor bytes that checkpoints rebuild are unchanged.
+                    q_col = av_cols[q]
+                    np.multiply(p_col, s, out=t1)
+                    np.multiply(q_col, s, out=t2)
+                    q_col *= c
+                    q_col += t1
+                    p_col *= c
+                    p_col -= t2
                     sq_p = sq[p] = max(sq_p - t * gamma, 0.0)
                     sq[q] = max(sq_q + t * gamma, 0.0)
             if rotations == 0:
@@ -349,9 +353,7 @@ def svd_truncated(w, r: int) -> SvdFactors:
         u, s, v, iterations, converged = _top_r(m, r)
     else:
         u, s, v, iterations, converged = _jacobi(m)
-    u_r = np.ascontiguousarray(u[:, :r])
-    s_r = s[:r].copy()
-    v_r = np.ascontiguousarray(v[:, :r])
+    u_r, s_r, v_r = u[:, :r].copy(), s[:r].copy(), v[:, :r].copy()  # each owns exactly its entries
     residual = m - (u_r * s_r) @ v_r.T
     return SvdFactors(
         u_r=u_r, s_r=s_r, v_r=v_r, residual=residual, rank=r, iterations=iterations, converged=converged

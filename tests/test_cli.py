@@ -81,6 +81,19 @@ class TestDecompose:
         assert read_matrix(tmp_path / "f" / "u_r.txt").shape == (64, 8)
         assert read_matrix(tmp_path / "f" / "s_r.txt").shape == (1, 8)
 
+    @pytest.mark.parametrize("scale", [1e-170, 1e-300])
+    def test_truncation_error_of_tiny_weights(self, scale, tmp_path, capsys):
+        # The residual's squares underflow here; squared unscaled they printed 0.0.
+        w = random_matrix(12, 8, 3, "gaussian") * scale
+        path = tmp_path / "m.txt"
+        write_matrix(path, w)
+        code, out, _ = run_cli(capsys, "decompose", str(path), "--rank", "4")
+        assert code == 0
+        reported = float(out.strip().splitlines()[2].split("=")[1])
+        s = np.linalg.svd(w, compute_uv=False)
+        tail = scale * float(np.sqrt(((s[4:] / scale) ** 2).sum()))
+        assert abs(reported - tail) <= 1e-12 * tail
+
     @pytest.mark.parametrize("d,k,r", [(10, 6, 3), (6, 10, 3), (128, 160, 4)], ids=["jacobi", "jacobi_wide", "top_r"])
     def test_out_dir_factors_read_back_bit_for_bit(self, d, k, r, tmp_path, capsys):
         w = random_matrix(d, k, 79, "gaussian")

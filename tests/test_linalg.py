@@ -1,4 +1,5 @@
 import hashlib
+import math
 import time
 
 import numpy as np
@@ -314,6 +315,108 @@ def test_power_of_two_scaling_is_exact(kind, tall, seed, j):
     assert s2.tobytes() == (2.0**j * s).tobytes()
 
 
+def _two_array_jacobi(w):
+    # Reference: the sweep with a and v as two arrays, each rotation updating
+    # both through four scratch columns. The library's stacked [a; v] sweep
+    # must give the same bytes.
+    m0 = np.ascontiguousarray(w, dtype=np.float64)
+    d, k = m0.shape
+    if d < k:
+        v, s, u, sweeps, converged = _two_array_jacobi(np.ascontiguousarray(m0.T))
+        return u, s, v, sweeps, converged
+    e = math.frexp(float(np.abs(m0).max()))[1]
+    a = np.ldexp(m0, -e)
+    v = np.eye(k)
+    fro = math.sqrt(float((a * a).sum()))
+    tol_abs = linalg.JACOBI_TOL * fro
+    null_sq = (linalg._DEFICIENT_REL * fro) ** 2 / k
+    a_cols = [a[:, j] for j in range(k)]
+    v_cols = [v[:, j] for j in range(k)]
+    a_t1, a_t2 = np.empty(d), np.empty(d)
+    v_t1, v_t2 = np.empty(k), np.empty(k)
+    sweeps, converged = 0, fro == 0.0
+    if fro > 0.0:
+        for sweeps in range(1, JACOBI_MAX_SWEEPS + 1):
+            sq = (a * a).sum(axis=0).tolist()
+            rotations = 0
+            for p in range(k - 1):
+                ap_col, vp_col = a_cols[p], v_cols[p]
+                sq_p = sq[p]
+                p_null = sq_p <= null_sq
+                for q in range(p + 1, k):
+                    sq_q = sq[q]
+                    if p_null and sq_q <= null_sq:
+                        continue
+                    aq_col = a_cols[q]
+                    gamma = float(ap_col @ aq_col)
+                    abs_gamma = abs(gamma)
+                    scale = math.sqrt(sq_p * sq_q)
+                    if abs_gamma <= tol_abs and abs_gamma <= linalg.JACOBI_TOL * scale:
+                        continue
+                    if abs_gamma <= linalg._ROUNDOFF_FLOOR * scale:
+                        continue
+                    rotations += 1
+                    zeta = (sq_q - sq_p) / (2.0 * gamma)
+                    t = math.copysign(1.0, zeta) / (abs(zeta) + math.sqrt(1.0 + zeta * zeta))
+                    c = 1.0 / math.sqrt(1.0 + t * t)
+                    s = t * c
+                    np.multiply(ap_col, s, out=a_t1)
+                    np.multiply(aq_col, s, out=a_t2)
+                    aq_col *= c
+                    aq_col += a_t1
+                    ap_col *= c
+                    ap_col -= a_t2
+                    vq_col = v_cols[q]
+                    np.multiply(vp_col, s, out=v_t1)
+                    np.multiply(vq_col, s, out=v_t2)
+                    vq_col *= c
+                    vq_col += v_t1
+                    vp_col *= c
+                    vp_col -= v_t2
+                    sq_p = sq[p] = max(sq_p - t * gamma, 0.0)
+                    sq[q] = max(sq_q + t * gamma, 0.0)
+            if rotations == 0:
+                converged = True
+                break
+    norms = np.sqrt((a * a).sum(axis=0))
+    order = np.argsort(-norms, kind="stable")
+    a, v, s_vals = a[:, order], v[:, order], norms[order]
+    kept = int((s_vals > linalg._DEFICIENT_REL * fro).sum())
+    s_vals[kept:] = 0.0
+    u = np.zeros((d, k))
+    u[:, :kept] = a[:, :kept] / s_vals[:kept]
+    s_vals = np.ldexp(s_vals, e)
+    if kept < k:
+        linalg._fill_deficient_columns(u, kept)
+    linalg._fix_signs(u, v)
+    return u, s_vals, v, sweeps, converged
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(["full_rank", "low_rank", "repeated", "zero_rows", "zero_cols"]),
+    short=st.integers(2, 14),
+    extra=st.integers(0, 10),
+    tall=st.booleans(),
+    seed=st.integers(0, 2**16),
+    j=st.integers(-900, 200),
+)
+def test_stacked_sweep_matches_the_two_array_sweep(kind, short, extra, tall, seed, j):
+    d, k = (short + extra, short) if tall else (short, short + extra)
+    r = max(1, short // 3)
+    w = {
+        "full_rank": lambda: random_matrix(d, k, seed, ("gaussian", "uniform_scaled")[seed % 2]),
+        "low_rank": lambda: _low_rank(d, k, r, seed),
+        "repeated": lambda: _repeated(d, k, r, seed),
+        "zero_rows": lambda: _zero_rows(d, k, list(range(0, d, 3)), seed),
+        "zero_cols": lambda: _zero_cols(d, k, list(range(1, k, 3)), seed),
+    }[kind]() * 2.0**j
+    got, want = linalg._jacobi(w), _two_array_jacobi(w)
+    for name, x, y in zip("usv", got, want):
+        assert x.tobytes() == y.tobytes(), name
+    assert got[3:] == want[3:]
+
+
 @pytest.mark.pinned
 def test_deficient_factor_bytes_are_pinned():
     # SHA-256 of jacobi_svd's (u, s, v) over seeded inputs that take the
@@ -338,8 +441,9 @@ def test_deficient_factor_bytes_are_pinned():
 
 
 def _assert_own_memory(w, outputs):
+    # owndata: no factor is a view that keeps a larger work array alive.
     for i, arr in enumerate(outputs):
-        assert arr.flags.c_contiguous and arr.flags.writeable
+        assert arr.flags.c_contiguous and arr.flags.writeable and arr.flags.owndata
         assert not np.shares_memory(arr, w)
         for other in outputs[i + 1 :]:
             assert not np.shares_memory(arr, other)
