@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
+import functools
 import sys
 from pathlib import Path
 
@@ -73,8 +74,8 @@ class CliError(Exception):
 def read_matrix(path) -> np.ndarray:
     """Parse the text matrix format: 'rows cols' header, then the entries."""
     try:
-        tokens = Path(path).read_text().split()
-    except OSError as exc:
+        tokens = Path(path).read_text(encoding="utf-8").split()
+    except (OSError, UnicodeDecodeError) as exc:
         raise CliError(f"cannot read matrix file {path}: {exc}", EXIT_PARSE) from exc
     try:
         rows, cols = int(tokens[0]), int(tokens[1])
@@ -115,7 +116,7 @@ def _resolve_settings(args) -> None:
         try:
             with open(args.config, "r", encoding="utf-8") as fh:
                 parser.read_file(fh)
-        except (OSError, configparser.Error) as exc:
+        except (OSError, UnicodeDecodeError, configparser.Error) as exc:
             raise CliError(f"cannot parse config {args.config}: {exc}", EXIT_PARSE) from exc
         # configparser hands [DEFAULT]'s keys to every section, so they would
         # read as another command's keys; no command has defaults to share.
@@ -236,7 +237,9 @@ def _add_settings(p: argparse.ArgumentParser, command: str) -> argparse.Argument
     return p
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and shared by every later call of `main`."""
     parser = argparse.ArgumentParser(prog="osora", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
     p = sub.add_parser("decompose", help="truncated SVD of a matrix file")

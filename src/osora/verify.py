@@ -29,7 +29,7 @@ from .adapters import (
 )
 from .errors import InvalidConfig
 from .gradients import finite_diff, gradient
-from .linalg import jacobi_svd, random_matrix
+from .linalg import fro_norm, jacobi_svd, random_matrix
 
 
 @dataclass(frozen=True)
@@ -54,16 +54,26 @@ def rel_inf(got, want) -> float:
     return float(np.abs(np.asarray(got) - np.asarray(want)).max()) / (1.0 + float(np.abs(want).max()))
 
 
+def _probe_rel_inf(got: np.ndarray, want: np.ndarray) -> np.ndarray:
+    """rel_inf of each column of got against the same column of want: one probe per column."""
+    return np.abs(got - want).max(axis=0) / (1.0 + np.abs(want).max(axis=0))
+
+
+def _perturb(state: AdapterState, seed: int, scale: float) -> AdapterState:
+    """Add seeded noise of size `scale` to state's trainables, in place."""
+    theta = trainable_vector(state)
+    theta = theta + scale * np.random.default_rng((seed, 101)).standard_normal(theta.size)
+    load_trainable(state, theta)
+    return state
+
+
 def perturbed_state(
     tag: str, d: int, k: int, rank: int, seed: int, scale: float = 0.2, **method_kwargs
 ) -> tuple[AdapterState, np.ndarray]:
     """Adapter over a seeded gaussian base weight with seeded noise of size `scale` on its trainables."""
     w0 = random_matrix(d, k, (seed, 100), "gaussian")
     state = build_adapter(w0, AdapterMethod(tag=tag, rank=rank, **method_kwargs), seed)
-    theta = trainable_vector(state)
-    theta = theta + scale * np.random.default_rng((seed, 101)).standard_normal(theta.size)
-    load_trainable(state, theta)
-    return state, w0
+    return _perturb(state, seed, scale), w0
 
 
 def check_svd(matrices: Iterable[np.ndarray]) -> list[CheckResult]:
@@ -71,22 +81,29 @@ def check_svd(matrices: Iterable[np.ndarray]) -> list[CheckResult]:
     recon, ortho = [], []
     for w in matrices:
         u, s, v = jacobi_svd(w)
-        fro = float(np.sqrt((w * w).sum()))
-        recon.append(float(np.sqrt((((u * s) @ v.T - w) ** 2).sum())) / fro)
+        recon.append(fro_norm((u * s) @ v.T - w) / fro_norm(w))
         eye = np.eye(min(w.shape))
         ortho += [float(np.abs(u.T @ u - eye).max()), float(np.abs(v.T @ v - eye).max())]
     return [_result("svd.reconstruction", _worst(recon), 1e-12), _result("svd.orthonormality", _worst(ortho), 1e-10)]
 
 
 def check_init_identity(cases: Iterable[tuple[np.ndarray, AdapterState, np.ndarray]]) -> list[CheckResult]:
-    """Fresh adapters reproduce their base weight: (w0, state, probes) cases, one probe per row."""
-    errors = [rel_inf(forward(state, x), w0 @ x) for w0, state, probes in cases for x in probes]
+    """Fresh adapters reproduce their base weight: (w0, state, probes) cases, one probe per row.
+
+    Each case takes one forward call and one product with w0 over all its
+    probes; each probe's error is its own rel_inf.
+    """
+    errors = [
+        e for w0, state, probes in cases for e in _probe_rel_inf(forward(state, probes.T), w0 @ probes.T)
+    ]
     return [_result("merge.init_identity", _worst(errors), 1e-12)]
 
 
 def check_merge(cases: Iterable[tuple[np.ndarray, AdapterState, np.ndarray]]) -> list[CheckResult]:
-    """A merged weight reproduces its adapter: (merged, state, probes) cases, one probe per row."""
-    errors = [rel_inf(merged @ x, forward(state, x)) for merged, state, probes in cases for x in probes]
+    """A merged weight reproduces its adapter: (merged, state, probes) cases, one probe per row, batched as above."""
+    errors = [
+        e for merged, state, probes in cases for e in _probe_rel_inf(merged @ probes.T, forward(state, probes.T))
+    ]
     return [_result("merge.equivalence", _worst(errors), 1e-10)]
 
 
@@ -129,9 +146,9 @@ def verify_svd(seed: int = 0) -> list[CheckResult]:
     shapes = [(16, 12), (12, 16), (24, 24), (33, 7), (40, 28)]
     rows = check_svd(random_matrix(d, k, (seed, 200 + i), "gaussian") for i, (d, k) in enumerate(shapes))
 
-    # Known spectrum: assemble from orthogonal factors of seeded matrices.
-    q1 = jacobi_svd(random_matrix(20, 20, (seed, 210), "gaussian"))[0]
-    q2 = jacobi_svd(random_matrix(14, 14, (seed, 211), "gaussian"))[0]
+    # Known spectrum: assemble from the orthogonal QR factors of seeded matrices.
+    q1 = np.linalg.qr(random_matrix(20, 20, (seed, 210), "gaussian"))[0]
+    q2 = np.linalg.qr(random_matrix(14, 14, (seed, 211), "gaussian"))[0]
     sigma = np.linspace(2.0, 0.5, 14)
     w = (q1[:, :14] * sigma) @ q2.T
     s_hat = jacobi_svd(w)[1]
@@ -169,12 +186,14 @@ def _perturbed_copy(state: AdapterState) -> AdapterState:
 
 
 def verify_merge(seed: int = 0, inject_fault: bool = False) -> list[CheckResult]:
+    """Init identity of fresh adapters, and merge equivalence of a perturbed clone of each (same frozen tensors)."""
     rng = np.random.default_rng((seed, 400))
     fresh, trained = [], []
     for i, tag in enumerate(METHODS):
         w0 = random_matrix(10, 8, (seed, 410 + i), "gaussian")
-        fresh.append((w0, build_adapter(w0, AdapterMethod(tag=tag, rank=3), seed + i), rng.standard_normal((20, 8))))
-        state, _ = perturbed_state(tag, 10, 8, 3, seed + i, scale=0.1)
+        state = build_adapter(w0, AdapterMethod(tag=tag, rank=3), seed + i)
+        fresh.append((w0, state, rng.standard_normal((20, 8))))
+        state = _perturb(replace(state, trainable={n: a.copy() for n, a in state.trainable.items()}), seed + i, 0.1)
         merged = merge(_perturbed_copy(state) if inject_fault else state)
         trained.append((merged, state, rng.standard_normal((20, 8))))
     return check_init_identity(fresh) + check_merge(trained)

@@ -1,11 +1,17 @@
 import csv
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from osora import IoFailure, jacobi_svd, random_matrix, svd_truncated
-from osora.cli import main, read_matrix, write_matrix
+from osora.cli import build_parser, main, read_matrix, write_matrix
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run_cli(capsys, *argv):
@@ -139,6 +145,12 @@ class TestDecompose:
         path.write_text("not a matrix\n")
         code, _, _ = run_cli(capsys, "decompose", str(path), "--rank", "1")
         assert code == 3
+
+    def test_non_utf8_matrix_exit_code(self, tmp_path, capsys):
+        path = tmp_path / "m.txt"
+        path.write_bytes(b"\xff2 2\n1.0 0.0\n0.0 1.0\n")
+        code, out, err = run_cli(capsys, "decompose", str(path), "--rank", "1")
+        assert code == 3 and out == "" and err.startswith("error: cannot read matrix file")
 
 
 class TestTrain:
@@ -312,9 +324,10 @@ class TestVerify:
     @pytest.mark.parametrize(
         "seed,digest",
         [
-            ("0", "fcd22832c4017ea2675fb5d5e73c47ae280824eae87513243ede3a3eb262e027"),
-            ("1", "cb43ccbb379b99a9515e6305745d8fec42b36d1ad3d4cf76cba6c79b51b5cebf"),
+            ("0", "82198e4bb64137e6044dfb1986d11cb400523302d4885c8d80c5b8618929cb74"),
+            ("1", "8afd932a0e2eab21bba0b22dee46f429179826ab11dacf51251ad20d4f7090b2"),
         ],
+        ids=["seed0", "seed1"],
     )
     def test_all_scope_stdout_is_pinned(self, seed, digest, capsys):
         # SHA-256 of the printed rows; any change to a check's instances, probes
@@ -379,6 +392,18 @@ class TestConfigFile:
         code, _, _ = run_cli(capsys, "train", "--config", str(cfg))
         assert code == 0
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["decompose", "m.txt", "--rank", "1"], ["train", "--steps", "1"], ["count"], ["verify", "svd"]],
+        ids=["decompose", "train", "count", "verify"],
+    )
+    def test_non_utf8_config_exit_code(self, argv, tmp_path, capsys):
+        # The config is read before any command runs, so decompose never opens m.txt.
+        cfg = tmp_path / "run.ini"
+        cfg.write_bytes(b"\xff[train]\nsteps = 1\n")
+        code, out, err = run_cli(capsys, *argv, "--config", str(cfg))
+        assert code == 3 and out == "" and err.startswith("error: cannot parse config")
+
     def test_unknown_section_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "run.ini"
         cfg.write_text("[evaluate]\nsteps = 5\n")
@@ -395,3 +420,37 @@ class TestConfigFile:
         assert read_matrix(out_dir / "s_r.txt").tolist() == [[3.0, 2.0]]
         code, out, _ = run_cli(capsys, "decompose", str(matrix), "--config", str(cfg), "--rank", "1")
         assert code == 0 and out.splitlines()[1] == "singular_values=3.0"
+
+
+# Runs main as the first call in a fresh process, exiting with its return code.
+FRESH_MAIN = "import sys; from osora.cli import main; sys.exit(main(sys.argv[1:]))"
+
+
+def test_one_parser_serves_many_calls(tmp_path, capsys, monkeypatch):
+    # Each call prints and returns what it does as a fresh process's first call:
+    # an argparse failure, --help and a CliError leave nothing behind for the next.
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal width
+    matrix = tmp_path / "m.txt"
+    write_matrix(matrix, np.diag([3.0, 2.0, 1.0]))
+    calls = [
+        (["train", "--steps", "many"], 2),
+        (["--help"], 0),
+        (["decompose", str(tmp_path / "missing.txt"), "--rank", "1"], 3),
+        (["count", "--preset", "qwen2_7b", "--rank", "4,8"], 0),
+        (["verify", "svd"], 0),
+        (["decompose", str(matrix), "--rank", "2"], 0),
+    ]
+    env = {**os.environ, "PYTHONPATH": str(SRC), "COLUMNS": "80"}
+    build_parser.cache_clear()
+    for argv, want_code in calls:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        fresh = subprocess.run(
+            [sys.executable, "-c", FRESH_MAIN, *argv], capture_output=True, text=True, env=env, cwd=tmp_path
+        )
+        assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+        assert code == want_code and (out or err), argv
+    assert build_parser.cache_info().misses == 1
