@@ -30,17 +30,29 @@ o * rowwise (R (v_r^T X)^T) * u_r diag(s_r) for osora_dora. osora_dora expands
 its row norms and w_eff v_r over w0_res v_r, which leans on v_r being
 orthonormal; dora forms w_eff = w0 + B A, the one d x k array a step makes.
 
+Every method's prediction is M X for a d x k matrix M of its tensors (a
+magnitude method's rescale depends on its weights, not on the probes), so
+with X^T = Q R (Q n x m orthonormal, m = min(n, k)) the loss splits as
+
+    L = 1/(2n) * (||M R^T - Y Q||^2 + ||Y - (Y Q) Q^T||^2)
+
+and G = (M X - Y) X^T = (M R^T - Y Q) R: the step over the k x m probes R^T
+with targets Y Q, the task's true n and the constant tail is the step over
+X and Y. `training.train` steps over those compressed planes; `gradient`,
+`loss_mse` and `finite_diff` take the raw probes and are the reference.
+
 `gradient` and `training.train` compute the probe products and allocate one
-d x n workspace plane per call, for every method, and every step of the call
-writes into it: `apply` writes delta X into the plane, `fixed`'s base product
-is added to make the prediction, a magnitude method scales its rows in
-place, and subtracting Y leaves the residual pred - Y. The loss is one dot
-product of that plane with itself, and the 1/n of R is applied to the slot
-gradients, which are r, d or k long or d x r, r x k, so the residual plane is
-never rescaled. osora and vera scale the rows of their d x r factor, not of
-the d x n product. So a step makes no d x n array and passes over one only to
-fill it, to read it for the loss and the m row sums, and to multiply it into
-the gradient products. What it still makes are r x n and d x r (or k x r)
+d x m workspace plane per call (m = n for `gradient`, min(n, k) for `train`),
+for every method, and every step of the call writes into it: `apply` writes
+delta X into the plane, `fixed`'s base product is added to make the
+prediction, a magnitude method scales its rows in place, and subtracting Y
+leaves the residual pred - Y. The loss is one dot product of that plane with
+itself, plus the tail, and the 1/n of R is applied to the slot gradients,
+which are r, d or k long or d x r, r x k, so the residual plane is never
+rescaled. osora and vera scale the rows of their d x r factor, not of the
+d x m product. So a step makes no d x m array and passes over one only to
+fill it, to read it for the loss and the row sums of dL/dm, and to multiply
+it into the gradient products. What it still makes are r x m and d x r (or k x r)
 products, vectors of length d, k or r, and dora's d x k w_eff: vera's b_vec
 gradient is rowwise (R (diag(d) A X)^T) * B, and osora_k takes its o
 gradient as rowwise (X (diag(s_r) u_r^T R)^T) * v_r.
@@ -90,6 +102,8 @@ def _check_probes(state: AdapterState, x_probes, y_targets) -> tuple[np.ndarray,
         raise DimensionMismatch(f"probe/target column counts differ: {x.shape} vs {y.shape}")
     if x.shape[0] != state.k or y.shape[0] != state.d:
         raise DimensionMismatch(f"expected probes {state.k} x n and targets {state.d} x n")
+    if x.shape[1] < 1:
+        raise DimensionMismatch("need at least one probe column, got 0")
     return x, y
 
 
@@ -99,8 +113,13 @@ def loss_mse(state: AdapterState, x_probes, y_targets) -> float:
     return 0.5 / x.shape[1] * float((resid * resid).sum())
 
 
-def _step(state: AdapterState, fx: dict[str, np.ndarray], x: np.ndarray, y: np.ndarray, ws: np.ndarray) -> LossGrad:
-    """Loss and gradient at state, given fx = fixed(state.frozen, x) and the d x n plane ws of _stepper."""
+def _step(
+    state: AdapterState, fx: dict[str, np.ndarray], x: np.ndarray, y: np.ndarray, ws: np.ndarray, n: int, tail: float
+) -> LossGrad:
+    """Loss and gradient at state over n probes, given fx = fixed(state.frozen, x) and the plane ws of _stepper.
+
+    tail is the constant part of the loss's squared sum (0 over raw probes).
+    """
     entry = _TABLE[state.method.tag]
     fz, t = state.frozen, state.trainable
     z = entry.lift(fz, t, fx, x)
@@ -111,9 +130,8 @@ def _step(state: AdapterState, fx: dict[str, np.ndarray], x: np.ndarray, y: np.n
         scale = _dora_scale(state, norms)
         r *= scale[:, None]
     r -= y
-    n = x.shape[1]
     flat = r.ravel()
-    loss = 0.5 / n * float(flat @ flat)
+    loss = 0.5 / n * (float(flat @ flat) + tail)
     # r is the residual pred - Y, not R = r/n; the 1/n goes on the small slot gradients.
     if entry.magnitude:
         grads = entry.grad(fz, t, z, r, x, scale)
@@ -129,18 +147,23 @@ def _step(state: AdapterState, fx: dict[str, np.ndarray], x: np.ndarray, y: np.n
     return LossGrad(loss=loss, slices={name: full[name] for name in trainable_slots(state)})
 
 
-def _stepper(state: AdapterState, x_probes, y_targets) -> Callable[[AdapterState], LossGrad]:
+def _stepper(
+    state: AdapterState, x_probes, y_targets, n: int | None = None, tail: float = 0.0
+) -> Callable[[AdapterState], LossGrad]:
     """The loss and gradient over fixed probes, for state and any adapter sharing its frozen tensors.
 
     Checks the probes, computes their products with the frozen tensors and
-    allocates the d x n workspace once; every step writes into that workspace.
+    allocates the d x m workspace once (m probe columns); every step writes
+    into that workspace. Raw probes leave n to their column count and tail at
+    0; compressed ones (R^T, Y Q) pass the true n and the tail ||Y - (Y Q) Q^T||^2.
     The returned closure is not reentrant: run one step at a time.
     """
     x, y = _check_probes(state, x_probes, y_targets)
+    n = x.shape[1] if n is None else n
     fx = _TABLE[state.method.tag].fixed(state.frozen, x)
     # Plane: the prediction, rescaled in place by a magnitude method, then the residual.
     ws = np.empty(y.shape)
-    return lambda st: _step(st, fx, x, y, ws)
+    return lambda st: _step(st, fx, x, y, ws, n, tail)
 
 
 def gradient(state: AdapterState, x_probes, y_targets) -> LossGrad:

@@ -7,6 +7,13 @@ copy of themselves. An osora adapter of rank r_gap is built from the same
 factors, so it can represent the teacher exactly (zero achievable loss)
 even when the top-r SVD stopped at its cap short of w0's exact top
 subspace; smaller ranks and single-vector ablations cannot.
+
+`train` steps over the task's probes compressed by one QR, X^T = Q R with
+m = min(n, k) columns: the k x m R^T, the d x m targets Y Q and the scalar
+tail ||Y - (Y Q) Q^T||^2, added to every step's loss with the task's true n
+(see `gradients`). So each step works on d x m planes, not d x n. The first
+`train` over a task computes them and the task keeps them, not Q; `gradient`,
+`loss_mse` and `finite_diff` still take the raw probes.
 """
 
 from __future__ import annotations
@@ -19,7 +26,7 @@ import numpy as np
 
 from .adapters import AdapterState, _shared_svd, _slot_views, clone_state, trainable_vector, weight_digest
 from .errors import DimensionMismatch, InvalidConfig, NonFiniteLoss, RankOutOfRange
-from .gradients import _stepper
+from .gradients import _check_probes, _stepper
 from .linalg import SvdFactors, check_integers, check_seed, random_matrix
 
 ADAM_BETA1 = 0.9
@@ -48,6 +55,9 @@ class ToyTask:
     # w0's top-r_gap factors, shared with SVD-initialised adapters of rank
     # r_gap over w0 for as long as this task lives.
     factors: SvdFactors | None = field(default=None, repr=False, compare=False)
+    # (probes, targets, R^T, Y Q, n, tail) from the first train over this task;
+    # probes and targets are the arrays compressed, so new ones compress again.
+    _planes: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -100,6 +110,24 @@ def make_task(d: int, k: int, r_gap: int, seed: int, n: int | None = None) -> To
     )
 
 
+def _compressed(task: ToyTask, state: AdapterState) -> tuple[np.ndarray, np.ndarray, int, float]:
+    """(R^T, Y Q, n, tail) for the task's probes X^T = Q R and targets Y, made once per task."""
+    planes = task._planes
+    if planes is None or planes[0] is not task.probes or planes[1] is not task.targets:
+        x, y = _check_probes(state, task.probes, task.targets)
+        q, r = np.linalg.qr(x.T)
+        rt, yq = np.ascontiguousarray(r.T), y @ q
+        # The tail from the residual itself: a task's Y = W X lies in the row
+        # space of X, so ||Y||^2 - ||Y Q||^2 would cancel to noise.
+        resid = yq @ q.T
+        resid -= y
+        flat = resid.ravel()
+        for arr in (rt, yq):  # every later train over the task reads them
+            arr.setflags(write=False)
+        planes = task._planes = (task.probes, task.targets, rt, yq, x.shape[1], float(flat @ flat))
+    return planes[2:]
+
+
 def train(state: AdapterState, task: ToyTask, config: TrainConfig) -> TrainRun:
     """Full-batch gradient descent on the adapter's trainable vector.
 
@@ -108,7 +136,7 @@ def train(state: AdapterState, task: ToyTask, config: TrainConfig) -> TrainRun:
     are views of one flat vector.
     """
     work = clone_state(state)
-    step_at = _stepper(work, task.probes, task.targets)
+    step_at = _stepper(work, *_compressed(task, work))
     # The active slots become views of theta, so each update lands in work in place.
     theta = trainable_vector(work)
     work.trainable.update(_slot_views(work, theta))

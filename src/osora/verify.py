@@ -81,7 +81,9 @@ def check_svd(matrices: Iterable[np.ndarray]) -> list[CheckResult]:
     recon, ortho = [], []
     for w in matrices:
         u, s, v = jacobi_svd(w)
-        recon.append(fro_norm((u * s) @ v.T - w) / fro_norm(w))
+        # Relative to ||w||, or absolute for the zero matrix, whose exact reconstruction reads 0.0.
+        err, scale = fro_norm((u * s) @ v.T - w), fro_norm(w)
+        recon.append(err / scale if scale > 0.0 else err)
         eye = np.eye(min(w.shape))
         ortho += [float(np.abs(u.T @ u - eye).max()), float(np.abs(v.T @ v - eye).max())]
     return [_result("svd.reconstruction", _worst(recon), 1e-12), _result("svd.orthonormality", _worst(ortho), 1e-10)]

@@ -194,8 +194,8 @@ class TestTrain:
         assert code == 0
         digests = {name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest() for name in ("loss.csv", "adapter.ckpt")}
         assert digests == {
-            "loss.csv": "9e33d7ed57975ccd70854aa941e8330d422e18542aaf1e85b4e3e56db64dad0a",
-            "adapter.ckpt": "c5e3fc40d0647b23571d1bc48cf058872cbd454d7634bd5deb0c1d337c076f45",
+            "loss.csv": "855e2e23481aaf046cf15da106f549e30d8274612bb3e8263a9ea9c775bc7885",
+            "adapter.ckpt": "7549f2d21e0e0b54705e7e2ad71276a65aecada13504c245ecfab01e230e86e3",
         }
 
     @pytest.mark.parametrize(
@@ -454,3 +454,19 @@ def test_one_parser_serves_many_calls(tmp_path, capsys, monkeypatch):
         assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
         assert code == want_code and (out or err), argv
     assert build_parser.cache_info().misses == 1
+
+
+def test_standard_run_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # The probe QR and every step's products go through LAPACK and BLAS: the
+    # standard run writes the same loss.csv and adapter.ckpt at one and at two
+    # OpenBLAS threads. Larger thread counts are not checked here.
+    blobs = []
+    for threads in ("1", "2"):
+        out_dir = tmp_path / f"threads{threads}"
+        env = {**os.environ, "PYTHONPATH": str(SRC), "OPENBLAS_NUM_THREADS": threads}
+        done = subprocess.run(
+            [sys.executable, "-c", FRESH_MAIN, "train", "--out", str(out_dir)], capture_output=True, env=env
+        )
+        assert done.returncode == 0, done.stderr
+        blobs.append([(out_dir / name).read_bytes() for name in ("loss.csv", "adapter.ckpt")])
+    assert blobs[0] == blobs[1]

@@ -23,6 +23,13 @@ def test_check_svd_of_tiny_matrices(scale):
     assert abs(recon.max_err - want) <= 1e-12 * want
 
 
+def test_check_svd_of_the_zero_matrix():
+    # ||w|| = 0 leaves no relative error: the absolute residual norm stands in,
+    # and the exact reconstruction of zeros reads 0.0.
+    recon, ortho = check_svd([np.zeros((4, 3))])
+    assert recon.max_err == 0.0 and recon.passed and ortho.passed
+
+
 def test_svd_budget_of_each_suite(svd_calls, monkeypatch):
     # (direct jacobi_svd calls in verify, svd_truncated calls by builds and loads)
     # at seed 0. The counts do not depend on the BLAS build.
