@@ -6,22 +6,23 @@ every adapter folds into a single dense matrix via merge() with no residual
 inference cost. Frozen tensors are stored as read-only arrays; training only
 ever touches the trainable dict.
 
-Builds over one weight share its frozen tensors through two weak registries.
+Builds over one weight share its SVD through one weak registry, `_FACTORS`.
 pissa and the osora family freeze the top-r SVD of w0: one entry per (shape,
 weight digest, rank) holds read-only u_r, s_r, v_r and the residual
 w0 - u_r diag(s_r) v_r^T, whatever the method, seed, o_init or ablation.
 `training.make_task` gets its factors there too, so a task and every
 SVD-initialised build of rank r_gap over its weight run one SVD between them.
 With o_init "ones" the initial update is exactly u_r diag(s_r) v_r^T, so such
-a build's w0_res is the shared residual itself. lora, vera and dora freeze w0
-itself and share one read-only copy of it per (shape, weight digest).
+a build's w0_res is the shared residual itself. The entry is keyed by the
+weight's content digest, so it cannot go stale. lora, vera and dora freeze
+their own read-only copy of w0.
 
-Every build and every checkpoint load makes its own frozen dict over those
-shared tensors, and its own trainables, and runs no SVD while an adapter or a
-task over the weight lives. The dict holds its factor entry (`factors`) or its
-w0 copy, so an entry lives exactly as long as something built on it; never
-mutating a frozen tensor is what makes sharing safe. The rest is recomputed
-by each build, deterministically: vera's two seeded draws, a gaussian-o_init
+Every build and every checkpoint load makes its own frozen dict over the
+shared factors, and its own trainables, and runs no SVD while an adapter or a
+task over the weight lives. The dict holds its factor entry (`factors`), so an
+entry lives exactly as long as something built on it; never mutating a frozen
+tensor is what makes sharing safe. The rest is made by each build,
+deterministically: the w0 copy, vera's two seeded draws, a gaussian-o_init
 build's own w0_res, and a magnitude build's initial m. A load in a fresh
 process (say, of the adapter.ckpt that `osora train` wrote) decomposes again,
 to the same bytes.
@@ -62,12 +63,13 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidConfig, LengthMismatch, RankOutOfRange
+from .errors import DimensionMismatch, InvalidConfig, LengthMismatch, NonFiniteInput, RankOutOfRange
 from .linalg import (
     SvdFactors,
     as_matrix,
     as_real_array,
     check_finite,
+    check_fro_norm,
     check_integers,
     check_seed,
     random_matrix,
@@ -87,6 +89,11 @@ _SLOT_B_BASE = 2
 _SLOT_O_GAUSSIAN = 3
 
 _VERA_D_INIT = 0.1
+
+# Largest ||w||_F a dora or osora_dora build takes: the row norms of the
+# magnitude rescale square the entries of the effective weight, and would
+# overflow past it. The SVD runs on a power-of-two rescaling and needs no bound.
+_MAX_FRO = 2.0**255
 
 
 @dataclass(frozen=True)
@@ -161,8 +168,8 @@ class _Method:
 
     base: str  # frozen base tensor: "w0", or "w0_res" for the SVD-initialized methods
     slots: tuple[str, ...]  # trainable slots in flat-layout order
-    # (w, method, seed, shared) -> (frozen, trainable), without m; shared is the
-    # SvdFactors entry for a w0_res base, else the read-only shared copy of w
+    # (w, method, seed, f) -> (frozen, trainable), without m; f is the shared
+    # SvdFactors entry for a w0_res base, else None
     build: Callable
     delta: Callable  # (fz, t) -> dense d x k update
     # (fz, t, fx, x) -> z, the r x n product of the probes that delta @ x factors through:
@@ -195,17 +202,17 @@ def _with_magnitude(entry: _Method, **fields) -> _Method:
     return replace(entry, slots=entry.slots + ("m",), **fields)
 
 
-def _lora_init(w: np.ndarray, method: AdapterMethod, seed: int, w0: np.ndarray):
+def _lora_init(w: np.ndarray, method: AdapterMethod, seed: int, f: None):
     d, k = w.shape
     a = random_matrix(method.rank, k, (seed, _SLOT_A_BASE), "uniform_scaled")
-    return {"w0": w0}, {"a": a, "b": np.zeros((d, method.rank))}
+    return {"w0": w.copy()}, {"a": a, "b": np.zeros((d, method.rank))}
 
 
-def _vera_init(w: np.ndarray, method: AdapterMethod, seed: int, w0: np.ndarray):
+def _vera_init(w: np.ndarray, method: AdapterMethod, seed: int, f: None):
     d, k = w.shape
     r = method.rank
     frozen = {
-        "w0": w0,
+        "w0": w.copy(),
         "a_base": random_matrix(r, k, (seed, _SLOT_A_BASE), "uniform_scaled"),
         "b_base": random_matrix(d, r, (seed, _SLOT_B_BASE), "uniform_scaled"),
     }
@@ -363,10 +370,6 @@ class _Frozen(dict):
 # some live task or build holds; a race on one key only repeats the SVD.
 _FACTORS: weakref.WeakValueDictionary[tuple, SvdFactors] = weakref.WeakValueDictionary()
 
-# (shape, weight digest) -> the read-only copy of a weight that some live
-# lora, vera or dora build freezes as w0; a race on one key only repeats the copy.
-_BASES: weakref.WeakValueDictionary[tuple, np.ndarray] = weakref.WeakValueDictionary()
-
 
 def _read_only(*arrays: np.ndarray) -> None:
     for arr in arrays:
@@ -388,23 +391,15 @@ def _shared_svd(w: np.ndarray, digest: bytes, r: int) -> SvdFactors:
     return f
 
 
-def _shared_base(w: np.ndarray, digest: bytes) -> np.ndarray:
-    """A read-only copy of w, copied only if no live build holds one; `digest` is weight_digest(w)."""
-    key = (w.shape, digest)
-    base = _BASES.get(key)
-    if base is None:
-        base = w.copy()
-        _read_only(base)
-        _BASES[key] = base
-    return base
-
-
 def build_adapter(w0, method: AdapterMethod, seed: int) -> AdapterState:
     """Construct an adapter at the identity point: forward(x) == w0 @ x.
 
     SVD-based methods decompose w0 here, unless a live task or SVD-based
     adapter of the same weight and rank already did; the residual is computed
-    with the initial trainable values and frozen thereafter.
+    with the initial trainable values and frozen thereafter. lora, vera and
+    dora freeze a read-only copy of w0. dora and osora_dora refuse a weight
+    with ||w0||_F above 2**255 with NonFiniteInput, since their row norms
+    square its entries.
     """
     check_seed(seed)
     w = as_matrix(w0, "w0")
@@ -415,14 +410,15 @@ def _build_adapter(w: np.ndarray, digest: bytes, method: AdapterMethod, seed: in
     """build_adapter over a float64 matrix w whose weight_digest the caller has already taken."""
     check_finite(w, "w0")
     entry = _TABLE[method.tag]
-    svd = entry.base == "w0_res"
-    shared = _shared_svd(w, digest, method.rank) if svd else _shared_base(w, digest)
-    frozen, trainable = entry.build(w, method, seed, shared)
+    if entry.magnitude and check_fro_norm(w, "w0") > _MAX_FRO:
+        raise NonFiniteInput(f"w0 has Frobenius norm above {_MAX_FRO:.3g}, where {method.tag}'s row norms overflow")
+    factors = _shared_svd(w, digest, method.rank) if entry.base == "w0_res" else None
+    frozen, trainable = entry.build(w, method, seed, factors)
     if entry.magnitude:  # start each row at its own norm, so the rescale is the identity
         trainable["m"] = _row_norms(frozen[entry.base] + entry.delta(frozen, trainable))
     _read_only(*frozen.values())
     frozen = _Frozen(frozen)
-    frozen.factors = shared if svd else None
+    frozen.factors = factors
     return AdapterState(
         method=method, d=w.shape[0], k=w.shape[1], seed=seed, frozen=frozen, trainable=trainable, w0_digest=digest
     )

@@ -10,11 +10,11 @@ class RankOutOfRange(OsoraError):
 
 
 class NonFiniteInput(OsoraError, ValueError):
-    """An input tensor contains NaN or Inf entries, or a weight's Frobenius norm is above 2**255.
+    """An input tensor contains NaN or Inf entries, or a weight's Frobenius norm is too large.
 
     The SVD and the residual norm run on a power-of-two rescaling of the
-    weight, but a magnitude method's row norms square what its factors
-    rebuild and need the bound.
+    weight and refuse only a norm that overflows. dora and osora_dora builds
+    refuse a norm above 2**255, since their row norms square the entries.
     """
 
 

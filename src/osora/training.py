@@ -11,8 +11,10 @@ subspace; smaller ranks and single-vector ablations cannot.
 `train` steps over the task's probes compressed by one QR, X^T = Q R with
 m = min(n, k) columns: the k x m R^T, the d x m targets Y Q and the scalar
 tail ||Y - (Y Q) Q^T||^2, added to every step's loss with the task's true n
-(see `gradients`). So each step works on d x m planes, not d x n. The first
-`train` over a task computes them and the task keeps them, not Q; `gradient`,
+(see `gradients`). So each step works on d x m planes, not d x n. The task
+keeps them, not Q, only while its probes and targets are read-only down to
+the arrays that own their data, as `make_task` returns them; writable ones
+are compressed again at every `train`, so no write goes unseen. `gradient`,
 `loss_mse` and `finite_diff` still take the raw probes.
 """
 
@@ -24,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .adapters import AdapterState, _shared_svd, _slot_views, clone_state, trainable_vector, weight_digest
+from .adapters import AdapterState, _read_only, _shared_svd, _slot_views, clone_state, trainable_vector, weight_digest
 from .errors import DimensionMismatch, InvalidConfig, NonFiniteLoss, RankOutOfRange
 from .gradients import _check_probes, _stepper
 from .linalg import SvdFactors, check_integers, check_seed, random_matrix
@@ -46,6 +48,7 @@ STANDARD_TASK = {"d": 32, "k": 32, "r_gap": 4, "n": 64}
 
 @dataclass
 class ToyTask:
+    # make_task returns all four read-only.
     w0: np.ndarray
     w_target: np.ndarray
     probes: np.ndarray  # k x n
@@ -55,8 +58,8 @@ class ToyTask:
     # w0's top-r_gap factors, shared with SVD-initialised adapters of rank
     # r_gap over w0 for as long as this task lives.
     factors: SvdFactors | None = field(default=None, repr=False, compare=False)
-    # (probes, targets, R^T, Y Q, n, tail) from the first train over this task;
-    # probes and targets are the arrays compressed, so new ones compress again.
+    # (probes, targets, R^T, Y Q, n, tail) from the first train over read-only
+    # probes and targets; they are the arrays compressed, so new ones compress again.
     _planes: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
 
@@ -105,26 +108,38 @@ def make_task(d: int, k: int, r_gap: int, seed: int, n: int | None = None) -> To
     s_star = f.s_r * np.random.default_rng((seed, _SLOT_S_STAR)).uniform(0.5, 1.5, r_gap)
     w_target = f.residual + o_star[:, None] * ((f.u_r * s_star) @ f.v_r.T)
     probes = np.random.default_rng((seed, _SLOT_PROBES)).standard_normal((k, n))
-    return ToyTask(
-        w0=w0, w_target=w_target, probes=probes, targets=w_target @ probes, seed=seed, r_gap=r_gap, factors=f
-    )
+    targets = w_target @ probes
+    _read_only(w0, w_target, probes, targets)
+    return ToyTask(w0=w0, w_target=w_target, probes=probes, targets=targets, seed=seed, r_gap=r_gap, factors=f)
+
+
+def _unwritable(a) -> bool:
+    """Whether a is a read-only array over read-only arrays, down to the one that owns the data."""
+    while isinstance(a, np.ndarray) and not a.flags.writeable:
+        if a.base is None:
+            return True
+        a = a.base
+    return False
 
 
 def _compressed(task: ToyTask, state: AdapterState) -> tuple[np.ndarray, np.ndarray, int, float]:
-    """(R^T, Y Q, n, tail) for the task's probes X^T = Q R and targets Y, made once per task."""
+    """(R^T, Y Q, n, tail) for the task's probes X^T = Q R and targets Y, made once per read-only task."""
+    keep = _unwritable(task.probes) and _unwritable(task.targets)
     planes = task._planes
-    if planes is None or planes[0] is not task.probes or planes[1] is not task.targets:
-        x, y = _check_probes(state, task.probes, task.targets)
-        q, r = np.linalg.qr(x.T)
-        rt, yq = np.ascontiguousarray(r.T), y @ q
-        # The tail from the residual itself: a task's Y = W X lies in the row
-        # space of X, so ||Y||^2 - ||Y Q||^2 would cancel to noise.
-        resid = yq @ q.T
-        resid -= y
-        flat = resid.ravel()
-        for arr in (rt, yq):  # every later train over the task reads them
-            arr.setflags(write=False)
-        planes = task._planes = (task.probes, task.targets, rt, yq, x.shape[1], float(flat @ flat))
+    if keep and planes is not None and planes[0] is task.probes and planes[1] is task.targets:
+        return planes[2:]
+    x, y = _check_probes(state, task.probes, task.targets)
+    q, r = np.linalg.qr(x.T)
+    rt, yq = np.ascontiguousarray(r.T), y @ q
+    # The tail from the residual itself: a task's Y = W X lies in the row
+    # space of X, so ||Y||^2 - ||Y Q||^2 would cancel to noise.
+    resid = yq @ q.T
+    resid -= y
+    flat = resid.ravel()
+    planes = (task.probes, task.targets, rt, yq, x.shape[1], float(flat @ flat))
+    if keep:  # every later train over the task reads them
+        _read_only(rt, yq)
+        task._planes = planes
     return planes[2:]
 
 

@@ -22,6 +22,7 @@ from .adapters import (
     AdapterMethod,
     AdapterState,
     build_adapter,
+    clone_state,
     forward,
     load_trainable,
     merge,
@@ -184,7 +185,7 @@ def _perturbed_copy(state: AdapterState) -> AdapterState:
     frozen[target][0, 0] += 1e-3
     for arr in frozen.values():
         arr.setflags(write=False)
-    return replace(state, frozen=frozen, trainable={n: a.copy() for n, a in state.trainable.items()})
+    return replace(clone_state(state), frozen=frozen)
 
 
 def verify_merge(seed: int = 0, inject_fault: bool = False) -> list[CheckResult]:
@@ -195,7 +196,7 @@ def verify_merge(seed: int = 0, inject_fault: bool = False) -> list[CheckResult]
         w0 = random_matrix(10, 8, (seed, 410 + i), "gaussian")
         state = build_adapter(w0, AdapterMethod(tag=tag, rank=3), seed + i)
         fresh.append((w0, state, rng.standard_normal((20, 8))))
-        state = _perturb(replace(state, trainable={n: a.copy() for n, a in state.trainable.items()}), seed + i, 0.1)
+        state = _perturb(clone_state(state), seed + i, 0.1)
         merged = merge(_perturbed_copy(state) if inject_fault else state)
         trained.append((merged, state, rng.standard_normal((20, 8))))
     return check_init_identity(fresh) + check_merge(trained)

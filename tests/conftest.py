@@ -38,11 +38,12 @@ LIVE_BUILDS = [(tag, "ones") for tag in METHODS] + [(tag, "gaussian") for tag in
 def assert_frozen_rebuilt_over_shared(got, live):
     """got was built while live lived: its own frozen dict, with equal bytes, that holds the shared tensors.
 
-    Those are u_r, v_r and w0, and the residual of an o_init "ones" build; vera's
-    draws and a gaussian build's residual are its own.
+    Those are u_r and v_r, and the residual of an o_init "ones" build; the w0
+    copy of lora, vera and dora, vera's draws and a gaussian build's residual
+    are its own.
     """
     assert got.frozen is not live.frozen and got.frozen.factors is live.frozen.factors
-    shared = {"w0", "u_r", "v_r"} | ({"w0_res"} if live.method.o_init == "ones" else set())
+    shared = {"u_r", "v_r"} | ({"w0_res"} if live.method.o_init == "ones" else set())
     assert {name for name, arr in got.frozen.items() if arr is live.frozen[name]} == shared & live.frozen.keys()
     assert {name: arr.tobytes() for name, arr in got.frozen.items()} == {
         name: arr.tobytes() for name, arr in live.frozen.items()

@@ -87,19 +87,21 @@ class TestSvdTruncated:
 
     @pytest.mark.parametrize("shape", [(12, 8), (8, 12), (128, 128)], ids=["jacobi", "jacobi_wide", "top_r"])
     def test_norm_past_the_squarable_range_is_refused(self, shape):
-        # At 1e100 ||w||_F is finite, but the Jacobi pair test's product of
-        # two squared column norms overflows, and such weights once decomposed
-        # silently to wrong factors. (test_errors covers 1e160, where ||w||_F
-        # itself overflows.) Just inside the range the factors are right.
+        # At 1e100 and 1e200 the squares of ||w||_F overflow, but both paths
+        # run on a power-of-two rescaling, so the factors are right. Only a
+        # weight whose ||w||_F itself overflows is refused: its entries are
+        # finite, but sigma_1 may not be.
         base = random_matrix(*shape, 3, "gaussian")
+        for scale in (1e100, 1e200):
+            w = base * scale
+            f = svd_truncated(w, 4)
+            assert f.converged
+            assert np.abs(f.s_r - np.linalg.svd(w, compute_uv=False)[:4]).max() <= 1e-12 * f.s_r[0]
+        huge = base / np.abs(base).max() * 1e308
         with pytest.raises(NonFiniteInput):
-            svd_truncated(base * 1e100, 4)
+            svd_truncated(huge, 4)
         with pytest.raises(NonFiniteInput):
-            jacobi_svd(base * 1e100)
-        w = base * (2.0**254 / np.linalg.norm(base))
-        f = svd_truncated(w, 4)
-        assert f.converged
-        assert np.abs(f.s_r - np.linalg.svd(w, compute_uv=False)[:4]).max() <= 1e-12 * f.s_r[0]
+            jacobi_svd(huge)
 
     @pytest.mark.parametrize("scale", [1e-100, 1e-160, 1e-200, 1e-300])
     @pytest.mark.parametrize(

@@ -86,6 +86,12 @@ class TestMakeTask:
         with pytest.raises(DimensionMismatch):
             make_task(8, 4, 2, seed=0, n=6)
 
+    @pytest.mark.parametrize("name", ["w0", "w_target", "probes", "targets"])
+    def test_arrays_are_read_only(self, name):
+        task = make_task(8, 6, 2, seed=5)
+        with pytest.raises(ValueError):
+            getattr(task, name)[0, 0] = 0.0
+
     @pytest.mark.parametrize("args", [(8, 8, True, 0), (8, 8, 2, 0.5), (8, 8, 2, 2**64)], ids=["bool_rank", "float_seed", "seed_past_u64"])
     def test_non_integer_count_or_seed_rejected(self, args):
         with pytest.raises(InvalidConfig):
@@ -217,6 +223,28 @@ def test_one_qr_per_task(monkeypatch):
     run = train(states[0], task, config)
     assert calls == [(20, 8), (20, 8)]
     assert abs(run.loss_trace[0] - loss_mse(states[0], task.probes, task.targets)) <= 1e-13 * run.loss_trace[0]
+
+
+@pytest.mark.parametrize("written", ["targets", "probes", "probes_view"])
+def test_a_write_between_trains_is_seen(written):
+    # Planes kept from the first train would miss an in-place write and start
+    # the second run at the old data's loss: with the targets zeroed, 0.1453
+    # against loss_mse's 6.780. So train keeps no planes for probes or targets
+    # that can be written, a read-only view of a writable array included.
+    made = make_task(16, 16, 2, seed=0)
+    probes, targets = made.probes.copy(), made.targets.copy()
+    changed = targets if written == "targets" else probes
+    if written == "probes_view":
+        probes = probes.view()
+        probes.setflags(write=False)
+    task = ToyTask(w0=made.w0, w_target=made.w_target, probes=probes, targets=targets, seed=0, r_gap=2)
+    state = build_adapter(task.w0, AdapterMethod(tag="osora", rank=2), seed=0)
+    config = TrainConfig(steps=2, lr=1e-2)
+    train(state, task, config)
+    changed[:] = 0.0
+    run = train(state, task, config)
+    want = loss_mse(state, task.probes, task.targets)
+    assert abs(run.loss_trace[0] - want) <= 1e-13 * want
 
 
 @pytest.mark.parametrize("call", ["gradient", "loss_mse", "finite_diff", "train"])
