@@ -23,9 +23,9 @@ task over the weight lives. The dict holds its factor entry (`factors`), so an
 entry lives exactly as long as something built on it; never mutating a frozen
 tensor is what makes sharing safe. The rest is made by each build,
 deterministically: the w0 copy, vera's two seeded draws, a gaussian-o_init
-build's own w0_res, and a magnitude build's initial m. A load in a fresh
-process (say, of the adapter.ckpt that `osora train` wrote) decomposes again,
-to the same bytes.
+build's own w0_res, osora_dora's w0_res v_r and w0_res_perp, and a magnitude
+build's initial m. A load in a fresh process (say, of the adapter.ckpt that
+`osora train` wrote) decomposes again, to the same bytes.
 
 Forward rules, for base weight w0 of shape d x k and column input x:
 
@@ -40,18 +40,19 @@ Forward rules, for base weight w0 of shape d x k and column input x:
 The dora-style rescale multiplies output row i of the effective weight by
 m_i / ||row_i||, one trainable magnitude per output dimension. The magnitude
 vector therefore has length d; this is what makes the per-target trainable
-counts in accounting.py come out exactly.
+counts in accounting.py come out exactly. Row norms are taken on the rows
+times one power of two (linalg.pow2_exponent): right at tiny and huge scale.
 
 Each rule above is one record in `_TABLE`, keyed by tag: the frozen base
 tensor, the trainable slots in flat-layout order, and the build, dense update,
 factored update and per-slot gradient functions, plus `fixed`, the products
 of frozen tensors with the probes, and `lift`, the r x n product of the
 probes that the factored update and the gradient share. dora and osora_dora
-are the lora and osora records with the magnitude flag set, a trailing `m`
-slot, the row norms of the effective weight, and a gradient that folds the
-row rescale onto its rank-r factors.
-build_adapter, effective_weight, forward, merge, the slot layout and the
-gradients.py train step are each one generic body over that table.
+are the lora and osora records with a trailing `m` slot, `norms`, which alone
+takes the row norms of the effective weight, and a gradient that folds the
+row rescale onto its rank-r factors. build_adapter, effective_weight,
+forward, merge, the slot layout and the gradients.py train step are each one
+generic body over that table.
 """
 
 from __future__ import annotations
@@ -63,15 +64,15 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidConfig, LengthMismatch, NonFiniteInput, RankOutOfRange
+from .errors import DimensionMismatch, InvalidConfig, LengthMismatch, RankOutOfRange
 from .linalg import (
     SvdFactors,
     as_matrix,
     as_real_array,
     check_finite,
-    check_fro_norm,
     check_integers,
     check_seed,
+    pow2_exponent,
     random_matrix,
     svd_truncated,
 )
@@ -89,11 +90,6 @@ _SLOT_B_BASE = 2
 _SLOT_O_GAUSSIAN = 3
 
 _VERA_D_INIT = 0.1
-
-# Largest ||w||_F a dora or osora_dora build takes: the row norms of the
-# magnitude rescale square the entries of the effective weight, and would
-# overflow past it. The SVD runs on a power-of-two rescaling and needs no bound.
-_MAX_FRO = 2.0**255
 
 
 @dataclass(frozen=True)
@@ -140,13 +136,16 @@ def weight_digest(w0: np.ndarray) -> bytes:
     return hashlib.sha256(memoryview(m.astype("<f8", copy=False))).digest()
 
 
-def _row_norms(w: np.ndarray) -> np.ndarray:
-    return np.sqrt((w * w).sum(axis=1))
-
-
 def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Row i of the result is a[i] . b[i], with no a * b temporary."""
     return np.einsum("ij,ij->i", a, b)
+
+
+def _scaled_norms(w: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """(row norms of w, w, e), the norms taken on w scaled in place by 2**-e, e its pow2_exponent."""
+    e = pow2_exponent(w)
+    np.ldexp(w, -e, out=w)
+    return np.ldexp(np.sqrt(_row_dots(w, w)), e), w, e
 
 
 def _dora_scale(state: AdapterState, norms: np.ndarray) -> np.ndarray:
@@ -162,8 +161,8 @@ class _Method:
     """One method: forward(x) = fz[base] @ x + apply(fz, t, lift(fz, t, fx, x)), merged as fz[base] + delta(fz, t).
 
     `fz` and `t` are an adapter's frozen and trainable dicts, and `fx` is
-    fixed(fz, x). A magnitude method instead rescales each row of that merged
-    weight to the trainable norm m, its trailing slot.
+    fixed(fz, x). A magnitude method rescales each row of both to the
+    trainable norm m, its trailing slot.
     """
 
     base: str  # frozen base tensor: "w0", or "w0_res" for the SVD-initialized methods
@@ -182,9 +181,9 @@ class _Method:
     # record's grad takes the row scale c as well and returns the gradient for diag(c) r x^T,
     # plus under "m" the row dots of r with delta @ x, read off the d x r product r z^T.
     grad: Callable
-    products: Callable = _no_products  # (fz, x) -> frozen-times-probe products that lift and norms read
-    # Magnitude methods only: (fz, t, fx) -> (row norms of the effective weight, w),
-    # and (fz, t, c, w) -> {slot: gradient} for the update gradient diag(c) w_eff.
+    products: Callable = _no_products  # (fz, x) -> frozen-times-probe products that lift reads
+    # Magnitude methods only: (fz, t) -> (row norms of the effective weight, w, e), w the rows grad_rows
+    # reads times 2**-e; and (fz, t, c 2**e, w) -> {slot: gradient} for the update gradient diag(c) w_eff.
     norms: Callable | None = None
     grad_rows: Callable | None = None
     o_axis: int = 0  # the axis of w that the o vector runs along
@@ -280,19 +279,24 @@ def _osora_dora_grad(fz, t, vtx, r, x, c):
     return {**_osora_grad_gv(fz, t, c[:, None] * gv), "m": t["o"] * _row_dots(gv, fz["u_r"] * t["s_r"])}
 
 
-def _dora_norms(fz, t, fx):
+def _dora_norms(fz, t):
     w = t["b"] @ t["a"]
     w += fz["w0"]
-    return np.sqrt(_row_dots(w, w)), w
+    return _scaled_norms(w)
 
 
-def _osora_dora_norms(fz, t, fx):
-    # v_r is orthonormal, so ||w0_res,i + o_i (u_r s_r)_i v_r^T||^2 expands
-    # over d x r products; roundoff can take a near-zero row's sum below 0.
-    us = fz["u_r"] * t["s_r"]
-    o = t["o"]
-    sq = fx["w0_res_sq"] + 2.0 * o * _row_dots(fx["w0_res_v"], us) + o * o * _row_dots(us, us)
-    return np.sqrt(np.maximum(sq, 0.0)), fx["w0_res_v"] + o[:, None] * us  # w_eff v_r
+def _osora_dora_init(w: np.ndarray, method: AdapterMethod, seed: int, f: SvdFactors):
+    frozen, trainable = _osora_init(w, method, seed, f)
+    frozen["w0_res_v"] = frozen["w0_res"] @ f.v_r
+    frozen["w0_res_perp"] = _scaled_norms(frozen["w0_res"] - frozen["w0_res_v"] @ f.v_r.T)[0]
+    return frozen, trainable
+
+
+def _osora_dora_norms(fz, t):
+    # v_r is orthonormal: row i of w_eff is (w_eff v_r)_i v_r^T plus w0_res's row off span(v_r), of norm w0_res_perp_i.
+    wv = fz["w0_res_v"] + t["o"][:, None] * (fz["u_r"] * t["s_r"])
+    norms, w, e = _scaled_norms(np.column_stack([wv, fz["w0_res_perp"]]))
+    return norms, w[:, :-1], e
 
 
 _LORA = _Method(
@@ -345,11 +349,7 @@ _TABLE: dict[str, _Method] = {
     ),
     "osora_dora": _with_magnitude(
         _OSORA,
-        products=lambda fz, x: {
-            **_OSORA.products(fz, x),
-            "w0_res_v": fz["w0_res"] @ fz["v_r"],
-            "w0_res_sq": _row_dots(fz["w0_res"], fz["w0_res"]),
-        },
+        build=_osora_dora_init,
         grad=_osora_dora_grad,
         norms=_osora_dora_norms,
         grad_rows=lambda fz, t, c, wv: _osora_grad_gv(fz, t, c[:, None] * wv),
@@ -397,9 +397,8 @@ def build_adapter(w0, method: AdapterMethod, seed: int) -> AdapterState:
     SVD-based methods decompose w0 here, unless a live task or SVD-based
     adapter of the same weight and rank already did; the residual is computed
     with the initial trainable values and frozen thereafter. lora, vera and
-    dora freeze a read-only copy of w0. dora and osora_dora refuse a weight
-    with ||w0||_F above 2**255 with NonFiniteInput, since their row norms
-    square its entries.
+    dora freeze a read-only copy of w0. dora and osora_dora start m at the
+    row norms of their effective weight, taken on a power-of-two rescaling.
     """
     check_seed(seed)
     w = as_matrix(w0, "w0")
@@ -410,12 +409,10 @@ def _build_adapter(w: np.ndarray, digest: bytes, method: AdapterMethod, seed: in
     """build_adapter over a float64 matrix w whose weight_digest the caller has already taken."""
     check_finite(w, "w0")
     entry = _TABLE[method.tag]
-    if entry.magnitude and check_fro_norm(w, "w0") > _MAX_FRO:
-        raise NonFiniteInput(f"w0 has Frobenius norm above {_MAX_FRO:.3g}, where {method.tag}'s row norms overflow")
     factors = _shared_svd(w, digest, method.rank) if entry.base == "w0_res" else None
     frozen, trainable = entry.build(w, method, seed, factors)
     if entry.magnitude:  # start each row at its own norm, so the rescale is the identity
-        trainable["m"] = _row_norms(frozen[entry.base] + entry.delta(frozen, trainable))
+        trainable["m"] = entry.norms(frozen, trainable)[0]
     _read_only(*frozen.values())
     frozen = _Frozen(frozen)
     frozen.factors = factors
@@ -445,22 +442,21 @@ def forward(state: AdapterState, x) -> np.ndarray:
         raise DimensionMismatch(f"x must have leading dimension {state.k}, got shape {np.shape(x)}")
 
     entry = _TABLE[state.method.tag]
-    if entry.magnitude:  # rescale rows of the effective weight, then apply
-        w_eff = effective_weight(state)
-        y = _dora_scale(state, _row_norms(w_eff))[:, None] * (w_eff @ xa)
-    else:
-        fz, t = state.frozen, state.trainable
-        fx = entry.fixed(fz, xa)
-        y = entry.apply(fz, t, entry.lift(fz, t, fx, xa), np.empty((state.d, xa.shape[1])))
-        y += fx["base"]
+    fz, t = state.frozen, state.trainable
+    fx = entry.fixed(fz, xa)
+    y = entry.apply(fz, t, entry.lift(fz, t, fx, xa), np.empty((state.d, xa.shape[1])))
+    y += fx["base"]
+    if entry.magnitude:
+        y *= _dora_scale(state, entry.norms(fz, t)[0])[:, None]
     return y[:, 0] if single else y
 
 
 def merge(state: AdapterState) -> np.ndarray:
     """Fold the adapter into a single d x k matrix acting exactly like forward()."""
     w_eff = effective_weight(state)
-    if _TABLE[state.method.tag].magnitude:
-        return _dora_scale(state, _row_norms(w_eff))[:, None] * w_eff
+    entry = _TABLE[state.method.tag]
+    if entry.magnitude:
+        w_eff *= _dora_scale(state, entry.norms(state.frozen, state.trainable)[0])[:, None]
     return w_eff
 
 
@@ -470,8 +466,9 @@ def is_finite(state: AdapterState) -> bool:
     An overflowed norm would turn its row of the merged weight into zeros, which
     are finite, so the merged weight alone cannot show it.
     """
+    entry = _TABLE[state.method.tag]
     with np.errstate(over="ignore", invalid="ignore"):
-        if _TABLE[state.method.tag].magnitude and not np.isfinite(_row_norms(effective_weight(state))).all():
+        if entry.magnitude and not np.isfinite(entry.norms(state.frozen, state.trainable)[0]).all():
             return False
         return bool(np.isfinite(merge(state)).all())
 

@@ -10,11 +10,10 @@ class RankOutOfRange(OsoraError):
 
 
 class NonFiniteInput(OsoraError, ValueError):
-    """An input tensor contains NaN or Inf entries, or a weight's Frobenius norm is too large.
+    """An input tensor contains NaN or Inf entries, or a weight's Frobenius norm overflows.
 
-    The SVD and the residual norm run on a power-of-two rescaling of the
-    weight and refuse only a norm that overflows. dora and osora_dora builds
-    refuse a norm above 2**255, since their row norms square the entries.
+    The SVD, the residual norm and the row norms of dora and osora_dora run on
+    power-of-two rescalings, so any finite weight with a finite norm is taken.
     """
 
 

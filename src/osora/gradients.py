@@ -26,9 +26,10 @@ puts diag(scale) on the d x r or r x k side of each product, as osora's o
 already is, and the second each magnitude record chains through `grad_rows`.
 The row sums of R * P are those of R * base plus rowwise (R Z^T) * F, a d x r
 product the gradient already holds: rowwise (R (A X)^T) * B for dora, and
-o * rowwise (R (v_r^T X)^T) * u_r diag(s_r) for osora_dora. osora_dora expands
-its row norms and w_eff v_r over w0_res v_r, which leans on v_r being
-orthonormal; dora forms w_eff = w0 + B A, the one d x k array a step makes.
+o * rowwise (R (v_r^T X)^T) * u_r diag(s_r) for osora_dora. The record's
+`norms` gives the row norms and the rows `grad_rows` reads, times the 2^-e the
+norms were taken on, so the step passes it c 2^e, exactly. The rows are dora's
+w_eff = w0 + B A, the one d x k array a step makes, or osora_dora's w_eff v_r.
 
 Every method's prediction is M X for a d x k matrix M of its tensors (a
 magnitude method's rescale depends on its weights, not on the probes), so
@@ -126,7 +127,7 @@ def _step(
     r = entry.apply(fz, t, z, ws)
     r += fx["base"]  # forward's expression, before any rescale
     if entry.magnitude:
-        norms, w = entry.norms(fz, t, fx)
+        norms, w, e = entry.norms(fz, t)
         scale = _dora_scale(state, norms)
         r *= scale[:, None]
     r -= y
@@ -139,7 +140,7 @@ def _step(
         # grad returns the r_i . (delta @ x)_i half.
         inv = np.where(norms > 0.0, 1.0 / np.where(norms > 0.0, norms, 1.0), 0.0)
         g_m = (_row_dots(r, fx["base"]) + grads.pop("m")) / n * inv
-        rows = entry.grad_rows(fz, t, scale * g_m * inv, w)
+        rows = entry.grad_rows(fz, t, np.ldexp(scale * g_m * inv, e), w)
         full = {name: g / n - rows[name] for name, g in grads.items()}
         full["m"] = g_m
     else:

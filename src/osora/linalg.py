@@ -92,24 +92,27 @@ def check_finite(a: np.ndarray, name: str = "input") -> None:
         raise NonFiniteInput(f"{name} contains NaN or Inf entries")
 
 
-def fro_norm(a: np.ndarray) -> float:
-    """||a||_F, squared on a times the power of two that puts its largest entry in [0.5, 1).
+def pow2_exponent(a: np.ndarray) -> int:
+    """The e that puts the largest magnitude in a * 2**-e in [0.5, 1); 0 for a zero or empty a.
 
-    The squares neither overflow nor underflow, and the scaling is exact, so
-    wherever a's own squares stay in range this is their plain norm, bit for bit.
+    Squares of that exact rescaling neither overflow nor underflow, so a norm taken on it is the
+    plain norm, bit for bit, wherever a's own squares stay in range. Makes no temporary the size of a.
     """
-    e = math.frexp(float(np.abs(a).max(initial=0.0)))[1]
+    return math.frexp(max(float(a.max(initial=0.0)), -float(a.min(initial=0.0))))[1]
+
+
+def fro_norm(a: np.ndarray) -> float:
+    """||a||_F, squared on the power-of-two rescaling of pow2_exponent."""
+    e = pow2_exponent(a)
     b = np.ldexp(a, -e)
     return float(np.ldexp(math.sqrt(float((b * b).sum())), e))
 
 
-def check_fro_norm(a: np.ndarray, name: str = "input") -> float:
-    """||a||_F of a finite a; NonFiniteInput when it overflows."""
+def check_fro_norm(a: np.ndarray, name: str = "input") -> None:
+    """NonFiniteInput unless the finite a has a finite ||a||_F."""
     with np.errstate(over="ignore"):  # an overflow reads as Inf and is refused below
-        fro = fro_norm(a)
-    if fro == math.inf:
-        raise NonFiniteInput(f"{name} has a Frobenius norm past the largest float")
-    return fro
+        if fro_norm(a) == math.inf:
+            raise NonFiniteInput(f"{name} has a Frobenius norm past the largest float")
 
 
 def random_matrix(rows: int, cols: int, seed: int | Sequence[int], scheme: str = "uniform_scaled") -> np.ndarray:
@@ -192,11 +195,9 @@ def _jacobi(w) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, bool]:
         return u, s, v, sweeps, converged
 
     check_fro_norm(m0, "svd input")
-    # The sweep runs on w times the power of two that puts its largest entry
-    # in [0.5, 1), so the squared norms it takes neither overflow nor underflow.
-    # The scaling is exact, and s is scaled back exactly: wherever w's own
-    # squares stay in range, the factors keep the bytes an unscaled sweep gives.
-    e = math.frexp(float(np.abs(m0).max()))[1]
+    # The sweep runs on pow2_exponent's rescaling of w and scales s back exactly,
+    # so the factors keep an unscaled sweep's bytes wherever w's squares stay in range.
+    e = pow2_exponent(m0)
     # a and v are the row blocks of one C-ordered (d+k) x k array, so one
     # rotation of a stacked column pair turns both. The a-block column views
     # keep a d x k array's stride, so the pair test's dots sum as before.
@@ -345,7 +346,9 @@ def svd_truncated(w, r: int) -> SvdFactors:
     if svd_path(*m.shape, r) == "top_r":
         check_finite(m, "svd input")
         check_fro_norm(m, "svd input")
-        u, s, v, iterations, converged = _top_r(m, r)
+        e = pow2_exponent(m)  # as in _jacobi, so no product with the start block overflows
+        u, s, v, iterations, converged = _top_r(np.ldexp(m, -e), r)
+        s = np.ldexp(s, e)
     else:
         u, s, v, iterations, converged = _jacobi(m)
     u_r, s_r, v_r = u[:, :r].copy(), s[:r].copy(), v[:, :r].copy()  # each owns exactly its entries

@@ -1,13 +1,20 @@
 import gc
 import hashlib
-import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from osora.adapters import O_INITS, OSORA_FAMILY, trainable_count, weight_digest
+from osora.adapters import (
+    _TABLE,
+    O_INITS,
+    OSORA_FAMILY,
+    effective_weight,
+    trainable_count,
+    trainable_slots,
+    weight_digest,
+)
 from osora.linalg import as_matrix
 from osora.verify import check_init_identity, check_merge
 from conftest import LIVE_BUILDS, assert_frozen_rebuilt_over_shared, perturbed_state, rel_inf
@@ -73,24 +80,42 @@ class TestBuild:
             ref = w0 @ x
             assert np.abs(forward(state, x) - ref).max() <= 1e-12 * (1.0 + np.abs(ref).max())
 
-    @pytest.mark.parametrize("scale", [1e100, 1e200])
+    @pytest.mark.parametrize("scale", [1e100, 1e200, 1e-170, 1e-300])
     @pytest.mark.parametrize("tag", METHODS)
     def test_weight_past_the_squarable_range(self, tag, scale, rng):
-        # ||w||_F is above 2^255. The SVD runs on a power-of-two rescaling, so
-        # every other build starts at w0 @ x; the row norms of dora and
-        # osora_dora square entries and would overflow, so those builds
-        # refuse the weight, warning-free, before any SVD or row norm.
+        # The squares of ||w||_F overflow, or those of the entries underflow.
+        # The SVD and the row norms of dora and osora_dora run on power-of-two
+        # rescalings, so every build starts at w0 @ x.
         w0 = random_matrix(12, 8, 3, "gaussian") * scale
         method = AdapterMethod(tag=tag, rank=4)
-        if tag in ("dora", "osora_dora"):
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                with pytest.raises(NonFiniteInput):
-                    build_adapter(w0, method, seed=3)
-            return
         x = rng.standard_normal((8, 5))
         ref = w0 @ x
         assert np.abs(forward(build_adapter(w0, method, seed=3), x) - ref).max() <= 1e-15 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("j", [600, -600, 1000, -1000])
+    @pytest.mark.parametrize("tag", ["dora", "osora_dora"])
+    def test_row_norms_scale_by_powers_of_two_exactly(self, tag, j):
+        # The row norms are taken on the rows times a power of two, so over
+        # 2^j w, whose SVD factors are those of w with s scaled by 2^j, the
+        # norms are 2^j times those over w, fresh or perturbed. b and s_r carry
+        # the weight's scale; the noise on them is scaled with it.
+        w = random_matrix(12, 8, 3, "gaussian")
+        assert np.array_equal(np.ldexp(np.ldexp(w, j), -j), w)  # no entry of 2^j w is subnormal
+        norms = _TABLE[tag].norms
+        method = AdapterMethod(tag=tag, rank=4)
+        state, scaled = build_adapter(w, method, seed=3), build_adapter(np.ldexp(w, j), method, seed=3)
+        rng = np.random.default_rng(31)
+        for perturbed in (False, True):
+            if perturbed:
+                for name in trainable_slots(state):
+                    noise = 0.2 * rng.standard_normal(state.trainable[name].shape)
+                    state.trainable[name] = state.trainable[name] + noise
+                    scaled_noise = np.ldexp(noise, j) if name in ("b", "s_r") else noise
+                    scaled.trainable[name] = scaled.trainable[name] + scaled_noise
+            got = norms(state.frozen, state.trainable)[0]
+            assert np.ldexp(got, j).tobytes() == norms(scaled.frozen, scaled.trainable)[0].tobytes()
+            ref = np.linalg.norm(effective_weight(state), axis=1)
+            assert (np.abs(got - ref) <= 1e-14 * ref).all()
 
     def test_rank_out_of_range(self):
         w0 = random_matrix(4, 6, 0, "gaussian")

@@ -34,7 +34,7 @@ from osora.checkpoint import (
     load,
     save,
 )
-from osora.adapters import O_INITS, OSORA_FAMILY
+from osora.adapters import O_INITS, OSORA_FAMILY, trainable_slots
 from osora.verify import verify_persist
 
 
@@ -326,15 +326,26 @@ def test_overflowing_payload_is_corrupt(tmp_path):
 
 
 @pytest.mark.parametrize("tag", ["dora", "osora_dora"])
-def test_overflowing_row_norm_is_corrupt(tag, tmp_path):
-    # One finite entry of 1e160 overflows the squared row norms the magnitude
-    # rescale divides by, which would turn those merged rows into zeros.
+def test_overflowing_row_norm_is_corrupt(tag, tmp_path, rng):
+    # One entry of 1e160 takes the effective weight's rows past the squarable
+    # range. Their norms, which the magnitude rescale divides by, are taken on
+    # a power-of-two rescaling, so the payload loads and no merged row is zero.
+    # A payload whose merged weight, and so its row norms, overflows is corrupt.
     state, w0 = perturbed_state(tag, 8, 6, 2, 38)
-    theta = trainable_vector(state)
-    theta[0] = 1e160  # a[0, 0] for dora, s_r[0] for osora_dora
     path = tmp_path / "norm.ckpt"
     save(state, path)
-    path.write_bytes(path.read_bytes()[:HEADER_SIZE] + theta.astype("<f8").tobytes())
+    header = path.read_bytes()[:HEADER_SIZE]
+    second = state.trainable[trainable_slots(state)[0]].size  # b[0, 0] for dora, o[0] for osora_dora
+    theta = trainable_vector(state)
+    theta[0] = 1e160  # a[0, 0] for dora, s_r[0] for osora_dora
+    path.write_bytes(header + theta.astype("<f8").tobytes())
+    loaded = load(path, w0)
+    merged, x = merge(loaded), rng.standard_normal((6, 5))
+    assert (np.abs(merged).max(axis=1) > 0.0).all()
+    y = forward(loaded, x)
+    assert np.abs(merged @ x - y).max() <= 1e-12 * np.abs(y).max()
+    theta[0] = theta[second] = 1e300
+    path.write_bytes(header + theta.astype("<f8").tobytes())
     with pytest.raises(CorruptPayload):
         load(path, w0)
 

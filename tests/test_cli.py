@@ -325,7 +325,7 @@ class TestVerify:
         "seed,digest",
         [
             ("0", "82198e4bb64137e6044dfb1986d11cb400523302d4885c8d80c5b8618929cb74"),
-            ("1", "8afd932a0e2eab21bba0b22dee46f429179826ab11dacf51251ad20d4f7090b2"),
+            ("1", "51cfaf38fa51511fb836bd6482687d7a47cf019c4e832a43eda1e44f681d3f32"),
         ],
         ids=["seed0", "seed1"],
     )

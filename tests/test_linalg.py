@@ -85,15 +85,17 @@ class TestSvdTruncated:
         with pytest.raises(NonFiniteInput):
             svd_truncated(w, 1)
 
-    @pytest.mark.parametrize("shape", [(12, 8), (8, 12), (128, 128)], ids=["jacobi", "jacobi_wide", "top_r"])
+    @pytest.mark.parametrize(
+        "shape", [(12, 8), (8, 12), (128, 128), (128, 160)], ids=["jacobi", "jacobi_wide", "top_r", "top_r_wide"]
+    )
     def test_norm_past_the_squarable_range_is_refused(self, shape):
         # At 1e100 and 1e200 the squares of ||w||_F overflow, but both paths
-        # run on a power-of-two rescaling, so the factors are right. Only a
-        # weight whose ||w||_F itself overflows is refused: its entries are
-        # finite, but sigma_1 may not be.
+        # run on a power-of-two rescaling, so the factors are right, also at
+        # ||w||_F = 1.5e308, where the top-r path's first product with its
+        # start block would overflow unscaled. Only a weight whose ||w||_F
+        # itself overflows is refused: its entries are finite, but sigma_1 may not be.
         base = random_matrix(*shape, 3, "gaussian")
-        for scale in (1e100, 1e200):
-            w = base * scale
+        for w in (base * 1e100, base * 1e200, base / np.linalg.norm(base) * 1.5e308):
             f = svd_truncated(w, 4)
             assert f.converged
             assert np.abs(f.s_r - np.linalg.svd(w, compute_uv=False)[:4]).max() <= 1e-12 * f.s_r[0]
