@@ -40,8 +40,8 @@ Forward rules, for base weight w0 of shape d x k and column input x:
 The dora-style rescale multiplies output row i of the effective weight by
 m_i / ||row_i||, one trainable magnitude per output dimension. The magnitude
 vector therefore has length d; this is what makes the per-target trainable
-counts in accounting.py come out exactly. Row norms are taken on the rows
-times one power of two (linalg.pow2_exponent): right at tiny and huge scale.
+counts in accounting.py come out exactly. Row norms are taken on each row
+times its own power of two: right at tiny and huge scale, row by row.
 
 Each rule above is one record in `_TABLE`, keyed by tag: the frozen base
 tensor, the trainable slots in flat-layout order, and the build, dense update,
@@ -72,7 +72,6 @@ from .linalg import (
     check_finite,
     check_integers,
     check_seed,
-    pow2_exponent,
     random_matrix,
     svd_truncated,
 )
@@ -141,10 +140,10 @@ def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", a, b)
 
 
-def _scaled_norms(w: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
-    """(row norms of w, w, e), the norms taken on w scaled in place by 2**-e, e its pow2_exponent."""
-    e = pow2_exponent(w)
-    np.ldexp(w, -e, out=w)
+def _scaled_norms(w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(row norms of w, w, e), row i's norm taken on it scaled in place by 2**-e_i, its largest entry's exponent."""
+    e = np.frexp(np.maximum(w.max(axis=1), -w.min(axis=1)))[1]
+    np.ldexp(w, -e[:, None], out=w)
     return np.ldexp(np.sqrt(_row_dots(w, w)), e), w, e
 
 
@@ -183,7 +182,7 @@ class _Method:
     grad: Callable
     products: Callable = _no_products  # (fz, x) -> frozen-times-probe products that lift reads
     # Magnitude methods only: (fz, t) -> (row norms of the effective weight, w, e), w the rows grad_rows
-    # reads times 2**-e; and (fz, t, c 2**e, w) -> {slot: gradient} for the update gradient diag(c) w_eff.
+    # reads, row i times 2**-e_i; and (fz, t, c 2**e, w) -> {slot: gradient} for the update gradient diag(c) w_eff.
     norms: Callable | None = None
     grad_rows: Callable | None = None
     o_axis: int = 0  # the axis of w that the o vector runs along

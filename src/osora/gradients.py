@@ -27,8 +27,8 @@ already is, and the second each magnitude record chains through `grad_rows`.
 The row sums of R * P are those of R * base plus rowwise (R Z^T) * F, a d x r
 product the gradient already holds: rowwise (R (A X)^T) * B for dora, and
 o * rowwise (R (v_r^T X)^T) * u_r diag(s_r) for osora_dora. The record's
-`norms` gives the row norms and the rows `grad_rows` reads, times the 2^-e the
-norms were taken on, so the step passes it c 2^e, exactly. The rows are dora's
+`norms` gives the row norms and the rows `grad_rows` reads, row i times 2^-e_i
+as its norm was, so the step passes c 2^e, exactly. The rows are dora's
 w_eff = w0 + B A, the one d x k array a step makes, or osora_dora's w_eff v_r.
 
 Every method's prediction is M X for a d x k matrix M of its tensors (a
@@ -39,7 +39,7 @@ with X^T = Q R (Q n x m orthonormal, m = min(n, k)) the loss splits as
 
 and G = (M X - Y) X^T = (M R^T - Y Q) R: the step over the k x m probes R^T
 with targets Y Q, the task's true n and the constant tail is the step over
-X and Y. `training.train` steps over those compressed planes; `gradient`,
+X and Y. `training.train` steps over the planes a `ToyTask` keeps; `gradient`,
 `loss_mse` and `finite_diff` take the raw probes and are the reference.
 
 `gradient` and `training.train` compute the probe products and allocate one
@@ -96,15 +96,21 @@ class LossGrad:
         return np.concatenate([g.ravel() for g in self.slices.values()], out=out)
 
 
-def _check_probes(state: AdapterState, x_probes, y_targets) -> tuple[np.ndarray, np.ndarray]:
+def _check_pair(x_probes, y_targets) -> tuple[np.ndarray, np.ndarray]:
+    """Probes and targets as float64 arrays, both 2-D with the same n >= 1 columns."""
     x = as_real_array(x_probes, "probes")
     y = as_real_array(y_targets, "targets")
     if x.ndim != 2 or y.ndim != 2 or x.shape[1] != y.shape[1]:
         raise DimensionMismatch(f"probe/target column counts differ: {x.shape} vs {y.shape}")
-    if x.shape[0] != state.k or y.shape[0] != state.d:
-        raise DimensionMismatch(f"expected probes {state.k} x n and targets {state.d} x n")
     if x.shape[1] < 1:
         raise DimensionMismatch("need at least one probe column, got 0")
+    return x, y
+
+
+def _check_probes(state: AdapterState, x_probes, y_targets) -> tuple[np.ndarray, np.ndarray]:
+    x, y = _check_pair(x_probes, y_targets)
+    if x.shape[0] != state.k or y.shape[0] != state.d:
+        raise DimensionMismatch(f"expected probes {state.k} x n and targets {state.d} x n")
     return x, y
 
 

@@ -11,11 +11,11 @@ subspace; smaller ranks and single-vector ablations cannot.
 `train` steps over the task's probes compressed by one QR, X^T = Q R with
 m = min(n, k) columns: the k x m R^T, the d x m targets Y Q and the scalar
 tail ||Y - (Y Q) Q^T||^2, added to every step's loss with the task's true n
-(see `gradients`). So each step works on d x m planes, not d x n. The task
-keeps them, not Q, only while its probes and targets are read-only down to
-the arrays that own their data, as `make_task` returns them; writable ones
-are compressed again at every `train`, so no write goes unseen. `gradient`,
-`loss_mse` and `finite_diff` still take the raw probes.
+(see `gradients`). So each step works on d x m planes, not d x n. A ToyTask
+is frozen and holds read-only copies of its arrays, so no write reaches what
+its planes were made from: it makes them (not Q) at its first train and keeps
+them. `dataclasses.replace` makes a new task, which compresses its own probes.
+`gradient`, `loss_mse` and `finite_diff` still take the raw probes.
 """
 
 from __future__ import annotations
@@ -23,13 +23,14 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .adapters import AdapterState, _read_only, _shared_svd, _slot_views, clone_state, trainable_vector, weight_digest
 from .errors import DimensionMismatch, InvalidConfig, NonFiniteLoss, RankOutOfRange
-from .gradients import _check_probes, _stepper
-from .linalg import SvdFactors, check_integers, check_seed, random_matrix
+from .gradients import _check_pair, _stepper
+from .linalg import SvdFactors, as_real_array, check_integers, check_seed, random_matrix
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -46,21 +47,39 @@ _SLOT_PROBES = 13
 STANDARD_TASK = {"d": 32, "k": 32, "r_gap": 4, "n": 64}
 
 
-@dataclass
+@dataclass(frozen=True)
 class ToyTask:
-    # make_task returns all four read-only.
+    """A task over read-only copies of the arrays it is given; fields cannot be reassigned."""
+
     w0: np.ndarray
     w_target: np.ndarray
     probes: np.ndarray  # k x n
-    targets: np.ndarray  # d x n, equal to w_target @ probes
+    targets: np.ndarray  # d x n, equal to w_target @ probes in make_task's tasks
     seed: int
     r_gap: int
     # w0's top-r_gap factors, shared with SVD-initialised adapters of rank
     # r_gap over w0 for as long as this task lives.
     factors: SvdFactors | None = field(default=None, repr=False, compare=False)
-    # (probes, targets, R^T, Y Q, n, tail) from the first train over read-only
-    # probes and targets; they are the arrays compressed, so new ones compress again.
-    _planes: tuple | None = field(default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        for name in ("w0", "w_target", "probes", "targets"):
+            a = as_real_array(getattr(self, name), name).copy()
+            _read_only(a)
+            object.__setattr__(self, name, a)
+
+    @cached_property
+    def planes(self) -> tuple[np.ndarray, np.ndarray, int, float]:
+        """(R^T, Y Q, n, tail) for the probes X^T = Q R and targets Y; R^T and Y Q are read-only."""
+        x, y = _check_pair(self.probes, self.targets)
+        q, r = np.linalg.qr(x.T)
+        rt, yq = np.ascontiguousarray(r.T), y @ q
+        # The tail from the residual itself: a task's Y = W X lies in the row
+        # space of X, so ||Y||^2 - ||Y Q||^2 would cancel to noise.
+        resid = yq @ q.T
+        resid -= y
+        flat = resid.ravel()
+        _read_only(rt, yq)
+        return rt, yq, x.shape[1], float(flat @ flat)
 
 
 @dataclass(frozen=True)
@@ -91,7 +110,8 @@ def make_task(d: int, k: int, r_gap: int, seed: int, n: int | None = None) -> To
 
     The factors are svd_truncated's, shared with every SVD-initialised build of
     rank r_gap over w0: w0's own top-r_gap subspace when `task.factors.converged`,
-    otherwise the nearby subspace the capped top-r path returned.
+    otherwise the nearby subspace the capped top-r path returned. Like every
+    ToyTask, it holds read-only copies of its arrays.
     """
     check_integers(d=d, k=k, r_gap=r_gap)
     check_seed(seed)
@@ -109,38 +129,7 @@ def make_task(d: int, k: int, r_gap: int, seed: int, n: int | None = None) -> To
     w_target = f.residual + o_star[:, None] * ((f.u_r * s_star) @ f.v_r.T)
     probes = np.random.default_rng((seed, _SLOT_PROBES)).standard_normal((k, n))
     targets = w_target @ probes
-    _read_only(w0, w_target, probes, targets)
     return ToyTask(w0=w0, w_target=w_target, probes=probes, targets=targets, seed=seed, r_gap=r_gap, factors=f)
-
-
-def _unwritable(a) -> bool:
-    """Whether a is a read-only array over read-only arrays, down to the one that owns the data."""
-    while isinstance(a, np.ndarray) and not a.flags.writeable:
-        if a.base is None:
-            return True
-        a = a.base
-    return False
-
-
-def _compressed(task: ToyTask, state: AdapterState) -> tuple[np.ndarray, np.ndarray, int, float]:
-    """(R^T, Y Q, n, tail) for the task's probes X^T = Q R and targets Y, made once per read-only task."""
-    keep = _unwritable(task.probes) and _unwritable(task.targets)
-    planes = task._planes
-    if keep and planes is not None and planes[0] is task.probes and planes[1] is task.targets:
-        return planes[2:]
-    x, y = _check_probes(state, task.probes, task.targets)
-    q, r = np.linalg.qr(x.T)
-    rt, yq = np.ascontiguousarray(r.T), y @ q
-    # The tail from the residual itself: a task's Y = W X lies in the row
-    # space of X, so ||Y||^2 - ||Y Q||^2 would cancel to noise.
-    resid = yq @ q.T
-    resid -= y
-    flat = resid.ravel()
-    planes = (task.probes, task.targets, rt, yq, x.shape[1], float(flat @ flat))
-    if keep:  # every later train over the task reads them
-        _read_only(rt, yq)
-        task._planes = planes
-    return planes[2:]
 
 
 def train(state: AdapterState, task: ToyTask, config: TrainConfig) -> TrainRun:
@@ -151,7 +140,7 @@ def train(state: AdapterState, task: ToyTask, config: TrainConfig) -> TrainRun:
     are views of one flat vector.
     """
     work = clone_state(state)
-    step_at = _stepper(work, *_compressed(task, work))
+    step_at = _stepper(work, *task.planes)
     # The active slots become views of theta, so each update lands in work in place.
     theta = trainable_vector(work)
     work.trainable.update(_slot_views(work, theta))

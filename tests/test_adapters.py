@@ -80,17 +80,23 @@ class TestBuild:
             ref = w0 @ x
             assert np.abs(forward(state, x) - ref).max() <= 1e-12 * (1.0 + np.abs(ref).max())
 
-    @pytest.mark.parametrize("scale", [1e100, 1e200, 1e-170, 1e-300])
+    @pytest.mark.parametrize(
+        "scale",
+        [1e100, 1e200, 1e-170, 1e-300, pytest.param(np.array([1e-200] + [1e100] * 11)[:, None], id="rows_apart")],
+    )
     @pytest.mark.parametrize("tag", METHODS)
     def test_weight_past_the_squarable_range(self, tag, scale, rng):
         # The squares of ||w||_F overflow, or those of the entries underflow.
         # The SVD and the row norms of dora and osora_dora run on power-of-two
-        # rescalings, so every build starts at w0 @ x.
+        # rescalings, so every build starts at w0 @ x, row by row. rows_apart
+        # puts row 0 1e-300 below the others, so its squares underflow unless
+        # its norm takes its own exponent.
         w0 = random_matrix(12, 8, 3, "gaussian") * scale
         method = AdapterMethod(tag=tag, rank=4)
         x = rng.standard_normal((8, 5))
         ref = w0 @ x
-        assert np.abs(forward(build_adapter(w0, method, seed=3), x) - ref).max() <= 1e-15 * np.abs(ref).max()
+        err = np.abs(forward(build_adapter(w0, method, seed=3), x) - ref).max(axis=1)
+        assert (err <= 1e-15 * np.abs(ref).max(axis=1)).all()
 
     @pytest.mark.parametrize("j", [600, -600, 1000, -1000])
     @pytest.mark.parametrize("tag", ["dora", "osora_dora"])

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import tracemalloc
 
@@ -195,7 +196,7 @@ def test_compressed_step_matches_the_raw_reference(method, shape):
     # tail is 7 % of the initial loss.
     d, k, n = shape
     task = make_task(d, k, 2, seed=13, n=n)
-    task.targets = task.targets + 0.1 * np.random.default_rng(13).standard_normal((d, n))
+    task = dataclasses.replace(task, targets=task.targets + 0.1 * np.random.default_rng(13).standard_normal((d, n)))
     state = build_adapter(task.w0, method, seed=13)
     run = train(state, task, TrainConfig(steps=25, lr=1e-2))
     trace = run.loss_trace
@@ -208,7 +209,7 @@ def test_compressed_step_matches_the_raw_reference(method, shape):
 
 def test_one_qr_per_task(monkeypatch):
     # The first train over a task compresses its probes; the other six reuse
-    # that, and a task given new probes and targets compresses them again.
+    # that, and a task made from it by dataclasses.replace compresses its own.
     task = make_task(10, 8, 2, seed=19)
     states = [build_adapter(task.w0, AdapterMethod(tag=tag, rank=2), seed=19) for tag in METHODS]
     calls, real = [], np.linalg.qr
@@ -217,20 +218,34 @@ def test_one_qr_per_task(monkeypatch):
     for state in states:
         train(state, task, config)
     assert calls == [(20, 8)]
-    assert not any(arr.flags.writeable for arr in task._planes[2:4])  # R^T and Y Q, shared by every call
-    task.probes = 2.0 * task.probes
-    task.targets = task.w_target @ task.probes
+    assert not any(arr.flags.writeable for arr in task.planes[:2])  # R^T and Y Q, shared by every call
+    probes = 2.0 * task.probes
+    task = dataclasses.replace(task, probes=probes, targets=task.w_target @ probes)
     run = train(states[0], task, config)
+    train(states[1], task, config)
     assert calls == [(20, 8), (20, 8)]
     assert abs(run.loss_trace[0] - loss_mse(states[0], task.probes, task.targets)) <= 1e-13 * run.loss_trace[0]
 
 
+def test_hand_built_task_owns_read_only_copies():
+    made = make_task(8, 6, 2, seed=21)
+    given = {name: getattr(made, name).copy() for name in ("w0", "w_target", "probes", "targets")}
+    task = ToyTask(**given, seed=21, r_gap=2)
+    for name, arr in given.items():
+        kept = getattr(task, name)
+        assert not kept.flags.writeable and not np.shares_memory(kept, arr)
+        assert np.array_equal(kept, arr)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        task.targets = given["targets"]
+
+
 @pytest.mark.parametrize("written", ["targets", "probes", "probes_view"])
 def test_a_write_between_trains_is_seen(written):
-    # Planes kept from the first train would miss an in-place write and start
-    # the second run at the old data's loss: with the targets zeroed, 0.1453
-    # against loss_mse's 6.780. So train keeps no planes for probes or targets
-    # that can be written, a read-only view of a writable array included.
+    # A task holds copies of the arrays it is given, so an in-place write to
+    # the caller's arrays, a read-only view of a writable one included, never
+    # reaches the task or its planes: the second run starts where the first
+    # did, at loss_mse over the task's arrays (0.1453 where the targets are
+    # zeroed; 6.780 had that write reached the task).
     made = make_task(16, 16, 2, seed=0)
     probes, targets = made.probes.copy(), made.targets.copy()
     changed = targets if written == "targets" else probes
@@ -240,11 +255,33 @@ def test_a_write_between_trains_is_seen(written):
     task = ToyTask(w0=made.w0, w_target=made.w_target, probes=probes, targets=targets, seed=0, r_gap=2)
     state = build_adapter(task.w0, AdapterMethod(tag="osora", rank=2), seed=0)
     config = TrainConfig(steps=2, lr=1e-2)
-    train(state, task, config)
+    first = train(state, task, config)
     changed[:] = 0.0
     run = train(state, task, config)
     want = loss_mse(state, task.probes, task.targets)
+    assert run.loss_trace[0] == first.loss_trace[0]
     assert abs(run.loss_trace[0] - want) <= 1e-13 * want
+
+
+@pytest.mark.parametrize(
+    "probes, targets, error",
+    [
+        (np.ones(5), np.ones((6, 5)), DimensionMismatch),
+        (np.ones((5, 4)), np.ones((6, 3)), DimensionMismatch),
+        (np.ones((5, 4, 1)), np.ones((6, 4)), DimensionMismatch),
+        ([["a"] * 4] * 5, np.ones((6, 4)), InvalidConfig),
+    ],
+    ids=["probes_1d", "column_counts_differ", "probes_3d", "text_probes"],
+)
+def test_bad_hand_built_task_rejected(probes, targets, error):
+    # Each ends in the OsoraError that gradient gives for the same probes, not in the QR's own errors.
+    made = make_task(6, 5, 2, seed=20)
+    state = build_adapter(made.w0, AdapterMethod(tag="osora", rank=2), seed=20)
+    with pytest.raises(error):
+        task = ToyTask(w0=made.w0, w_target=made.w_target, probes=probes, targets=targets, seed=20, r_gap=2)
+        train(state, task, TrainConfig(steps=1, lr=1e-2))
+    with pytest.raises(error):
+        gradient(state, probes, targets)
 
 
 @pytest.mark.parametrize("call", ["gradient", "loss_mse", "finite_diff", "train"])
