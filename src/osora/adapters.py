@@ -40,8 +40,10 @@ Forward rules, for base weight w0 of shape d x k and column input x:
 The dora-style rescale multiplies output row i of the effective weight by
 m_i / ||row_i||, one trainable magnitude per output dimension. The magnitude
 vector therefore has length d; this is what makes the per-target trainable
-counts in accounting.py come out exactly. Row norms are taken on each row
-times its own power of two: right at tiny and huge scale, row by row.
+counts in accounting.py come out exactly. A row whose squares leave a safe
+range takes its norm times its own power of two, so norms are right at tiny
+and huge scale, row by row; every other row is taken as it is, with the bytes
+the rescaling would give.
 
 Each rule above is one record in `_TABLE`, keyed by tag: the frozen base
 tensor, the trainable slots in flat-layout order, and the build, dense update,
@@ -140,10 +142,26 @@ def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", a, b)
 
 
+# A row whose squared sum lies in this range has lost nothing to overflow and
+# nothing that rounding could see to underflow, so its norm needs no rescaling.
+_ROW_SQ_RANGE = (2.0**-600, 2.0**600)
+
+
 def _scaled_norms(w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(row norms of w, w, e), row i's norm taken on it scaled in place by 2**-e_i, its largest entry's exponent."""
+    """(row norms of w, w, e), e_i = 0 for a row whose squared sum lies in _ROW_SQ_RANGE.
+
+    Any other row (zero, or squaring past either end) is scaled in place by
+    2**-e_i, its largest entry's exponent, and its norm taken there. Scaling a
+    row by a power of two is exact, so an in-range row's norm has the bytes the
+    rescaled one would have, at the cost of one row dot.
+    """
+    sq = _row_dots(w, w)
+    kept = (sq >= _ROW_SQ_RANGE[0]) & (sq <= _ROW_SQ_RANGE[1])
+    if kept.all():
+        return np.sqrt(sq, out=sq), w, np.zeros(sq.shape, dtype=np.intc)
     e = np.frexp(np.maximum(w.max(axis=1), -w.min(axis=1)))[1]
-    np.ldexp(w, -e[:, None], out=w)
+    e[kept] = 0
+    np.ldexp(w, -e[:, None], out=w)  # in place: the one d x k array a dora step makes
     return np.ldexp(np.sqrt(_row_dots(w, w)), e), w, e
 
 

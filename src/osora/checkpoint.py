@@ -12,7 +12,7 @@ Format version 1, all integers little-endian. Header (68 bytes):
     12      4     d (u32)
     16      4     k (u32)
     20      4     rank (u32)
-    24      4     SVD path code (u32: 0=jacobi, 1=top_r)
+    24      4     SVD path code (u32: 0=jacobi, 2=top_r; 1 is refused)
     28      8     seed (u64)
     36      32    SHA-256 of the base weight's row-major f64-LE bytes
 
@@ -42,14 +42,18 @@ rebuilds different null-space factors, and kept factors that may differ at
 roundoff.
 
 The u32 at offset 24 names the SVD path that linalg.svd_path selects for the
-header's (d, k, rank), whatever the method: 0 for the full Jacobi SVD, 1 for
-the top-r power iteration (min(d, k) >= 128 and 2 * (rank + 8) <= min(d, k)).
-The two paths give different factor bytes, so load refuses a code that is not
-the one this build selects with VersionUnsupported: a checkpoint that an older
-build, which wrote 0 there for every shape, saved over a top-r shape names the
-Jacobi factors it was trained on, which this build no longer rebuilds. Any
-other code is CorruptPayload. Older checkpoints of Jacobi shapes load as
-before, and their bytes are unchanged.
+header's (d, k, rank), whatever the method: 0 for the full Jacobi SVD, 2 for
+the top-r power iteration (min(d, k) >= 128 and 2 * (rank + 8) <= min(d, k)),
+whose Ritz step takes LAPACK's SVD of the small projection. Code 1 was that
+path with its Ritz step on the Jacobi SVD; no build writes it any more. The
+paths give different factor bytes, so load refuses a code that is not the one
+this build selects with VersionUnsupported: code 1 at any shape, and code 0
+at a top-r shape, which the oldest builds wrote there for every shape, name
+factors this build no longer rebuilds. Any other code is CorruptPayload.
+Checkpoints of Jacobi shapes load as before, and their bytes are unchanged.
+Since the top-r factors come from LAPACK's gesdd, a cold load under another
+numpy or LAPACK build may rebuild them differently at roundoff: the contract
+is byte-identical reruns within one build.
 """
 
 from __future__ import annotations
@@ -73,7 +77,7 @@ from .adapters import (
     weight_digest,
 )
 from .errors import CorruptPayload, DigestMismatch, IoFailure, RankOutOfRange, VersionUnsupported
-from .linalg import SVD_PATHS, as_matrix, check_seed, svd_path
+from .linalg import as_matrix, check_seed, svd_path
 
 MAGIC = b"OSRA"
 FORMAT_VERSION = 1
@@ -81,6 +85,11 @@ _HEADER = struct.Struct("<4sIBBBBIIIIQ32s")
 HEADER_SIZE = _HEADER.size  # 68
 
 _KIND_CHECKPOINT = 0
+
+# The SVD path names of linalg.svd_path, indexed by the code at header offset 24.
+# Code 1 is the top-r path with its Ritz step on the Jacobi SVD, which no
+# build since takes, so no path selects it and load refuses it.
+_SVD_PATH_CODES = ("jacobi", "top_r_jacobi_ritz", "top_r")
 
 
 def _pack_header(state: AdapterState) -> bytes:
@@ -96,7 +105,7 @@ def _pack_header(state: AdapterState) -> bytes:
         state.d,
         state.k,
         m.rank,
-        SVD_PATHS.index(svd_path(state.d, state.k, m.rank)),
+        _SVD_PATH_CODES.index(svd_path(state.d, state.k, m.rank)),
         state.seed,
         state.w0_digest,
     )
@@ -145,7 +154,7 @@ def load(path, w0) -> AdapterState:
         raise CorruptPayload(f"{path}: unknown o_init code {o_code}")
     if set_code >= len(TRAINABLE_SETS):
         raise CorruptPayload(f"{path}: unknown trainable_set code {set_code}")
-    if svd_code >= len(SVD_PATHS):
+    if svd_code >= len(_SVD_PATH_CODES):
         raise CorruptPayload(f"{path}: unknown SVD path code {svd_code}")
     w = as_matrix(w0, "w0")
     if weight_digest(w) != digest:
@@ -168,9 +177,9 @@ def load(path, w0) -> AdapterState:
     theta = np.frombuffer(payload, dtype="<f8")
     if not np.isfinite(theta).all():
         raise CorruptPayload(f"{path}: payload holds NaN or Inf")
-    if SVD_PATHS[svd_code] != svd_path(d, k, rank):
+    if _SVD_PATH_CODES[svd_code] != svd_path(d, k, rank):
         raise VersionUnsupported(
-            f"{path}: saved with the {SVD_PATHS[svd_code]} SVD path, but this build takes the "
+            f"{path}: saved with the {_SVD_PATH_CODES[svd_code]} SVD path, but this build takes the "
             f"{svd_path(d, k, rank)} path at {d}x{k} rank {rank} and would rebuild other factors"
         )
     try:

@@ -5,11 +5,14 @@ other, and one complete QR of the kept columns of u completes the null ones.
 
 svd_truncated takes one of two paths, chosen from the shape and rank alone
 (svd_path): the full Jacobi SVD, sliced, or for large shapes a seeded block
-power iteration whose factors come with a residual certificate.
+power iteration whose factors come with a residual certificate. The top-r
+path's Rayleigh-Ritz step takes LAPACK's SVD (numpy.linalg.svd) of the small
+projection Q^T w; the Jacobi loop runs only on the full path.
 
 Everything operates on C-contiguous float64 numpy arrays and is deterministic:
-identical input bytes always produce identical output bytes, which the
-checkpoint format relies on to rebuild frozen factors from a seed.
+identical input bytes always produce identical output bytes within one numpy,
+BLAS and LAPACK build, which the checkpoint format relies on to rebuild frozen
+factors from a seed.
 """
 
 from __future__ import annotations
@@ -31,16 +34,18 @@ JACOBI_MAX_SWEEPS = 60
 JACOBI_TOL = 1e-14
 _ROUNDOFF_FLOOR = 1e-15
 
-# Columns whose post-sweep norm is below this (relative to ||w||_F) carry no
-# reliable direction; they are replaced by an orthonormal completion.
+# Singular values at or below this (relative to ||w||_F) carry no reliable
+# direction and become exactly 0; the Jacobi SVD replaces their u columns by
+# an orthonormal completion.
 _DEFICIENT_REL = 1e-12
 
 # Top-r path: taken when min(d, k) >= TOP_R_MIN_DIM and 2 * (r + TOP_R_OVERSAMPLE)
 # <= min(d, k). A block of r + TOP_R_OVERSAMPLE columns, drawn from the fixed
 # seed TOP_R_SEED (so the factors depend on w and r alone), goes through power
 # iterations, each one product with w and one with w^T, re-orthonormalised by
-# QR. Every TOP_R_CHECK_EVERY iterations the Jacobi SVD of the projection Q^T w
-# gives Ritz factors; they are certified once every pair has
+# QR. Every TOP_R_CHECK_EVERY iterations LAPACK's SVD of the projection Q^T w,
+# with jacobi_svd's null cut on its values, gives Ritz factors; they are
+# certified once every pair has
 # max(||w v_i - s_i u_i||, ||w^T u_i - s_i v_i||) <= TOP_R_TOL * s_1, and the
 # loop stops uncertified after TOP_R_MAX_ITERATIONS.
 TOP_R_MIN_DIM = 128
@@ -49,9 +54,6 @@ TOP_R_TOL = 1e-12
 TOP_R_CHECK_EVERY = 8
 TOP_R_MAX_ITERATIONS = 512
 TOP_R_SEED = 0x05057A
-
-# Names of the two paths, indexed by the code a checkpoint header stores.
-SVD_PATHS = ("jacobi", "top_r")
 
 
 def as_real_array(a, name: str = "input") -> np.ndarray:
@@ -319,8 +321,10 @@ def _top_r(a: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, i
     for iterations in range(1, TOP_R_MAX_ITERATIONS + 1):
         q, _ = np.linalg.qr(a @ q)
         if iterations % TOP_R_CHECK_EVERY == 0 or iterations == TOP_R_MAX_ITERATIONS:
-            ub, sb, vb = jacobi_svd(q.T @ a)
-            u, s, v = q @ ub[:, :r], sb[:r], vb[:, :r]
+            b = q.T @ a
+            ub, sb, vbt = np.linalg.svd(b, full_matrices=False)
+            sb[sb <= _DEFICIENT_REL * fro_norm(b)] = 0.0  # jacobi_svd's null cut
+            u, s, v = q @ ub[:, :r], sb[:r], vbt[:r].T
             # s_1 = 0 only for a zero w, whose zero factors are exact.
             converged = bool(s[0] == 0.0 or max(_rel_residual(a, v, u, s), _rel_residual(at, u, v, s)) <= TOP_R_TOL)
             if converged or iterations == TOP_R_MAX_ITERATIONS:

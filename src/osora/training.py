@@ -14,7 +14,10 @@ tail ||Y - (Y Q) Q^T||^2, added to every step's loss with the task's true n
 (see `gradients`). So each step works on d x m planes, not d x n. A ToyTask
 is frozen and holds read-only copies of its arrays, so no write reaches what
 its planes were made from: it makes them (not Q) at its first train and keeps
-them. `dataclasses.replace` makes a new task, which compresses its own probes.
+them. Its `factors`, w0's top-r_gap SVD, come the same way, lazily, from
+the registry that SVD-initialised builds share (`make_task` fills the cache
+with the factors it planted the gap in). `dataclasses.replace` makes a new
+task, which compresses its own probes and decomposes its own w0.
 `gradient`, `loss_mse` and `finite_diff` still take the raw probes.
 """
 
@@ -22,7 +25,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -57,15 +60,17 @@ class ToyTask:
     targets: np.ndarray  # d x n, equal to w_target @ probes in make_task's tasks
     seed: int
     r_gap: int
-    # w0's top-r_gap factors, shared with SVD-initialised adapters of rank
-    # r_gap over w0 for as long as this task lives.
-    factors: SvdFactors | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("w0", "w_target", "probes", "targets"):
             a = as_real_array(getattr(self, name), name).copy()
             _read_only(a)
             object.__setattr__(self, name, a)
+
+    @cached_property
+    def factors(self) -> SvdFactors:
+        """w0's top-r_gap factors, shared with SVD-initialised adapters of rank r_gap over w0 while this task lives."""
+        return _shared_svd(self.w0, weight_digest(self.w0), self.r_gap)
 
     @cached_property
     def planes(self) -> tuple[np.ndarray, np.ndarray, int, float]:
@@ -129,7 +134,9 @@ def make_task(d: int, k: int, r_gap: int, seed: int, n: int | None = None) -> To
     w_target = f.residual + o_star[:, None] * ((f.u_r * s_star) @ f.v_r.T)
     probes = np.random.default_rng((seed, _SLOT_PROBES)).standard_normal((k, n))
     targets = w_target @ probes
-    return ToyTask(w0=w0, w_target=w_target, probes=probes, targets=targets, seed=seed, r_gap=r_gap, factors=f)
+    task = ToyTask(w0=w0, w_target=w_target, probes=probes, targets=targets, seed=seed, r_gap=r_gap)
+    task.factors  # cached while f keeps its registry entry alive, so no second SVD runs
+    return task
 
 
 def train(state: AdapterState, task: ToyTask, config: TrainConfig) -> TrainRun:

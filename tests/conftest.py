@@ -7,9 +7,14 @@ from osora.verify import perturbed_state, rel_inf  # noqa: F401  (test modules i
 
 
 def pytest_report_header(config):
-    # The pinned-bytes tests hold only on the numpy and BLAS build they were recorded on.
-    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    return f"numpy {np.__version__}, BLAS {blas.get('name')} {blas.get('version')}"
+    # The pinned-bytes tests hold only on the numpy, BLAS and LAPACK build they
+    # were recorded on; the top-r factors also go through LAPACK's gesdd.
+    deps = np.show_config(mode="dicts")["Build Dependencies"]
+    blas, lapack = deps["blas"], deps["lapack"]
+    return (
+        f"numpy {np.__version__}, BLAS {blas.get('name')} {blas.get('version')}, "
+        f"LAPACK {lapack.get('name')} {lapack.get('version')}"
+    )
 
 
 @pytest.fixture

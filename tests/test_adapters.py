@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from osora.adapters import (
     _TABLE,
+    _scaled_norms,
     O_INITS,
     OSORA_FAMILY,
     effective_weight,
@@ -122,6 +123,24 @@ class TestBuild:
             assert np.ldexp(got, j).tobytes() == norms(scaled.frozen, scaled.trainable)[0].tobytes()
             ref = np.linalg.norm(effective_weight(state), axis=1)
             assert (np.abs(got - ref) <= 1e-14 * ref).all()
+
+    def test_row_norms_match_the_per_row_rescaling(self):
+        # Rows from 2^-560 to 2^560 times a gaussian, and a zero row: those
+        # whose squares stay in range skip the rescaling (e = 0), the rest take
+        # their own power of two, and every norm has the bytes of rescaling
+        # each row by its own largest entry's exponent. Unscaled, the squares
+        # of the outermost rows underflow or overflow.
+        w = np.random.default_rng(32).standard_normal((81, 40))
+        logs = np.linspace(-560, 560, 81).round().astype(int)
+        w = np.ldexp(w, logs[:, None])
+        w[40] = 0.0
+        e_ref = np.frexp(np.abs(w).max(axis=1))[1]
+        rescaled = np.ldexp(w, -e_ref[:, None])
+        want = np.ldexp(np.sqrt(np.einsum("ij,ij->i", rescaled, rescaled)), e_ref)
+        norms, rows, e = _scaled_norms(w.copy())
+        assert norms.tobytes() == want.tobytes()
+        assert np.ldexp(rows, e[:, None]).tobytes() == w.tobytes()
+        assert (e[np.abs(logs) <= 280] == 0).all() and (e[np.abs(logs) >= 320] != 0).all()
 
     def test_rank_out_of_range(self):
         w0 = random_matrix(4, 6, 0, "gaussian")

@@ -218,13 +218,13 @@ def test_non_finite_payload_is_corrupt(bad, tmp_path, monkeypatch):
 
 
 def test_nonzero_reserved_field_is_corrupt(tmp_path, monkeypatch):
-    # The u32 at offset 24 names the SVD path (0 or 1); a value this build
+    # The u32 at offset 24 names the SVD path (0, 1 or 2); a value this build
     # does not know is refused, not ignored.
     state, w0 = perturbed_state("osora", 8, 6, 2, 41)
     path = tmp_path / "c.ckpt"
     save(state, path)
     blob = bytearray(path.read_bytes())
-    blob[24] = 2
+    blob[24] = 3
     path.write_bytes(bytes(blob))
     monkeypatch.setattr("osora.checkpoint._build_adapter", _unreachable)  # rejected before any rebuild
     with pytest.raises(CorruptPayload):
@@ -242,25 +242,32 @@ def saved_top_r(tmp_path_factory):
 
 def test_svd_path_code_is_written(saved_top_r, tmp_path):
     _, _, path = saved_top_r
-    assert struct.unpack_from("<I", path.read_bytes(), 24) == (1,)
+    assert struct.unpack_from("<I", path.read_bytes(), 24) == (2,)
     state, _ = perturbed_state("osora", 8, 6, 2, 45)
     save(state, tmp_path / "small.ckpt")
     assert struct.unpack_from("<I", (tmp_path / "small.ckpt").read_bytes(), 24) == (0,)
 
 
 def test_svd_path_code_of_the_other_path_is_unsupported(saved_top_r, tmp_path, monkeypatch):
-    # Code 0 at a top-r shape is what an older build wrote there: its factors
+    # Code 0 at a top-r shape is what the oldest builds wrote there: its factors
     # came from the full Jacobi SVD, which this build no longer runs at that
-    # shape. Code 1 at a Jacobi shape names factors this build never makes.
+    # shape. Code 1 is the top-r path with a Jacobi Ritz step, whose factor
+    # bytes this build no longer makes at any shape. Code 2 at a Jacobi shape
+    # names factors this build never makes.
     _, w0_large, large = saved_top_r
     small_state, w0_small = perturbed_state("osora", 8, 6, 2, 46)
     small = tmp_path / "small.ckpt"
     save(small_state, small)
     monkeypatch.setattr("osora.checkpoint._build_adapter", _unreachable)  # rejected before any rebuild
-    for path, w0, code, saved_as in ((large, w0_large, 0, "jacobi"), (small, w0_small, 1, "top_r")):
+    for path, w0, code, saved_as in (
+        (large, w0_large, 0, "jacobi"),
+        (large, w0_large, 1, "top_r_jacobi_ritz"),
+        (small, w0_small, 1, "top_r_jacobi_ritz"),
+        (small, w0_small, 2, "top_r"),
+    ):
         blob = bytearray(path.read_bytes())
         struct.pack_into("<I", blob, 24, code)
-        mutated = tmp_path / f"code-{code}.ckpt"
+        mutated = tmp_path / f"{path.stem}-code-{code}.ckpt"
         mutated.write_bytes(bytes(blob))
         with pytest.raises(VersionUnsupported, match=f"saved with the {saved_as} SVD path"):
             load(mutated, w0)

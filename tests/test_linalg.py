@@ -521,6 +521,16 @@ def _assert_certified(w, f):
     assert reassembly_error(w, f) <= 1e-12 * np.sqrt((w * w).sum())
 
 
+_LAPACK_CASES = {
+    "square": (random_matrix(128, 128, (97, 10), "gaussian"), 4),
+    "exact_rank_two": (_low_rank(128, 128, 2, 92), 4),
+    "wide": (random_matrix(128, 160, (90, 128), "gaussian"), 8),
+    "tall": (random_matrix(160, 128, (90, 160), "gaussian"), 8),
+    "gaussian_256": (random_matrix(256, 256, 99, "gaussian"), 4),
+    "power_512": (_known_spectrum(512, 512, np.arange(1.0, 513.0) ** -0.5, 100), 8),  # sigma_i = i^-0.5
+}
+
+
 class TestTopRPath:
     """svd_truncated's seeded power iteration, taken for min(d, k) >= 128."""
 
@@ -532,13 +542,17 @@ class TestTopRPath:
         assert svd_path(128, 4096, 57) == "jacobi"  # 2 * (r + 8) > 128
         assert svd_path(4096, 4096, 2040) == "top_r"
 
-    @pytest.mark.parametrize("d,k", [(128, 160), (160, 128)], ids=["wide", "tall"])
-    def test_matches_lapack(self, d, k):
-        w = random_matrix(d, k, (90, d), "gaussian")
-        f = svd_truncated(w, 8)
+    @pytest.mark.parametrize("w,r", _LAPACK_CASES.values(), ids=_LAPACK_CASES.keys())
+    def test_matches_lapack(self, w, r, monkeypatch):
+        # The Ritz step takes LAPACK's SVD: the Jacobi loop is off the top-r path.
+        def no_jacobi(m):
+            raise AssertionError("the top-r path ran the Jacobi SVD")
+
+        monkeypatch.setattr(linalg, "_jacobi", no_jacobi)
+        f = svd_truncated(w, r)
         _assert_certified(w, f)
         s = np.linalg.svd(w, compute_uv=False)
-        assert np.abs(f.s_r - s[:8]).max() <= 1e-12 * s[0]
+        assert np.abs(f.s_r - s[:r]).max() <= 1e-12 * s[0]
 
     def test_decaying_spectrum_at_scale(self):
         # sigma_i = 1 / i, a decaying spectrum like a pretrained weight's; the
@@ -625,13 +639,13 @@ def test_top_r_factor_bytes_are_pinned():
     # SHA-256 of svd_truncated's (u_r, s_r, v_r, residual) at one seeded 128x128
     # gaussian weight, rank 4: the shape and rank of the benchmark's training
     # tasks. Same build caveat as test_full_rank_factor_bytes_are_pinned; the
-    # power iteration's products and QRs go through BLAS and LAPACK as well.
+    # power iteration's products, QRs and Ritz SVDs go through BLAS and LAPACK.
     f = svd_truncated(random_matrix(128, 128, (97, 10), "gaussian"), 4)
     h = hashlib.sha256()
     for arr in (f.u_r, f.s_r, f.v_r, f.residual):
         h.update(arr.tobytes())
     assert (f.iterations, f.converged) == (104, True)
-    assert h.hexdigest() == "76dd39a35b60c7701ccd6d106796cf544f627ca83caf3dee366314c1ea3bc07a"
+    assert h.hexdigest() == "d0b7b5adb64833aac4999a5f75f69625d71f2a63f81ca223174c6205e95cbf84"
 
 
 class TestRandomMatrix:

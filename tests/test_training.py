@@ -227,6 +227,20 @@ def test_one_qr_per_task(monkeypatch):
     assert abs(run.loss_trace[0] - loss_mse(states[0], task.probes, task.targets)) <= 1e-13 * run.loss_trace[0]
 
 
+def test_replaced_w0_takes_its_own_factors(svd_calls):
+    # make_task runs one SVD and the task keeps its factors; a task with
+    # another w0 decomposes that w0 at its first read of factors, once.
+    task = make_task(8, 6, 2, seed=1)
+    assert len(svd_calls) == 1 and task.factors is task.factors
+    other = dataclasses.replace(task, w0=random_matrix(8, 6, 2, "gaussian"))
+    assert len(svd_calls) == 1
+    f = other.factors
+    assert svd_calls == [(8, 6), (8, 6)] and other.factors is f
+    for t in (task, other):
+        reassembled = t.factors.residual + (t.factors.u_r * t.factors.s_r) @ t.factors.v_r.T
+        assert np.abs(reassembled - t.w0).max() <= 1e-14 * np.abs(t.w0).max()
+
+
 def test_hand_built_task_owns_read_only_copies():
     made = make_task(8, 6, 2, seed=21)
     given = {name: getattr(made, name).copy() for name in ("w0", "w_target", "probes", "targets")}
