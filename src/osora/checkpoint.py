@@ -12,7 +12,7 @@ Format version 1, all integers little-endian. Header (68 bytes):
     12      4     d (u32)
     16      4     k (u32)
     20      4     rank (u32)
-    24      4     SVD path code (u32: 0=jacobi, 2=top_r; 1 is refused)
+    24      4     SVD path code (u32: 0=jacobi, 2=top_r, 3=lapack; 1 is refused)
     28      8     seed (u64)
     36      32    SHA-256 of the base weight's row-major f64-LE bytes
 
@@ -42,18 +42,19 @@ rebuilds different null-space factors, and kept factors that may differ at
 roundoff.
 
 The u32 at offset 24 names the SVD path that linalg.svd_path selects for the
-header's (d, k, rank), whatever the method: 0 for the full Jacobi SVD, 2 for
-the top-r power iteration (min(d, k) >= 128 and 2 * (rank + 8) <= min(d, k)),
-whose Ritz step takes LAPACK's SVD of the small projection. Code 1 was that
-path with its Ritz step on the Jacobi SVD; no build writes it any more. The
-paths give different factor bytes, so load refuses a code that is not the one
-this build selects with VersionUnsupported: code 1 at any shape, and code 0
-at a top-r shape, which the oldest builds wrote there for every shape, name
-factors this build no longer rebuilds. Any other code is CorruptPayload.
-Checkpoints of Jacobi shapes load as before, and their bytes are unchanged.
-Since the top-r factors come from LAPACK's gesdd, a cold load under another
-numpy or LAPACK build may rebuild them differently at roundoff: the contract
-is byte-identical reruns within one build.
+header's (d, k, rank), whatever the method, out of three: 0 for the full
+Jacobi SVD (min(d, k) < 128), 2 for the top-r power iteration
+(min(d, k) >= 256 and 2 * (rank + 8) <= min(d, k)), whose Ritz step takes
+LAPACK's SVD of the small projection, and 3 for LAPACK's full SVD at every
+other shape with min(d, k) >= 128. Code 1 was the top-r path with its Ritz
+step on the Jacobi SVD; no build writes it any more. The paths give different
+factor bytes, so load refuses a code that is not the one this build selects
+with VersionUnsupported: code 1 at any shape, code 0 or 2 at a LAPACK shape,
+which older builds wrote there, and code 0 at a top-r shape. Any other code is
+CorruptPayload. Checkpoints of Jacobi shapes load as before, and their bytes
+are unchanged. Since the top-r and LAPACK factors come from LAPACK's gesdd, a
+cold load under another numpy or LAPACK build may rebuild them differently at
+roundoff: the contract is byte-identical reruns within one build.
 """
 
 from __future__ import annotations
@@ -89,7 +90,7 @@ _KIND_CHECKPOINT = 0
 # The SVD path names of linalg.svd_path, indexed by the code at header offset 24.
 # Code 1 is the top-r path with its Ritz step on the Jacobi SVD, which no
 # build since takes, so no path selects it and load refuses it.
-_SVD_PATH_CODES = ("jacobi", "top_r_jacobi_ritz", "top_r")
+_SVD_PATH_CODES = ("jacobi", "top_r_jacobi_ritz", "top_r", "lapack")
 
 
 def _pack_header(state: AdapterState) -> bytes:

@@ -160,7 +160,10 @@ def cmd_decompose(args) -> int:
     print("singular_values=" + ",".join(repr(s) for s in factors.s_r.tolist()))
     print(f"truncation_error={trunc_err!r}")
     path = svd_path(*w.shape, factors.rank)
-    print(f"svd={path} iterations={factors.iterations} converged={str(factors.converged).lower()}")
+    print(
+        f"svd={path} iterations={factors.iterations} converged={str(factors.converged).lower()} "
+        f"certificate={factors.certificate!r}"
+    )
     if args.out:
         out_dir = _make_out_dir(args.out)
         for name, factor in (

@@ -3,11 +3,14 @@
 On rank-deficient input the SVD never rotates two null columns against each
 other, and one complete QR of the kept columns of u completes the null ones.
 
-svd_truncated takes one of two paths, chosen from the shape and rank alone
-(svd_path): the full Jacobi SVD, sliced, or for large shapes a seeded block
-power iteration whose factors come with a residual certificate. The top-r
-path's Rayleigh-Ritz step takes LAPACK's SVD (numpy.linalg.svd) of the small
-projection Q^T w; the Jacobi loop runs only on the full path.
+svd_truncated takes one of three paths, chosen from the shape and rank alone
+(svd_path): below LAPACK_MIN_DIM the full Jacobi SVD, sliced; above it
+LAPACK's full SVD (numpy.linalg.svd), sliced, with the Jacobi SVD's
+conventions; and, where the rank is small against a shape of at least
+TOP_R_MIN_DIM, a seeded block power iteration whose Rayleigh-Ritz step takes
+LAPACK's SVD of the small projection Q^T w. The Jacobi loop runs only below
+LAPACK_MIN_DIM. Every path reports the residual certificate of the factors
+it returns.
 
 Everything operates on C-contiguous float64 numpy arrays and is deterministic:
 identical input bytes always produce identical output bytes within one numpy,
@@ -39,8 +42,15 @@ _ROUNDOFF_FLOOR = 1e-15
 # an orthonormal completion.
 _DEFICIENT_REL = 1e-12
 
+# Full LAPACK path: taken when min(d, k) >= LAPACK_MIN_DIM and the top-r path
+# is not. Below it the Jacobi loop runs, whose factor bytes checkpoints of
+# those shapes rebuild.
+LAPACK_MIN_DIM = 128
+
 # Top-r path: taken when min(d, k) >= TOP_R_MIN_DIM and 2 * (r + TOP_R_OVERSAMPLE)
-# <= min(d, k). A block of r + TOP_R_OVERSAMPLE columns, drawn from the fixed
+# <= min(d, k). TOP_R_MIN_DIM is the smallest min(d, k) at which power
+# iteration beat LAPACK's gesdd on decaying spectra (table in the README's
+# "Scale"). A block of r + TOP_R_OVERSAMPLE columns, drawn from the fixed
 # seed TOP_R_SEED (so the factors depend on w and r alone), goes through power
 # iterations, each one product with w and one with w^T, re-orthonormalised by
 # QR. Every TOP_R_CHECK_EVERY iterations LAPACK's SVD of the projection Q^T w,
@@ -48,7 +58,7 @@ _DEFICIENT_REL = 1e-12
 # certified once every pair has
 # max(||w v_i - s_i u_i||, ||w^T u_i - s_i v_i||) <= TOP_R_TOL * s_1, and the
 # loop stops uncertified after TOP_R_MAX_ITERATIONS.
-TOP_R_MIN_DIM = 128
+TOP_R_MIN_DIM = 256
 TOP_R_OVERSAMPLE = 8
 TOP_R_TOL = 1e-12
 TOP_R_CHECK_EVERY = 8
@@ -148,9 +158,11 @@ class SvdFactors:
 
     u_r is d x r, s_r a descending nonnegative length-r vector, v_r is k x r,
     and residual = w - u_r @ diag(s_r) @ v_r.T at construction time.
-    iterations counts the Jacobi sweeps (full path) or power iterations
-    (top-r path) that ran; converged is False when the path stopped at its
-    cap instead of at its convergence test.
+    iterations counts the Jacobi sweeps (jacobi path) or power iterations
+    (top-r path) that ran, and is 0 on the LAPACK path; converged is False
+    when the path stopped at its cap instead of at its convergence test.
+    certificate is max_i max(||w v_i - s_i u_i||, ||w^T u_i - s_i v_i||) / s_1
+    over the returned factors, and 0 for a zero w.
     """
 
     u_r: np.ndarray
@@ -160,6 +172,7 @@ class SvdFactors:
     rank: int
     iterations: int
     converged: bool
+    certificate: float
 
 
 def _fill_deficient_columns(u: np.ndarray, kept: int) -> None:
@@ -297,9 +310,11 @@ def _fix_signs(u: np.ndarray, v: np.ndarray) -> None:
 
 
 def svd_path(d: int, k: int, r: int) -> str:
-    """The SVD path svd_truncated takes for a d x k weight at rank r: "jacobi" or "top_r"."""
+    """The SVD path svd_truncated takes for a d x k weight at rank r: "jacobi", "lapack" or "top_r"."""
     m = min(d, k)
-    return "top_r" if m >= TOP_R_MIN_DIM and 2 * (r + TOP_R_OVERSAMPLE) <= m else "jacobi"
+    if m < LAPACK_MIN_DIM:
+        return "jacobi"
+    return "top_r" if m >= TOP_R_MIN_DIM and 2 * (r + TOP_R_OVERSAMPLE) <= m else "lapack"
 
 
 def _rel_residual(a: np.ndarray, v: np.ndarray, u: np.ndarray, s: np.ndarray) -> float:
@@ -307,15 +322,44 @@ def _rel_residual(a: np.ndarray, v: np.ndarray, u: np.ndarray, s: np.ndarray) ->
     return float(np.sqrt((((a @ v - u * s) / s[0]) ** 2).sum(axis=0)).max())
 
 
-def _top_r(a: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, bool]:
+def _certificate(a: np.ndarray, u: np.ndarray, s: np.ndarray, v: np.ndarray) -> float:
+    """max of both relative residuals of the factors (u, s, v) of a; 0 when s_1 = 0, a zero a's exact case."""
+    return 0.0 if s[0] == 0.0 else max(_rel_residual(a, v, u, s), _rel_residual(a.T, u, v, s))
+
+
+def _lapack(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """jacobi_svd's (u, s, v) of a finite matrix, by LAPACK's gesdd, with the Jacobi SVD's conventions.
+
+    It runs on the tall side, takes the null cut, completes the null columns of
+    u by _fill_deficient_columns and fixes the signs on the longer side. The kept
+    columns are exactly 0 on a's all-zero rows (of u) and columns (of v), as the
+    Jacobi sweep leaves them, where gesdd leaves roundoff.
+    """
+    d, k = a.shape
+    if d < k:
+        v, s, u = _lapack(np.ascontiguousarray(a.T))
+        return u, s, v
+    u, s, vt = np.linalg.svd(a, full_matrices=False)
+    v = np.ascontiguousarray(vt.T)
+    kept = int((s > _DEFICIENT_REL * fro_norm(a)).sum())  # jacobi_svd's null cut; a prefix, as s is sorted
+    s[kept:] = 0.0
+    u[~a.any(axis=1), :kept] = 0.0
+    v[~a.any(axis=0), :kept] = 0.0
+    if kept < k:
+        _fill_deficient_columns(u, kept)
+    _fix_signs(u, v)
+    return u, s, v
+
+
+def _top_r(a: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, float]:
     """Top-r (u, s, v) of a finite matrix by seeded block power iteration.
 
-    Also returns the iterations run and whether the residual certificate was met.
+    Also returns the iterations run and the certificate of the factors returned.
     """
     d, k = a.shape
     if d < k:  # run on the tall side, so the sign convention lands where jacobi_svd puts it
-        v, s, u, iterations, converged = _top_r(np.ascontiguousarray(a.T), r)
-        return u, s, v, iterations, converged
+        v, s, u, iterations, certificate = _top_r(np.ascontiguousarray(a.T), r)
+        return u, s, v, iterations, certificate
     at = a.T
     q = np.random.default_rng(TOP_R_SEED).standard_normal((k, r + TOP_R_OVERSAMPLE))
     for iterations in range(1, TOP_R_MAX_ITERATIONS + 1):
@@ -325,38 +369,55 @@ def _top_r(a: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, i
             ub, sb, vbt = np.linalg.svd(b, full_matrices=False)
             sb[sb <= _DEFICIENT_REL * fro_norm(b)] = 0.0  # jacobi_svd's null cut
             u, s, v = q @ ub[:, :r], sb[:r], vbt[:r].T
-            # s_1 = 0 only for a zero w, whose zero factors are exact.
-            converged = bool(s[0] == 0.0 or max(_rel_residual(a, v, u, s), _rel_residual(at, u, v, s)) <= TOP_R_TOL)
-            if converged or iterations == TOP_R_MAX_ITERATIONS:
+            certificate = _certificate(a, u, s, v)
+            if certificate <= TOP_R_TOL or iterations == TOP_R_MAX_ITERATIONS:
                 break
         q, _ = np.linalg.qr(at @ q)
     _fix_signs(u, v)
-    return u, s, v, iterations, converged
+    return u, s, v, iterations, certificate
 
 
 def svd_truncated(w, r: int) -> SvdFactors:
     """Top-r singular factors of w and the residual w - u_r @ diag(s_r) @ v_r.T.
 
-    The path comes from svd_path: below the cut-over the factors are the
-    leading columns of jacobi_svd; above it they come from the top-r power
-    iteration, which reports in `converged` whether its residual certificate
-    was met. Either way the residual is exact for the factors returned.
+    The path comes from svd_path: the factors are the leading columns of
+    jacobi_svd below LAPACK_MIN_DIM, and of LAPACK's full SVD with the same
+    conventions above it, where iterations is 0; at top-r shapes they come
+    from the power iteration, which reports in `converged` whether its
+    certificate met TOP_R_TOL. Every path runs on pow2_exponent's rescaling
+    of w, so no product overflows and the Jacobi factors keep their bytes.
+    The residual is exact for the factors returned.
     """
     check_integers(rank=r)
     m = as_matrix(w, "svd input")
     max_rank = min(m.shape)
     if r < 1 or r > max_rank:
         raise RankOutOfRange(f"rank {r} outside [1, {max_rank}] for shape {m.shape}")
-    if svd_path(*m.shape, r) == "top_r":
-        check_finite(m, "svd input")
-        check_fro_norm(m, "svd input")
-        e = pow2_exponent(m)  # as in _jacobi, so no product with the start block overflows
-        u, s, v, iterations, converged = _top_r(np.ldexp(m, -e), r)
-        s = np.ldexp(s, e)
+    check_finite(m, "svd input")
+    check_fro_norm(m, "svd input")
+    e = pow2_exponent(m)
+    a = np.ldexp(m, -e)
+    path = svd_path(*m.shape, r)
+    if path == "top_r":
+        u, s, v, iterations, certificate = _top_r(a, r)
+        converged = certificate <= TOP_R_TOL
+    elif path == "lapack":
+        u, s, v = _lapack(a)
+        iterations, converged = 0, True
     else:
-        u, s, v, iterations, converged = _jacobi(m)
+        u, s, v, iterations, converged = _jacobi(a)
     u_r, s_r, v_r = u[:, :r].copy(), s[:r].copy(), v[:, :r].copy()  # each owns exactly its entries
+    if path != "top_r":
+        certificate = _certificate(a, u_r, s_r, v_r)
+    s_r = np.ldexp(s_r, e)
     residual = m - (u_r * s_r) @ v_r.T
     return SvdFactors(
-        u_r=u_r, s_r=s_r, v_r=v_r, residual=residual, rank=r, iterations=iterations, converged=converged
+        u_r=u_r,
+        s_r=s_r,
+        v_r=v_r,
+        residual=residual,
+        rank=r,
+        iterations=iterations,
+        converged=converged,
+        certificate=certificate,
     )

@@ -8,7 +8,7 @@ from osora.verify import perturbed_state, rel_inf  # noqa: F401  (test modules i
 
 def pytest_report_header(config):
     # The pinned-bytes tests hold only on the numpy, BLAS and LAPACK build they
-    # were recorded on; the top-r factors also go through LAPACK's gesdd.
+    # were recorded on; the LAPACK-path and top-r factors also go through LAPACK's gesdd.
     deps = np.show_config(mode="dicts")["Build Dependencies"]
     blas, lapack = deps["blas"], deps["lapack"]
     return (

@@ -25,8 +25,10 @@ from osora import (
     random_matrix,
     report,
     scaling_sweep,
+    svd_truncated,
     train,
 )
+from osora.linalg import svd_path
 from osora.verify import (
     check_grad,
     check_init_identity,
@@ -84,10 +86,29 @@ def test_criterion_3_svd_quality_on_twenty_matrices():
     )
     assert recon.threshold == 1e-12 and recon.passed
     assert ortho.threshold == 1e-10 and ortho.passed
+    # svd_truncated on one shape per path: singular values against LAPACK's,
+    # orthonormal factors, an exact reassembly and a certificate within 1e-12.
+    worst = 0.0
+    for (d, k, r), path in [((96, 64, 8), "jacobi"), ((160, 128, 8), "lapack"), ((256, 288, 8), "top_r")]:
+        w = random_matrix(d, k, (d, 63), "gaussian")
+        assert svd_path(d, k, r) == path
+        f = svd_truncated(w, r)
+        s = np.linalg.svd(w, compute_uv=False)
+        eye = np.eye(r)
+        errors = [
+            np.abs(f.s_r - s[:r]).max() / s[0],
+            np.abs(f.u_r.T @ f.u_r - eye).max(),
+            np.abs(f.v_r.T @ f.v_r - eye).max(),
+            np.abs((f.u_r * f.s_r) @ f.v_r.T + f.residual - w).max() / s[0],
+            f.certificate,
+        ]
+        assert f.converged and max(errors) <= 1e-12, path
+        worst = max(worst, *errors)
     elapsed = time.perf_counter() - start
     assert elapsed < 30.0
     print(
-        f"\nACCEPTANCE 3 svd quality recon={recon.max_err:.2e} ortho={ortho.max_err:.2e} ({elapsed:.1f}s): PASS"
+        f"\nACCEPTANCE 3 svd quality recon={recon.max_err:.2e} ortho={ortho.max_err:.2e} "
+        f"paths={worst:.2e} ({elapsed:.1f}s): PASS"
     )
 
 

@@ -30,6 +30,7 @@ from osora import (
     weight_digest,
 )
 from osora.checkpoint import (
+    _SVD_PATH_CODES,
     HEADER_SIZE,
     load,
     save,
@@ -218,13 +219,13 @@ def test_non_finite_payload_is_corrupt(bad, tmp_path, monkeypatch):
 
 
 def test_nonzero_reserved_field_is_corrupt(tmp_path, monkeypatch):
-    # The u32 at offset 24 names the SVD path (0, 1 or 2); a value this build
+    # The u32 at offset 24 names the SVD path (0 to 3); a value this build
     # does not know is refused, not ignored.
     state, w0 = perturbed_state("osora", 8, 6, 2, 41)
     path = tmp_path / "c.ckpt"
     save(state, path)
     blob = bytearray(path.read_bytes())
-    blob[24] = 3
+    blob[24] = len(_SVD_PATH_CODES)
     path.write_bytes(bytes(blob))
     monkeypatch.setattr("osora.checkpoint._build_adapter", _unreachable)  # rejected before any rebuild
     with pytest.raises(CorruptPayload):
@@ -233,28 +234,41 @@ def test_nonzero_reserved_field_is_corrupt(tmp_path, monkeypatch):
 
 @pytest.fixture(scope="module")
 def saved_top_r(tmp_path_factory):
-    """An osora checkpoint at 128x128 rank 4, a top-r SVD shape, and its live adapter."""
-    state, w0 = perturbed_state("osora", 128, 128, 4, 44)
+    """An osora checkpoint at 256x256 rank 4, a top-r SVD shape, and its live adapter."""
+    state, w0 = perturbed_state("osora", 256, 256, 4, 44)
     path = tmp_path_factory.mktemp("top_r") / "top_r.ckpt"
     save(state, path)
     return state, w0, path
 
 
-def test_svd_path_code_is_written(saved_top_r, tmp_path):
+@pytest.fixture(scope="module")
+def saved_lapack(tmp_path_factory):
+    """An osora checkpoint at 128x128 rank 4, a LAPACK SVD shape, and its live adapter."""
+    state, w0 = perturbed_state("osora", 128, 128, 4, 48)
+    path = tmp_path_factory.mktemp("lapack") / "lapack.ckpt"
+    save(state, path)
+    return state, w0, path
+
+
+def test_svd_path_code_is_written(saved_top_r, saved_lapack, tmp_path):
     _, _, path = saved_top_r
     assert struct.unpack_from("<I", path.read_bytes(), 24) == (2,)
+    _, _, path = saved_lapack
+    assert struct.unpack_from("<I", path.read_bytes(), 24) == (3,)
     state, _ = perturbed_state("osora", 8, 6, 2, 45)
     save(state, tmp_path / "small.ckpt")
     assert struct.unpack_from("<I", (tmp_path / "small.ckpt").read_bytes(), 24) == (0,)
 
 
-def test_svd_path_code_of_the_other_path_is_unsupported(saved_top_r, tmp_path, monkeypatch):
+def test_svd_path_code_of_the_other_path_is_unsupported(saved_top_r, saved_lapack, tmp_path, monkeypatch):
     # Code 0 at a top-r shape is what the oldest builds wrote there: its factors
     # came from the full Jacobi SVD, which this build no longer runs at that
     # shape. Code 1 is the top-r path with a Jacobi Ritz step, whose factor
     # bytes this build no longer makes at any shape. Code 2 at a Jacobi shape
-    # names factors this build never makes.
+    # names factors this build never makes. At a LAPACK shape, older builds
+    # wrote code 2 (128 <= min(d, k) < 256 at small ranks) or 0 (higher ranks).
     _, w0_large, large = saved_top_r
+    _, w0_mid, mid = saved_lapack
     small_state, w0_small = perturbed_state("osora", 8, 6, 2, 46)
     small = tmp_path / "small.ckpt"
     save(small_state, small)
@@ -264,6 +278,11 @@ def test_svd_path_code_of_the_other_path_is_unsupported(saved_top_r, tmp_path, m
         (large, w0_large, 1, "top_r_jacobi_ritz"),
         (small, w0_small, 1, "top_r_jacobi_ritz"),
         (small, w0_small, 2, "top_r"),
+        (small, w0_small, 3, "lapack"),
+        (large, w0_large, 3, "lapack"),
+        (mid, w0_mid, 0, "jacobi"),
+        (mid, w0_mid, 1, "top_r_jacobi_ritz"),
+        (mid, w0_mid, 2, "top_r"),
     ):
         blob = bytearray(path.read_bytes())
         struct.pack_into("<I", blob, 24, code)
@@ -274,10 +293,10 @@ def test_svd_path_code_of_the_other_path_is_unsupported(saved_top_r, tmp_path, m
 
 
 def test_cold_rebuild_over_the_top_r_path_is_bitwise(tmp_path, rng, svd_calls):
-    state, w0 = perturbed_state("osora_k", 128, 128, 4, 47)
+    state, w0 = perturbed_state("osora_k", 256, 256, 4, 47)
     path = tmp_path / "cold.ckpt"
     save(state, path)
-    x = rng.standard_normal((128, 3))
+    x = rng.standard_normal((256, 3))
     want_forward = forward(state, x).tobytes()
     want_frozen = {name: arr.tobytes() for name, arr in state.frozen.items()}
     factors = weakref.ref(state.frozen.factors)
@@ -286,7 +305,7 @@ def test_cold_rebuild_over_the_top_r_path_is_bitwise(tmp_path, rng, svd_calls):
     gc.collect()
     assert factors() is None  # nothing left to share: the load must rebuild
     loaded = load(path, w0)
-    assert svd_calls == [(128, 128), (128, 128)]
+    assert svd_calls == [(256, 256), (256, 256)]
     assert forward(loaded, x).tobytes() == want_forward
     assert {name: arr.tobytes() for name, arr in loaded.frozen.items()} == want_frozen
 
@@ -374,11 +393,20 @@ def test_load_of_a_live_adapter_runs_no_svd(tag, tmp_path, rng, svd_calls):
 
 @pytest.mark.parametrize("tag", METHODS)
 def test_cold_rebuild_is_bitwise(tag, tmp_path, rng, svd_calls):
-    state, w0 = perturbed_state(tag, 9, 7, 2, 38)
+    _assert_cold_rebuild_is_bitwise(tag, (9, 7, 2, 38), tmp_path, rng, svd_calls)
+
+
+@pytest.mark.parametrize("tag", METHODS)
+def test_cold_rebuild_over_the_lapack_path_is_bitwise(tag, tmp_path, rng, svd_calls):
+    _assert_cold_rebuild_is_bitwise(tag, (130, 128, 4, 49), tmp_path, rng, svd_calls)
+
+
+def _assert_cold_rebuild_is_bitwise(tag, spec, tmp_path, rng, svd_calls):
+    state, w0 = perturbed_state(tag, *spec)
     clone = clone_state(state)
     path = tmp_path / "cold.ckpt"
     save(state, path)
-    x = rng.standard_normal((7, 3))
+    x = rng.standard_normal((spec[1], 3))
     want_forward = forward(state, x).tobytes()
     want_frozen = {name: arr.tobytes() for name, arr in state.frozen.items()}
     factors = state.frozen.factors

@@ -52,19 +52,28 @@ class TestDecompose:
         assert parse_kv(lines[0]) == {"rows": "2", "cols": "2", "rank": "1"}
         assert lines[1] == "singular_values=3.0"
         assert float(lines[2].split("=")[1]) == 1.0
-        assert parse_kv(lines[3]) == {"svd": "jacobi", "iterations": "1", "converged": "true"}
+        assert parse_kv(lines[3]) == {"svd": "jacobi", "iterations": "1", "converged": "true", "certificate": "0.0"}
 
-    def test_top_r_shape_reports_its_path(self, tmp_path, capsys):
-        w = random_matrix(128, 136, 78, "gaussian")
+    @staticmethod
+    def decompose_path_line(tmp_path, capsys, w, rank):
         path = tmp_path / "m.txt"
         write_matrix(path, w)
-        code, out, _ = run_cli(capsys, "decompose", str(path), "--rank", "3")
+        code, out, _ = run_cli(capsys, "decompose", str(path), "--rank", str(rank))
         assert code == 0
         lines = out.strip().splitlines()
         s = [float(x) for x in lines[1].split("=")[1].split(",")]
-        assert np.abs(np.array(s) - np.linalg.svd(w, compute_uv=False)[:3]).max() <= 1e-12 * s[0]
+        assert np.abs(np.array(s) - np.linalg.svd(w, compute_uv=False)[:rank]).max() <= 1e-12 * s[0]
         kv = parse_kv(lines[3])
-        assert kv["svd"] == "top_r" and kv["converged"] == "true" and int(kv["iterations"]) > 0
+        assert kv["converged"] == "true" and float(kv["certificate"]) <= 1e-12
+        return kv
+
+    def test_top_r_shape_reports_its_path(self, tmp_path, capsys):
+        kv = self.decompose_path_line(tmp_path, capsys, random_matrix(256, 272, 78, "gaussian"), 3)
+        assert kv["svd"] == "top_r" and int(kv["iterations"]) > 0
+
+    def test_lapack_shape_reports_its_path(self, tmp_path, capsys):
+        kv = self.decompose_path_line(tmp_path, capsys, random_matrix(128, 136, 78, "gaussian"), 3)
+        assert kv["svd"] == "lapack" and kv["iterations"] == "0"
 
     def test_identity_full_rank_error_tiny(self, tmp_path, capsys):
         path = tmp_path / "m.txt"
@@ -100,7 +109,11 @@ class TestDecompose:
         tail = scale * float(np.sqrt(((s[4:] / scale) ** 2).sum()))
         assert abs(reported - tail) <= 1e-12 * tail
 
-    @pytest.mark.parametrize("d,k,r", [(10, 6, 3), (6, 10, 3), (128, 160, 4)], ids=["jacobi", "jacobi_wide", "top_r"])
+    @pytest.mark.parametrize(
+        "d,k,r",
+        [(10, 6, 3), (6, 10, 3), (128, 160, 4), (256, 288, 4)],
+        ids=["jacobi", "jacobi_wide", "lapack", "top_r"],
+    )
     def test_out_dir_factors_read_back_bit_for_bit(self, d, k, r, tmp_path, capsys):
         w = random_matrix(d, k, 79, "gaussian")
         path, out_dir = tmp_path / "m.txt", tmp_path / "nested" / "factors"

@@ -65,7 +65,8 @@ BAD_CALLS = {
     "random_matrix_negative_seed": lambda tmp: random_matrix(2, 2, -1),
     "svd_non_integer_rank": lambda tmp: svd_truncated(np.eye(3), 2.5),
     "svd_norm_overflow_jacobi": lambda tmp: svd_truncated(np.full((12, 8), 1e308), 4),
-    "svd_norm_overflow_top_r": lambda tmp: svd_truncated(np.full((128, 128), 1e308), 4),
+    "svd_norm_overflow_lapack": lambda tmp: svd_truncated(np.full((128, 128), 1e308), 4),
+    "svd_norm_overflow_top_r": lambda tmp: svd_truncated(np.full((256, 256), 1e308), 4),
     "verify_unknown_scope": lambda tmp: run_scope("nope"),
     "build_non_numeric_weight": lambda tmp: build_adapter("abc", AdapterMethod(tag="lora", rank=1), 0),
     "build_ragged_weight": lambda tmp: build_adapter([[1.0, 2.0], [3.0]], AdapterMethod(tag="lora", rank=1), 0),
