@@ -39,7 +39,11 @@ Over a weight whose SVD has a column at or below 1e-12 * ||w||_F, the SVD now
 completes the null columns of u by one QR and no longer rotates null columns
 against each other: a checkpoint that an older build saved over such a weight
 rebuilds different null-space factors, and kept factors that may differ at
-roundoff.
+roundoff. At a top-r shape, every path now finishing its factors alike (see
+linalg) moved the null cut from ||Q^T w||_F to ||w||_F, took the null columns
+of u from the QR completion, and made zero rows and columns exact: top-r
+factors over a weight with such a column or an all-zero row or column
+rebuild differently from older builds, at roundoff.
 
 The u32 at offset 24 names the SVD path that linalg.svd_path selects for the
 header's (d, k, rank), whatever the method, out of three: 0 for the full

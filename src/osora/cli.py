@@ -267,18 +267,13 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "count":
             return cmd_count(args)
         return cmd_verify(args)
-    except CliError as exc:
+    except (CliError, OsoraError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return exc.code
-    except RankOutOfRange as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_RANGE
-    except NonFiniteLoss as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NONFINITE
-    except OsoraError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        if isinstance(exc, CliError):
+            return exc.code
+        if isinstance(exc, RankOutOfRange):
+            return EXIT_BAD_RANGE
+        return EXIT_NONFINITE if isinstance(exc, NonFiniteLoss) else EXIT_PARSE
 
 
 if __name__ == "__main__":

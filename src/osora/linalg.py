@@ -1,15 +1,19 @@
 """Dense linear algebra kernels: one-sided Jacobi SVD, top-r SVD and seeded generators.
 
-On rank-deficient input the SVD never rotates two null columns against each
-other, and one complete QR of the kept columns of u completes the null ones.
-
-svd_truncated takes one of three paths, chosen from the shape and rank alone
-(svd_path): below LAPACK_MIN_DIM the full Jacobi SVD, sliced; above it
-LAPACK's full SVD (numpy.linalg.svd), sliced, with the Jacobi SVD's
-conventions; and, where the rank is small against a shape of at least
-TOP_R_MIN_DIM, a seeded block power iteration whose Rayleigh-Ritz step takes
-LAPACK's SVD of the small projection Q^T w. The Jacobi loop runs only below
-LAPACK_MIN_DIM. Every path reports the residual certificate of the factors
+Every SVD runs one pipeline. The input is checked and rescaled by the power of
+two that puts its largest magnitude in [0.5, 1) (pow2_exponent), so no product
+overflows and the factors keep their bytes under any power-of-two scaling of w.
+_factor hands the tall side (w or w^T) to one of three kernels, chosen from
+the shape and rank alone (svd_path): below LAPACK_MIN_DIM the one-sided Jacobi
+sweep; above it LAPACK's full SVD (numpy.linalg.svd); and, where the rank is
+small against a shape of at least TOP_R_MIN_DIM, a seeded block power
+iteration whose Rayleigh-Ritz step takes LAPACK's SVD of the small projection
+Q^T w. A kernel only factors. _factor finishes every path alike: values at or
+below 1e-12 * ||w||_F become exactly 0 (the null cut); the kept columns are
+exactly 0 on w's all-zero rows (of u) and columns (of v); one complete QR of
+the kept columns of u completes the null ones; and each column of the factor
+on the longer side gets its largest-magnitude entry positive. svd_truncated
+slices the finished factors and reports the residual certificate of the ones
 it returns.
 
 Everything operates on C-contiguous float64 numpy arrays and is deterministic:
@@ -38,8 +42,8 @@ JACOBI_TOL = 1e-14
 _ROUNDOFF_FLOOR = 1e-15
 
 # Singular values at or below this (relative to ||w||_F) carry no reliable
-# direction and become exactly 0; the Jacobi SVD replaces their u columns by
-# an orthonormal completion.
+# direction and become exactly 0; _factor replaces their u columns by an
+# orthonormal completion.
 _DEFICIENT_REL = 1e-12
 
 # Full LAPACK path: taken when min(d, k) >= LAPACK_MIN_DIM and the top-r path
@@ -53,9 +57,8 @@ LAPACK_MIN_DIM = 128
 # "Scale"). A block of r + TOP_R_OVERSAMPLE columns, drawn from the fixed
 # seed TOP_R_SEED (so the factors depend on w and r alone), goes through power
 # iterations, each one product with w and one with w^T, re-orthonormalised by
-# QR. Every TOP_R_CHECK_EVERY iterations LAPACK's SVD of the projection Q^T w,
-# with jacobi_svd's null cut on its values, gives Ritz factors; they are
-# certified once every pair has
+# QR. Every TOP_R_CHECK_EVERY iterations LAPACK's SVD of the projection Q^T w
+# gives Ritz factors; they are certified once every pair has
 # max(||w v_i - s_i u_i||, ||w^T u_i - s_i v_i||) <= TOP_R_TOL * s_1, and the
 # loop stops uncertified after TOP_R_MAX_ITERATIONS.
 TOP_R_MIN_DIM = 256
@@ -157,10 +160,13 @@ class SvdFactors:
     """Truncated rank-r factors of a weight matrix plus the frozen remainder.
 
     u_r is d x r, s_r a descending nonnegative length-r vector, v_r is k x r,
-    and residual = w - u_r @ diag(s_r) @ v_r.T at construction time.
+    and residual = w - u_r @ diag(s_r) @ v_r.T at construction time. Every
+    path finishes its factors alike (see the module docstring): null values
+    exactly 0 with their u columns completed by QR, exact zeros on w's
+    all-zero rows and columns, signs fixed on the longer side.
     iterations counts the Jacobi sweeps (jacobi path) or power iterations
     (top-r path) that ran, and is 0 on the LAPACK path; converged is False
-    when the path stopped at its cap instead of at its convergence test.
+    when the kernel stopped at its cap instead of at its convergence test.
     certificate is max_i max(||w v_i - s_i u_i||, ||w^T u_i - s_i v_i||) / s_1
     over the returned factors, and 0 for a zero w.
     """
@@ -182,6 +188,47 @@ def _fill_deficient_columns(u: np.ndarray, kept: int) -> None:
     u[:, kept:] = q[:, kept : u.shape[1]]
 
 
+def _fix_signs(u: np.ndarray, v: np.ndarray) -> None:
+    # Largest-magnitude entry of each u column positive, v flipped to match
+    # (argmax takes the first of tied entries; negation is exact).
+    flip = u[np.argmax(np.abs(u), axis=0), np.arange(u.shape[1])] < 0.0
+    u[:, flip] *= -1.0
+    v[:, flip] *= -1.0
+
+
+def _svd_input(w) -> tuple[np.ndarray, int]:
+    """(w * 2**-e, e) with e = pow2_exponent(w); NonFiniteInput unless w and ||w||_F are finite."""
+    m = as_matrix(w, "svd input")
+    check_finite(m, "svd input")
+    check_fro_norm(m, "svd input")
+    e = pow2_exponent(m)
+    return np.ldexp(m, -e), e
+
+
+def _factor(a: np.ndarray, path: str, r: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, bool]:
+    """(u, s, v, iterations, converged) of a checked, rescaled a, by the kernel of `path`.
+
+    The kernel factors a's tall side; this finishes its factors alike on every
+    path (see the module docstring) and returns u and v contiguous.
+    """
+    wide = a.shape[0] < a.shape[1]
+    t = np.ascontiguousarray(a.T) if wide else a
+    # Looked up at each call, so a kernel replaced on the module is the one that runs.
+    kernel = {"jacobi": _jacobi, "lapack": _lapack, "top_r": _top_r}[path]
+    u, s, v, iterations, converged = kernel(t, r)
+    kept = int((s > _DEFICIENT_REL * fro_norm(t)).sum())  # the null cut; a prefix, as s is descending
+    s[kept:] = 0.0
+    # Exact zeros where t is zero, as the Jacobi sweep leaves them and gesdd and the power iteration do not.
+    u[~t.any(axis=1), :kept] = 0.0
+    v[~t.any(axis=0), :kept] = 0.0
+    if kept < s.size:
+        _fill_deficient_columns(u, kept)
+    _fix_signs(u, v)
+    if wide:
+        u, v = v, u
+    return np.ascontiguousarray(u), s, np.ascontiguousarray(v), iterations, converged
+
+
 def jacobi_svd(w) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Full thin SVD via cyclic one-sided Jacobi rotations.
 
@@ -197,28 +244,24 @@ def jacobi_svd(w) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     rotated against each other, and take their u columns from one complete QR
     of the kept ones. Neither path runs on full-rank input.
     """
-    return _jacobi(w)[:3]
+    a, e = _svd_input(w)
+    u, s, v, _, _ = _factor(a, "jacobi", min(a.shape))
+    return u, np.ldexp(s, e), v
 
 
-def _jacobi(w) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, bool]:
-    """jacobi_svd's (u, s, v), the number of sweeps run, and whether they stopped below the cap."""
-    m0 = as_matrix(w, "svd input")
-    check_finite(m0, "svd input")
-    d, k = m0.shape
-    if d < k:
-        v, s, u, sweeps, converged = _jacobi(np.ascontiguousarray(m0.T))
-        return u, s, v, sweeps, converged
+def _jacobi(m: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, bool]:
+    """Jacobi factors (u, s, v) of all of the tall m, the sweeps run, and whether they stopped below the cap.
 
-    check_fro_norm(m0, "svd input")
-    # The sweep runs on pow2_exponent's rescaling of w and scales s back exactly,
-    # so the factors keep an unscaled sweep's bytes wherever w's squares stay in range.
-    e = pow2_exponent(m0)
+    u holds the swept columns over their norms s, sorted descending; a column
+    of norm 0 is divided by 1.
+    """
+    d, k = m.shape
     # a and v are the row blocks of one C-ordered (d+k) x k array, so one
     # rotation of a stacked column pair turns both. The a-block column views
     # keep a d x k array's stride, so the pair test's dots sum as before.
     av = np.empty((d + k, k))
     a, v = av[:d], av[d:]
-    np.ldexp(m0, -e, out=a)
+    a[...] = m
     v[...] = np.eye(k)
     fro = fro_norm(a)
     tol_abs = JACOBI_TOL * fro
@@ -284,29 +327,8 @@ def _jacobi(w) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, bool]:
 
     norms = np.sqrt((a * a).sum(axis=0))
     order = np.argsort(-norms, kind="stable")
-    a = a[:, order]
-    v = v[:, order]
     s_vals = norms[order]
-
-    kept = int((s_vals > _DEFICIENT_REL * fro).sum())  # a prefix, since s_vals is sorted
-    s_vals[kept:] = 0.0
-    u = np.zeros((d, k))
-    u[:, :kept] = a[:, :kept] / s_vals[:kept]
-    s_vals = np.ldexp(s_vals, e)
-    if kept < k:
-        _fill_deficient_columns(u, kept)
-
-    _fix_signs(u, v)
-
-    return (np.ascontiguousarray(u), np.ascontiguousarray(s_vals), np.ascontiguousarray(v), sweeps, converged)
-
-
-def _fix_signs(u: np.ndarray, v: np.ndarray) -> None:
-    # Largest-magnitude entry of each u column positive, v flipped to match
-    # (argmax takes the first of tied entries; negation is exact).
-    flip = u[np.argmax(np.abs(u), axis=0), np.arange(u.shape[1])] < 0.0
-    u[:, flip] *= -1.0
-    v[:, flip] *= -1.0
+    return a[:, order] / np.where(s_vals > 0.0, s_vals, 1.0), s_vals, v[:, order], sweeps, converged
 
 
 def svd_path(d: int, k: int, r: int) -> str:
@@ -327,88 +349,45 @@ def _certificate(a: np.ndarray, u: np.ndarray, s: np.ndarray, v: np.ndarray) -> 
     return 0.0 if s[0] == 0.0 else max(_rel_residual(a, v, u, s), _rel_residual(a.T, u, v, s))
 
 
-def _lapack(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """jacobi_svd's (u, s, v) of a finite matrix, by LAPACK's gesdd, with the Jacobi SVD's conventions.
-
-    It runs on the tall side, takes the null cut, completes the null columns of
-    u by _fill_deficient_columns and fixes the signs on the longer side. The kept
-    columns are exactly 0 on a's all-zero rows (of u) and columns (of v), as the
-    Jacobi sweep leaves them, where gesdd leaves roundoff.
-    """
-    d, k = a.shape
-    if d < k:
-        v, s, u = _lapack(np.ascontiguousarray(a.T))
-        return u, s, v
+def _lapack(a: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, bool]:
+    """LAPACK's gesdd factors (u, s, v) of all of a, in 0 iterations."""
     u, s, vt = np.linalg.svd(a, full_matrices=False)
-    v = np.ascontiguousarray(vt.T)
-    kept = int((s > _DEFICIENT_REL * fro_norm(a)).sum())  # jacobi_svd's null cut; a prefix, as s is sorted
-    s[kept:] = 0.0
-    u[~a.any(axis=1), :kept] = 0.0
-    v[~a.any(axis=0), :kept] = 0.0
-    if kept < k:
-        _fill_deficient_columns(u, kept)
-    _fix_signs(u, v)
-    return u, s, v
+    return u, s, vt.T, 0, True
 
 
-def _top_r(a: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, float]:
-    """Top-r (u, s, v) of a finite matrix by seeded block power iteration.
-
-    Also returns the iterations run and the certificate of the factors returned.
-    """
-    d, k = a.shape
-    if d < k:  # run on the tall side, so the sign convention lands where jacobi_svd puts it
-        v, s, u, iterations, certificate = _top_r(np.ascontiguousarray(a.T), r)
-        return u, s, v, iterations, certificate
+def _top_r(a: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, bool]:
+    """Top-r (u, s, v) of a by seeded block power iteration, the iterations run, and whether they were certified."""
     at = a.T
-    q = np.random.default_rng(TOP_R_SEED).standard_normal((k, r + TOP_R_OVERSAMPLE))
+    q = np.random.default_rng(TOP_R_SEED).standard_normal((a.shape[1], r + TOP_R_OVERSAMPLE))
     for iterations in range(1, TOP_R_MAX_ITERATIONS + 1):
         q, _ = np.linalg.qr(a @ q)
         if iterations % TOP_R_CHECK_EVERY == 0 or iterations == TOP_R_MAX_ITERATIONS:
-            b = q.T @ a
-            ub, sb, vbt = np.linalg.svd(b, full_matrices=False)
-            sb[sb <= _DEFICIENT_REL * fro_norm(b)] = 0.0  # jacobi_svd's null cut
+            ub, sb, vbt = np.linalg.svd(q.T @ a, full_matrices=False)
             u, s, v = q @ ub[:, :r], sb[:r], vbt[:r].T
-            certificate = _certificate(a, u, s, v)
-            if certificate <= TOP_R_TOL or iterations == TOP_R_MAX_ITERATIONS:
+            converged = _certificate(a, u, s, v) <= TOP_R_TOL
+            if converged or iterations == TOP_R_MAX_ITERATIONS:
                 break
         q, _ = np.linalg.qr(at @ q)
-    _fix_signs(u, v)
-    return u, s, v, iterations, certificate
+    return u, s, v, iterations, converged
 
 
 def svd_truncated(w, r: int) -> SvdFactors:
     """Top-r singular factors of w and the residual w - u_r @ diag(s_r) @ v_r.T.
 
-    The path comes from svd_path: the factors are the leading columns of
-    jacobi_svd below LAPACK_MIN_DIM, and of LAPACK's full SVD with the same
-    conventions above it, where iterations is 0; at top-r shapes they come
-    from the power iteration, which reports in `converged` whether its
-    certificate met TOP_R_TOL. Every path runs on pow2_exponent's rescaling
-    of w, so no product overflows and the Jacobi factors keep their bytes.
-    The residual is exact for the factors returned.
+    The kernel comes from svd_path; the factors are the leading r columns of
+    the pipeline's finished ones. `converged` reports whether the kernel met
+    its convergence test, and the certificate is that of the factors returned.
+    The residual is exact for them.
     """
     check_integers(rank=r)
     m = as_matrix(w, "svd input")
     max_rank = min(m.shape)
     if r < 1 or r > max_rank:
         raise RankOutOfRange(f"rank {r} outside [1, {max_rank}] for shape {m.shape}")
-    check_finite(m, "svd input")
-    check_fro_norm(m, "svd input")
-    e = pow2_exponent(m)
-    a = np.ldexp(m, -e)
-    path = svd_path(*m.shape, r)
-    if path == "top_r":
-        u, s, v, iterations, certificate = _top_r(a, r)
-        converged = certificate <= TOP_R_TOL
-    elif path == "lapack":
-        u, s, v = _lapack(a)
-        iterations, converged = 0, True
-    else:
-        u, s, v, iterations, converged = _jacobi(a)
+    a, e = _svd_input(m)
+    u, s, v, iterations, converged = _factor(a, svd_path(*m.shape, r), r)
     u_r, s_r, v_r = u[:, :r].copy(), s[:r].copy(), v[:, :r].copy()  # each owns exactly its entries
-    if path != "top_r":
-        certificate = _certificate(a, u_r, s_r, v_r)
+    certificate = _certificate(a, u_r, s_r, v_r)
     s_r = np.ldexp(s_r, e)
     residual = m - (u_r * s_r) @ v_r.T
     return SvdFactors(

@@ -119,6 +119,8 @@ def make_task(d: int, k: int, r_gap: int, seed: int, n: int | None = None) -> To
     ToyTask, it holds read-only copies of its arrays.
     """
     check_integers(d=d, k=k, r_gap=r_gap)
+    if d < 1 or k < 1:
+        raise DimensionMismatch(f"d and k must be >= 1, got {d}x{k}")
     check_seed(seed)
     if r_gap < 1 or r_gap > min(d, k):
         raise RankOutOfRange(f"r_gap {r_gap} outside [1, {min(d, k)}]")
@@ -154,28 +156,30 @@ def train(state: AdapterState, task: ToyTask, config: TrainConfig) -> TrainRun:
     trace = np.empty(config.steps + 1)
     m, v = np.zeros_like(theta), np.zeros_like(theta)
     g, tmp, m_hat = (np.empty_like(theta) for _ in range(3))
-    for step in range(config.steps):
-        lg = step_at(work)
-        trace[step] = lg.loss
-        if not math.isfinite(lg.loss):
-            raise NonFiniteLoss(f"loss became non-finite at step {step}")
-        lg.flat(out=g)
-        if config.optimizer == "sgd":
-            theta -= np.multiply(config.lr, g, out=g)
-        else:
-            # The moment updates and lr * m_hat / (sqrt(v_hat) + eps), operation by operation.
-            m *= ADAM_BETA1
-            m += np.multiply(1.0 - ADAM_BETA1, g, out=tmp)
-            v *= ADAM_BETA2
-            np.multiply(1.0 - ADAM_BETA2, g, out=tmp)
-            v += np.multiply(tmp, g, out=tmp)
-            np.divide(m, 1.0 - ADAM_BETA1 ** (step + 1), out=m_hat)
-            np.divide(v, 1.0 - ADAM_BETA2 ** (step + 1), out=tmp)
-            np.sqrt(tmp, out=tmp)
-            tmp += ADAM_EPS
-            np.multiply(config.lr, m_hat, out=m_hat)
-            theta -= np.divide(m_hat, tmp, out=m_hat)
-    trace[config.steps] = step_at(work).loss
+    # A diverging run overflows in its products; its loss check raises NonFiniteLoss instead of a warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(config.steps):
+            lg = step_at(work)
+            trace[step] = lg.loss
+            if not math.isfinite(lg.loss):
+                raise NonFiniteLoss(f"loss became non-finite at step {step}")
+            lg.flat(out=g)
+            if config.optimizer == "sgd":
+                theta -= np.multiply(config.lr, g, out=g)
+            else:
+                # The moment updates and lr * m_hat / (sqrt(v_hat) + eps), operation by operation.
+                m *= ADAM_BETA1
+                m += np.multiply(1.0 - ADAM_BETA1, g, out=tmp)
+                v *= ADAM_BETA2
+                np.multiply(1.0 - ADAM_BETA2, g, out=tmp)
+                v += np.multiply(tmp, g, out=tmp)
+                np.divide(m, 1.0 - ADAM_BETA1 ** (step + 1), out=m_hat)
+                np.divide(v, 1.0 - ADAM_BETA2 ** (step + 1), out=tmp)
+                np.sqrt(tmp, out=tmp)
+                tmp += ADAM_EPS
+                np.multiply(config.lr, m_hat, out=m_hat)
+                theta -= np.divide(m_hat, tmp, out=m_hat)
+        trace[config.steps] = step_at(work).loss
     if not math.isfinite(trace[config.steps]):
         raise NonFiniteLoss(f"loss became non-finite at step {config.steps}")
     return TrainRun(config=config, loss_trace=trace, final_state=work)

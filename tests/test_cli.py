@@ -225,8 +225,7 @@ class TestTrain:
         assert code == 3 and err.startswith("error:")
 
     def test_nonfinite_exit_code(self, capsys):
-        with np.errstate(all="ignore"):
-            code, _, err = run_cli(capsys, "train", "--steps", "300", "--lr", "1e9", "--optimizer", "sgd")
+        code, _, err = run_cli(capsys, "train", "--steps", "300", "--lr", "1e9", "--optimizer", "sgd")
         assert code == 4 and "non-finite" in err
 
     def test_ablation_flags_accepted(self, capsys):
@@ -416,6 +415,13 @@ class TestConfigFile:
         cfg.write_bytes(b"\xff[train]\nsteps = 1\n")
         code, out, err = run_cli(capsys, *argv, "--config", str(cfg))
         assert code == 3 and out == "" and err.startswith("error: cannot parse config")
+
+    @pytest.mark.parametrize("key", ["d", "k"])
+    def test_empty_task_dimension_is_a_config_failure(self, key, tmp_path, capsys):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(f"[train]\n{key} = 0\n")
+        code, out, err = run_cli(capsys, "train", "--config", str(cfg))
+        assert code == 3 and out == "" and "must be >= 1" in err
 
     def test_unknown_section_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "run.ini"

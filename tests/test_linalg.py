@@ -426,7 +426,9 @@ def test_stacked_sweep_matches_the_two_array_sweep(kind, short, extra, tall, see
         "zero_rows": lambda: _zero_rows(d, k, list(range(0, d, 3)), seed),
         "zero_cols": lambda: _zero_cols(d, k, list(range(1, k, 3)), seed),
     }[kind]() * 2.0**j
-    got, want = linalg._jacobi(w), _two_array_jacobi(w)
+    a, e = linalg._svd_input(w)
+    u, s, v, sweeps, converged = linalg._factor(a, "jacobi", min(w.shape))
+    got, want = (u, np.ldexp(s, e), v, sweeps, converged), _two_array_jacobi(w)
     for name, x, y in zip("usv", got, want):
         assert x.tobytes() == y.tobytes(), name
     assert got[3:] == want[3:]
@@ -544,7 +546,7 @@ _LAPACK_CASES = {
 }
 
 
-def _no_jacobi(m):
+def _no_jacobi(a, r):
     raise AssertionError("svd_truncated ran the Jacobi SVD at min(d, k) >= 128")
 
 
@@ -587,9 +589,15 @@ class TestTopRPath:
         assert np.abs(f.s_r - np.linalg.svd(w, compute_uv=False)[:8]).max() <= 1e-12
         assert np.abs(f.s_r - sigma[:8]).max() <= 1e-12
 
-    def test_exact_rank_two(self):
-        w = _low_rank(256, 256, 2, 92)
-        f = svd_truncated(w, 4)
+    @pytest.mark.parametrize(
+        "shape,r", [((256, 256), 4), ((288, 256), 6), ((256, 288), 6)], ids=["square", "tall", "wide"]
+    )
+    def test_exact_rank_two(self, shape, r):
+        # The null cut on ||w||_F zeroes the trailing values, and the QR
+        # completion keeps u orthonormal over their columns.
+        w = _low_rank(*shape, 2, 92)
+        f = svd_truncated(w, r)
+        assert svd_path(*shape, r) == "top_r"
         _assert_certified(w, f)
         assert (f.s_r[:2] > 0.0).all() and (f.s_r[2:] == 0.0).all()
         assert np.abs(f.residual).max() <= 1e-12 * f.s_r[0]
@@ -636,6 +644,15 @@ class TestTopRPath:
         for name in ("u_r", "s_r", "v_r", "residual"):
             assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
         assert (a.iterations, a.converged, a.certificate) == (b.iterations, b.converged, b.certificate)
+
+    @pytest.mark.parametrize(
+        "w",
+        [random_matrix(12, 9, 110, "gaussian"), random_matrix(9, 12, 111, "gaussian"), _low_rank(12, 9, 3, 112)],
+        ids=["tall", "wide", "deficient"],
+    )
+    def test_full_rank_truncation_is_jacobi_svd(self, w):
+        f, (u, s, v) = svd_truncated(w, min(w.shape)), jacobi_svd(w)
+        assert (f.u_r.tobytes(), f.s_r.tobytes(), f.v_r.tobytes()) == (u.tobytes(), s.tobytes(), v.tobytes())
 
     def test_below_the_cut_over_slices_jacobi(self):
         w = random_matrix(127, 127, 95, "gaussian")
@@ -737,10 +754,12 @@ class TestLapackPath:
         lead = a.u_r if shape[0] >= shape[1] else a.v_r
         assert (lead[np.argmax(np.abs(lead), axis=0), np.arange(6)] > 0.0).all()
 
-    def test_zero_row_and_column_stay_exactly_zero(self):
-        # gesdd leaves roundoff where w has an all-zero row or column; the kept
-        # factors carry the exact zeros the Jacobi sweep leaves there.
-        w = random_matrix(130, 128, 109, "gaussian")
+    @pytest.mark.parametrize("shape", [(16, 12), (130, 128), (260, 256)], ids=["jacobi", "lapack", "top_r"])
+    def test_zero_row_and_column_stay_exactly_zero(self, shape):
+        # gesdd and the power iteration leave roundoff where w has an all-zero
+        # row or column; every path's kept factors carry the exact zeros the
+        # Jacobi sweep leaves there.
+        w = random_matrix(*shape, 109, "gaussian")
         w[7] = 0.0
         w[:, 11] = 0.0
         for m in (w, w.T):

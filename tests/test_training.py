@@ -83,6 +83,11 @@ class TestMakeTask:
         with pytest.raises(RankOutOfRange):
             make_task(6, 4, 5, seed=0)
 
+    @pytest.mark.parametrize("d,k", [(0, 4), (4, 0), (-1, 4)])
+    def test_empty_dimension_is_a_dimension_mismatch(self, d, k):
+        with pytest.raises(DimensionMismatch, match="must be >= 1"):
+            make_task(d, k, 2, seed=0)
+
     def test_probe_count_floor(self):
         with pytest.raises(DimensionMismatch):
             make_task(8, 4, 2, seed=0, n=6)
@@ -141,7 +146,7 @@ class TestTrain:
     def test_nonfinite_loss_aborts(self):
         task = make_task(8, 8, 2, seed=10)
         state = build_adapter(task.w0, AdapterMethod(tag="osora", rank=2), seed=10)
-        with np.errstate(all="ignore"), pytest.raises(NonFiniteLoss):
+        with pytest.raises(NonFiniteLoss):
             train(state, task, TrainConfig(steps=400, lr=1e6, optimizer="sgd"))
 
     def test_input_state_left_untouched(self):
