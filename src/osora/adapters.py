@@ -53,8 +53,8 @@ probes that the factored update and the gradient share. dora and osora_dora
 are the lora and osora records with a trailing `m` slot, `norms`, which alone
 takes the row norms of the effective weight, and a gradient that folds the
 row rescale onto its rank-r factors. build_adapter, effective_weight,
-forward, merge, the slot layout and the gradients.py train step are each one
-generic body over that table.
+merge, the slot layout and the prediction (`_predict`), which forward and the
+gradients.py train step both run, are each one generic body over that table.
 """
 
 from __future__ import annotations
@@ -458,14 +458,28 @@ def forward(state: AdapterState, x) -> np.ndarray:
     if xa.ndim != 2 or xa.shape[0] != state.k:
         raise DimensionMismatch(f"x must have leading dimension {state.k}, got shape {np.shape(x)}")
 
+    y = np.empty((state.d, xa.shape[1]))
+    _predict(state, _TABLE[state.method.tag].fixed(state.frozen, xa), xa, y)
+    return y[:, 0] if single else y
+
+
+def _predict(state: AdapterState, fx: dict[str, np.ndarray], x: np.ndarray, out: np.ndarray) -> tuple:
+    """Write forward(state, x) into the d x n out, given fx = fixed(state.frozen, x); no other d x n array.
+
+    Returns (z, rows, scale) for the gradient: z = lift(...), and a magnitude
+    method's norms(frozen, trainable) and row scale (else None, None).
+    """
     entry = _TABLE[state.method.tag]
     fz, t = state.frozen, state.trainable
-    fx = entry.fixed(fz, xa)
-    y = entry.apply(fz, t, entry.lift(fz, t, fx, xa), np.empty((state.d, xa.shape[1])))
-    y += fx["base"]
-    if entry.magnitude:
-        y *= _dora_scale(state, entry.norms(fz, t)[0])[:, None]
-    return y[:, 0] if single else y
+    z = entry.lift(fz, t, fx, x)
+    entry.apply(fz, t, z, out)
+    out += fx["base"]
+    if not entry.magnitude:
+        return z, None, None
+    rows = entry.norms(fz, t)
+    scale = _dora_scale(state, rows[0])
+    out *= scale[:, None]
+    return z, rows, scale
 
 
 def merge(state: AdapterState) -> np.ndarray:

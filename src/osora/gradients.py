@@ -71,7 +71,7 @@ import numpy as np
 from .adapters import (
     _TABLE,
     AdapterState,
-    _dora_scale,
+    _predict,
     _row_dots,
     _slot_views,
     clone_state,
@@ -129,25 +129,21 @@ def _step(
     """
     entry = _TABLE[state.method.tag]
     fz, t = state.frozen, state.trainable
-    z = entry.lift(fz, t, fx, x)
-    r = entry.apply(fz, t, z, ws)
-    r += fx["base"]  # forward's expression, before any rescale
-    if entry.magnitude:
-        norms, w, e = entry.norms(fz, t)
-        scale = _dora_scale(state, norms)
-        r *= scale[:, None]
+    z, rows, scale = _predict(state, fx, x, ws)
+    r = ws
     r -= y
     flat = r.ravel()
     loss = 0.5 / n * (float(flat @ flat) + tail)
     # r is the residual pred - Y, not R = r/n; the 1/n goes on the small slot gradients.
     if entry.magnitude:
+        norms, w, e = rows
         grads = entry.grad(fz, t, z, r, x, scale)
         # dL/dm_i = r_i . P_i / (n norms_i), P = base + delta @ x the prediction before the rescale;
         # grad returns the r_i . (delta @ x)_i half.
         inv = np.where(norms > 0.0, 1.0 / np.where(norms > 0.0, norms, 1.0), 0.0)
         g_m = (_row_dots(r, fx["base"]) + grads.pop("m")) / n * inv
-        rows = entry.grad_rows(fz, t, np.ldexp(scale * g_m * inv, e), w)
-        full = {name: g / n - rows[name] for name, g in grads.items()}
+        row_grads = entry.grad_rows(fz, t, np.ldexp(scale * g_m * inv, e), w)
+        full = {name: g / n - row_grads[name] for name, g in grads.items()}
         full["m"] = g_m
     else:
         full = {name: g / n for name, g in entry.grad(fz, t, z, r, x).items()}

@@ -149,15 +149,15 @@ def train(state: AdapterState, task: ToyTask, config: TrainConfig) -> TrainRun:
     are views of one flat vector.
     """
     work = clone_state(state)
-    step_at = _stepper(work, *task.planes)
     # The active slots become views of theta, so each update lands in work in place.
     theta = trainable_vector(work)
     work.trainable.update(_slot_views(work, theta))
     trace = np.empty(config.steps + 1)
     m, v = np.zeros_like(theta), np.zeros_like(theta)
     g, tmp, m_hat = (np.empty_like(theta) for _ in range(3))
-    # A diverging run overflows in its products; its loss check raises NonFiniteLoss instead of a warning.
+    # A diverging run, or targets whose squares overflow, overflow here; the loss check raises NonFiniteLoss.
     with np.errstate(over="ignore", invalid="ignore"):
+        step_at = _stepper(work, *task.planes)
         for step in range(config.steps):
             lg = step_at(work)
             trace[step] = lg.loss

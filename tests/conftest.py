@@ -36,6 +36,20 @@ def svd_calls(monkeypatch):
     return calls
 
 
+# One tall and one wide (path, d, k, r) row per SVD path of linalg.svd_path.
+# Every test that runs each path takes its shapes from here, so a new kernel or
+# a moved cut-over edits these rows alone; test_linalg's
+# test_svd_path_cases_cover_every_path fails by name when they fall behind.
+SVD_PATH_CASES = [
+    pytest.param("jacobi", 40, 28, 6, id="jacobi"),
+    pytest.param("jacobi", 28, 40, 6, id="jacobi_wide"),
+    pytest.param("lapack", 160, 128, 6, id="lapack"),
+    pytest.param("lapack", 128, 160, 6, id="lapack_wide"),
+    pytest.param("top_r", 288, 256, 6, id="top_r"),
+    pytest.param("top_r", 256, 288, 6, id="top_r_wide"),
+]
+
+
 # Every method, at both o_init values where it has them.
 LIVE_BUILDS = [(tag, "ones") for tag in METHODS] + [(tag, "gaussian") for tag in OSORA_FAMILY]
 

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
+from conftest import SVD_PATH_CASES
 from osora import (
     METHODS,
     AdapterMethod,
@@ -28,7 +29,6 @@ from osora import (
     svd_truncated,
     train,
 )
-from osora.linalg import svd_path
 from osora.verify import (
     check_grad,
     check_init_identity,
@@ -86,12 +86,12 @@ def test_criterion_3_svd_quality_on_twenty_matrices():
     )
     assert recon.threshold == 1e-12 and recon.passed
     assert ortho.threshold == 1e-10 and ortho.passed
-    # svd_truncated on one shape per path: singular values against LAPACK's,
+    # svd_truncated on one tall and one wide shape per path: singular values against LAPACK's,
     # orthonormal factors, an exact reassembly and a certificate within 1e-12.
     worst = 0.0
-    for (d, k, r), path in [((96, 64, 8), "jacobi"), ((160, 128, 8), "lapack"), ((256, 288, 8), "top_r")]:
+    for case in SVD_PATH_CASES:
+        path, d, k, r = case.values
         w = random_matrix(d, k, (d, 63), "gaussian")
-        assert svd_path(d, k, r) == path
         f = svd_truncated(w, r)
         s = np.linalg.svd(w, compute_uv=False)
         eye = np.eye(r)

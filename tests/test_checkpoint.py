@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import osora.adapters
 import osora.checkpoint
-from conftest import assert_frozen_rebuilt_over_shared, perturbed_state
+from conftest import SVD_PATH_CASES, assert_frozen_rebuilt_over_shared, perturbed_state
 from osora import (
     AdapterMethod,
     CorruptPayload,
@@ -112,9 +112,11 @@ def test_truncated_payload_detected(tmp_path):
     state, w0 = perturbed_state("vera", 8, 6, 2, 26)
     path = tmp_path / "t.ckpt"
     save(state, path)
-    path.write_bytes(path.read_bytes()[:-8])
-    with pytest.raises(CorruptPayload):
-        load(path, w0)
+    blob = path.read_bytes()
+    for short in (blob[:-8], blob[: HEADER_SIZE - 1]):
+        path.write_bytes(short)
+        with pytest.raises(CorruptPayload):
+            load(path, w0)
 
 
 def test_trailing_bytes_detected(tmp_path):
@@ -152,6 +154,12 @@ def test_missing_file_raises_io_failure(tmp_path):
     state, w0 = perturbed_state("osora", 8, 6, 2, 29)
     with pytest.raises(IoFailure):
         load(tmp_path / "does_not_exist.ckpt", w0)
+
+
+def test_save_to_a_directory_raises_io_failure(tmp_path):
+    state, _ = perturbed_state("osora", 8, 6, 2, 29)
+    with pytest.raises(IoFailure):
+        save(state, tmp_path)
 
 
 def test_ablation_variant_roundtrip(tmp_path, rng):
@@ -194,13 +202,19 @@ def test_snapshot_not_loadable_as_checkpoint(tmp_path, monkeypatch):
             load(path, w0)
 
 
-@pytest.mark.parametrize("offset,value", [(9, 0x7F), (10, 0x7F)], ids=["o_init_code", "trainable_set_code"])
-def test_out_of_range_header_code_is_corrupt(offset, value, tmp_path, monkeypatch):
+@pytest.mark.parametrize(
+    "edits",
+    [{9: 0x7F}, {10: 0x7F}, {8: METHODS.index("lora"), 9: 1}, {20: 0}],
+    ids=["o_init_code", "trainable_set_code", "o_init_outside_osora", "rank_zero"],
+)
+def test_out_of_range_header_code_is_corrupt(edits, tmp_path, monkeypatch):
+    # Codes in range that name no valid adapter together (lora with a gaussian o_init, rank 0) are corrupt too.
     state, w0 = perturbed_state("osora", 8, 6, 2, 35)
     path = tmp_path / "h.ckpt"
     save(state, path)
     blob = bytearray(path.read_bytes())
-    blob[offset] = value
+    for offset, value in edits.items():
+        blob[offset] = value
     path.write_bytes(bytes(blob))
     monkeypatch.setattr("osora.checkpoint._build_adapter", _unreachable)  # rejected before any rebuild
     with pytest.raises(CorruptPayload):
@@ -233,81 +247,42 @@ def test_nonzero_reserved_field_is_corrupt(tmp_path, monkeypatch):
 
 
 @pytest.fixture(scope="module")
-def saved_top_r(tmp_path_factory):
-    """An osora checkpoint at 256x256 rank 4, a top-r SVD shape, and its live adapter."""
-    state, w0 = perturbed_state("osora", 256, 256, 4, 44)
-    path = tmp_path_factory.mktemp("top_r") / "top_r.ckpt"
-    save(state, path)
-    return state, w0, path
+def saved_per_path(tmp_path_factory):
+    """An osora checkpoint and its base weight at each row of SVD_PATH_CASES, keyed by row id; the adapters stay live."""
+    saved = {}
+    for case in SVD_PATH_CASES:
+        path_name, d, k, r = case.values
+        state, w0 = perturbed_state("osora", d, k, r, 44)
+        path = tmp_path_factory.mktemp("per_path") / f"{case.id}.ckpt"
+        save(state, path)
+        saved[case.id] = (path_name, state, w0, path)
+    return saved
 
 
-@pytest.fixture(scope="module")
-def saved_lapack(tmp_path_factory):
-    """An osora checkpoint at 128x128 rank 4, a LAPACK SVD shape, and its live adapter."""
-    state, w0 = perturbed_state("osora", 128, 128, 4, 48)
-    path = tmp_path_factory.mktemp("lapack") / "lapack.ckpt"
-    save(state, path)
-    return state, w0, path
+def test_svd_path_code_is_written(saved_per_path):
+    for path_name, _, _, path in saved_per_path.values():
+        assert struct.unpack_from("<I", path.read_bytes(), 24) == ({"jacobi": 0, "top_r": 2, "lapack": 3}[path_name],)
 
 
-def test_svd_path_code_is_written(saved_top_r, saved_lapack, tmp_path):
-    _, _, path = saved_top_r
-    assert struct.unpack_from("<I", path.read_bytes(), 24) == (2,)
-    _, _, path = saved_lapack
-    assert struct.unpack_from("<I", path.read_bytes(), 24) == (3,)
-    state, _ = perturbed_state("osora", 8, 6, 2, 45)
-    save(state, tmp_path / "small.ckpt")
-    assert struct.unpack_from("<I", (tmp_path / "small.ckpt").read_bytes(), 24) == (0,)
-
-
-def test_svd_path_code_of_the_other_path_is_unsupported(saved_top_r, saved_lapack, tmp_path, monkeypatch):
-    # Code 0 at a top-r shape is what the oldest builds wrote there: its factors
-    # came from the full Jacobi SVD, which this build no longer runs at that
-    # shape. Code 1 is the top-r path with a Jacobi Ritz step, whose factor
-    # bytes this build no longer makes at any shape. Code 2 at a Jacobi shape
-    # names factors this build never makes. At a LAPACK shape, older builds
-    # wrote code 2 (128 <= min(d, k) < 256 at small ranks) or 0 (higher ranks).
-    _, w0_large, large = saved_top_r
-    _, w0_mid, mid = saved_lapack
-    small_state, w0_small = perturbed_state("osora", 8, 6, 2, 46)
-    small = tmp_path / "small.ckpt"
-    save(small_state, small)
+def test_svd_path_code_of_the_other_path_is_unsupported(saved_per_path, tmp_path, monkeypatch):
+    # Every code but a row's own is refused at that row. Code 0 at a top-r
+    # shape is what the oldest builds wrote there: its factors came from the
+    # full Jacobi SVD, which this build no longer runs at that shape. Code 1 is
+    # the top-r path with a Jacobi Ritz step, whose factor bytes this build no
+    # longer makes at any shape. Code 2 or 3 at a Jacobi shape names factors
+    # this build never makes. At a LAPACK shape, older builds wrote code 2
+    # (128 <= min(d, k) < 256 at small ranks) or 0 (higher ranks).
     monkeypatch.setattr("osora.checkpoint._build_adapter", _unreachable)  # rejected before any rebuild
-    for path, w0, code, saved_as in (
-        (large, w0_large, 0, "jacobi"),
-        (large, w0_large, 1, "top_r_jacobi_ritz"),
-        (small, w0_small, 1, "top_r_jacobi_ritz"),
-        (small, w0_small, 2, "top_r"),
-        (small, w0_small, 3, "lapack"),
-        (large, w0_large, 3, "lapack"),
-        (mid, w0_mid, 0, "jacobi"),
-        (mid, w0_mid, 1, "top_r_jacobi_ritz"),
-        (mid, w0_mid, 2, "top_r"),
-    ):
-        blob = bytearray(path.read_bytes())
-        struct.pack_into("<I", blob, 24, code)
-        mutated = tmp_path / f"{path.stem}-code-{code}.ckpt"
-        mutated.write_bytes(bytes(blob))
-        with pytest.raises(VersionUnsupported, match=f"saved with the {saved_as} SVD path"):
-            load(mutated, w0)
-
-
-def test_cold_rebuild_over_the_top_r_path_is_bitwise(tmp_path, rng, svd_calls):
-    state, w0 = perturbed_state("osora_k", 256, 256, 4, 47)
-    path = tmp_path / "cold.ckpt"
-    save(state, path)
-    x = rng.standard_normal((256, 3))
-    want_forward = forward(state, x).tobytes()
-    want_frozen = {name: arr.tobytes() for name, arr in state.frozen.items()}
-    factors = weakref.ref(state.frozen.factors)
-    assert factors().converged
-    del state
-    gc.collect()
-    assert factors() is None  # nothing left to share: the load must rebuild
-    loaded = load(path, w0)
-    assert svd_calls == [(256, 256), (256, 256)]
-    assert forward(loaded, x).tobytes() == want_forward
-    assert {name: arr.tobytes() for name, arr in loaded.frozen.items()} == want_frozen
+    for row, (path_name, _, w0, path) in saved_per_path.items():
+        for code, saved_as in enumerate(_SVD_PATH_CODES):
+            if saved_as == path_name:
+                continue
+            blob = bytearray(path.read_bytes())
+            struct.pack_into("<I", blob, 24, code)
+            mutated = tmp_path / f"{row}-code-{code}.ckpt"
+            mutated.write_bytes(bytes(blob))
+            with pytest.raises(VersionUnsupported, match=f"saved with the {saved_as} SVD path"):
+                load(mutated, w0)
 
 
 def test_load_hashes_the_base_weight_once(tmp_path, monkeypatch):
@@ -398,7 +373,8 @@ def test_cold_rebuild_is_bitwise(tag, tmp_path, rng, svd_calls):
 
 @pytest.mark.parametrize("tag", METHODS)
 def test_cold_rebuild_over_the_lapack_path_is_bitwise(tag, tmp_path, rng, svd_calls):
-    _assert_cold_rebuild_is_bitwise(tag, (130, 128, 4, 49), tmp_path, rng, svd_calls)
+    (d, k, r), = (case.values[1:] for case in SVD_PATH_CASES if case.id == "lapack")
+    _assert_cold_rebuild_is_bitwise(tag, (d, k, r, 49), tmp_path, rng, svd_calls)
 
 
 def _assert_cold_rebuild_is_bitwise(tag, spec, tmp_path, rng, svd_calls):
@@ -419,6 +395,28 @@ def _assert_cold_rebuild_is_bitwise(tag, spec, tmp_path, rng, svd_calls):
     assert len(svd_calls) == calls + (loaded.frozen.factors is not None)
     assert forward(loaded, x).tobytes() == want_forward
     assert {name: arr.tobytes() for name, arr in loaded.frozen.items()} == want_frozen
+
+
+@pytest.mark.parametrize("path,d,k,r", SVD_PATH_CASES)
+def test_cold_rebuild_over_each_svd_path_is_bitwise(path, d, k, r, tmp_path, rng, svd_calls):
+    # Every method over one weight: the builds share one SVD, and with all of
+    # them gone the first load runs it again, which the other loads share.
+    x = rng.standard_normal((k, 3))
+    live, want = [], {}
+    for tag in METHODS:
+        state, w0 = perturbed_state(tag, d, k, r, 49)
+        save(state, tmp_path / f"{tag}.ckpt")
+        want[tag] = (forward(state, x).tobytes(), {name: arr.tobytes() for name, arr in state.frozen.items()})
+        live.append(state)
+    factors = weakref.ref(live[METHODS.index("osora")].frozen.factors)
+    assert factors().converged and svd_calls == [(d, k)]
+    del state, live
+    gc.collect()
+    assert factors() is None  # nothing left to share: the first load must rebuild
+    loaded = {tag: load(tmp_path / f"{tag}.ckpt", w0) for tag in METHODS}
+    assert svd_calls == [(d, k), (d, k)]
+    for tag, state in loaded.items():
+        assert (forward(state, x).tobytes(), {name: arr.tobytes() for name, arr in state.frozen.items()}) == want[tag]
 
 
 @pytest.mark.parametrize("tag", ["osora", "osora_k", "osora_dora", "pissa"])

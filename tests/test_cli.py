@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import SVD_PATH_CASES
 from osora import IoFailure, jacobi_svd, random_matrix, svd_truncated
 from osora.cli import build_parser, main, read_matrix, write_matrix
 
@@ -54,27 +55,6 @@ class TestDecompose:
         assert float(lines[2].split("=")[1]) == 1.0
         assert parse_kv(lines[3]) == {"svd": "jacobi", "iterations": "1", "converged": "true", "certificate": "0.0"}
 
-    @staticmethod
-    def decompose_path_line(tmp_path, capsys, w, rank):
-        path = tmp_path / "m.txt"
-        write_matrix(path, w)
-        code, out, _ = run_cli(capsys, "decompose", str(path), "--rank", str(rank))
-        assert code == 0
-        lines = out.strip().splitlines()
-        s = [float(x) for x in lines[1].split("=")[1].split(",")]
-        assert np.abs(np.array(s) - np.linalg.svd(w, compute_uv=False)[:rank]).max() <= 1e-12 * s[0]
-        kv = parse_kv(lines[3])
-        assert kv["converged"] == "true" and float(kv["certificate"]) <= 1e-12
-        return kv
-
-    def test_top_r_shape_reports_its_path(self, tmp_path, capsys):
-        kv = self.decompose_path_line(tmp_path, capsys, random_matrix(256, 272, 78, "gaussian"), 3)
-        assert kv["svd"] == "top_r" and int(kv["iterations"]) > 0
-
-    def test_lapack_shape_reports_its_path(self, tmp_path, capsys):
-        kv = self.decompose_path_line(tmp_path, capsys, random_matrix(128, 136, 78, "gaussian"), 3)
-        assert kv["svd"] == "lapack" and kv["iterations"] == "0"
-
     def test_identity_full_rank_error_tiny(self, tmp_path, capsys):
         path = tmp_path / "m.txt"
         write_matrix(path, np.eye(4))
@@ -109,17 +89,20 @@ class TestDecompose:
         tail = scale * float(np.sqrt(((s[4:] / scale) ** 2).sum()))
         assert abs(reported - tail) <= 1e-12 * tail
 
-    @pytest.mark.parametrize(
-        "d,k,r",
-        [(10, 6, 3), (6, 10, 3), (128, 160, 4), (256, 288, 4)],
-        ids=["jacobi", "jacobi_wide", "lapack", "top_r"],
-    )
-    def test_out_dir_factors_read_back_bit_for_bit(self, d, k, r, tmp_path, capsys):
+    @pytest.mark.parametrize("path,d,k,r", SVD_PATH_CASES)
+    def test_out_dir_factors_read_back_bit_for_bit(self, path, d, k, r, tmp_path, capsys):
+        # The fourth line names the path; iterations is 0 on the LAPACK path alone.
         w = random_matrix(d, k, 79, "gaussian")
-        path, out_dir = tmp_path / "m.txt", tmp_path / "nested" / "factors"
-        write_matrix(path, w)
-        code, out, _ = run_cli(capsys, "decompose", str(path), "--rank", str(r), "--out", str(out_dir))
+        matrix, out_dir = tmp_path / "m.txt", tmp_path / "nested" / "factors"
+        write_matrix(matrix, w)
+        code, out, _ = run_cli(capsys, "decompose", str(matrix), "--rank", str(r), "--out", str(out_dir))
         assert code == 0
+        lines = out.strip().splitlines()
+        s = [float(x) for x in lines[1].split("=")[1].split(",")]
+        assert np.abs(np.array(s) - np.linalg.svd(w, compute_uv=False)[:r]).max() <= 1e-12 * s[0]
+        kv = parse_kv(lines[3])
+        assert kv["svd"] == path and kv["converged"] == "true" and float(kv["certificate"]) <= 1e-12
+        assert (int(kv["iterations"]) == 0) == (path == "lapack")
         f = svd_truncated(w, r)
         want = {"u_r": f.u_r, "s_r": f.s_r[None, :], "v_r": f.v_r, "residual": f.residual}
         assert sorted(p.name for p in out_dir.iterdir()) == sorted(f"{name}.txt" for name in want)
@@ -449,10 +432,14 @@ def test_one_parser_serves_many_calls(tmp_path, capsys, monkeypatch):
     # Each call prints and returns what it does as a fresh process's first call:
     # an argparse failure, --help and a CliError leave nothing behind for the next.
     monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal width
-    matrix = tmp_path / "m.txt"
+    matrix, cfg = tmp_path / "m.txt", tmp_path / "run.ini"
     write_matrix(matrix, np.diag([3.0, 2.0, 1.0]))
+    cfg.write_text("[train]\nsteps = many\n")
     calls = [
         (["train", "--steps", "many"], 2),
+        (["train", "--config", str(cfg)], 3),
+        (["decompose", str(matrix)], 3),
+        (["count", "--rank", "4"], 3),
         (["--help"], 0),
         (["decompose", str(tmp_path / "missing.txt"), "--rank", "1"], 3),
         (["count", "--preset", "qwen2_7b", "--rank", "4,8"], 0),

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import SVD_PATH_CASES
 from osora import (
     AdapterMethod,
     OsoraError,
@@ -30,6 +31,11 @@ def _state_with_seed(seed):
     state = _lora()
     state.seed = seed
     return state
+
+
+def _norm_overflow(d, k, r):
+    # Finite entries whose ||w||_F overflows, at one SVD path's row.
+    return lambda tmp: svd_truncated(np.full((d, k), 1e308), r)
 
 
 # Every bad setting or argument the public API rejects, one case per raise site.
@@ -64,9 +70,7 @@ BAD_CALLS = {
     "random_matrix_negative_dims": lambda tmp: random_matrix(-1, 2, 0),
     "random_matrix_negative_seed": lambda tmp: random_matrix(2, 2, -1),
     "svd_non_integer_rank": lambda tmp: svd_truncated(np.eye(3), 2.5),
-    "svd_norm_overflow_jacobi": lambda tmp: svd_truncated(np.full((12, 8), 1e308), 4),
-    "svd_norm_overflow_lapack": lambda tmp: svd_truncated(np.full((128, 128), 1e308), 4),
-    "svd_norm_overflow_top_r": lambda tmp: svd_truncated(np.full((256, 256), 1e308), 4),
+    **{f"svd_norm_overflow_{case.id}": _norm_overflow(*case.values[1:]) for case in SVD_PATH_CASES},
     "verify_unknown_scope": lambda tmp: run_scope("nope"),
     "build_non_numeric_weight": lambda tmp: build_adapter("abc", AdapterMethod(tag="lora", rank=1), 0),
     "build_ragged_weight": lambda tmp: build_adapter([[1.0, 2.0], [3.0]], AdapterMethod(tag="lora", rank=1), 0),

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import perturbed_state
+from conftest import SVD_PATH_CASES, perturbed_state
 from osora import (
     METHODS,
     AdapterMethod,
@@ -161,10 +161,10 @@ class TestZeroRow:
     """A base weight with an exactly zero row: its row norm is 0 and the rescale must not divide by it."""
 
     @staticmethod
-    def zero_row_state(tag, nudge, d=8, k=6):
+    def zero_row_state(tag, nudge, d=8, k=6, r=2):
         w0 = random_matrix(d, k, (19, 100), "gaussian")
         w0[2] = 0.0
-        state = build_adapter(w0, AdapterMethod(tag=tag, rank=2), seed=19)
+        state = build_adapter(w0, AdapterMethod(tag=tag, rank=r), seed=19)
         if nudge:
             theta = trainable_vector(state)
             load_trainable(state, theta + 0.3 * np.random.default_rng((19, 101)).standard_normal(theta.size))
@@ -176,10 +176,11 @@ class TestZeroRow:
 
     @pytest.mark.parametrize("tag,nudge", [("dora", False), ("osora_dora", False), ("osora_dora", True)])
     def test_lapack_shape_is_exact_on_the_zero_row(self, tag, nudge, rng):
-        # At 130x128 the factors come from LAPACK, which leaves roundoff in u's
-        # zero row unless the path zeroes it; a row norm of about 1e-32 instead
-        # of 0 puts the finite differences off by about 5e-3.
-        state = self.zero_row_state(tag, nudge, 130, 128)
+        # On the LAPACK path, which leaves roundoff in u's zero row unless the
+        # path zeroes it; a row norm of about 1e-32 instead of 0 puts the
+        # finite differences off by about 5e-3.
+        (d, k, r), = (case.values[1:] for case in SVD_PATH_CASES if case.id == "lapack")
+        state = self.zero_row_state(tag, nudge, d, k, r)
         if "u_r" in state.frozen:
             assert not state.frozen["u_r"][2].any()
         self.assert_exact_on_the_zero_row(state, rng)

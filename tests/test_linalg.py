@@ -20,7 +20,9 @@ from osora import (
     random_matrix,
     svd_truncated,
 )
+from conftest import SVD_PATH_CASES
 from osora import linalg
+from osora.checkpoint import _SVD_PATH_CODES
 from osora.linalg import JACOBI_MAX_SWEEPS, TOP_R_MAX_ITERATIONS, TOP_R_TOL, svd_path
 
 
@@ -28,17 +30,6 @@ def reassembly_error(w, f):
     # oracle: rebuild w from the truncated factors plus the residual
     rebuilt = (f.u_r * f.s_r) @ f.v_r.T + f.residual
     return np.sqrt(((rebuilt - w) ** 2).sum())
-
-
-# One tall and one wide shape per SVD path, for the rank-4 tests below.
-_PATH_SHAPES = {
-    "jacobi": (12, 8),
-    "jacobi_wide": (8, 12),
-    "lapack": (128, 128),
-    "lapack_wide": (128, 160),
-    "top_r": (256, 256),
-    "top_r_wide": (256, 288),
-}
 
 
 class TestSvdTruncated:
@@ -96,41 +87,42 @@ class TestSvdTruncated:
         with pytest.raises(NonFiniteInput):
             svd_truncated(w, 1)
 
-    @pytest.mark.parametrize(
-        "shape", _PATH_SHAPES.values(), ids=_PATH_SHAPES.keys()
-    )
-    def test_norm_past_the_squarable_range_is_refused(self, shape):
+    @pytest.mark.parametrize("w", [np.ones(3), np.empty((0, 3)), np.empty((3, 0))], ids=["1d", "no_rows", "no_cols"])
+    def test_weight_that_is_no_matrix(self, w):
+        with pytest.raises(DimensionMismatch):
+            svd_truncated(w, 1)
+
+    @pytest.mark.parametrize("path,d,k,r", SVD_PATH_CASES)
+    def test_norm_past_the_squarable_range_is_refused(self, path, d, k, r):
         # At 1e100 and 1e200 the squares of ||w||_F overflow, but every path
         # runs on a power-of-two rescaling, so the factors are right, also at
         # ||w||_F = 1.5e308, where the top-r path's first product with its
         # start block would overflow unscaled. Only a weight whose ||w||_F
         # itself overflows is refused: its entries are finite, but sigma_1 may not be.
-        base = random_matrix(*shape, 3, "gaussian")
+        base = random_matrix(d, k, 3, "gaussian")
         for w in (base * 1e100, base * 1e200, base / np.linalg.norm(base) * 1.5e308):
-            f = svd_truncated(w, 4)
+            f = svd_truncated(w, r)
             assert f.converged
-            assert np.abs(f.s_r - np.linalg.svd(w, compute_uv=False)[:4]).max() <= 1e-12 * f.s_r[0]
+            assert np.abs(f.s_r - np.linalg.svd(w, compute_uv=False)[:r]).max() <= 1e-12 * f.s_r[0]
         huge = base / np.abs(base).max() * 1e308
         with pytest.raises(NonFiniteInput):
-            svd_truncated(huge, 4)
+            svd_truncated(huge, r)
         with pytest.raises(NonFiniteInput):
             jacobi_svd(huge)
 
     @pytest.mark.parametrize("scale", [1e-100, 1e-160, 1e-200, 1e-300])
-    @pytest.mark.parametrize(
-        "shape", _PATH_SHAPES.values(), ids=_PATH_SHAPES.keys()
-    )
-    def test_tiny_weights_decompose(self, shape, scale):
+    @pytest.mark.parametrize("path,d,k,r", SVD_PATH_CASES)
+    def test_tiny_weights_decompose(self, path, d, k, r, scale):
         # The squared norms of these weights underflow. Unscaled, the sweep
         # returned s_r = 0 or stopped at its cap, and the top-r certificate
         # passed on residuals that had underflowed, all marked converged.
-        w = random_matrix(*shape, 3, "gaussian") * scale
-        f = svd_truncated(w, 4)
+        w = random_matrix(d, k, 3, "gaussian") * scale
+        f = svd_truncated(w, r)
         s = np.linalg.svd(w, compute_uv=False)
         assert f.converged
-        assert np.abs(f.s_r - s[:4]).max() <= 1e-12 * s[0]
-        assert np.abs(f.u_r.T @ f.u_r - np.eye(4)).max() <= 1e-12
-        assert np.abs(f.v_r.T @ f.v_r - np.eye(4)).max() <= 1e-12
+        assert np.abs(f.s_r - s[:r]).max() <= 1e-12 * s[0]
+        assert np.abs(f.u_r.T @ f.u_r - np.eye(r)).max() <= 1e-12
+        assert np.abs(f.v_r.T @ f.v_r - np.eye(r)).max() <= 1e-12
 
     def test_rank_deficient_input_keeps_orthonormal_factors(self):
         # rank-1 matrix decomposed at full requested rank
@@ -198,22 +190,26 @@ class TestSvdProperties:
     @pytest.mark.parametrize("tall", [True, False])
     @settings(max_examples=25, deadline=None)
     @given(
-        short=st.integers(9, 16),
+        short=st.integers(6, 16),
         extra=st.integers(0, 8),
         r=st.integers(1, 5),
         seed=st.integers(0, 2**16),
     )
     def test_exact_low_rank_products(self, tall, short, extra, r, seed):
         # A(d x r) @ B(r x k) has exactly r nonzero singular values; the null
-        # columns it leaves behind are where the running squared norms drift
+        # columns it leaves behind are where the running squared norms drift.
+        # Their values are exactly 0, their u columns come from the QR
+        # completion, and a rerun gives the same bytes.
         d, k = (short + extra, short) if tall else (short, short + extra)
         w = random_matrix(d, r, (seed, 1), "gaussian") @ random_matrix(r, k, (seed, 2), "gaussian")
         u, s, v = jacobi_svd(w)
         m = min(d, k)
-        assert np.abs(u.T @ u - np.eye(m)).max() <= 1e-10
-        assert np.abs(v.T @ v - np.eye(m)).max() <= 1e-10
-        assert (s[r:] <= 1e-10 * s[0]).all()
+        assert np.abs(u.T @ u - np.eye(m)).max() <= 1e-12
+        assert np.abs(v.T @ v - np.eye(m)).max() <= 1e-12
+        assert (s[:r] > 0.0).all() and (s[r:] == 0.0).all()
         assert np.sqrt((((u * s) @ v.T - w) ** 2).sum()) <= 1e-10 * np.sqrt((w * w).sum())
+        again = jacobi_svd(w.copy())
+        assert all(a.tobytes() == b.tobytes() for a, b in zip((u, s, v), again))
 
 
 def _zero_rows(d, k, rows, seed):
@@ -237,7 +233,7 @@ def _repeated(d, k, r, seed):
 
 
 class TestDeficientPath:
-    """Null columns: s exactly 0, u completed by QR, factors orthonormal and rerun-stable."""
+    """jacobi_svd's full factors over null columns: s exactly 0, u completed by QR, orthonormal and rerun-stable."""
 
     @staticmethod
     def check(w, rank):
@@ -250,19 +246,6 @@ class TestDeficientPath:
         again = jacobi_svd(w.copy())
         assert all(a.tobytes() == b.tobytes() for a, b in zip((u, s, v), again))
         return u, s, v
-
-    @pytest.mark.parametrize("tall", [True, False])
-    @settings(max_examples=25, deadline=None)
-    @given(
-        short=st.integers(6, 16),
-        extra=st.integers(0, 8),
-        r=st.integers(1, 5),
-        seed=st.integers(0, 2**16),
-    )
-    def test_exact_low_rank_products(self, tall, short, extra, r, seed):
-        d, k = (short + extra, short) if tall else (short, short + extra)
-        w = random_matrix(d, r, (seed, 1), "gaussian") @ random_matrix(r, k, (seed, 2), "gaussian")
-        self.check(w, r)
 
     @pytest.mark.parametrize(
         "w,rank",
@@ -486,10 +469,10 @@ def test_outputs_own_their_memory(w):
 _OWN_MEMORY_TRUNCATED = {
     **{name: (w, 3) for name, w in _OWN_MEMORY_INPUTS.items()},
     "wide_full_rank": (random_matrix(7, 12, 84, "gaussian"), 7),
-    "lapack_wide": (random_matrix(128, 144, 85, "gaussian"), 4),
-    "lapack_tall": (random_matrix(144, 128, 86, "gaussian"), 4),
-    "top_r_wide": (random_matrix(256, 288, 85, "gaussian"), 4),
-    "top_r_tall": (random_matrix(288, 256, 86, "gaussian"), 4),
+    **{
+        f"{p}_{'tall' if d > k else 'wide'}": (random_matrix(d, k, 85, "gaussian"), r)
+        for p, d, k, r in (case.values for case in SVD_PATH_CASES)
+    },
 }
 
 
@@ -536,22 +519,128 @@ def _assert_certified(w, f):
     assert reassembly_error(w, f) <= 1e-12 * np.sqrt((w * w).sum())
 
 
-_LAPACK_CASES = {
-    "square": (random_matrix(256, 256, (97, 10), "gaussian"), 4),
-    "exact_rank_two": (_low_rank(256, 256, 2, 92), 4),
-    "wide": (random_matrix(256, 320, (90, 256), "gaussian"), 8),
-    "tall": (random_matrix(320, 256, (90, 320), "gaussian"), 8),
-    "gaussian_256": (random_matrix(256, 256, 99, "gaussian"), 4),
-    "power_512": (_known_spectrum(512, 512, np.arange(1.0, 513.0) ** -0.5, 100), 8),  # sigma_i = i^-0.5
-}
-
-
 def _no_jacobi(a, r):
     raise AssertionError("svd_truncated ran the Jacobi SVD at min(d, k) >= 128")
 
 
-class TestTopRPath:
+def test_svd_path_cases_cover_every_path():
+    # Every path a checkpoint can name (less the retired Jacobi-Ritz top-r
+    # path) has one tall and one wide row, each on its own path: a new kernel
+    # or a moved cut-over fails here, not in the tests that take the rows.
+    rows = [case.values for case in SVD_PATH_CASES]
+    paths = set(_SVD_PATH_CODES) - {"top_r_jacobi_ritz"}
+    assert {path for path, *_ in rows} == paths
+    for path in paths:
+        assert sorted(d > k for p, d, k, _ in rows if p == path) == [False, True], path
+    for path, d, k, r in rows:
+        assert svd_path(d, k, r) == path, (d, k, r)
+
+
+def _path_rows(path):
+    """One path's (d, k, r) rows of SVD_PATH_CASES, keyed tall and wide."""
+    rows = (case.values for case in SVD_PATH_CASES)
+    return {("tall" if d > k else "wide"): (d, k, r) for p, d, k, r in rows if p == path}
+
+
+class _EveryPath:
+    """What _factor's shared finish gives on every path.
+
+    Each path's class runs these tests on its own two rows of SVD_PATH_CASES;
+    test_matches_lapack also takes the class's more_inputs.
+    """
+
+    path = ""
+    more_inputs = {}
+
+    def pytest_generate_tests(self, metafunc):
+        rows = _path_rows(self.path)
+        if "row" in metafunc.fixturenames:
+            metafunc.parametrize("row", rows.values(), ids=rows.keys())
+        if "weight" in metafunc.fixturenames:
+            inputs = {side: (random_matrix(d, k, (90, d), "gaussian"), r) for side, (d, k, r) in rows.items()}
+            inputs.update(self.more_inputs)
+            metafunc.parametrize("weight", inputs.values(), ids=inputs.keys())
+
+    def test_matches_lapack(self, weight, monkeypatch):
+        # Off the Jacobi path the Jacobi loop never runs; iterations is 0 on the LAPACK path alone.
+        w, r = weight
+        if self.path != "jacobi":
+            monkeypatch.setattr(linalg, "_jacobi", _no_jacobi)
+        assert svd_path(*w.shape, r) == self.path
+        f = svd_truncated(w, r)
+        _assert_certified(w, f)
+        assert f.certificate <= 1e-12 and (f.iterations == 0) == (self.path == "lapack")
+        s = np.linalg.svd(w, compute_uv=False)
+        assert np.abs(f.s_r - s[:r]).max() <= 1e-12 * s[0]
+
+    def test_exact_rank_two(self, row):
+        # The null cut on ||w||_F zeroes the trailing values, and the QR
+        # completion keeps u orthonormal over their columns.
+        d, k, r = row
+        w = _low_rank(d, k, 2, 92)
+        f = svd_truncated(w, r)
+        _assert_certified(w, f)
+        assert (f.s_r[:2] > 0.0).all() and (f.s_r[2:] == 0.0).all()
+        assert np.abs(f.residual).max() <= 1e-12 * f.s_r[0] and f.certificate <= 1e-12
+
+    def test_repeated_singular_values(self, row):
+        # Four clusters of equal values; r falls inside the first, where any
+        # orthonormal basis of the cluster is a right answer.
+        d, k, r = row
+        sigma = np.repeat([3.0, 2.0, 1.0, 0.5], min(d, k) // 4)
+        w = _known_spectrum(d, k, sigma, 106)
+        f = svd_truncated(w, r)
+        _assert_certified(w, f)
+        assert np.abs(f.s_r - sigma[:r]).max() <= 1e-12 * sigma[0] and f.certificate <= 1e-12
+
+    def test_all_zero(self, row):
+        d, k, r = row
+        w = np.zeros((d, k))
+        f = svd_truncated(w, r)
+        _assert_certified(w, f)
+        assert f.s_r.tolist() == [0.0] * r and not f.residual.any() and f.certificate == 0.0
+        assert np.abs(f.u_r.T @ f.u_r - np.eye(r)).max() == 0.0
+        assert self.path == "top_r" or f.iterations == 0  # the power iteration stops at its first check
+
+    @pytest.mark.parametrize("scale", [2.0**-1000, 1e200], ids=["2^-1000", "1e200"])
+    def test_extreme_scales(self, row, scale):
+        d, k, r = row
+        base = random_matrix(d, k, 107, "gaussian")
+        f, g = svd_truncated(base * scale, r), svd_truncated(base, r)
+        s = np.linalg.svd(base, compute_uv=False)[:r]
+        assert np.abs(f.s_r / scale - s).max() <= 1e-12 * s[0]
+        # The rescaling is a power of two: exact at 2^-1000, so the directions are those of the base.
+        if scale == 2.0**-1000:
+            assert f.u_r.tobytes() == g.u_r.tobytes() and f.v_r.tobytes() == g.v_r.tobytes()
+        assert f.certificate <= 1e-12
+
+    def test_sign_convention_on_the_longer_side_and_bitwise_reruns(self, row):
+        d, k, r = row
+        w = random_matrix(d, k, 108, "uniform_scaled")
+        a, b = svd_truncated(w, r), svd_truncated(w.copy(), r)
+        for name in ("u_r", "s_r", "v_r", "residual"):
+            assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+        assert (a.iterations, a.converged, a.certificate) == (b.iterations, b.converged, b.certificate)
+        lead = a.u_r if d >= k else a.v_r
+        assert (lead[np.argmax(np.abs(lead), axis=0), np.arange(r)] > 0.0).all()
+
+
+class TestJacobiPath(_EveryPath):
+    """svd_truncated on the cyclic Jacobi sweep, taken for min(d, k) < 128."""
+
+    path = "jacobi"
+
+
+class TestTopRPath(_EveryPath):
     """svd_truncated's seeded power iteration, taken for min(d, k) >= 256 at small ranks."""
+
+    path = "top_r"
+    more_inputs = {
+        "square": (random_matrix(256, 256, (97, 10), "gaussian"), 4),
+        "exact_rank_two": (_low_rank(256, 256, 2, 92), 4),
+        "gaussian_256": (random_matrix(256, 256, 99, "gaussian"), 4),
+        "power_512": (_known_spectrum(512, 512, np.arange(1.0, 513.0) ** -0.5, 100), 8),  # sigma_i = i^-0.5
+    }
 
     def test_path_follows_shape_and_rank(self):
         assert svd_path(127, 127, 4) == "jacobi"
@@ -566,16 +655,6 @@ class TestTopRPath:
         assert svd_path(256, 4096, 121) == "lapack"  # 2 * (r + 8) > 256
         assert svd_path(4096, 4096, 2040) == "top_r"
 
-    @pytest.mark.parametrize("w,r", _LAPACK_CASES.values(), ids=_LAPACK_CASES.keys())
-    def test_matches_lapack(self, w, r, monkeypatch):
-        # The Ritz step takes LAPACK's SVD: the Jacobi loop is off the top-r path.
-        monkeypatch.setattr(linalg, "_jacobi", _no_jacobi)
-        f = svd_truncated(w, r)
-        assert svd_path(*w.shape, r) == "top_r"
-        _assert_certified(w, f)
-        s = np.linalg.svd(w, compute_uv=False)
-        assert np.abs(f.s_r - s[:r]).max() <= 1e-12 * s[0]
-
     def test_decaying_spectrum_at_scale(self):
         # sigma_i = 1 / i, a decaying spectrum like a pretrained weight's; the
         # full Jacobi SVD of this shape would run for hours.
@@ -588,25 +667,6 @@ class TestTopRPath:
         _assert_certified(w, f)
         assert np.abs(f.s_r - np.linalg.svd(w, compute_uv=False)[:8]).max() <= 1e-12
         assert np.abs(f.s_r - sigma[:8]).max() <= 1e-12
-
-    @pytest.mark.parametrize(
-        "shape,r", [((256, 256), 4), ((288, 256), 6), ((256, 288), 6)], ids=["square", "tall", "wide"]
-    )
-    def test_exact_rank_two(self, shape, r):
-        # The null cut on ||w||_F zeroes the trailing values, and the QR
-        # completion keeps u orthonormal over their columns.
-        w = _low_rank(*shape, 2, 92)
-        f = svd_truncated(w, r)
-        assert svd_path(*shape, r) == "top_r"
-        _assert_certified(w, f)
-        assert (f.s_r[:2] > 0.0).all() and (f.s_r[2:] == 0.0).all()
-        assert np.abs(f.residual).max() <= 1e-12 * f.s_r[0]
-
-    def test_all_zero(self):
-        w = np.zeros((256, 256))
-        f = svd_truncated(w, 4)
-        _assert_certified(w, f)
-        assert f.s_r.tolist() == [0.0] * 4 and not f.residual.any() and f.certificate == 0.0
 
     def test_tied_spectrum_stops_at_the_cap(self):
         # sigma_4 = sigma_5 inside a cluster within 1 % of them that runs past
@@ -638,13 +698,6 @@ class TestTopRPath:
         assert (f.iterations, f.converged) == (3, False)
         assert len(calls) == 2 * 3 - 1
 
-    def test_reruns_are_bitwise(self):
-        w = random_matrix(288, 256, 94, "uniform_scaled")
-        a, b = svd_truncated(w, 6), svd_truncated(w.copy(), 6)
-        for name in ("u_r", "s_r", "v_r", "residual"):
-            assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
-        assert (a.iterations, a.converged, a.certificate) == (b.iterations, b.converged, b.certificate)
-
     @pytest.mark.parametrize(
         "w",
         [random_matrix(12, 9, 110, "gaussian"), random_matrix(9, 12, 111, "gaussian"), _low_rank(12, 9, 3, 112)],
@@ -664,28 +717,16 @@ class TestTopRPath:
         assert f.converged and 1 <= f.iterations < JACOBI_MAX_SWEEPS
 
 
-_LAPACK_PATH_CASES = {
-    "square": (random_matrix(128, 128, (97, 10), "gaussian"), 4),
-    "wide": (random_matrix(128, 160, (90, 128), "gaussian"), 8),
-    "tall": (random_matrix(160, 128, (90, 160), "gaussian"), 8),
-    "high_rank_wide": (random_matrix(128, 4096, 101, "gaussian"), 57),
-    "high_rank_square": (random_matrix(200, 200, 102, "gaussian"), 100),
-    "power_255": (_known_spectrum(255, 255, np.arange(1.0, 256.0) ** -0.5, 103), 8),
-}
-
-
-class TestLapackPath:
+class TestLapackPath(_EveryPath):
     """svd_truncated on LAPACK's full SVD, taken for min(d, k) >= 128 wherever the top-r path is not."""
 
-    @pytest.mark.parametrize("w,r", _LAPACK_PATH_CASES.values(), ids=_LAPACK_PATH_CASES.keys())
-    def test_matches_lapack(self, w, r, monkeypatch):
-        monkeypatch.setattr(linalg, "_jacobi", _no_jacobi)
-        f = svd_truncated(w, r)
-        assert svd_path(*w.shape, r) == "lapack"
-        _assert_certified(w, f)
-        assert (f.iterations, f.converged) == (0, True) and f.certificate <= 1e-12
-        s = np.linalg.svd(w, compute_uv=False)
-        assert np.abs(f.s_r - s[:r]).max() <= 1e-12 * s[0]
+    path = "lapack"
+    more_inputs = {
+        "square": (random_matrix(128, 128, (97, 10), "gaussian"), 4),
+        "high_rank_wide": (random_matrix(128, 4096, 101, "gaussian"), 57),
+        "high_rank_square": (random_matrix(200, 200, 102, "gaussian"), 100),
+        "power_255": (_known_spectrum(255, 255, np.arange(1.0, 256.0) ** -0.5, 103), 8),
+    }
 
     @pytest.mark.parametrize("shape,r", [((128, 128), 4), ((128, 4096), 57), ((4096, 128), 60), ((256, 256), 4)])
     def test_no_shape_from_128_runs_the_jacobi_loop(self, shape, r, monkeypatch):
@@ -701,72 +742,21 @@ class TestLapackPath:
         assert time.perf_counter() - start < budget
         assert np.abs(f.s_r - np.linalg.svd(w, compute_uv=False)[:r]).max() <= 1e-12 * f.s_r[0]
 
-    @pytest.mark.parametrize("shape", [(160, 128), (128, 160)], ids=["tall", "wide"])
-    def test_exact_rank_two(self, shape):
-        # Every column past the second is a null one: s exactly 0 there, and the
-        # QR completion keeps all of u orthonormal.
-        w = _low_rank(*shape, 2, 92)
-        r = min(shape)
-        f = svd_truncated(w, r)
-        assert (f.s_r[:2] > 0.0).all() and (f.s_r[2:] == 0.0).all()
-        eye = np.eye(r)
-        assert np.abs(f.u_r.T @ f.u_r - eye).max() <= 1e-12
-        assert np.abs(f.v_r.T @ f.v_r - eye).max() <= 1e-12
-        assert np.abs(f.residual).max() <= 1e-12 * f.s_r[0]
-        assert f.certificate <= 1e-12
-
-    @pytest.mark.parametrize("shape", [(160, 128), (128, 160)], ids=["tall", "wide"])
-    def test_repeated_singular_values(self, shape):
-        sigma = np.repeat([3.0, 2.0, 1.0, 0.5], 32)
-        w = _known_spectrum(*shape, sigma, 106)
-        f = svd_truncated(w, 40)
-        assert np.abs(f.s_r - sigma[:40]).max() <= 1e-12 * sigma[0]
-        assert np.abs(f.u_r.T @ f.u_r - np.eye(40)).max() <= 1e-12
-        assert np.abs(f.v_r.T @ f.v_r - np.eye(40)).max() <= 1e-12
-        assert reassembly_error(w, f) <= 1e-12 * np.sqrt((w * w).sum())
-        assert f.certificate <= 1e-12
-
-    @pytest.mark.parametrize("shape", [(160, 128), (128, 160)], ids=["tall", "wide"])
-    def test_all_zero(self, shape):
-        f = svd_truncated(np.zeros(shape), 4)
-        assert f.s_r.tolist() == [0.0] * 4 and not f.residual.any()
-        assert (f.iterations, f.converged, f.certificate) == (0, True, 0.0)
-        assert np.abs(f.u_r.T @ f.u_r - np.eye(4)).max() == 0.0
-
-    @pytest.mark.parametrize("scale", [2.0**-1000, 1e200], ids=["2^-1000", "1e200"])
-    @pytest.mark.parametrize("shape", [(160, 128), (128, 160)], ids=["tall", "wide"])
-    def test_extreme_scales(self, shape, scale):
-        base = random_matrix(*shape, 107, "gaussian")
-        f, g = svd_truncated(base * scale, 4), svd_truncated(base, 4)
-        s = np.linalg.svd(base, compute_uv=False)[:4]
-        assert np.abs(f.s_r / scale - s).max() <= 1e-12 * s[0]
-        # The rescaling is a power of two: exact at 2^-1000, so the directions are those of the base.
-        if scale == 2.0**-1000:
-            assert f.u_r.tobytes() == g.u_r.tobytes() and f.v_r.tobytes() == g.v_r.tobytes()
-        assert f.certificate <= 1e-12
-
-    @pytest.mark.parametrize("shape", [(160, 128), (128, 160)], ids=["tall", "wide"])
-    def test_sign_convention_on_the_longer_side_and_bitwise_reruns(self, shape):
-        w = random_matrix(*shape, 108, "uniform_scaled")
-        a, b = svd_truncated(w, 6), svd_truncated(w.copy(), 6)
-        for name in ("u_r", "s_r", "v_r", "residual"):
-            assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
-        lead = a.u_r if shape[0] >= shape[1] else a.v_r
-        assert (lead[np.argmax(np.abs(lead), axis=0), np.arange(6)] > 0.0).all()
-
-    @pytest.mark.parametrize("shape", [(16, 12), (130, 128), (260, 256)], ids=["jacobi", "lapack", "top_r"])
-    def test_zero_row_and_column_stay_exactly_zero(self, shape):
+    @pytest.mark.parametrize("path", dict.fromkeys(case.values[0] for case in SVD_PATH_CASES))
+    def test_zero_row_and_column_stay_exactly_zero(self, path):
         # gesdd and the power iteration leave roundoff where w has an all-zero
         # row or column; every path's kept factors carry the exact zeros the
-        # Jacobi sweep leaves there.
-        w = random_matrix(*shape, 109, "gaussian")
-        w[7] = 0.0
-        w[:, 11] = 0.0
-        for m in (w, w.T):
-            f = svd_truncated(m, 8)
-            rows, cols = ~m.any(axis=1), ~m.any(axis=0)
-            assert not f.u_r[rows].any() and not f.v_r[cols].any()
-            assert np.abs(f.u_r.T @ f.u_r - np.eye(8)).max() <= 1e-12
+        # Jacobi sweep leaves there, at both of its rows, on a full-rank weight
+        # and on one of rank 4 whose null columns the QR completion fills.
+        for d, k, r in _path_rows(path).values():
+            for w, rank in ((random_matrix(d, k, 109, "gaussian"), r), (_low_rank(d, k, 4, 109), 4)):
+                w[[0, 7]] = 0.0
+                w[:, [3, 11]] = 0.0
+                f = svd_truncated(w, r)
+                assert (f.s_r[:rank] > 0.0).all() and (f.s_r[rank:] == 0.0).all()
+                assert not f.u_r[~w.any(axis=1), :rank].any() and not f.v_r[~w.any(axis=0), :rank].any()
+                assert np.abs(f.u_r.T @ f.u_r - np.eye(r)).max() <= 1e-12
+                assert np.abs(f.v_r.T @ f.v_r - np.eye(r)).max() <= 1e-12
 
 
 def test_full_path_reports_its_sweeps():

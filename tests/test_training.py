@@ -149,6 +149,17 @@ class TestTrain:
         with pytest.raises(NonFiniteLoss):
             train(state, task, TrainConfig(steps=400, lr=1e6, optimizer="sgd"))
 
+    @pytest.mark.parametrize("steps", [0, 3])
+    def test_targets_whose_squares_overflow_abort(self, steps, capsys):
+        # The planes' tail ||Y - (Y Q) Q^T||^2 overflows before any step; with
+        # steps=0 only the check after the loop sees the loss.
+        w = random_matrix(9, 7, 0, "gaussian")
+        task = ToyTask(w0=w, w_target=w, probes=np.ones((7, 4)), targets=np.full((9, 4), 1e200), seed=0, r_gap=2)
+        state = build_adapter(w, AdapterMethod(tag="osora", rank=2), seed=0)
+        with pytest.raises(NonFiniteLoss, match="at step 0"):
+            train(state, task, TrainConfig(steps=steps, lr=1e-2))
+        assert capsys.readouterr() == ("", "")
+
     def test_input_state_left_untouched(self):
         task = make_task(8, 8, 2, seed=11)
         state = build_adapter(task.w0, AdapterMethod(tag="osora", rank=2), seed=11)
