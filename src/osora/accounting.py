@@ -9,9 +9,9 @@ Counts per single d x k target at rank r:
     dora          r * (d + k) + d     (lora pair plus one magnitude per output dim)
     osora_dora    r + d + d           (osora pair plus the magnitude vector)
 
-The training memory footprint adds the frozen singular factors (d*r + k*r
-elements) for the svd-vector methods, which must be held in memory while
-training even though they are never checkpointed.
+The training memory footprint adds every element a build freezes beyond the
+d x k w0, held while training though never checkpointed: the closed form
+`frozen_size` of each method's record in adapters._TABLE.
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ def _check_dims(method: str, d: int, k: int, r: int) -> AdapterMethod:
     check_integers(d=d, k=k)
     if d < 1 or k < 1:
         raise InvalidConfig(f"dims must be positive, got {d}x{k}")
-    if _TABLE[method].base == "w0_res" and r > min(d, k):  # built over a rank-r truncated SVD
+    if _TABLE[method].svd and r > min(d, k):  # built over a rank-r truncated SVD
         raise RankOutOfRange(f"rank {r} exceeds min(d, k) = {min(d, k)} for {method}")
     return spec
 
@@ -65,9 +65,9 @@ def count_trainable(method: str, d: int, k: int, r: int) -> int:
 
 
 def frozen_elements(method: str, d: int, k: int, r: int) -> int:
-    """Frozen singular pair u_r, v_r that the s_r-scaled methods hold in memory during training."""
+    """Elements a build of one method over a d x k weight at rank r freezes beyond w0 itself."""
     _check_dims(method, d, k, r)
-    return d * r + k * r if "s_r" in _TABLE[method].slots else 0
+    return _TABLE[method].frozen_size(d, k, r)
 
 
 def report(preset: ShapePreset, method: str, r: int) -> ParamReport:

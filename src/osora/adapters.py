@@ -1,41 +1,46 @@
 """Build, evaluate, and merge low-rank adapters over a frozen base weight.
 
 Supported methods (tags): lora, vera, pissa, osora, osora_k, dora, osora_dora.
-Every adapter is constructed so that forward(state, x) == w0 @ x at init, and
-every adapter folds into a single dense matrix via merge() with no residual
-inference cost. Frozen tensors are stored as read-only arrays; training only
-ever touches the trainable dict.
+Every adapter is its frozen w0 plus an update that is exactly zero at the
+build's initial trainables, so forward(state, x) == w0 @ x at init, value for
+value, on every SVD path and whatever the scale of each row; every adapter
+folds into a single dense matrix via merge() with no residual inference cost.
+Frozen tensors are stored as read-only arrays; training only ever touches the
+trainable dict.
 
 Builds over one weight share its SVD through one weak registry, `_FACTORS`.
 pissa and the osora family freeze the top-r SVD of w0: one entry per (shape,
-weight digest, rank) holds read-only u_r, s_r, v_r and the residual
-w0 - u_r diag(s_r) v_r^T, whatever the method, seed, o_init or ablation.
-`training.make_task` gets its factors there too, so a task and every
-SVD-initialised build of rank r_gap over its weight run one SVD between them.
-With o_init "ones" the initial update is exactly u_r diag(s_r) v_r^T, so such
-a build's w0_res is the shared residual itself. The entry is keyed by the
+weight digest, rank) holds read-only u_r, s_r, v_r and the w0 copy they all
+freeze, whatever the method, seed, o_init or ablation. `training.make_task`
+gets its factors there too, so a task and every SVD-initialised build of rank
+r_gap over its weight run one SVD between them. The entry is keyed by the
 weight's content digest, so it cannot go stale. lora, vera and dora freeze
 their own read-only copy of w0.
 
 Every build and every checkpoint load makes its own frozen dict over the
-shared factors, and its own trainables, and runs no SVD while an adapter or a
-task over the weight lives. The dict holds its factor entry (`factors`), so an
-entry lives exactly as long as something built on it; never mutating a frozen
-tensor is what makes sharing safe. The rest is made by each build,
-deterministically: the w0 copy, vera's two seeded draws, a gaussian-o_init
-build's own w0_res, osora_dora's w0_res v_r and w0_res_perp, and a magnitude
-build's initial m. A load in a fresh process (say, of the adapter.ckpt that
-`osora train` wrote) decomposes again, to the same bytes.
+shared entry, and its own trainables, and runs no SVD while an adapter or a
+task over the weight lives. The dict holds its entry (`factors`), so an entry
+lives exactly as long as something built on it; never mutating a frozen
+tensor is what makes sharing safe. Each build makes the rest,
+deterministically: lora's, vera's and dora's w0 copy, vera's seeded draws, the
+initial values o0, a0 and b0, osora_dora's w0 v_r and row norms of w0 off
+span(v_r), and a magnitude build's initial m. A load in a fresh process (say,
+of the adapter.ckpt that `osora train` wrote) decomposes again, to the same bytes.
 
-Forward rules, for base weight w0 of shape d x k and column input x:
+Forward rules, for base weight w0 of shape d x k and column input x; X0 is
+X's frozen initial value, * is elementwise and F = o s_r^T - o0 s0^T:
 
-  lora        y = w0 x + B A x                       A: r x k, B: d x r
-  vera        y = w0 x + diag(b) B diag(dv) A x      frozen random A, B
-  pissa       y = w0_res x + B A x                   B = u_r sqrt(s), A = sqrt(s) v_r^T
-  osora       y = w0_res x + diag(o) u_r diag(s_r) v_r^T x        o in R^d
-  osora_k     y = w0_res x + u_r diag(s_r) v_r^T diag(o) x        o in R^k
+  lora        y = w0 x + B A x                          A: r x k, B: d x r, B0 = 0
+  vera        y = w0 x + diag(b) B diag(dv) A x         frozen random A, B; b0 = 0
+  pissa       y = w0 x + (B - B0) A x + B0 (A - A0) x   B0 = u_r sqrt(s), A0 = sqrt(s) v_r^T
+  osora       y = w0 x + (u_r * F) v_r^T x              o in R^d
+  osora_k     y = w0 x + u_r (v_r * F)^T x              o in R^k
   dora        row-magnitude rescale of (w0 + B A)
   osora_dora  row-magnitude rescale of the osora effective weight
+
+In exact arithmetic these equal the papers' residual forms, w0_res plus the
+update, with w0_res = w0 minus the initial update. No w0_res is formed, so the
+SVD's absolute error, about eps * ||w0||, reaches no output row at init.
 
 The dora-style rescale multiplies output row i of the effective weight by
 m_i / ||row_i||, one trainable magnitude per output dimension. The magnitude
@@ -45,16 +50,13 @@ range takes its norm times its own power of two, so norms are right at tiny
 and huge scale, row by row; every other row is taken as it is, with the bytes
 the rescaling would give.
 
-Each rule above is one record in `_TABLE`, keyed by tag: the frozen base
-tensor, the trainable slots in flat-layout order, and the build, dense update,
-factored update and per-slot gradient functions, plus `fixed`, the products
-of frozen tensors with the probes, and `lift`, the r x n product of the
-probes that the factored update and the gradient share. dora and osora_dora
-are the lora and osora records with a trailing `m` slot, `norms`, which alone
-takes the row norms of the effective weight, and a gradient that folds the
-row rescale onto its rank-r factors. build_adapter, effective_weight,
-merge, the slot layout and the prediction (`_predict`), which forward and the
-gradients.py train step both run, are each one generic body over that table.
+Each rule above is one record in `_TABLE`, keyed by tag, whose fields
+`_Method` lists. dora and osora_dora are the lora and osora records with a
+trailing `m` slot, `norms`, which alone takes the row norms of the effective
+weight, and a gradient that folds the row rescale onto its rank-r factors.
+build_adapter, effective_weight, merge, the slot layout and the prediction
+(`_predict`), which forward and the gradients.py train step both run, are
+each one generic body over that table.
 """
 
 from __future__ import annotations
@@ -175,21 +177,19 @@ def _no_products(fz, x) -> dict[str, np.ndarray]:
 
 @dataclass(frozen=True)
 class _Method:
-    """One method: forward(x) = fz[base] @ x + apply(fz, t, lift(fz, t, fx, x)), merged as fz[base] + delta(fz, t).
+    """One method: forward(x) = fz["w0"] @ x + apply(fz, t, lift(fz, t, fx, x)), merged as fz["w0"] + delta(fz, t).
 
     `fz` and `t` are an adapter's frozen and trainable dicts, and `fx` is
-    fixed(fz, x). A magnitude method rescales each row of both to the
-    trainable norm m, its trailing slot.
+    fixed(fz, x). delta is exactly 0 at the build's trainables. A magnitude
+    method rescales each row of both to the trainable norm m, its trailing slot.
     """
 
-    base: str  # frozen base tensor: "w0", or "w0_res" for the SVD-initialized methods
     slots: tuple[str, ...]  # trainable slots in flat-layout order
-    # (w, method, seed, f) -> (frozen, trainable), without m; f is the shared
-    # SvdFactors entry for a w0_res base, else None
+    # (w, method, seed, f) -> (frozen, trainable), without w0 and m; f is the shared _FACTORS entry if svd, else None
     build: Callable
     delta: Callable  # (fz, t) -> dense d x k update
     # (fz, t, fx, x) -> z, the r x n product of the probes that delta @ x factors through:
-    # A X, (diag(o) v_r)^T X, or a fixed product. One step forms it once; apply and grad share it.
+    # A X, (v_r * F)^T X, or a fixed product. One step forms it once; apply and grad share it.
     lift: Callable
     # (fz, t, z, out) -> out, delta @ x written into the d x n out with one matmul of a d x r
     # factor and z, without forming delta; any row scale multiplies the d x r factor, never out
@@ -198,20 +198,22 @@ class _Method:
     # record's grad takes the row scale c as well and returns the gradient for diag(c) r x^T,
     # plus under "m" the row dots of r with delta @ x, read off the d x r product r z^T.
     grad: Callable
+    frozen_size: Callable  # (d, k, r) -> the elements a build freezes beyond the d x k w0
     products: Callable = _no_products  # (fz, x) -> frozen-times-probe products that lift reads
     # Magnitude methods only: (fz, t) -> (row norms of the effective weight, w, e), w the rows grad_rows
     # reads, row i times 2**-e_i; and (fz, t, c 2**e, w) -> {slot: gradient} for the update gradient diag(c) w_eff.
     norms: Callable | None = None
     grad_rows: Callable | None = None
     o_axis: int = 0  # the axis of w that the o vector runs along
+    svd: bool = False  # built over the shared top-r SVD of w0, so its rank is at most min(d, k)
 
     @property
     def magnitude(self) -> bool:
         return self.norms is not None
 
     def fixed(self, fz, x) -> dict[str, np.ndarray]:
-        """Products of frozen tensors with the probes x: "base" is fz[base] @ x."""
-        return {"base": fz[self.base] @ x, **self.products(fz, x)}
+        """Products of frozen tensors with the probes x: "base" is w0 @ x."""
+        return {"base": fz["w0"] @ x, **self.products(fz, x)}
 
 
 def _with_magnitude(entry: _Method, **fields) -> _Method:
@@ -221,18 +223,14 @@ def _with_magnitude(entry: _Method, **fields) -> _Method:
 def _lora_init(w: np.ndarray, method: AdapterMethod, seed: int, f: None):
     d, k = w.shape
     a = random_matrix(method.rank, k, (seed, _SLOT_A_BASE), "uniform_scaled")
-    return {"w0": w.copy()}, {"a": a, "b": np.zeros((d, method.rank))}
+    return {}, {"a": a, "b": np.zeros((d, method.rank))}
 
 
 def _vera_init(w: np.ndarray, method: AdapterMethod, seed: int, f: None):
-    d, k = w.shape
-    r = method.rank
-    frozen = {
-        "w0": w.copy(),
-        "a_base": random_matrix(r, k, (seed, _SLOT_A_BASE), "uniform_scaled"),
-        "b_base": random_matrix(d, r, (seed, _SLOT_B_BASE), "uniform_scaled"),
-    }
-    return frozen, {"d_vec": np.full(r, _VERA_D_INIT), "b_vec": np.zeros(d)}
+    (d, k), r = w.shape, method.rank
+    a_base = random_matrix(r, k, (seed, _SLOT_A_BASE), "uniform_scaled")
+    b_base = random_matrix(d, r, (seed, _SLOT_B_BASE), "uniform_scaled")
+    return {"a_base": a_base, "b_base": b_base}, {"d_vec": np.full(r, _VERA_D_INIT), "b_vec": np.zeros(d)}
 
 
 def _vera_grad(fz, t, ax, r, x):
@@ -242,46 +240,31 @@ def _vera_grad(fz, t, ax, r, x):
     return {"d_vec": g_d, "b_vec": g_b}
 
 
-def _pissa_init(w: np.ndarray, method: AdapterMethod, seed: int, f: SvdFactors):
+def _pissa_init(w: np.ndarray, method: AdapterMethod, seed: int, f: _Shared):
     root = np.sqrt(f.s_r)
-    trainable = {"b": np.ascontiguousarray(f.u_r * root), "a": np.ascontiguousarray(root[:, None] * f.v_r.T)}
-    return {"w0_res": f.residual}, trainable
+    b0, a0 = np.ascontiguousarray(f.u_r * root), np.ascontiguousarray(root[:, None] * f.v_r.T)
+    return {"a0": a0, "b0": b0}, {"a": a0.copy(), "b": b0.copy()}
 
 
-def _osora_init(w: np.ndarray, method: AdapterMethod, seed: int, f: SvdFactors):
-    entry = _TABLE[method.tag]
-    o_len = w.shape[entry.o_axis]
+def _osora_init(w: np.ndarray, method: AdapterMethod, seed: int, f: _Shared):
+    o_len = w.shape[_TABLE[method.tag].o_axis]
     if method.o_init == "gaussian":
         o = random_matrix(o_len, 1, (seed, _SLOT_O_GAUSSIAN), "gaussian").ravel()
     else:
         o = np.ones(o_len)
-    frozen = {"u_r": f.u_r, "v_r": f.v_r}
-    trainable = {"s_r": f.s_r.copy(), "o": np.ascontiguousarray(o)}
-    # The residual absorbs the initial update, so forward(x) == w0 @ x at init.
-    # With o all ones that update is u_r diag(s_r) v_r^T, which the shared
-    # residual already subtracts in the same order of operations.
-    frozen["w0_res"] = f.residual if method.o_init == "ones" else w - entry.delta(frozen, trainable)
-    return frozen, trainable
+    return {"u_r": f.u_r, "v_r": f.v_r, "s0": f.s_r, "o0": o}, {"s_r": f.s_r.copy(), "o": o.copy()}
 
 
-def _core(fz, t):
-    """u_r diag(s_r) v_r^T, the osora update before the o scaling."""
-    return (fz["u_r"] * t["s_r"]) @ fz["v_r"].T
+def _os_factor(fz, t):
+    """F = o s_r^T - o0 s0^T, the factor that scales u_r (osora) or v_r (osora_k); exactly 0 at init."""
+    return t["o"][:, None] * t["s_r"] - fz["o0"][:, None] * fz["s0"]
 
 
-def _osora_grad_gv(fz, t, gv):
-    """The osora slot gradients from G v_r (d x r), G the update gradient."""
+def _osora_grads(side, t, p):
+    """The osora slot gradients from p = G v_r (side u_r; osora) or G^T u_r (side v_r; osora_k), G the update's."""
     return {
-        "s_r": np.einsum("ij,ij->j", fz["u_r"] * t["o"][:, None], gv),
-        "o": _row_dots(gv, fz["u_r"] * t["s_r"]),
-    }
-
-
-def _osora_k_grad(fz, t, vox, r, x):
-    ur = fz["u_r"].T @ r  # r x n
-    return {
-        "s_r": _row_dots(ur, vox),
-        "o": _row_dots(x @ (t["s_r"][:, None] * ur).T, fz["v_r"]),
+        "s_r": np.einsum("ij,ij->j", side * t["o"][:, None], p),
+        "o": _row_dots(p, side * t["s_r"]),
     }
 
 
@@ -292,8 +275,8 @@ def _dora_grad(fz, t, ax, r, x, c):
 
 
 def _osora_dora_grad(fz, t, vtx, r, x, c):
-    gv = r @ vtx.T  # d x r; delta @ x = diag(o) u_r diag(s_r) (v_r^T X)
-    return {**_osora_grad_gv(fz, t, c[:, None] * gv), "m": t["o"] * _row_dots(gv, fz["u_r"] * t["s_r"])}
+    gv = r @ vtx.T  # d x r; delta @ x = (u_r * F) (v_r^T X)
+    return {**_osora_grads(fz["u_r"], t, c[:, None] * gv), "m": _row_dots(gv, fz["u_r"] * _os_factor(fz, t))}
 
 
 def _dora_norms(fz, t):
@@ -302,59 +285,71 @@ def _dora_norms(fz, t):
     return _scaled_norms(w)
 
 
-def _osora_dora_init(w: np.ndarray, method: AdapterMethod, seed: int, f: SvdFactors):
+def _osora_dora_init(w: np.ndarray, method: AdapterMethod, seed: int, f: _Shared):
     frozen, trainable = _osora_init(w, method, seed, f)
-    frozen["w0_res_v"] = frozen["w0_res"] @ f.v_r
-    frozen["w0_res_perp"] = _scaled_norms(frozen["w0_res"] - frozen["w0_res_v"] @ f.v_r.T)[0]
+    frozen["w0_v"] = f.w0 @ f.v_r
+    frozen["w0_perp"] = _scaled_norms(f.w0 - frozen["w0_v"] @ f.v_r.T)[0]
     return frozen, trainable
 
 
 def _osora_dora_norms(fz, t):
-    # v_r is orthonormal: row i of w_eff is (w_eff v_r)_i v_r^T plus w0_res's row off span(v_r), of norm w0_res_perp_i.
-    wv = fz["w0_res_v"] + t["o"][:, None] * (fz["u_r"] * t["s_r"])
-    norms, w, e = _scaled_norms(np.column_stack([wv, fz["w0_res_perp"]]))
+    # v_r is orthonormal: row i of w_eff is (w_eff v_r)_i v_r^T plus w0's row off span(v_r), of norm w0_perp_i.
+    wv = fz["w0_v"] + fz["u_r"] * _os_factor(fz, t)
+    norms, w, e = _scaled_norms(np.column_stack([wv, fz["w0_perp"]]))
     return norms, w[:, :-1], e
 
 
 _LORA = _Method(
-    base="w0",
     slots=("a", "b"),
     build=_lora_init,
     delta=lambda fz, t: t["b"] @ t["a"],
     lift=lambda fz, t, fx, x: t["a"] @ x,
     apply=lambda fz, t, ax, out: np.matmul(t["b"], ax, out=out),
     grad=lambda fz, t, ax, r, x: {"a": (t["b"].T @ r) @ x.T, "b": r @ ax.T},
+    frozen_size=lambda d, k, r: 0,
 )
 _OSORA = _Method(
-    base="w0_res",
     slots=("s_r", "o"),
     build=_osora_init,
-    delta=lambda fz, t: t["o"][:, None] * _core(fz, t),
+    delta=lambda fz, t: (fz["u_r"] * _os_factor(fz, t)) @ fz["v_r"].T,
     lift=lambda fz, t, fx, x: fx["vtx"],
-    apply=lambda fz, t, vtx, out: np.matmul(fz["u_r"] * t["o"][:, None], t["s_r"][:, None] * vtx, out=out),
-    grad=lambda fz, t, vtx, r, x: _osora_grad_gv(fz, t, r @ vtx.T),
+    apply=lambda fz, t, vtx, out: np.matmul(fz["u_r"] * _os_factor(fz, t), vtx, out=out),
+    grad=lambda fz, t, vtx, r, x: _osora_grads(fz["u_r"], t, r @ vtx.T),
+    frozen_size=lambda d, k, r: r * (d + k) + d + r,  # u_r, v_r, o0, s0
     products=lambda fz, x: {"vtx": fz["v_r"].T @ x},
+    svd=True,
 )
 _TABLE: dict[str, _Method] = {
     "lora": _LORA,
     "vera": _Method(
-        base="w0",
         slots=("d_vec", "b_vec"),
         build=_vera_init,
         delta=lambda fz, t: (t["b_vec"][:, None] * fz["b_base"]) @ (t["d_vec"][:, None] * fz["a_base"]),
         lift=lambda fz, t, fx, x: fx["ax"],
         apply=lambda fz, t, ax, out: np.matmul(fz["b_base"] * t["b_vec"][:, None], t["d_vec"][:, None] * ax, out=out),
         grad=_vera_grad,
+        frozen_size=lambda d, k, r: r * (d + k),  # a_base, b_base
         products=lambda fz, x: {"ax": fz["a_base"] @ x},
     ),
-    "pissa": replace(_LORA, base="w0_res", build=_pissa_init),
+    "pissa": replace(
+        _LORA,
+        build=_pissa_init,
+        delta=lambda fz, t: (t["b"] - fz["b0"]) @ t["a"] + fz["b0"] @ (t["a"] - fz["a0"]),
+        # [A X; (A - A0) X], applied as [B - B0, B0] times it: both differences are exactly 0 at init
+        lift=lambda fz, t, fx, x: np.concatenate([t["a"], t["a"] - fz["a0"]]) @ x,
+        apply=lambda fz, t, z, out: np.matmul(np.concatenate([t["b"] - fz["b0"], fz["b0"]], axis=1), z, out=out),
+        grad=lambda fz, t, z, r, x: _LORA.grad(fz, t, z[: t["a"].shape[0]], r, x),
+        frozen_size=lambda d, k, r: r * (d + k),  # a0, b0
+        svd=True,
+    ),
     "osora": _OSORA,
     "osora_k": replace(
         _OSORA,
-        delta=lambda fz, t: _core(fz, t) * t["o"][None, :],
-        lift=lambda fz, t, fx, x: (fz["v_r"] * t["o"][:, None]).T @ x,
-        apply=lambda fz, t, vox, out: np.matmul(fz["u_r"], t["s_r"][:, None] * vox, out=out),
-        grad=_osora_k_grad,
+        delta=lambda fz, t: fz["u_r"] @ (fz["v_r"] * _os_factor(fz, t)).T,
+        lift=lambda fz, t, fx, x: (fz["v_r"] * _os_factor(fz, t)).T @ x,
+        apply=lambda fz, t, z, out: np.matmul(fz["u_r"], z, out=out),
+        grad=lambda fz, t, z, r, x: _osora_grads(fz["v_r"], t, x @ (r.T @ fz["u_r"])),
+        frozen_size=lambda d, k, r: r * (d + k) + k + r,  # u_r, v_r, o0, s0
         products=_no_products,
         o_axis=1,
     ),
@@ -368,8 +363,9 @@ _TABLE: dict[str, _Method] = {
         _OSORA,
         build=_osora_dora_init,
         grad=_osora_dora_grad,
+        frozen_size=lambda d, k, r: r * (d + k) + d + r + d * r + d,  # osora's, w0_v, w0_perp
         norms=_osora_dora_norms,
-        grad_rows=lambda fz, t, c, wv: _osora_grad_gv(fz, t, c[:, None] * wv),
+        grad_rows=lambda fz, t, c, wv: _osora_grads(fz["u_r"], t, c[:, None] * wv),
     ),
 }
 
@@ -383,9 +379,16 @@ class _Frozen(dict):
     __slots__ = ("factors",)
 
 
-# (shape, weight digest, rank) -> read-only truncated factors of a weight that
-# some live task or build holds; a race on one key only repeats the SVD.
-_FACTORS: weakref.WeakValueDictionary[tuple, SvdFactors] = weakref.WeakValueDictionary()
+@dataclass
+class _Shared(SvdFactors):
+    """A `_FACTORS` entry: svd_truncated's factors of a weight, and the read-only copy of it that SVD builds freeze."""
+
+    w0: np.ndarray
+
+
+# (shape, weight digest, rank) -> the read-only entry of a weight that some
+# live task or build holds; a race on one key only repeats the SVD.
+_FACTORS: weakref.WeakValueDictionary[tuple, _Shared] = weakref.WeakValueDictionary()
 
 
 def _read_only(*arrays: np.ndarray) -> None:
@@ -393,17 +396,16 @@ def _read_only(*arrays: np.ndarray) -> None:
         arr.setflags(write=False)
 
 
-def _shared_svd(w: np.ndarray, digest: bytes, r: int) -> SvdFactors:
-    """Top-r factors of w, decomposed only if no live task or build holds them.
+def _shared_svd(w: np.ndarray, digest: bytes, r: int) -> _Shared:
+    """The entry of w (digest = weight_digest(w)) at rank r, decomposed only if no live task or build holds it.
 
-    `digest` is weight_digest(w). The returned arrays are read-only; callers
-    keep a reference for as long as they want the entry shared.
+    Its arrays are read-only; callers keep a reference for as long as they want it shared.
     """
     key = (w.shape, digest, r)
     f = _FACTORS.get(key)
     if f is None:
-        f = svd_truncated(w, r)
-        _read_only(f.u_r, f.s_r, f.v_r, f.residual)
+        f = _Shared(w0=w.copy(), **vars(svd_truncated(w, r)))
+        _read_only(f.u_r, f.s_r, f.v_r, f.w0)
         _FACTORS[key] = f
     return f
 
@@ -412,8 +414,8 @@ def build_adapter(w0, method: AdapterMethod, seed: int) -> AdapterState:
     """Construct an adapter at the identity point: forward(x) == w0 @ x.
 
     SVD-based methods decompose w0 here, unless a live task or SVD-based
-    adapter of the same weight and rank already did; the residual is computed
-    with the initial trainable values and frozen thereafter. lora, vera and
+    adapter of the same weight and rank already did, and freeze the shared
+    copy of w0 with the initial values their update subtracts. lora, vera and
     dora freeze a read-only copy of w0. dora and osora_dora start m at the
     row norms of their effective weight, taken on a power-of-two rescaling.
     """
@@ -426,13 +428,13 @@ def _build_adapter(w: np.ndarray, digest: bytes, method: AdapterMethod, seed: in
     """build_adapter over a float64 matrix w whose weight_digest the caller has already taken."""
     check_finite(w, "w0")
     entry = _TABLE[method.tag]
-    factors = _shared_svd(w, digest, method.rank) if entry.base == "w0_res" else None
-    frozen, trainable = entry.build(w, method, seed, factors)
+    factors = _shared_svd(w, digest, method.rank) if entry.svd else None
+    built, trainable = entry.build(w, method, seed, factors)
+    frozen = _Frozen(w0=w.copy() if factors is None else factors.w0, **built)
+    frozen.factors = factors
     if entry.magnitude:  # start each row at its own norm, so the rescale is the identity
         trainable["m"] = entry.norms(frozen, trainable)[0]
     _read_only(*frozen.values())
-    frozen = _Frozen(frozen)
-    frozen.factors = factors
     return AdapterState(
         method=method, d=w.shape[0], k=w.shape[1], seed=seed, frozen=frozen, trainable=trainable, w0_digest=digest
     )
@@ -446,7 +448,7 @@ def clone_state(state: AdapterState) -> AdapterState:
 def effective_weight(state: AdapterState) -> np.ndarray:
     """Dense base-plus-update weight, before any dora magnitude rescale."""
     entry = _TABLE[state.method.tag]
-    return state.frozen[entry.base] + entry.delta(state.frozen, state.trainable)
+    return state.frozen["w0"] + entry.delta(state.frozen, state.trainable)
 
 
 def forward(state: AdapterState, x) -> np.ndarray:

@@ -27,7 +27,7 @@ the frozen tensors through build_adapter's builder, handing it the checked
 digest so the weight is hashed once, installs the payload, and checks that
 the merged weight is finite, as are the row norms that a magnitude method
 divides by. Every load builds its own frozen dict, over the factors and
-residual shared per (weight, rank) (see adapters.py), so it runs no SVD
+w0 copy shared per (weight, rank) (see adapters.py), so it runs no SVD
 while an adapter or task over that weight lives (the one just saved, say);
 the rest, a w0 copy included, comes again from the weight and the seeded
 generators, and with nothing alive the factors from the sign-fixed SVD.

@@ -155,7 +155,8 @@ def cmd_decompose(args) -> int:
     if args.rank is None:
         raise CliError("--rank is required", EXIT_PARSE)
     factors = svd_truncated(w, args.rank)
-    trunc_err = fro_norm(factors.residual)
+    residual = w - (factors.u_r * factors.s_r) @ factors.v_r.T
+    trunc_err = fro_norm(residual)
     print(f"rows={w.shape[0]} cols={w.shape[1]} rank={factors.rank}")
     print("singular_values=" + ",".join(repr(s) for s in factors.s_r.tolist()))
     print(f"truncation_error={trunc_err!r}")
@@ -170,7 +171,7 @@ def cmd_decompose(args) -> int:
             ("u_r", factors.u_r),
             ("s_r", factors.s_r[None, :]),
             ("v_r", factors.v_r),
-            ("residual", factors.residual),
+            ("residual", residual),
         ):
             write_matrix(out_dir / f"{name}.txt", factor)
     return 0

@@ -7,16 +7,18 @@ The loss over n probe columns X (k x n) with targets Y (d x n) is
 so the gradient with respect to the dense update is G = R X^T, where
 R = (pred - Y)/n is the scaled residual. No step forms G. Each method's record
 in the adapters table gives `fixed`, the products of its frozen tensors with
-the probes (w0 X or w0_res X, v_r^T X, a_base X); `lift`, the r x n product Z
-that its update factors through, delta X = F Z with F d x r (A X for lora,
-pissa and dora, (diag(o) v_r)^T X for osora_k, a fixed product for vera,
-osora and osora_dora); and `grad`, which chains R and X through r x n
-products. A step forms Z once: `apply` multiplies it out and `grad` reads it
+the probes (w0 X, v_r^T X, a_base X); `lift`, the r x n product Z that its
+update factors through, delta X = F Z with F d x r (A X for lora and dora,
+[A X; (A - A0) X] for pissa, (v_r * (o s_r^T - o0 s0^T))^T X for osora_k, a
+fixed product for vera, osora and osora_dora); and `grad`, which chains R and
+X through r x n products (the initial values an update subtracts are
+constants). A step forms Z once: `apply` multiplies it out and `grad` reads it
 again. For osora, with H = G v_r = R (v_r^T X)^T,
 
     dL/ds_r = diag(u_r^T diag(o) H)
     dL/do   = rowwise sum of H * u_r diag(s_r)
 
+and osora_k the same two sums with v_r for u_r and H = G^T u_r = X (u_r^T R)^T,
 so a step costs O(r n (d + k)), not O(d k n). The dora-style magnitude
 rescale contributes the usual normalized-row Jacobian (the row-norm
 denominator is differentiated, not detached): dL/dm = rowwise sum of R * P
@@ -26,9 +28,9 @@ puts diag(scale) on the d x r or r x k side of each product, as osora's o
 already is, and the second each magnitude record chains through `grad_rows`.
 The row sums of R * P are those of R * base plus rowwise (R Z^T) * F, a d x r
 product the gradient already holds: rowwise (R (A X)^T) * B for dora, and
-o * rowwise (R (v_r^T X)^T) * u_r diag(s_r) for osora_dora. The record's
-`norms` gives the row norms and the rows `grad_rows` reads, row i times 2^-e_i
-as its norm was, so the step passes c 2^e, exactly. The rows are dora's
+rowwise (R (v_r^T X)^T) * (u_r * (o s_r^T - o0 s0^T)) for osora_dora. The
+record's `norms` gives the row norms and the rows `grad_rows` reads, row i
+times 2^-e_i as its norm was, so the step passes c 2^e, exactly. The rows are dora's
 w_eff = w0 + B A, the one d x k array a step makes, or osora_dora's w_eff v_r.
 
 Every method's prediction is M X for a d x k matrix M of its tensors (a
@@ -55,8 +57,7 @@ d x m product. So a step makes no d x m array and passes over one only to
 fill it, to read it for the loss and the row sums of dL/dm, and to multiply
 it into the gradient products. What it still makes are r x m and d x r (or k x r)
 products, vectors of length d, k or r, and dora's d x k w_eff: vera's b_vec
-gradient is rowwise (R (diag(d) A X)^T) * B, and osora_k takes its o
-gradient as rowwise (X (diag(s_r) u_r^T R)^T) * v_r.
+gradient is rowwise (R (diag(d) A X)^T) * B.
 """
 
 from __future__ import annotations

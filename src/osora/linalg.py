@@ -157,24 +157,22 @@ def random_matrix(rows: int, cols: int, seed: int | Sequence[int], scheme: str =
 
 @dataclass
 class SvdFactors:
-    """Truncated rank-r factors of a weight matrix plus the frozen remainder.
+    """Truncated rank-r factors of a weight matrix.
 
-    u_r is d x r, s_r a descending nonnegative length-r vector, v_r is k x r,
-    and residual = w - u_r @ diag(s_r) @ v_r.T at construction time. Every
-    path finishes its factors alike (see the module docstring): null values
-    exactly 0 with their u columns completed by QR, exact zeros on w's
-    all-zero rows and columns, signs fixed on the longer side.
-    iterations counts the Jacobi sweeps (jacobi path) or power iterations
-    (top-r path) that ran, and is 0 on the LAPACK path; converged is False
-    when the kernel stopped at its cap instead of at its convergence test.
-    certificate is max_i max(||w v_i - s_i u_i||, ||w^T u_i - s_i v_i||) / s_1
-    over the returned factors, and 0 for a zero w.
+    u_r is d x r, s_r a descending nonnegative length-r vector and v_r is
+    k x r. Every path finishes its factors alike (see the module docstring):
+    null values exactly 0 with their u columns completed by QR, exact zeros on
+    w's all-zero rows and columns, signs fixed on the longer side. iterations
+    counts the Jacobi sweeps (jacobi path) or power iterations (top-r path)
+    that ran, and is 0 on the LAPACK path; converged is False when the kernel
+    stopped at its cap instead of at its convergence test. certificate is
+    max_i max(||w v_i - s_i u_i||, ||w^T u_i - s_i v_i||) / s_1 over the
+    returned factors, and 0 for a zero w.
     """
 
     u_r: np.ndarray
     s_r: np.ndarray
     v_r: np.ndarray
-    residual: np.ndarray
     rank: int
     iterations: int
     converged: bool
@@ -372,12 +370,11 @@ def _top_r(a: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, i
 
 
 def svd_truncated(w, r: int) -> SvdFactors:
-    """Top-r singular factors of w and the residual w - u_r @ diag(s_r) @ v_r.T.
+    """Top-r singular factors of w.
 
     The kernel comes from svd_path; the factors are the leading r columns of
     the pipeline's finished ones. `converged` reports whether the kernel met
     its convergence test, and the certificate is that of the factors returned.
-    The residual is exact for them.
     """
     check_integers(rank=r)
     m = as_matrix(w, "svd input")
@@ -388,13 +385,10 @@ def svd_truncated(w, r: int) -> SvdFactors:
     u, s, v, iterations, converged = _factor(a, svd_path(*m.shape, r), r)
     u_r, s_r, v_r = u[:, :r].copy(), s[:r].copy(), v[:, :r].copy()  # each owns exactly its entries
     certificate = _certificate(a, u_r, s_r, v_r)
-    s_r = np.ldexp(s_r, e)
-    residual = m - (u_r * s_r) @ v_r.T
     return SvdFactors(
         u_r=u_r,
-        s_r=s_r,
+        s_r=np.ldexp(s_r, e),
         v_r=v_r,
-        residual=residual,
         rank=r,
         iterations=iterations,
         converged=converged,

@@ -133,7 +133,7 @@ def make_task(d: int, k: int, r_gap: int, seed: int, n: int | None = None) -> To
     f = _shared_svd(w0, weight_digest(w0), r_gap)
     o_star = np.random.default_rng((seed, _SLOT_O_STAR)).uniform(0.5, 1.5, d)
     s_star = f.s_r * np.random.default_rng((seed, _SLOT_S_STAR)).uniform(0.5, 1.5, r_gap)
-    w_target = f.residual + o_star[:, None] * ((f.u_r * s_star) @ f.v_r.T)
+    w_target = (w0 - (f.u_r * f.s_r) @ f.v_r.T) + o_star[:, None] * ((f.u_r * s_star) @ f.v_r.T)
     probes = np.random.default_rng((seed, _SLOT_PROBES)).standard_normal((k, n))
     targets = w_target @ probes
     task = ToyTask(w0=w0, w_target=w_target, probes=probes, targets=targets, seed=seed, r_gap=r_gap)

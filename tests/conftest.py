@@ -50,6 +50,11 @@ SVD_PATH_CASES = [
 ]
 
 
+def truncation_residual(w, f):
+    """w - u_r diag(s_r) v_r^T of svd_truncated's factors f of w, by the expression svd_truncated once returned it."""
+    return w - (f.u_r * f.s_r) @ f.v_r.T
+
+
 # Every method, at both o_init values where it has them.
 LIVE_BUILDS = [(tag, "ones") for tag in METHODS] + [(tag, "gaussian") for tag in OSORA_FAMILY]
 
@@ -57,12 +62,12 @@ LIVE_BUILDS = [(tag, "ones") for tag in METHODS] + [(tag, "gaussian") for tag in
 def assert_frozen_rebuilt_over_shared(got, live):
     """got was built while live lived: its own frozen dict, with equal bytes, that holds the shared tensors.
 
-    Those are u_r and v_r, and the residual of an o_init "ones" build; the w0
-    copy of lora, vera and dora, vera's draws and a gaussian build's residual
-    are its own.
+    Those are the registry's w0 copy, u_r, v_r and s0 of every SVD build,
+    whatever its o_init; the w0 copy of lora, vera and dora, vera's draws and
+    the initial values o0, a0 and b0 are its own.
     """
     assert got.frozen is not live.frozen and got.frozen.factors is live.frozen.factors
-    shared = {"u_r", "v_r"} | ({"w0_res"} if live.method.o_init == "ones" else set())
+    shared = {"w0", "u_r", "v_r", "s0"} if live.frozen.factors is not None else set()
     assert {name for name, arr in got.frozen.items() if arr is live.frozen[name]} == shared & live.frozen.keys()
     assert {name: arr.tobytes() for name, arr in got.frozen.items()} == {
         name: arr.tobytes() for name, arr in live.frozen.items()

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from conftest import SVD_PATH_CASES
+from conftest import SVD_PATH_CASES, truncation_residual
 from osora import (
     METHODS,
     AdapterMethod,
@@ -99,7 +99,7 @@ def test_criterion_3_svd_quality_on_twenty_matrices():
             np.abs(f.s_r - s[:r]).max() / s[0],
             np.abs(f.u_r.T @ f.u_r - eye).max(),
             np.abs(f.v_r.T @ f.v_r - eye).max(),
-            np.abs((f.u_r * f.s_r) @ f.v_r.T + f.residual - w).max() / s[0],
+            np.abs((f.u_r * f.s_r) @ f.v_r.T + truncation_residual(w, f) - w).max() / s[0],
             f.certificate,
         ]
         assert f.converged and max(errors) <= 1e-12, path
@@ -113,14 +113,16 @@ def test_criterion_3_svd_quality_on_twenty_matrices():
 
 
 def test_criterion_4_initialization_identity():
+    # Every update is exactly 0 at init, so the identity is exact at 14x11 and on every SVD path.
     rng = np.random.default_rng(64)
+    shapes = [(14, 11, 4)] + [tuple(case.values[1:]) for case in SVD_PATH_CASES]
     cases = []
-    for tag in METHODS:
-        w0 = random_matrix(14, 11, (tag.encode()[0], 61), "gaussian")
-        cases.append((w0, build_adapter(w0, AdapterMethod(tag=tag, rank=4), seed=62), rng.standard_normal((100, 11))))
+    for (d, k, r), tag in itertools.product(shapes, METHODS):
+        w0 = random_matrix(d, k, (tag.encode()[0], 61), "gaussian")
+        cases.append((w0, build_adapter(w0, AdapterMethod(tag=tag, rank=r), seed=62), rng.standard_normal((100, k))))
     (row,) = check_init_identity(cases)
-    assert row.threshold == 1e-12 and row.passed
-    print(f"\nACCEPTANCE 4 init identity, all methods, 100 probes each (max {row.max_err:.2e}): PASS")
+    assert row.threshold == 1e-12 and row.passed and row.max_err == 0.0
+    print(f"\nACCEPTANCE 4 init identity, all methods, {len(shapes)} shapes, 100 probes each: exact, PASS")
 
 
 def test_criterion_5_merge_equivalence_after_training():

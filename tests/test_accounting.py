@@ -1,15 +1,19 @@
 import numpy as np
 import pytest
 
-from conftest import perturbed_state
+from conftest import LIVE_BUILDS, perturbed_state
 from osora import (
     METHODS,
+    AdapterMethod,
     RankOutOfRange,
+    ShapePreset,
+    build_adapter,
     count_trainable,
     frozen_elements,
     get_preset,
     list_presets,
     param_ratio,
+    random_matrix,
     report,
     scaling_sweep,
     trainable_vector,
@@ -80,10 +84,21 @@ class TestReport:
     def test_osora_memory_footprint_adds_frozen_factors(self):
         preset = get_preset("mistral7b_v03")
         rep = report(preset, "osora", 512)
+        # trainable s_r and o, plus frozen u_r, v_r, o0 and s0
         expected = sum(
-            preset.layers * ((512 + d) + (d * 512 + k * 512)) for d, k in preset.targets
+            preset.layers * ((512 + d) + (d * 512 + k * 512 + d + 512)) for d, k in preset.targets
         )
         assert rep.memory_footprint == expected
+
+    @pytest.mark.parametrize("tag,o_init", LIVE_BUILDS)
+    def test_footprint_is_what_a_build_holds_beyond_w0(self, tag, o_init):
+        # Every frozen array but the d x k w0, plus every trainable, of a real build.
+        for d, k, r in [(10, 8, 2), (7, 12, 3), (9, 9, 9)]:
+            w0 = random_matrix(d, k, (d, k), "gaussian")
+            state = build_adapter(w0, AdapterMethod(tag=tag, rank=r, o_init=o_init), seed=d)
+            held = sum(arr.size for name, arr in state.frozen.items() if name != "w0")
+            held += sum(arr.size for arr in state.trainable.values())
+            assert report(ShapePreset("one", 3, ((d, k),)), tag, r).memory_footprint == 3 * held
 
     def test_lora_footprint_is_trainable_only(self):
         rep = report(get_preset("qwen2_7b"), "lora", 16)

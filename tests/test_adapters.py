@@ -18,7 +18,7 @@ from osora.adapters import (
 )
 from osora.linalg import as_matrix
 from osora.verify import check_init_identity, check_merge
-from conftest import LIVE_BUILDS, assert_frozen_rebuilt_over_shared, perturbed_state, rel_inf
+from conftest import SVD_PATH_CASES, LIVE_BUILDS, assert_frozen_rebuilt_over_shared, perturbed_state, rel_inf
 from osora import (
     METHODS,
     AdapterMethod,
@@ -47,7 +47,8 @@ class TestBuild:
         state = build_adapter(np.diag([2.0, 1.0]), AdapterMethod(tag="osora", rank=1), seed=0)
         assert state.trainable["s_r"].tolist() == [2.0]
         assert state.trainable["o"].tolist() == [1.0, 1.0]
-        assert np.allclose(state.frozen["w0_res"], np.diag([0.0, 1.0]), atol=1e-15)
+        assert state.frozen["u_r"].ravel().tolist() == state.frozen["v_r"].ravel().tolist() == [1.0, 0.0]
+        assert np.array_equal(merge(state), np.diag([2.0, 1.0]))
 
     def test_lora_forward_is_exactly_base_at_init(self, rng):
         w0 = random_matrix(10, 8, 1, "gaussian")
@@ -98,6 +99,21 @@ class TestBuild:
         ref = w0 @ x
         err = np.abs(forward(build_adapter(w0, method, seed=3), x) - ref).max(axis=1)
         assert (err <= 1e-15 * np.abs(ref).max(axis=1)).all()
+
+    @pytest.mark.parametrize("scale", [1e100, 1e-300, "rows_apart"])
+    @pytest.mark.parametrize("path,d,k,r", SVD_PATH_CASES)
+    def test_every_build_starts_exactly_at_w0_on_every_path(self, path, d, k, r, scale):
+        # Each update is exactly 0 at init, so forward is w0 @ x and merge is
+        # w0, value for value (a zero may come back as -0.0), for every method
+        # and o_init on every SVD path; rows_apart puts row 0 1e-300 below the
+        # others, far below the SVD's absolute error.
+        w0 = random_matrix(d, k, 3, "gaussian")
+        w0 *= np.array([1e-200] + [1e100] * (d - 1))[:, None] if scale == "rows_apart" else scale
+        x = np.random.default_rng(5).standard_normal((k, 5))
+        states = [build_adapter(w0, AdapterMethod(tag, r, o_init), seed=3) for tag, o_init in LIVE_BUILDS]
+        for (tag, o_init), state in zip(LIVE_BUILDS, states):  # built together, so they share one SVD
+            assert np.array_equal(forward(state, x), w0 @ x), (tag, o_init)
+            assert np.array_equal(merge(state), w0), (tag, o_init)
 
     @pytest.mark.parametrize("j", [600, -600, 1000, -1000])
     @pytest.mark.parametrize("tag", ["dora", "osora_dora"])
@@ -298,7 +314,7 @@ class TestInvariants:
 
     def test_update_rank_bounded_by_r(self):
         state, w0 = perturbed_state("osora", 10, 9, 3, 42, scale=0.5)
-        delta = merge(state) - state.frozen["w0_res"]
+        delta = merge(state) - state.frozen["w0"]
         tail = svd_truncated(delta, 9).s_r[3:]
         assert np.abs(tail).max() <= 1e-10
 
@@ -326,9 +342,7 @@ class TestLiveRegistry:
         first.trainable["o"][0] = 7.0  # in place, too
         second = build_adapter(w0, method, seed=61)
         assert len(svd_calls) == 1
-        assert second.frozen is not first.frozen and second.frozen.factors is first.frozen.factors
-        for name, arr in first.frozen.items():
-            assert second.frozen[name] is arr
+        assert_frozen_rebuilt_over_shared(second, first)
         assert {name: arr.tobytes() for name, arr in second.trainable.items()} == init
         assert all(second.trainable[n] is not first.trainable[n] for n in init)
 
@@ -432,19 +446,21 @@ class TestSharedFactors:
         got = [forward(cold, x), *cold.frozen.values(), *cold.trainable.values()]
         assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
 
-    def test_ones_builds_freeze_the_shared_residual(self):
+    def test_every_svd_build_freezes_the_shared_w0(self):
+        # ... and no array of w0's size of its own, a gaussian o_init included.
         task = make_task(12, 12, 3, seed=74)
         for tag, o_init in SVD_BUILDS:
             state = build_adapter(task.w0, AdapterMethod(tag=tag, rank=3, o_init=o_init), seed=74)
-            assert (state.frozen["w0_res"] is task.factors.residual) == (o_init == "ones")
+            assert state.frozen["w0"] is task.factors.w0
+            assert [name for name, arr in state.frozen.items() if arr.size >= task.w0.size] == ["w0"]
 
     def test_shared_factors_are_read_only(self):
         task = make_task(10, 8, 2, seed=75)
-        for arr in (task.factors.u_r, task.factors.s_r, task.factors.v_r, task.factors.residual):
+        for arr in (task.factors.u_r, task.factors.s_r, task.factors.v_r, task.factors.w0):
             with pytest.raises(ValueError):
                 arr[0] = 1.0
         fresh = svd_truncated(task.w0, 2)
-        assert all(arr.flags.writeable for arr in (fresh.u_r, fresh.s_r, fresh.v_r, fresh.residual))
+        assert all(arr.flags.writeable for arr in (fresh.u_r, fresh.s_r, fresh.v_r))
 
     def test_a_rebuild_after_everything_is_dropped_decomposes_again(self, svd_calls):
         task = make_task(10, 10, 2, seed=76)

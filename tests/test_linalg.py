@@ -20,7 +20,7 @@ from osora import (
     random_matrix,
     svd_truncated,
 )
-from conftest import SVD_PATH_CASES
+from conftest import SVD_PATH_CASES, truncation_residual
 from osora import linalg
 from osora.checkpoint import _SVD_PATH_CODES
 from osora.linalg import JACOBI_MAX_SWEEPS, TOP_R_MAX_ITERATIONS, TOP_R_TOL, svd_path
@@ -28,7 +28,7 @@ from osora.linalg import JACOBI_MAX_SWEEPS, TOP_R_MAX_ITERATIONS, TOP_R_TOL, svd
 
 def reassembly_error(w, f):
     # oracle: rebuild w from the truncated factors plus the residual
-    rebuilt = (f.u_r * f.s_r) @ f.v_r.T + f.residual
+    rebuilt = (f.u_r * f.s_r) @ f.v_r.T + truncation_residual(w, f)
     return np.sqrt(((rebuilt - w) ** 2).sum())
 
 
@@ -36,14 +36,14 @@ class TestSvdTruncated:
     def test_identity_full_rank(self):
         f = svd_truncated(np.eye(2), 2)
         assert np.allclose(f.s_r, [1.0, 1.0])
-        assert np.abs(f.residual).max() <= 1e-15
+        assert np.abs(truncation_residual(np.eye(2), f)).max() <= 1e-15
 
     def test_diagonal_rank_one_is_forced(self):
         f = svd_truncated(np.diag([3.0, 1.0]), 1)
         assert f.s_r.tolist() == [3.0]
         assert f.u_r.ravel().tolist() == [1.0, 0.0]
         assert f.v_r.ravel().tolist() == [1.0, 0.0]
-        assert np.array_equal(f.residual, np.diag([0.0, 1.0]))
+        assert np.array_equal(truncation_residual(np.diag([3.0, 1.0]), f), np.diag([0.0, 1.0]))
 
     def test_seeded_reassembly(self):
         w = random_matrix(8, 6, 11, "gaussian")
@@ -53,7 +53,7 @@ class TestSvdTruncated:
     def test_full_rank_residual_is_zero(self):
         w = random_matrix(9, 12, 4, "uniform_scaled")
         f = svd_truncated(w, 9)
-        assert np.abs(f.residual).max() <= 1e-10
+        assert np.abs(truncation_residual(w, f)).max() <= 1e-10
 
     def test_singular_values_descending_nonnegative(self):
         w = random_matrix(15, 10, 2, "gaussian")
@@ -185,7 +185,7 @@ class TestSvdProperties:
         assert np.abs(f.v_r.T @ f.v_r - np.eye(r)).max() <= 1e-10
         assert (np.diff(f.s_r) <= 1e-12).all()
         assert reassembly_error(w, f) <= 1e-10 * (1.0 + np.abs(w).max())
-        assert np.isfinite(f.u_r).all() and np.isfinite(f.residual).all()
+        assert np.isfinite(f.u_r).all() and np.isfinite(truncation_residual(w, f)).all()
 
     @pytest.mark.parametrize("tall", [True, False])
     @settings(max_examples=25, deadline=None)
@@ -482,7 +482,7 @@ def test_truncated_outputs_own_their_memory(w, r):
     before = w.tobytes()
     first, second = svd_truncated(w, r), svd_truncated(w, r)
     assert w.tobytes() == before
-    outputs = [arr for f in (first, second) for arr in (f.u_r, f.s_r, f.v_r, f.residual)]
+    outputs = [arr for f in (first, second) for arr in (f.u_r, f.s_r, f.v_r)]
     _assert_own_memory(w, outputs)
     for arr in outputs:
         assert arr.base is None or arr.base.size == arr.size
@@ -581,7 +581,7 @@ class _EveryPath:
         f = svd_truncated(w, r)
         _assert_certified(w, f)
         assert (f.s_r[:2] > 0.0).all() and (f.s_r[2:] == 0.0).all()
-        assert np.abs(f.residual).max() <= 1e-12 * f.s_r[0] and f.certificate <= 1e-12
+        assert np.abs(truncation_residual(w, f)).max() <= 1e-12 * f.s_r[0] and f.certificate <= 1e-12
 
     def test_repeated_singular_values(self, row):
         # Four clusters of equal values; r falls inside the first, where any
@@ -598,7 +598,7 @@ class _EveryPath:
         w = np.zeros((d, k))
         f = svd_truncated(w, r)
         _assert_certified(w, f)
-        assert f.s_r.tolist() == [0.0] * r and not f.residual.any() and f.certificate == 0.0
+        assert f.s_r.tolist() == [0.0] * r and not truncation_residual(w, f).any() and f.certificate == 0.0
         assert np.abs(f.u_r.T @ f.u_r - np.eye(r)).max() == 0.0
         assert self.path == "top_r" or f.iterations == 0  # the power iteration stops at its first check
 
@@ -618,7 +618,7 @@ class _EveryPath:
         d, k, r = row
         w = random_matrix(d, k, 108, "uniform_scaled")
         a, b = svd_truncated(w, r), svd_truncated(w.copy(), r)
-        for name in ("u_r", "s_r", "v_r", "residual"):
+        for name in ("u_r", "s_r", "v_r"):
             assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
         assert (a.iterations, a.converged, a.certificate) == (b.iterations, b.converged, b.certificate)
         lead = a.u_r if d >= k else a.v_r
@@ -759,6 +759,27 @@ class TestLapackPath(_EveryPath):
                 assert np.abs(f.v_r.T @ f.v_r - np.eye(r)).max() <= 1e-12
 
 
+def test_jacobi_skips_a_pair_below_the_roundoff_floor():
+    # Two d x 2 columns of +-0.75 whose inner product is 30 * 2^-46: above
+    # JACOBI_TOL * ||a||_F, so the pair is not converged, but at most
+    # _ROUNDOFF_FLOOR * ||a_p|| ||a_q||, so the sweep skips it instead of
+    # rotating, and stops after one sweep. The signs of the second column
+    # follow the Thue-Morse sequence, so every partial sum of the products
+    # stays small and the inner product is exact in any summation order.
+    d = 1000
+    p = np.random.default_rng(109).choice([-0.75, 0.75], d)
+    q = p * np.array([(-1.0) ** bin(i).count("1") for i in range(d)])
+    q[0] = np.copysign(0.75 + 10 * 2.0**-44, q[0])
+    w = np.column_stack([p, q])
+    gamma, fro = float(p @ q), np.sqrt((w * w).sum())
+    assert gamma == 30 * 2.0**-46
+    assert linalg.JACOBI_TOL * fro < gamma <= linalg._ROUNDOFF_FLOOR * np.sqrt((p @ p) * (q @ q))
+    f = svd_truncated(w, 2)
+    assert svd_path(d, 2, 2) == "jacobi" and f.iterations == 1 and f.converged
+    assert np.abs(f.u_r.T @ f.u_r - np.eye(2)).max() <= 1e-10 and np.abs(f.v_r.T @ f.v_r - np.eye(2)).max() <= 1e-10
+    assert np.sqrt((((f.u_r * f.s_r) @ f.v_r.T - w) ** 2).sum()) <= 1e-12 * fro
+
+
 def test_full_path_reports_its_sweeps():
     f = svd_truncated(random_matrix(9, 6, 96, "gaussian"), 2)
     assert f.converged and 2 <= f.iterations < JACOBI_MAX_SWEEPS and 0.0 < f.certificate <= 1e-12
@@ -766,9 +787,9 @@ def test_full_path_reports_its_sweeps():
     assert (z.iterations, z.converged, z.certificate) == (0, True, 0.0)
 
 
-def _factor_digest(f):
+def _factor_digest(w, f):
     h = hashlib.sha256()
-    for arr in (f.u_r, f.s_r, f.v_r, f.residual):
+    for arr in (f.u_r, f.s_r, f.v_r, truncation_residual(w, f)):
         h.update(arr.tobytes())
     return h.hexdigest()
 
@@ -779,18 +800,20 @@ def test_lapack_factor_bytes_are_pinned():
     # gaussian weight, rank 4: the shape and rank of the benchmark's training
     # tasks. Same build caveat as test_full_rank_factor_bytes_are_pinned; the
     # factors come from LAPACK's gesdd.
-    f = svd_truncated(random_matrix(128, 128, (97, 10), "gaussian"), 4)
+    w = random_matrix(128, 128, (97, 10), "gaussian")
+    f = svd_truncated(w, 4)
     assert (f.iterations, f.converged) == (0, True)
-    assert _factor_digest(f) == "f5a63a1a43edcd5e1d1987af1b899e9b58261e8448eaee9dacb92862a763c88a"
+    assert _factor_digest(w, f) == "f5a63a1a43edcd5e1d1987af1b899e9b58261e8448eaee9dacb92862a763c88a"
 
 
 @pytest.mark.pinned
 def test_top_r_factor_bytes_are_pinned():
     # The same at one seeded 256x256 gaussian weight, rank 4, a top-r shape: the
     # power iteration's products, QRs and Ritz SVDs go through BLAS and LAPACK.
-    f = svd_truncated(random_matrix(256, 256, (97, 10), "gaussian"), 4)
+    w = random_matrix(256, 256, (97, 10), "gaussian")
+    f = svd_truncated(w, 4)
     assert (f.iterations, f.converged) == (168, True)
-    assert _factor_digest(f) == "20c6efdf609b983a9dc293e909e6888b2ca92ec1751ffcf57da5abfe209737f7"
+    assert _factor_digest(w, f) == "20c6efdf609b983a9dc293e909e6888b2ca92ec1751ffcf57da5abfe209737f7"
 
 
 class TestRandomMatrix:
