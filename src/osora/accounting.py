@@ -123,5 +123,5 @@ def list_presets() -> list[str]:
 def get_preset(name: str) -> ShapePreset:
     try:
         return _PRESETS[name]
-    except KeyError:
+    except (KeyError, TypeError):  # TypeError: an unhashable name
         raise InvalidConfig(f"unknown preset {name!r}; available: {', '.join(list_presets())}") from None

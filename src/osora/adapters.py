@@ -27,16 +27,19 @@ initial values o0, a0 and b0, osora_dora's w0 v_r and row norms of w0 off
 span(v_r), and a magnitude build's initial m. A load in a fresh process (say,
 of the adapter.ckpt that `osora train` wrote) decomposes again, to the same bytes.
 
-Forward rules, for base weight w0 of shape d x k and column input x; X0 is
-X's frozen initial value, * is elementwise and F = o s_r^T - o0 s0^T:
+Each update is one product L R of a d x q factor L and a q x k factor R,
+stated once per method: forward(x) is w0 x + L (R x) and merge is w0 + L R.
+X0 is X's frozen initial value, * is elementwise, [P, Q] and [P; Q] stack
+side by side and on top, and F = o s_r^T - o0 s0^T; every L R is exactly
+0 at init (pissa's is (B - B0) A + B0 (A - A0)):
 
-  lora        y = w0 x + B A x                          A: r x k, B: d x r, B0 = 0
-  vera        y = w0 x + diag(b) B diag(dv) A x         frozen random A, B; b0 = 0
-  pissa       y = w0 x + (B - B0) A x + B0 (A - A0) x   B0 = u_r sqrt(s), A0 = sqrt(s) v_r^T
-  osora       y = w0 x + (u_r * F) v_r^T x              o in R^d
-  osora_k     y = w0 x + u_r (v_r * F)^T x              o in R^k
-  dora        row-magnitude rescale of (w0 + B A)
-  osora_dora  row-magnitude rescale of the osora effective weight
+  method      L              R              init
+  lora        B              A              A: r x k, B: d x r, B0 = 0
+  vera        diag(b) B      diag(dv) A     frozen random A, B; b0 = 0
+  pissa       [B - B0, B0]   [A; A - A0]    B0 = u_r sqrt(s), A0 = sqrt(s) v_r^T
+  osora       u_r * F        v_r^T          o in R^d
+  osora_k     u_r            (v_r * F)^T    o in R^k
+  dora, osora_dora: lora's and osora's L, R, and a row-magnitude rescale of w0 + L R
 
 In exact arithmetic these equal the papers' residual forms, w0_res plus the
 update, with w0_res = w0 minus the initial update. No w0_res is formed, so the
@@ -50,13 +53,13 @@ range takes its norm times its own power of two, so norms are right at tiny
 and huge scale, row by row; every other row is taken as it is, with the bytes
 the rescaling would give.
 
-Each rule above is one record in `_TABLE`, keyed by tag, whose fields
+Each row above is one record in `_TABLE`, keyed by tag, whose fields
 `_Method` lists. dora and osora_dora are the lora and osora records with a
-trailing `m` slot, `norms`, which alone takes the row norms of the effective
-weight, and a gradient that folds the row rescale onto its rank-r factors.
-build_adapter, effective_weight, merge, the slot layout and the prediction
-(`_predict`), which forward and the gradients.py train step both run, are
-each one generic body over that table.
+trailing `m` slot, whose `row_norms` alone takes the row norms of the
+effective weight, and a gradient that folds the row rescale onto its rank-r
+factors. build_adapter, effective_weight, merge, the slot layout and the
+prediction (`_predict`), which forward and the gradients.py train step both
+run, are each one generic body over that table; a step forms L once.
 """
 
 from __future__ import annotations
@@ -171,53 +174,53 @@ def _dora_scale(state: AdapterState, norms: np.ndarray) -> np.ndarray:
     return np.where(norms > 0.0, state.trainable["m"] / np.where(norms > 0.0, norms, 1.0), 0.0)
 
 
-def _no_products(fz, x) -> dict[str, np.ndarray]:
-    return {}
-
-
 @dataclass(frozen=True)
 class _Method:
-    """One method: forward(x) = fz["w0"] @ x + apply(fz, t, lift(fz, t, fx, x)), merged as fz["w0"] + delta(fz, t).
+    """One method: forward(x) = fz["w0"] @ x + left @ (right @ x), merged as fz["w0"] + left @ right.
 
-    `fz` and `t` are an adapter's frozen and trainable dicts, and `fx` is
-    fixed(fz, x). delta is exactly 0 at the build's trainables. A magnitude
-    method rescales each row of both to the trainable norm m, its trailing slot.
+    `fz` and `t` are an adapter's frozen and trainable dicts; left(fz, t) is d x q and right(fz, t) q x k, and
+    their product, the update, is exactly 0 at the build's trainables. A step forms left once for grad and
+    row_norms. A magnitude method rescales each row of both to the trainable norm m, its trailing slot.
     """
 
     slots: tuple[str, ...]  # trainable slots in flat-layout order
     # (w, method, seed, f) -> (frozen, trainable), without w0 and m; f is the shared _FACTORS entry if svd, else None
     build: Callable
-    delta: Callable  # (fz, t) -> dense d x k update
-    # (fz, t, fx, x) -> z, the r x n product of the probes that delta @ x factors through:
-    # A X, (v_r * F)^T X, or a fixed product. One step forms it once; apply and grad share it.
-    lift: Callable
-    # (fz, t, z, out) -> out, delta @ x written into the d x n out with one matmul of a d x r
-    # factor and z, without forming delta; any row scale multiplies the d x r factor, never out
-    apply: Callable
-    # (fz, t, z, r, x) -> {slot: gradient} for the update gradient r x^T; without m. A magnitude
-    # record's grad takes the row scale c as well and returns the gradient for diag(c) r x^T,
-    # plus under "m" the row dots of r with delta @ x, read off the d x r product r z^T.
+    left: Callable  # (fz, t) -> the d x q factor of the update
+    right: Callable  # (fz, t) -> the q x k factor of the update
+    # (fz, t, left, z, r, x, fx) -> {slot: gradient} for the update gradient r x^T, without m; a magnitude record's
+    # also takes the row scale c, for diag(c) r x^T, and gives under "m" the row dots of r with left @ z.
     grad: Callable
     frozen_size: Callable  # (d, k, r) -> the elements a build freezes beyond the d x k w0
-    products: Callable = _no_products  # (fz, x) -> frozen-times-probe products that lift reads
-    # Magnitude methods only: (fz, t) -> (row norms of the effective weight, w, e), w the rows grad_rows
-    # reads, row i times 2**-e_i; and (fz, t, c 2**e, w) -> {slot: gradient} for the update gradient diag(c) w_eff.
-    norms: Callable | None = None
+    products: Callable = lambda fz, x: {}  # (fz, x) -> frozen-times-probe products that lift reads
+    # (fz, t, fx) -> z, right @ x read off fixed products; None forms right(fz, t) @ x
+    lift: Callable | None = None
+    # Magnitude methods: (fz, t, c 2**e, w) -> {slot: gradient} for the update gradient diag(c) w_eff,
+    # w the rows row_norms returns; and, for osora_dora alone, row_norms' own rule.
     grad_rows: Callable | None = None
+    norms: Callable | None = None
     o_axis: int = 0  # the axis of w that the o vector runs along
     svd: bool = False  # built over the shared top-r SVD of w0, so its rank is at most min(d, k)
 
     @property
     def magnitude(self) -> bool:
-        return self.norms is not None
+        return self.slots[-1] == "m"
 
     def fixed(self, fz, x) -> dict[str, np.ndarray]:
         """Products of frozen tensors with the probes x: "base" is w0 @ x."""
         return {"base": fz["w0"] @ x, **self.products(fz, x)}
 
+    def weight(self, fz, t, left=None) -> np.ndarray:
+        """The effective weight w0 + left @ right as one new d x k array; left is passed where a step formed it."""
+        w = (self.left(fz, t) if left is None else left) @ self.right(fz, t)
+        w += fz["w0"]
+        return w
 
-def _with_magnitude(entry: _Method, **fields) -> _Method:
-    return replace(entry, slots=entry.slots + ("m",), **fields)
+    def row_norms(self, fz, t, left=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(row norms of the effective weight, w, e): w the rows grad_rows reads, row i times 2**-e_i."""
+        if self.norms is not None:
+            return self.norms(fz, t, self.left(fz, t) if left is None else left)
+        return _scaled_norms(self.weight(fz, t, left))
 
 
 def _lora_init(w: np.ndarray, method: AdapterMethod, seed: int, f: None):
@@ -233,11 +236,9 @@ def _vera_init(w: np.ndarray, method: AdapterMethod, seed: int, f: None):
     return {"a_base": a_base, "b_base": b_base}, {"d_vec": np.full(r, _VERA_D_INIT), "b_vec": np.zeros(d)}
 
 
-def _vera_grad(fz, t, ax, r, x):
-    b = fz["b_base"]
-    g_d = _row_dots((b * t["b_vec"][:, None]).T @ r, ax)
-    g_b = _row_dots(r @ (t["d_vec"][:, None] * ax).T, b)
-    return {"d_vec": g_d, "b_vec": g_b}
+def _vera_grad(fz, t, left, z, r, x, fx):
+    # z = diag(d_vec) A X; the d_vec gradient reads A X itself, since no z can be divided by a zero d_vec.
+    return {"d_vec": _row_dots(left.T @ r, fx["ax"]), "b_vec": _row_dots(r @ z.T, fz["b_base"])}
 
 
 def _pissa_init(w: np.ndarray, method: AdapterMethod, seed: int, f: _Shared):
@@ -268,21 +269,14 @@ def _osora_grads(side, t, p):
     }
 
 
-def _dora_grad(fz, t, ax, r, x, c):
-    b = t["b"]
-    gb = r @ ax.T  # d x r; delta @ x = B (A X)
+def _dora_grad(fz, t, b, ax, r, x, fx, c):
+    gb = r @ ax.T  # d x r; the update's product is B (A X)
     return {"a": ((b * c[:, None]).T @ r) @ x.T, "b": c[:, None] * gb, "m": _row_dots(gb, b)}
 
 
-def _osora_dora_grad(fz, t, vtx, r, x, c):
-    gv = r @ vtx.T  # d x r; delta @ x = (u_r * F) (v_r^T X)
-    return {**_osora_grads(fz["u_r"], t, c[:, None] * gv), "m": _row_dots(gv, fz["u_r"] * _os_factor(fz, t))}
-
-
-def _dora_norms(fz, t):
-    w = t["b"] @ t["a"]
-    w += fz["w0"]
-    return _scaled_norms(w)
+def _osora_dora_grad(fz, t, left, vtx, r, x, fx, c):
+    gv = r @ vtx.T  # d x r; the update's product is (u_r * F) (v_r^T X)
+    return {**_osora_grads(fz["u_r"], t, c[:, None] * gv), "m": _row_dots(gv, left)}
 
 
 def _osora_dora_init(w: np.ndarray, method: AdapterMethod, seed: int, f: _Shared):
@@ -292,31 +286,30 @@ def _osora_dora_init(w: np.ndarray, method: AdapterMethod, seed: int, f: _Shared
     return frozen, trainable
 
 
-def _osora_dora_norms(fz, t):
-    # v_r is orthonormal: row i of w_eff is (w_eff v_r)_i v_r^T plus w0's row off span(v_r), of norm w0_perp_i.
-    wv = fz["w0_v"] + fz["u_r"] * _os_factor(fz, t)
-    norms, w, e = _scaled_norms(np.column_stack([wv, fz["w0_perp"]]))
+def _osora_dora_norms(fz, t, left):
+    # v_r is orthonormal: row i of w_eff is (w_eff v_r)_i v_r^T, w_eff v_r = w0 v_r + left, plus
+    # w0's row off span(v_r), of norm w0_perp_i.
+    norms, w, e = _scaled_norms(np.column_stack([fz["w0_v"] + left, fz["w0_perp"]]))
     return norms, w[:, :-1], e
 
 
 _LORA = _Method(
     slots=("a", "b"),
     build=_lora_init,
-    delta=lambda fz, t: t["b"] @ t["a"],
-    lift=lambda fz, t, fx, x: t["a"] @ x,
-    apply=lambda fz, t, ax, out: np.matmul(t["b"], ax, out=out),
-    grad=lambda fz, t, ax, r, x: {"a": (t["b"].T @ r) @ x.T, "b": r @ ax.T},
+    left=lambda fz, t: t["b"],
+    right=lambda fz, t: t["a"],
+    grad=lambda fz, t, b, ax, r, x, fx: {"a": (b.T @ r) @ x.T, "b": r @ ax.T},
     frozen_size=lambda d, k, r: 0,
 )
 _OSORA = _Method(
     slots=("s_r", "o"),
     build=_osora_init,
-    delta=lambda fz, t: (fz["u_r"] * _os_factor(fz, t)) @ fz["v_r"].T,
-    lift=lambda fz, t, fx, x: fx["vtx"],
-    apply=lambda fz, t, vtx, out: np.matmul(fz["u_r"] * _os_factor(fz, t), vtx, out=out),
-    grad=lambda fz, t, vtx, r, x: _osora_grads(fz["u_r"], t, r @ vtx.T),
+    left=lambda fz, t: fz["u_r"] * _os_factor(fz, t),
+    right=lambda fz, t: fz["v_r"].T,
+    grad=lambda fz, t, left, vtx, r, x, fx: _osora_grads(fz["u_r"], t, r @ vtx.T),
     frozen_size=lambda d, k, r: r * (d + k) + d + r,  # u_r, v_r, o0, s0
     products=lambda fz, x: {"vtx": fz["v_r"].T @ x},
+    lift=lambda fz, t, fx: fx["vtx"],
     svd=True,
 )
 _TABLE: dict[str, _Method] = {
@@ -324,48 +317,48 @@ _TABLE: dict[str, _Method] = {
     "vera": _Method(
         slots=("d_vec", "b_vec"),
         build=_vera_init,
-        delta=lambda fz, t: (t["b_vec"][:, None] * fz["b_base"]) @ (t["d_vec"][:, None] * fz["a_base"]),
-        lift=lambda fz, t, fx, x: fx["ax"],
-        apply=lambda fz, t, ax, out: np.matmul(fz["b_base"] * t["b_vec"][:, None], t["d_vec"][:, None] * ax, out=out),
+        left=lambda fz, t: t["b_vec"][:, None] * fz["b_base"],
+        right=lambda fz, t: t["d_vec"][:, None] * fz["a_base"],
         grad=_vera_grad,
         frozen_size=lambda d, k, r: r * (d + k),  # a_base, b_base
         products=lambda fz, x: {"ax": fz["a_base"] @ x},
+        lift=lambda fz, t, fx: t["d_vec"][:, None] * fx["ax"],
     ),
     "pissa": replace(
         _LORA,
         build=_pissa_init,
-        delta=lambda fz, t: (t["b"] - fz["b0"]) @ t["a"] + fz["b0"] @ (t["a"] - fz["a0"]),
-        # [A X; (A - A0) X], applied as [B - B0, B0] times it: both differences are exactly 0 at init
-        lift=lambda fz, t, fx, x: np.concatenate([t["a"], t["a"] - fz["a0"]]) @ x,
-        apply=lambda fz, t, z, out: np.matmul(np.concatenate([t["b"] - fz["b0"], fz["b0"]], axis=1), z, out=out),
-        grad=lambda fz, t, z, r, x: _LORA.grad(fz, t, z[: t["a"].shape[0]], r, x),
+        # (B - B0) A + B0 (A - A0) as one 2r-wide product: both differences are exactly 0 at init
+        left=lambda fz, t: np.concatenate([t["b"] - fz["b0"], fz["b0"]], axis=1),
+        right=lambda fz, t: np.concatenate([t["a"], t["a"] - fz["a0"]]),
+        grad=lambda fz, t, left, z, r, x, fx: _LORA.grad(fz, t, t["b"], z[: t["a"].shape[0]], r, x, fx),
         frozen_size=lambda d, k, r: r * (d + k),  # a0, b0
         svd=True,
     ),
     "osora": _OSORA,
     "osora_k": replace(
         _OSORA,
-        delta=lambda fz, t: fz["u_r"] @ (fz["v_r"] * _os_factor(fz, t)).T,
-        lift=lambda fz, t, fx, x: (fz["v_r"] * _os_factor(fz, t)).T @ x,
-        apply=lambda fz, t, z, out: np.matmul(fz["u_r"], z, out=out),
-        grad=lambda fz, t, z, r, x: _osora_grads(fz["v_r"], t, x @ (r.T @ fz["u_r"])),
+        left=lambda fz, t: fz["u_r"],
+        right=lambda fz, t: (fz["v_r"] * _os_factor(fz, t)).T,
+        grad=lambda fz, t, u_r, z, r, x, fx: _osora_grads(fz["v_r"], t, x @ (r.T @ u_r)),
         frozen_size=lambda d, k, r: r * (d + k) + k + r,  # u_r, v_r, o0, s0
-        products=_no_products,
+        products=lambda fz, x: {},
+        lift=None,
         o_axis=1,
     ),
-    "dora": _with_magnitude(
+    "dora": replace(
         _LORA,
+        slots=("a", "b", "m"),
         grad=_dora_grad,
-        norms=_dora_norms,
         grad_rows=lambda fz, t, c, w: {"a": (t["b"] * c[:, None]).T @ w, "b": c[:, None] * (w @ t["a"].T)},
     ),
-    "osora_dora": _with_magnitude(
+    "osora_dora": replace(
         _OSORA,
+        slots=("s_r", "o", "m"),
         build=_osora_dora_init,
         grad=_osora_dora_grad,
         frozen_size=lambda d, k, r: r * (d + k) + d + r + d * r + d,  # osora's, w0_v, w0_perp
-        norms=_osora_dora_norms,
         grad_rows=lambda fz, t, c, wv: _osora_grads(fz["u_r"], t, c[:, None] * wv),
+        norms=_osora_dora_norms,
     ),
 }
 
@@ -433,7 +426,7 @@ def _build_adapter(w: np.ndarray, digest: bytes, method: AdapterMethod, seed: in
     frozen = _Frozen(w0=w.copy() if factors is None else factors.w0, **built)
     frozen.factors = factors
     if entry.magnitude:  # start each row at its own norm, so the rescale is the identity
-        trainable["m"] = entry.norms(frozen, trainable)[0]
+        trainable["m"] = entry.row_norms(frozen, trainable)[0]
     _read_only(*frozen.values())
     return AdapterState(
         method=method, d=w.shape[0], k=w.shape[1], seed=seed, frozen=frozen, trainable=trainable, w0_digest=digest
@@ -446,9 +439,8 @@ def clone_state(state: AdapterState) -> AdapterState:
 
 
 def effective_weight(state: AdapterState) -> np.ndarray:
-    """Dense base-plus-update weight, before any dora magnitude rescale."""
-    entry = _TABLE[state.method.tag]
-    return state.frozen["w0"] + entry.delta(state.frozen, state.trainable)
+    """Dense base-plus-update weight w0 + L R, before any dora magnitude rescale."""
+    return _TABLE[state.method.tag].weight(state.frozen, state.trainable)
 
 
 def forward(state: AdapterState, x) -> np.ndarray:
@@ -468,20 +460,22 @@ def forward(state: AdapterState, x) -> np.ndarray:
 def _predict(state: AdapterState, fx: dict[str, np.ndarray], x: np.ndarray, out: np.ndarray) -> tuple:
     """Write forward(state, x) into the d x n out, given fx = fixed(state.frozen, x); no other d x n array.
 
-    Returns (z, rows, scale) for the gradient: z = lift(...), and a magnitude
-    method's norms(frozen, trainable) and row scale (else None, None).
+    Returns (left, z, rows, scale) for the gradient: the update's factor L and
+    z = R x, each formed once, and a magnitude method's row_norms and row
+    scale (else None, None).
     """
     entry = _TABLE[state.method.tag]
     fz, t = state.frozen, state.trainable
-    z = entry.lift(fz, t, fx, x)
-    entry.apply(fz, t, z, out)
+    left = entry.left(fz, t)
+    z = entry.right(fz, t) @ x if entry.lift is None else entry.lift(fz, t, fx)
+    np.matmul(left, z, out=out)
     out += fx["base"]
     if not entry.magnitude:
-        return z, None, None
-    rows = entry.norms(fz, t)
+        return left, z, None, None
+    rows = entry.row_norms(fz, t, left)
     scale = _dora_scale(state, rows[0])
     out *= scale[:, None]
-    return z, rows, scale
+    return left, z, rows, scale
 
 
 def merge(state: AdapterState) -> np.ndarray:
@@ -489,7 +483,7 @@ def merge(state: AdapterState) -> np.ndarray:
     w_eff = effective_weight(state)
     entry = _TABLE[state.method.tag]
     if entry.magnitude:
-        w_eff *= _dora_scale(state, entry.norms(state.frozen, state.trainable)[0])[:, None]
+        w_eff *= _dora_scale(state, entry.row_norms(state.frozen, state.trainable)[0])[:, None]
     return w_eff
 
 
@@ -501,7 +495,7 @@ def is_finite(state: AdapterState) -> bool:
     """
     entry = _TABLE[state.method.tag]
     with np.errstate(over="ignore", invalid="ignore"):
-        if entry.magnitude and not np.isfinite(entry.norms(state.frozen, state.trainable)[0]).all():
+        if entry.magnitude and not np.isfinite(entry.row_norms(state.frozen, state.trainable)[0]).all():
             return False
         return bool(np.isfinite(merge(state)).all())
 

@@ -6,14 +6,13 @@ The loss over n probe columns X (k x n) with targets Y (d x n) is
 
 so the gradient with respect to the dense update is G = R X^T, where
 R = (pred - Y)/n is the scaled residual. No step forms G. Each method's record
-in the adapters table gives `fixed`, the products of its frozen tensors with
-the probes (w0 X, v_r^T X, a_base X); `lift`, the r x n product Z that its
-update factors through, delta X = F Z with F d x r (A X for lora and dora,
-[A X; (A - A0) X] for pissa, (v_r * (o s_r^T - o0 s0^T))^T X for osora_k, a
-fixed product for vera, osora and osora_dora); and `grad`, which chains R and
-X through r x n products (the initial values an update subtracts are
-constants). A step forms Z once: `apply` multiplies it out and `grad` reads it
-again. For osora, with H = G v_r = R (v_r^T X)^T,
+in the adapters table states its update once, as the product of `left`
+(d x q) and `right` (q x k), and gives `fixed`, the products of its frozen
+tensors with the probes (w0 X, v_r^T X, a_base X). A step forms left and
+Z = right X once each (vera, osora and osora_dora read Z off a fixed
+product), writes left Z into the plane, and hands both to `grad`, which
+chains R and X through q x n products (the initial values an update
+subtracts are constants). For osora, with H = G v_r = R (v_r^T X)^T,
 
     dL/ds_r = diag(u_r^T diag(o) H)
     dL/do   = rowwise sum of H * u_r diag(s_r)
@@ -22,16 +21,15 @@ and osora_k the same two sums with v_r for u_r and H = G^T u_r = X (u_r^T R)^T,
 so a step costs O(r n (d + k)), not O(d k n). The dora-style magnitude
 rescale contributes the usual normalized-row Jacobian (the row-norm
 denominator is differentiated, not detached): dL/dm = rowwise sum of R * P
-over the row norms, P = base + delta X the prediction before the rescale, and
+over the row norms, P = base + left Z the prediction before the rescale, and
 the update gradient becomes diag(scale) G - diag(c) w_eff. The first term
 puts diag(scale) on the d x r or r x k side of each product, as osora's o
 already is, and the second each magnitude record chains through `grad_rows`.
-The row sums of R * P are those of R * base plus rowwise (R Z^T) * F, a d x r
-product the gradient already holds: rowwise (R (A X)^T) * B for dora, and
-rowwise (R (v_r^T X)^T) * (u_r * (o s_r^T - o0 s0^T)) for osora_dora. The
-record's `norms` gives the row norms and the rows `grad_rows` reads, row i
-times 2^-e_i as its norm was, so the step passes c 2^e, exactly. The rows are dora's
-w_eff = w0 + B A, the one d x k array a step makes, or osora_dora's w_eff v_r.
+The row sums of R * P are those of R * base plus rowwise (R Z^T) * left, a d x q
+product the gradient already holds. The record's `row_norms` gives the row
+norms and the rows `grad_rows` reads, row i times 2^-e_i as its norm was, so
+the step passes c 2^e, exactly. The rows are dora's w_eff = w0 + B A, the one
+d x k array a step makes, or osora_dora's w_eff v_r = w0 v_r + left.
 
 Every method's prediction is M X for a d x k matrix M of its tensors (a
 magnitude method's rescale depends on its weights, not on the probes), so
@@ -46,18 +44,17 @@ X and Y. `training.train` steps over the planes a `ToyTask` keeps; `gradient`,
 
 `gradient` and `training.train` compute the probe products and allocate one
 d x m workspace plane per call (m = n for `gradient`, min(n, k) for `train`),
-for every method, and every step of the call writes into it: `apply` writes
-delta X into the plane, `fixed`'s base product is added to make the
-prediction, a magnitude method scales its rows in place, and subtracting Y
-leaves the residual pred - Y. The loss is one dot product of that plane with
+for every method, and every step of the call writes into it: left Z goes
+into the plane, `fixed`'s base product is added to make the prediction, a
+magnitude method scales its rows in place, and subtracting Y leaves the
+residual pred - Y. The loss is one dot product of that plane with
 itself, plus the tail, and the 1/n of R is applied to the slot gradients,
 which are r, d or k long or d x r, r x k, so the residual plane is never
-rescaled. osora and vera scale the rows of their d x r factor, not of the
-d x m product. So a step makes no d x m array and passes over one only to
-fill it, to read it for the loss and the row sums of dL/dm, and to multiply
-it into the gradient products. What it still makes are r x m and d x r (or k x r)
-products, vectors of length d, k or r, and dora's d x k w_eff: vera's b_vec
-gradient is rowwise (R (diag(d) A X)^T) * B.
+rescaled. osora and vera scale the rows of left, not of the d x m product. So a
+step makes no d x m array and passes over one only to fill it, to read it for
+the loss and the row sums of dL/dm, and to multiply it into the gradient
+products. What it still makes are q x m and d x q (or k x r) products, vectors
+of length d, k or r, and dora's d x k w_eff.
 """
 
 from __future__ import annotations
@@ -130,7 +127,7 @@ def _step(
     """
     entry = _TABLE[state.method.tag]
     fz, t = state.frozen, state.trainable
-    z, rows, scale = _predict(state, fx, x, ws)
+    left, z, rows, scale = _predict(state, fx, x, ws)
     r = ws
     r -= y
     flat = r.ravel()
@@ -138,7 +135,7 @@ def _step(
     # r is the residual pred - Y, not R = r/n; the 1/n goes on the small slot gradients.
     if entry.magnitude:
         norms, w, e = rows
-        grads = entry.grad(fz, t, z, r, x, scale)
+        grads = entry.grad(fz, t, left, z, r, x, fx, scale)
         # dL/dm_i = r_i . P_i / (n norms_i), P = base + delta @ x the prediction before the rescale;
         # grad returns the r_i . (delta @ x)_i half.
         inv = np.where(norms > 0.0, 1.0 / np.where(norms > 0.0, norms, 1.0), 0.0)
@@ -147,7 +144,7 @@ def _step(
         full = {name: g / n - row_grads[name] for name, g in grads.items()}
         full["m"] = g_m
     else:
-        full = {name: g / n for name, g in entry.grad(fz, t, z, r, x).items()}
+        full = {name: g / n for name, g in entry.grad(fz, t, left, z, r, x, fx).items()}
     return LossGrad(loss=loss, slices={name: full[name] for name in trainable_slots(state)})
 
 

@@ -102,6 +102,12 @@ def check_seed(seed) -> None:
         raise InvalidConfig(f"seed must be in [0, 2**64), got {seed}")
 
 
+def check_fits(what: str, *shape: int) -> None:
+    """Raise InvalidConfig for a float64 shape too large for numpy to address, before anything tries to allocate it."""
+    if math.prod(shape) > np.iinfo(np.intp).max // 8:
+        raise InvalidConfig(f"{what} of shape {shape} is larger than numpy can address")
+
+
 def check_finite(a: np.ndarray, name: str = "input") -> None:
     if not np.isfinite(a).all():
         raise NonFiniteInput(f"{name} contains NaN or Inf entries")
@@ -144,6 +150,7 @@ def random_matrix(rows: int, cols: int, seed: int | Sequence[int], scheme: str =
             raise InvalidConfig(f"seed must be a non-negative integer or a sequence of them, got {seed!r}")
     if rows < 1 or cols < 1:
         raise DimensionMismatch(f"rows and cols must be >= 1, got {rows}x{cols}")
+    check_fits("matrix", rows, cols)
     rng = np.random.default_rng(seed)
     if scheme == "uniform_scaled":
         bound = math.sqrt(6.0 / (rows + cols))

@@ -33,7 +33,7 @@ import numpy as np
 from .adapters import AdapterState, _read_only, _shared_svd, _slot_views, clone_state, trainable_vector, weight_digest
 from .errors import DimensionMismatch, InvalidConfig, NonFiniteLoss, RankOutOfRange
 from .gradients import _check_pair, _stepper
-from .linalg import SvdFactors, as_real_array, check_integers, check_seed, random_matrix
+from .linalg import SvdFactors, as_real_array, check_fits, check_integers, check_seed, random_matrix
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -99,6 +99,7 @@ class TrainConfig:
         # bool is an Integral and a Real, but True is no step count or learning rate.
         if isinstance(self.steps, bool) or not isinstance(self.steps, numbers.Integral) or self.steps < 0:
             raise InvalidConfig(f"steps must be an integer >= 0, got {self.steps!r}")
+        check_fits("loss trace", self.steps + 1)
         if isinstance(self.lr, bool) or not isinstance(self.lr, numbers.Real) or not math.isfinite(self.lr):
             raise InvalidConfig(f"lr must be a finite real number, got {self.lr!r}")
 
@@ -129,6 +130,7 @@ def make_task(d: int, k: int, r_gap: int, seed: int, n: int | None = None) -> To
     check_integers(n=n)
     if n < d:
         raise DimensionMismatch(f"need at least d={d} probe columns, got {n}")
+    check_fits("probes or targets", max(d, k), n)
     w0 = random_matrix(d, k, (seed, _SLOT_W0), "gaussian")
     f = _shared_svd(w0, weight_digest(w0), r_gap)
     o_star = np.random.default_rng((seed, _SLOT_O_STAR)).uniform(0.5, 1.5, d)

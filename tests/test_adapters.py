@@ -124,7 +124,7 @@ class TestBuild:
         # the weight's scale; the noise on them is scaled with it.
         w = random_matrix(12, 8, 3, "gaussian")
         assert np.array_equal(np.ldexp(np.ldexp(w, j), -j), w)  # no entry of 2^j w is subnormal
-        norms = _TABLE[tag].norms
+        norms = _TABLE[tag].row_norms
         method = AdapterMethod(tag=tag, rank=4)
         state, scaled = build_adapter(w, method, seed=3), build_adapter(np.ldexp(w, j), method, seed=3)
         rng = np.random.default_rng(31)
@@ -190,6 +190,22 @@ class TestBuild:
     def test_numpy_integers_are_counts_and_seeds(self):
         state = build_adapter(np.eye(4), AdapterMethod(tag="osora", rank=np.int64(2)), seed=np.uint64(2**64 - 1))
         assert trainable_vector(state).size == count_trainable("osora", np.int32(4), 4, np.int64(2)) == 6
+
+
+    @pytest.mark.parametrize("d,k", [(12, 8), (8, 12)], ids=["tall", "wide"])
+    @pytest.mark.parametrize("tag,o_init", LIVE_BUILDS)
+    def test_each_record_states_its_update_once(self, tag, o_init, d, k):
+        # The update is left @ right, d x q times q x k. A record that reads z
+        # off a fixed probe product, not right @ x, states that part twice, so
+        # the two must agree.
+        state, _ = perturbed_state(tag, d, k, 3, 7, o_init=o_init)
+        entry, fz, t = _TABLE[tag], state.frozen, state.trainable
+        left, right = entry.left(fz, t), entry.right(fz, t)
+        assert left.shape[0] == d and right.shape[1] == k and left.shape[1] == right.shape[0]
+        if entry.lift is not None:
+            x = np.random.default_rng(8).standard_normal((k, 5))
+            want = right @ x
+            assert np.abs(entry.lift(fz, t, entry.fixed(fz, x)) - want).max() <= 1e-14 * np.abs(want).max()
 
 
 class TestForward:

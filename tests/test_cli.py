@@ -201,6 +201,18 @@ class TestTrain:
         code, _, err = run_cli(capsys, "train", *argv)
         assert code == 3 and err.startswith("error:")
 
+    @pytest.mark.parametrize(
+        "argv,ini",
+        [(["--steps", "99999999999999999999"], ""), ([], "[train]\nn = 4611686018427387904\n")],
+        ids=["steps", "probe_count"],
+    )
+    def test_size_past_the_address_space_exit_code(self, argv, ini, tmp_path, capsys):
+        # numpy refuses these arrays before allocating: their byte counts pass the largest intp.
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(ini)
+        code, out, err = run_cli(capsys, "train", "--config", str(cfg), *argv)
+        assert code == 3 and out == "" and err.startswith("error:") and err.count("\n") == 1
+
     def test_unwritable_out_exit_code(self, tmp_path, capsys):
         blocker = tmp_path / "file"
         blocker.write_text("")

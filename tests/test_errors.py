@@ -5,6 +5,7 @@ from conftest import SVD_PATH_CASES
 from osora import (
     AdapterMethod,
     OsoraError,
+    TrainConfig,
     build_adapter,
     count_trainable,
     finite_diff,
@@ -47,6 +48,7 @@ BAD_CALLS = {
     "ratio_nonpositive_dims": lambda tmp: param_ratio(0, 4, 1),
     "ratio_boolean_rank": lambda tmp: param_ratio(8, 8, True),
     "unknown_preset": lambda tmp: get_preset("nope"),
+    "unhashable_preset": lambda tmp: get_preset(["x"]),
     "method_unknown_tag": lambda tmp: AdapterMethod(tag="nope", rank=1),
     "method_non_integer_rank": lambda tmp: AdapterMethod(tag="osora", rank=2.0),
     "method_unknown_o_init": lambda tmp: AdapterMethod(tag="osora", rank=1, o_init="zeros"),
@@ -59,6 +61,10 @@ BAD_CALLS = {
     "task_non_integer_dims": lambda tmp: make_task(8.0, 8, 2, 0),
     "task_non_integer_probe_count": lambda tmp: make_task(8, 8, 2, 0, n=16.0),
     "task_negative_seed": lambda tmp: make_task(8, 8, 2, seed=-1),
+    # Sizes whose byte counts numpy cannot address, so it refuses them before allocating.
+    "task_probes_past_address_space": lambda tmp: make_task(4, 4, 2, 0, n=2**62),
+    "train_steps_past_address_space": lambda tmp: TrainConfig(steps=10**20, lr=0.1),
+    "random_matrix_past_address_space": lambda tmp: random_matrix(2**40, 2**40, 0),
     "finite_diff_nonpositive_step": lambda tmp: finite_diff(
         build_adapter(np.eye(2), AdapterMethod(tag="osora", rank=1), 0), np.eye(2), np.eye(2), h=0.0
     ),

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+import osora.adapters
 from conftest import SVD_PATH_CASES, perturbed_state
 from osora import (
+    OSORA_FAMILY,
     METHODS,
     AdapterMethod,
     DimensionMismatch,
@@ -116,6 +118,17 @@ class TestGradOsora:
         lg = gradient(full, x, y)
         assert np.array_equal(gradient(only_s, x, y).flat(), lg.slices["s_r"])
         assert np.array_equal(gradient(only_o, x, y).flat(), lg.slices["o"])
+
+
+    @pytest.mark.parametrize("tag", OSORA_FAMILY)
+    def test_one_step_forms_the_factor_once(self, tag, rng, monkeypatch):
+        # F = o s_r^T - o0 s0^T is formed once per step and shared by the
+        # prediction, osora_dora's row norms and the gradient.
+        state, _ = perturbed_state(tag, 10, 8, 3, 2)
+        calls, real = [], osora.adapters._os_factor
+        monkeypatch.setattr(osora.adapters, "_os_factor", lambda fz, t: calls.append(tag) or real(fz, t))
+        gradient(state, rng.standard_normal((8, 12)), rng.standard_normal((10, 12)))
+        assert len(calls) == 1
 
 
 class TestGradGeneric:
