@@ -478,13 +478,20 @@ def _predict(state: AdapterState, fx: dict[str, np.ndarray], x: np.ndarray, out:
     return left, z, rows, scale
 
 
+def _merged(state: AdapterState) -> tuple[np.ndarray, np.ndarray | None]:
+    """(merge(state), the row norms a magnitude rescale divided by, or None for a method without one)."""
+    entry = _TABLE[state.method.tag]
+    w_eff = entry.weight(state.frozen, state.trainable)
+    if not entry.magnitude:
+        return w_eff, None
+    norms = entry.row_norms(state.frozen, state.trainable)[0]
+    w_eff *= _dora_scale(state, norms)[:, None]
+    return w_eff, norms
+
+
 def merge(state: AdapterState) -> np.ndarray:
     """Fold the adapter into a single d x k matrix acting exactly like forward()."""
-    w_eff = effective_weight(state)
-    entry = _TABLE[state.method.tag]
-    if entry.magnitude:
-        w_eff *= _dora_scale(state, entry.row_norms(state.frozen, state.trainable)[0])[:, None]
-    return w_eff
+    return _merged(state)[0]
 
 
 def is_finite(state: AdapterState) -> bool:
@@ -493,11 +500,9 @@ def is_finite(state: AdapterState) -> bool:
     An overflowed norm would turn its row of the merged weight into zeros, which
     are finite, so the merged weight alone cannot show it.
     """
-    entry = _TABLE[state.method.tag]
     with np.errstate(over="ignore", invalid="ignore"):
-        if entry.magnitude and not np.isfinite(entry.row_norms(state.frozen, state.trainable)[0]).all():
-            return False
-        return bool(np.isfinite(merge(state)).all())
+        w_eff, norms = _merged(state)
+        return bool(np.isfinite(w_eff).all()) and (norms is None or bool(np.isfinite(norms).all()))
 
 
 def _slot_names(method: AdapterMethod) -> list[str]:

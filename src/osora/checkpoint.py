@@ -47,18 +47,18 @@ rebuild differently from older builds, at roundoff.
 
 The u32 at offset 24 names the SVD path that linalg.svd_path selects for the
 header's (d, k, rank), whatever the method, out of three: 0 for the full
-Jacobi SVD (min(d, k) < 128), 2 for the top-r power iteration
-(min(d, k) >= 256 and 2 * (rank + 8) <= min(d, k)), whose Ritz step takes
-LAPACK's SVD of the small projection, and 3 for LAPACK's full SVD at every
-other shape with min(d, k) >= 128. Code 1 was the top-r path with its Ritz
+Jacobi SVD, 2 for the top-r power iteration, whose Ritz step takes LAPACK's
+SVD of the small projection, and 3 for LAPACK's full SVD. Which shapes take
+which path is svd_path's to say. Code 1 was the top-r path with its Ritz
 step on the Jacobi SVD; no build writes it any more. The paths give different
 factor bytes, so load refuses a code that is not the one this build selects
-with VersionUnsupported: code 1 at any shape, code 0 or 2 at a LAPACK shape,
-which older builds wrote there, and code 0 at a top-r shape. Any other code is
-CorruptPayload. Checkpoints of Jacobi shapes load as before, and their bytes
-are unchanged. Since the top-r and LAPACK factors come from LAPACK's gesdd, a
-cold load under another numpy or LAPACK build may rebuild them differently at
-roundoff: the contract is byte-identical reruns within one build.
+with VersionUnsupported: code 1 at any shape, and a known code that svd_path
+does not select at the header's shape, such as the 0 or 2 that older builds
+wrote at LAPACK shapes. Any other code is CorruptPayload. Checkpoints of
+Jacobi shapes load as before, and their bytes are unchanged. Since the top-r
+and LAPACK factors come from LAPACK's gesdd, a cold load under another numpy
+or LAPACK build may rebuild them differently at roundoff: the contract is
+byte-identical reruns within one build.
 """
 
 from __future__ import annotations
@@ -95,6 +95,11 @@ _KIND_CHECKPOINT = 0
 # Code 1 is the top-r path with its Ritz step on the Jacobi SVD, which no
 # build since takes, so no path selects it and load refuses it.
 _SVD_PATH_CODES = ("jacobi", "top_r_jacobi_ritz", "top_r", "lapack")
+
+# Each coded header field, in load's decode order, with the names its code indexes.
+_CODED_FIELDS = (
+    ("method", METHODS), ("o_init", O_INITS), ("trainable_set", TRAINABLE_SETS), ("SVD path", _SVD_PATH_CODES)
+)
 
 
 def _pack_header(state: AdapterState) -> bytes:
@@ -153,26 +158,19 @@ def load(path, w0) -> AdapterState:
     method_code, o_code, set_code, kind, d, k, rank, svd_code, seed, digest = _unpack_header(blob, path)
     if kind != _KIND_CHECKPOINT:
         raise CorruptPayload(f"{path}: not a trainable-only checkpoint (kind={kind})")
-    if method_code >= len(METHODS):
-        raise CorruptPayload(f"{path}: unknown method code {method_code}")
-    if o_code >= len(O_INITS):
-        raise CorruptPayload(f"{path}: unknown o_init code {o_code}")
-    if set_code >= len(TRAINABLE_SETS):
-        raise CorruptPayload(f"{path}: unknown trainable_set code {set_code}")
-    if svd_code >= len(_SVD_PATH_CODES):
-        raise CorruptPayload(f"{path}: unknown SVD path code {svd_code}")
+    names = []
+    for (field, table), code in zip(_CODED_FIELDS, (method_code, o_code, set_code, svd_code)):
+        if code >= len(table):
+            raise CorruptPayload(f"{path}: unknown {field} code {code}")
+        names.append(table[code])
+    tag, o_init, trainable_set, saved_path = names
     w = as_matrix(w0, "w0")
     if weight_digest(w) != digest:
         raise DigestMismatch(f"{path}: base weight digest does not match the checkpoint")
     if w.shape != (d, k):
         raise CorruptPayload(f"{path}: header dims {d}x{k} disagree with weight shape {w.shape}")
     try:
-        method = AdapterMethod(
-            tag=METHODS[method_code],
-            rank=rank,
-            o_init=O_INITS[o_code],
-            trainable_set=TRAINABLE_SETS[set_code],
-        )
+        method = AdapterMethod(tag=tag, rank=rank, o_init=o_init, trainable_set=trainable_set)
     except (ValueError, RankOutOfRange) as exc:
         raise CorruptPayload(f"{path}: header names no valid adapter: {exc}") from exc
     expected = trainable_count(method, d, k)
@@ -182,9 +180,9 @@ def load(path, w0) -> AdapterState:
     theta = np.frombuffer(payload, dtype="<f8")
     if not np.isfinite(theta).all():
         raise CorruptPayload(f"{path}: payload holds NaN or Inf")
-    if _SVD_PATH_CODES[svd_code] != svd_path(d, k, rank):
+    if saved_path != svd_path(d, k, rank):
         raise VersionUnsupported(
-            f"{path}: saved with the {_SVD_PATH_CODES[svd_code]} SVD path, but this build takes the "
+            f"{path}: saved with the {saved_path} SVD path, but this build takes the "
             f"{svd_path(d, k, rank)} path at {d}x{k} rank {rank} and would rebuild other factors"
         )
     try:

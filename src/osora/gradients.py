@@ -136,8 +136,8 @@ def _step(
     if entry.magnitude:
         norms, w, e = rows
         grads = entry.grad(fz, t, left, z, r, x, fx, scale)
-        # dL/dm_i = r_i . P_i / (n norms_i), P = base + delta @ x the prediction before the rescale;
-        # grad returns the r_i . (delta @ x)_i half.
+        # dL/dm_i = r_i . P_i / (n norms_i), P = base + left @ z the prediction before the rescale;
+        # grad returns the r_i . (left @ z)_i half.
         inv = np.where(norms > 0.0, 1.0 / np.where(norms > 0.0, norms, 1.0), 0.0)
         g_m = (_row_dots(r, fx["base"]) + grads.pop("m")) / n * inv
         row_grads = entry.grad_rows(fz, t, np.ldexp(scale * g_m * inv, e), w)

@@ -14,7 +14,7 @@ exactly 0 on w's all-zero rows (of u) and columns (of v); one complete QR of
 the kept columns of u completes the null ones; and each column of the factor
 on the longer side gets its largest-magnitude entry positive. svd_truncated
 slices the finished factors and reports the residual certificate of the ones
-it returns.
+it returns; the full SVD jacobi_svd is svd_truncated at full rank.
 
 Everything operates on C-contiguous float64 numpy arrays and is deterministic:
 identical input bytes always produce identical output bytes within one numpy,
@@ -235,23 +235,10 @@ def _factor(a: np.ndarray, path: str, r: int) -> tuple[np.ndarray, np.ndarray, n
 
 
 def jacobi_svd(w) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Full thin SVD via cyclic one-sided Jacobi rotations.
-
-    Returns (u, s, v) with u of shape d x m, s of length m = min(d, k)
-    descending, v of shape k x m, and w == u @ diag(s) @ v.T to machine
-    precision. Sweeps run until every column pair passes both the absolute
-    and the relative convergence tests (see JACOBI_TOL) or the sweep cap is
-    hit. The factor on the longer side (u when d >= k, v when d < k) carries
-    the sign convention that each column's largest-magnitude entry is
-    positive, with the other factor flipped to compensate.
-
-    Null columns, at or below 1e-12 * ||w||_F, get s exactly 0, are never
-    rotated against each other, and take their u columns from one complete QR
-    of the kept ones. Neither path runs on full-rank input.
-    """
-    a, e = _svd_input(w)
-    u, s, v, _, _ = _factor(a, "jacobi", min(a.shape))
-    return u, np.ldexp(s, e), v
+    """Full thin SVD (u, s, v): the u_r, s_r and v_r of svd_truncated(w, min(d, k))."""
+    m = as_matrix(w, "svd input")
+    f = svd_truncated(m, min(m.shape))
+    return f.u_r, f.s_r, f.v_r
 
 
 def _jacobi(m: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, bool]:

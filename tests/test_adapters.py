@@ -6,12 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import osora.adapters
 from osora.adapters import (
     _TABLE,
+    _Method,
     _scaled_norms,
     O_INITS,
     OSORA_FAMILY,
     effective_weight,
+    is_finite,
     trainable_count,
     trainable_slots,
     weight_digest,
@@ -257,6 +260,17 @@ class TestMerge:
         w0 = random_matrix(8, 8, 14, "gaussian")
         state = build_adapter(w0, AdapterMethod(tag="lora", rank=2), seed=4)
         assert np.array_equal(merge(state), w0)
+
+    @pytest.mark.parametrize("tag,weights", [("dora", 2), ("osora_dora", 1)])
+    def test_is_finite_takes_the_row_norms_once(self, tag, weights, monkeypatch):
+        # is_finite reads the norms the merge divided by instead of taking them again.
+        state, _ = perturbed_state(tag, 12, 8, 3, 5)
+        norms, formed = [], []
+        real_norms, real_weight = osora.adapters._scaled_norms, _Method.weight
+        monkeypatch.setattr(osora.adapters, "_scaled_norms", lambda w: norms.append(w.shape) or real_norms(w))
+        monkeypatch.setattr(_Method, "weight", lambda *a, **kw: formed.append(1) or real_weight(*a, **kw))
+        assert is_finite(state)
+        assert (len(norms), len(formed)) == (1, weights)
 
     @pytest.mark.parametrize("tag", METHODS)
     def test_merge_equivalent_to_forward_after_training(self, tag, rng):

@@ -323,6 +323,11 @@ class TestVerify:
         assert code == 1
         assert any("merge.equivalence" in line and "FAIL" in line for line in out.splitlines())
 
+    def test_largest_seed_passes(self, capsys):
+        # Each method's build takes seed + i, which must wrap to stay a u64 seed.
+        code, out, _ = run_cli(capsys, "verify", "all", "--seed", str(2**64 - 1))
+        assert code == 0 and out.endswith("10/10 checks passed\n")
+
     @pytest.mark.parametrize("scope,seed", [("svd", "-1"), ("persist", str(2**64))], ids=["negative", "past_u64"])
     def test_bad_seed_exit_code(self, scope, seed, capsys):
         code, _, err = run_cli(capsys, "verify", scope, "--seed", seed)

@@ -700,8 +700,13 @@ class TestTopRPath(_EveryPath):
 
     @pytest.mark.parametrize(
         "w",
-        [random_matrix(12, 9, 110, "gaussian"), random_matrix(9, 12, 111, "gaussian"), _low_rank(12, 9, 3, 112)],
-        ids=["tall", "wide", "deficient"],
+        [
+            random_matrix(12, 9, 110, "gaussian"),
+            random_matrix(9, 12, 111, "gaussian"),
+            _low_rank(12, 9, 3, 112),
+            random_matrix(160, 128, 113, "gaussian"),
+        ],
+        ids=["tall", "wide", "deficient", "lapack"],
     )
     def test_full_rank_truncation_is_jacobi_svd(self, w):
         f, (u, s, v) = svd_truncated(w, min(w.shape)), jacobi_svd(w)
@@ -731,7 +736,9 @@ class TestLapackPath(_EveryPath):
     @pytest.mark.parametrize("shape,r", [((128, 128), 4), ((128, 4096), 57), ((4096, 128), 60), ((256, 256), 4)])
     def test_no_shape_from_128_runs_the_jacobi_loop(self, shape, r, monkeypatch):
         monkeypatch.setattr(linalg, "_jacobi", _no_jacobi)
-        svd_truncated(random_matrix(*shape, 104, "gaussian"), r)
+        w = random_matrix(*shape, 104, "gaussian")
+        svd_truncated(w, r)
+        jacobi_svd(w)
 
     @pytest.mark.parametrize("shape,r,budget", [((128, 4096), 57, 1.0), ((200, 200), 100, 0.1)], ids=["wide", "square"])
     def test_high_rank_shapes_are_fast(self, shape, r, budget):
