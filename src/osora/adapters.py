@@ -206,9 +206,9 @@ class _Method:
     def magnitude(self) -> bool:
         return self.slots[-1] == "m"
 
-    def fixed(self, fz, x) -> dict[str, np.ndarray]:
-        """Products of frozen tensors with the probes x: "base" is w0 @ x."""
-        return {"base": fz["w0"] @ x, **self.products(fz, x)}
+    def fixed(self, fz, x, base=None) -> dict[str, np.ndarray]:
+        """Products of frozen tensors with the probes x: "base" is w0 @ x, or base where the caller holds it."""
+        return {"base": np.matmul(fz["w0"], x) if base is None else base, **self.products(fz, x)}
 
     def weight(self, fz, t, left=None) -> np.ndarray:
         """The effective weight w0 + left @ right as one new d x k array; left is passed where a step formed it."""

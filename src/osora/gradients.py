@@ -47,14 +47,18 @@ d x m workspace plane per call (m = n for `gradient`, min(n, k) for `train`),
 for every method, and every step of the call writes into it: left Z goes
 into the plane, `fixed`'s base product is added to make the prediction, a
 magnitude method scales its rows in place, and subtracting Y leaves the
-residual pred - Y. The loss is one dot product of that plane with
-itself, plus the tail, and the 1/n of R is applied to the slot gradients,
-which are r, d or k long or d x r, r x k, so the residual plane is never
-rescaled. osora and vera scale the rows of left, not of the d x m product. So a
-step makes no d x m array and passes over one only to fill it, to read it for
-the loss and the row sums of dL/dm, and to multiply it into the gradient
-products. What it still makes are q x m and d x q (or k x r) products, vectors
-of length d, k or r, and dora's d x k w_eff.
+residual pred - Y. The base product w0 X is the one d x k x m product of a
+call; `train` takes it from the task, which makes w0 R^T once and hands it to
+every adapter whose w0 holds the task's w0 values. The loss is one dot
+product of that plane with itself, plus the tail, and the 1/n of R is applied
+to the slot gradients, which are r, d or k long or d x r, r x k, so the
+residual plane is never rescaled. Each slot gradient, a magnitude method's
+already less its row term, is written straight into its view of the flat
+vector the optimizer reads. osora and vera scale the rows of left, not of the
+d x m product. So a step makes no d x m array and passes over one only to
+fill it, to read it for the loss and the row sums of dL/dm, and to multiply
+it into the gradient products. What it still makes are q x m and d x q (or
+k x r) products, vectors of length d, k or r, and dora's d x k w_eff.
 """
 
 from __future__ import annotations
@@ -74,7 +78,7 @@ from .adapters import (
     _slot_views,
     clone_state,
     forward,
-    trainable_slots,
+    trainable_count,
     trainable_vector,
 )
 from .errors import DimensionMismatch, InvalidConfig
@@ -90,8 +94,8 @@ class LossGrad:
     loss: float
     slices: dict[str, np.ndarray]
 
-    def flat(self, out: np.ndarray | None = None) -> np.ndarray:
-        return np.concatenate([g.ravel() for g in self.slices.values()], out=out)
+    def flat(self) -> np.ndarray:
+        return np.concatenate([g.ravel() for g in self.slices.values()])
 
 
 def _check_pair(x_probes, y_targets) -> tuple[np.ndarray, np.ndarray]:
@@ -118,58 +122,60 @@ def loss_mse(state: AdapterState, x_probes, y_targets) -> float:
     return 0.5 / x.shape[1] * float((resid * resid).sum())
 
 
-def _step(
-    state: AdapterState, fx: dict[str, np.ndarray], x: np.ndarray, y: np.ndarray, ws: np.ndarray, n: int, tail: float
-) -> LossGrad:
-    """Loss and gradient at state over n probes, given fx = fixed(state.frozen, x) and the plane ws of _stepper.
-
-    tail is the constant part of the loss's squared sum (0 over raw probes).
-    """
-    entry = _TABLE[state.method.tag]
-    fz, t = state.frozen, state.trainable
-    left, z, rows, scale = _predict(state, fx, x, ws)
-    r = ws
-    r -= y
-    flat = r.ravel()
-    loss = 0.5 / n * (float(flat @ flat) + tail)
-    # r is the residual pred - Y, not R = r/n; the 1/n goes on the small slot gradients.
-    if entry.magnitude:
-        norms, w, e = rows
-        grads = entry.grad(fz, t, left, z, r, x, fx, scale)
-        # dL/dm_i = r_i . P_i / (n norms_i), P = base + left @ z the prediction before the rescale;
-        # grad returns the r_i . (left @ z)_i half.
-        inv = np.where(norms > 0.0, 1.0 / np.where(norms > 0.0, norms, 1.0), 0.0)
-        g_m = (_row_dots(r, fx["base"]) + grads.pop("m")) / n * inv
-        row_grads = entry.grad_rows(fz, t, np.ldexp(scale * g_m * inv, e), w)
-        full = {name: g / n - row_grads[name] for name, g in grads.items()}
-        full["m"] = g_m
-    else:
-        full = {name: g / n for name, g in entry.grad(fz, t, left, z, r, x, fx).items()}
-    return LossGrad(loss=loss, slices={name: full[name] for name in trainable_slots(state)})
-
-
 def _stepper(
-    state: AdapterState, x_probes, y_targets, n: int | None = None, tail: float = 0.0
-) -> Callable[[AdapterState], LossGrad]:
-    """The loss and gradient over fixed probes, for state and any adapter sharing its frozen tensors.
+    state: AdapterState, x_probes, y_targets, n: int | None = None, tail: float = 0.0, base: np.ndarray | None = None
+) -> Callable[[AdapterState, np.ndarray], float]:
+    """step(st, g) -> the loss over fixed probes, for state and any adapter sharing its frozen tensors.
 
-    Checks the probes, computes their products with the frozen tensors and
-    allocates the d x m workspace once (m probe columns); every step writes
-    into that workspace. Raw probes leave n to their column count and tail at
-    0; compressed ones (R^T, Y Q) pass the true n and the tail ||Y - (Y Q) Q^T||^2.
-    The returned closure is not reentrant: run one step at a time.
+    Checks the probes, computes their products with the frozen tensors
+    (base, if given, is w0 @ x, which the caller already holds) and allocates
+    the d x m workspace once (m probe columns); every step writes into that
+    workspace, and writes the gradient into the flat vector g in
+    trainable_vector's layout. Raw probes leave n to their column count and
+    tail at 0; compressed ones (R^T, Y Q) pass the true n and the tail
+    ||Y - (Y Q) Q^T||^2, the constant part of the loss's squared sum. The
+    returned step is not reentrant: run one at a time.
     """
     x, y = _check_probes(state, x_probes, y_targets)
     n = x.shape[1] if n is None else n
-    fx = _TABLE[state.method.tag].fixed(state.frozen, x)
+    fx = _TABLE[state.method.tag].fixed(state.frozen, x, base)
     # Plane: the prediction, rescaled in place by a magnitude method, then the residual.
     ws = np.empty(y.shape)
-    return lambda st: _step(st, fx, x, y, ws, n, tail)
+
+    def step(st: AdapterState, g: np.ndarray) -> float:
+        entry = _TABLE[st.method.tag]
+        fz, t = st.frozen, st.trainable
+        left, z, rows, scale = _predict(st, fx, x, ws)
+        r = ws
+        r -= y
+        flat = r.ravel()
+        loss = 0.5 / n * (float(flat @ flat) + tail)
+        out = _slot_views(st, g)
+        # r is the residual pred - Y, not R = r/n; the 1/n goes on the small slot gradients.
+        if entry.magnitude:
+            norms, w, e = rows
+            grads = entry.grad(fz, t, left, z, r, x, fx, scale)
+            # dL/dm_i = r_i . P_i / (n norms_i), P = base + left @ z the prediction before the rescale;
+            # grad returns the r_i . (left @ z)_i half.
+            inv = np.where(norms > 0.0, 1.0 / np.where(norms > 0.0, norms, 1.0), 0.0)
+            g_m = np.multiply((_row_dots(r, fx["base"]) + grads.pop("m")) / n, inv, out=out["m"])
+            row_grads = entry.grad_rows(fz, t, np.ldexp(scale * g_m * inv, e), w)
+            for name, grad in grads.items():
+                np.subtract(grad / n, row_grads[name], out=out[name])
+        else:
+            for name, grad in entry.grad(fz, t, left, z, r, x, fx).items():
+                if name in out:  # an ablation trains one slot of the pair
+                    np.divide(grad, n, out=out[name])
+        return loss
+
+    return step
 
 
 def gradient(state: AdapterState, x_probes, y_targets) -> LossGrad:
     """Analytic gradient for any method, in flat-layout slot order."""
-    return _stepper(state, x_probes, y_targets)(state)
+    g = np.empty(trainable_count(state.method, state.d, state.k))
+    loss = _stepper(state, x_probes, y_targets)(state, g)
+    return LossGrad(loss=loss, slices=_slot_views(state, g))
 
 
 def finite_diff(state: AdapterState, x_probes, y_targets, h: float = FD_STEP) -> LossGrad:

@@ -14,11 +14,14 @@ tail ||Y - (Y Q) Q^T||^2, added to every step's loss with the task's true n
 (see `gradients`). So each step works on d x m planes, not d x n. A ToyTask
 is frozen and holds read-only copies of its arrays, so no write reaches what
 its planes were made from: it makes them (not Q) at its first train and keeps
-them. Its `factors`, w0's top-r_gap SVD, come the same way, lazily, from
+them, and keeps `base`, the read-only d x m product w0 R^T, from the first
+train of an adapter whose frozen w0 holds the task's w0 values. Every such
+adapter's train reads it; an adapter over any other weight forms its own.
+Its `factors`, w0's top-r_gap SVD, come the same way, lazily, from
 the registry that SVD-initialised builds share (`make_task` fills the cache
 with the factors it planted the gap in). `dataclasses.replace` makes a new
-task, which compresses its own probes and decomposes its own w0.
-`gradient`, `loss_mse` and `finite_diff` still take the raw probes.
+task, which compresses its own probes, forms its own w0 R^T and decomposes
+its own w0. `gradient`, `loss_mse` and `finite_diff` still take the raw probes.
 """
 
 from __future__ import annotations
@@ -85,6 +88,16 @@ class ToyTask:
         flat = resid.ravel()
         _read_only(rt, yq)
         return rt, yq, x.shape[1], float(flat @ flat)
+
+    @cached_property
+    def base(self) -> np.ndarray:
+        """w0 @ R^T, read-only: the base product of every adapter whose w0 holds this task's w0 values."""
+        rt = self.planes[0]
+        if rt.shape[0] != self.w0.shape[1]:
+            raise DimensionMismatch(f"expected probes {self.w0.shape[1]} x n, got {rt.shape[0]} rows")
+        base = np.matmul(self.w0, rt)
+        _read_only(base)
+        return base
 
 
 @dataclass(frozen=True)
@@ -159,13 +172,11 @@ def train(state: AdapterState, task: ToyTask, config: TrainConfig) -> TrainRun:
     g, tmp, m_hat = (np.empty_like(theta) for _ in range(3))
     # A diverging run, or targets whose squares overflow, overflow here; the loss check raises NonFiniteLoss.
     with np.errstate(over="ignore", invalid="ignore"):
-        step_at = _stepper(work, *task.planes)
+        step_at = _stepper(work, *task.planes, base=task.base if np.array_equal(work.frozen["w0"], task.w0) else None)
         for step in range(config.steps):
-            lg = step_at(work)
-            trace[step] = lg.loss
-            if not math.isfinite(lg.loss):
+            loss = trace[step] = step_at(work, g)
+            if not math.isfinite(loss):
                 raise NonFiniteLoss(f"loss became non-finite at step {step}")
-            lg.flat(out=g)
             if config.optimizer == "sgd":
                 theta -= np.multiply(config.lr, g, out=g)
             else:
@@ -181,7 +192,7 @@ def train(state: AdapterState, task: ToyTask, config: TrainConfig) -> TrainRun:
                 tmp += ADAM_EPS
                 np.multiply(config.lr, m_hat, out=m_hat)
                 theta -= np.divide(m_hat, tmp, out=m_hat)
-        trace[config.steps] = step_at(work).loss
+        trace[config.steps] = step_at(work, g)
     if not math.isfinite(trace[config.steps]):
         raise NonFiniteLoss(f"loss became non-finite at step {config.steps}")
     return TrainRun(config=config, loss_trace=trace, final_state=work)

@@ -27,6 +27,7 @@ from .adapters import (
     load_trainable,
     merge,
     trainable_vector,
+    weight_digest,
 )
 from .errors import InvalidConfig
 from .gradients import finite_diff, gradient
@@ -78,7 +79,12 @@ def perturbed_state(
 
 
 def check_svd(matrices: Iterable[np.ndarray]) -> list[CheckResult]:
-    """Relative reconstruction error and orthonormality of the full SVD `jacobi_svd`, on svd_path's three paths."""
+    """Relative reconstruction error and orthonormality of the full SVD `jacobi_svd`.
+
+    jacobi_svd takes svd_path's three paths, but every shape verify_svd draws
+    is below LAPACK_MIN_DIM, so `osora verify svd` checks the Jacobi path
+    alone; SVD_PATH_CASES in tests/conftest.py cover the other two.
+    """
     recon, ortho = [], []
     for w in matrices:
         u, s, v = jacobi_svd(w)
@@ -180,12 +186,13 @@ def verify_grad(seed: int = 0) -> list[CheckResult]:
 
 
 def _perturbed_copy(state: AdapterState) -> AdapterState:
+    """A clone whose u_r (osora family) or else w0 is off by 1e-3 in one entry, with the digest of the w0 it holds."""
     frozen = {name: arr.copy() for name, arr in state.frozen.items()}
     target = next(name for name in ("u_r", "w0") if name in frozen)
     frozen[target][0, 0] += 1e-3
     for arr in frozen.values():
         arr.setflags(write=False)
-    return replace(clone_state(state), frozen=frozen)
+    return replace(clone_state(state), frozen=frozen, w0_digest=weight_digest(frozen["w0"]))
 
 
 def verify_merge(seed: int = 0, inject_fault: bool = False) -> list[CheckResult]:

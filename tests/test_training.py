@@ -202,19 +202,24 @@ TRAINED_METHODS = [AdapterMethod(tag=tag, rank=2) for tag in METHODS] + [
 ]
 
 
-@pytest.mark.parametrize("shape", [(10, 8, 20), (8, 8, 8), (6, 10, 8)], ids=["n_gt_k", "n_eq_k", "n_lt_k"])
+@pytest.mark.parametrize(
+    "shape, own_w0",
+    [((10, 8, 20), False), ((8, 8, 8), False), ((6, 10, 8), False), ((10, 8, 20), True)],
+    ids=["n_gt_k", "n_eq_k", "n_lt_k", "n_gt_k-own_w0"],
+)
 @pytest.mark.parametrize("method", TRAINED_METHODS, ids=lambda m: f"{m.tag}-{m.trainable_set}")
-def test_compressed_step_matches_the_raw_reference(method, shape):
+def test_compressed_step_matches_the_raw_reference(method, shape, own_w0):
     # train steps over the QR-compressed probes (R^T, Y Q and the tail);
     # loss_mse and gradient over the raw probes are the reference. They agree
     # to roundoff: at most 1.5e-15 of the initial loss and 1.2e-15 of the
     # largest gradient entry over these cases, bounded here at 1e-13. The
     # noise puts the targets outside the probes' row space, so at n > k the
-    # tail is 7 % of the initial loss.
+    # tail is 7 % of the initial loss. An adapter over another weight of the
+    # task's shape (own_w0) takes its own w0 @ R^T instead of the task's.
     d, k, n = shape
     task = make_task(d, k, 2, seed=13, n=n)
     task = dataclasses.replace(task, targets=task.targets + 0.1 * np.random.default_rng(13).standard_normal((d, n)))
-    state = build_adapter(task.w0, method, seed=13)
+    state = build_adapter(random_matrix(d, k, 14, "gaussian") if own_w0 else task.w0, method, seed=13)
     run = train(state, task, TrainConfig(steps=25, lr=1e-2))
     trace = run.loss_trace
     assert abs(trace[0] - loss_mse(state, task.probes, task.targets)) <= 1e-13 * trace[0]
@@ -242,6 +247,34 @@ def test_one_qr_per_task(monkeypatch):
     train(states[1], task, config)
     assert calls == [(20, 8), (20, 8)]
     assert abs(run.loss_trace[0] - loss_mse(states[0], task.probes, task.targets)) <= 1e-13 * run.loss_trace[0]
+
+
+def test_one_base_product_per_task(monkeypatch):
+    # w0 @ R^T is the one d x k x m product of a train call. The first train
+    # over a task makes it and the task keeps it: every adapter whose w0 holds
+    # the task's w0 values reads it, one built over a copy of w0 included, and
+    # an adapter over another weight takes its own. Both places that form it,
+    # ToyTask.base and _Method.fixed, call np.matmul.
+    task = make_task(10, 8, 2, seed=19)
+    states = [build_adapter(task.w0, AdapterMethod(tag=tag, rank=2), seed=19) for tag in METHODS]
+    calls, real = [], np.matmul
+    product = ((10, 8), (8, 8))  # d x k times k x m, m = min(n, k)
+
+    def counted(a, b, *args, **kw):
+        if (np.shape(a), np.shape(b)) == product:
+            calls.append(product)
+        return real(a, b, *args, **kw)
+
+    monkeypatch.setattr(np, "matmul", counted)
+    config = TrainConfig(steps=2, lr=1e-2)
+    for state in states:
+        train(state, task, config)
+    assert len(calls) == 1 and not task.base.flags.writeable
+    train(states[0], task, config)
+    train(build_adapter(task.w0.copy(), AdapterMethod(tag="lora", rank=2), seed=19), task, config)
+    assert len(calls) == 1
+    train(build_adapter(random_matrix(10, 8, 3, "gaussian"), AdapterMethod(tag="lora", rank=2), seed=19), task, config)
+    assert len(calls) == 2
 
 
 def test_replaced_w0_takes_its_own_factors(svd_calls):
@@ -301,8 +334,9 @@ def test_a_write_between_trains_is_seen(written):
         (np.ones((5, 4)), np.ones((6, 3)), DimensionMismatch),
         (np.ones((5, 4, 1)), np.ones((6, 4)), DimensionMismatch),
         ([["a"] * 4] * 5, np.ones((6, 4)), InvalidConfig),
+        (np.ones((4, 4)), np.ones((6, 4)), DimensionMismatch),
     ],
-    ids=["probes_1d", "column_counts_differ", "probes_3d", "text_probes"],
+    ids=["probes_1d", "column_counts_differ", "probes_3d", "text_probes", "probe_rows_differ_from_w0"],
 )
 def test_bad_hand_built_task_rejected(probes, targets, error):
     # Each ends in the OsoraError that gradient gives for the same probes, not in the QR's own errors.
@@ -361,7 +395,8 @@ def test_train_step_forms_no_dense_weight(tag):
 @pytest.mark.parametrize("method", TRAINED_METHODS, ids=lambda m: f"{m.tag}-{m.trainable_set}")
 def test_train_step_allocates_no_probe_sized_array(method):
     # A step writes its prediction and residual into the d x n workspace
-    # that _stepper allocates once per call; what it still makes are
+    # that _stepper allocates once per call, and its gradient into the flat
+    # vector it is given; what it still makes are
     # r x n products of the probes (and dora's d x k effective weight), each a
     # small fraction of one d x n array when n >> d.
     d = k = 32
@@ -369,10 +404,11 @@ def test_train_step_allocates_no_probe_sized_array(method):
     task = make_task(d, k, 2, seed=15, n=n)
     state = build_adapter(task.w0, method, seed=15)
     step = _stepper(state, task.probes, task.targets)
-    step(state)  # warm-up
+    g = trainable_vector(state)
+    step(state, g)  # warm-up
     tracemalloc.start()
     try:
-        step(state)
+        step(state, g)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -382,10 +418,10 @@ def test_train_step_allocates_no_probe_sized_array(method):
 @pytest.mark.parametrize("method", TRAINED_METHODS, ids=lambda m: f"{m.tag}-{m.trainable_set}")
 def test_train_call_allocates_one_workspace_plane(method):
     # The first train over a task compresses its probes, which takes about two
-    # d x n temporaries at d = k. Every call then holds fx["base"] plus one
-    # workspace plane, each d x min(n, k), for every method: a magnitude method
-    # rescales its prediction in place. Measured: at most 2.03 d x n planes on
-    # the first call and 0.045 on the second.
+    # d x n temporaries at d = k, and makes the task's w0 @ R^T, which the
+    # task keeps. Every call then holds one workspace plane of d x min(n, k),
+    # for every method: a magnitude method rescales its prediction in place.
+    # Measured: at most 2.03 d x n planes on the first call and 0.036 on the second.
     d = k = 32
     n = 4096
     task = make_task(d, k, 2, seed=16, n=n)

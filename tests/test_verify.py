@@ -2,7 +2,17 @@ import numpy as np
 import pytest
 
 import osora.verify
-from osora import METHODS, AdapterMethod, build_adapter, forward, jacobi_svd, merge, random_matrix
+from osora import (
+    METHODS,
+    OSORA_FAMILY,
+    AdapterMethod,
+    build_adapter,
+    forward,
+    jacobi_svd,
+    merge,
+    random_matrix,
+    weight_digest,
+)
 from osora.verify import SUITES, check_init_identity, check_merge, check_svd, rel_inf, run_scope
 
 
@@ -73,3 +83,13 @@ def test_per_probe_errors_survive_batching(tag):
     want = max(rel_inf(merged @ x, forward(state, x)) for x in probes)
     assert abs(row.max_err - want) <= 1e-9 * want
     assert not row.passed
+
+
+@pytest.mark.parametrize("tag", METHODS)
+def test_perturbed_copy_holds_the_digest_of_its_w0(tag):
+    # lora, vera, pissa and dora perturb w0 itself, which save writes the
+    # digest of into the header; the osora family perturbs u_r.
+    state = build_adapter(random_matrix(10, 8, 4, "gaussian"), AdapterMethod(tag=tag, rank=3), seed=4)
+    copy = osora.verify._perturbed_copy(state)
+    assert copy.w0_digest == weight_digest(copy.frozen["w0"])
+    assert (copy.w0_digest == state.w0_digest) == (tag in OSORA_FAMILY)
