@@ -85,6 +85,7 @@ def report(preset: ShapePreset, method: str, r: int) -> ParamReport:
 
 def scaling_sweep(preset: ShapePreset, methods: list[str], ranks: list[int]) -> list[tuple[str, int, int]]:
     """Rows (method, rank, total trainable) for a rank sweep over a preset."""
+    check_integers(**{f"ranks[{i}]": r for i, r in enumerate(ranks or ())})
     if not ranks or any(b <= a for a, b in zip(ranks, ranks[1:])):
         raise InvalidConfig(f"ranks must be non-empty and ascending, got {ranks}")
     return [(method, r, report(preset, method, r).total) for method in methods for r in ranks]

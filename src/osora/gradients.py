@@ -40,11 +40,12 @@ with X^T = Q R (Q n x m orthonormal, m = min(n, k)) the loss splits as
 and G = (M X - Y) X^T = (M R^T - Y Q) R: the step over the k x m probes R^T
 with targets Y Q, the task's true n and the constant tail is the step over
 X and Y. `training.train` steps over the planes a `ToyTask` keeps; `gradient`,
-`loss_mse` and `finite_diff` take the raw probes and are the reference.
+`loss_mse` and `finite_diff` step over the raw probes, the last two asking the
+step for its loss alone, so the loss has one formula wherever it is taken.
 
-`gradient` and `training.train` compute the probe products and allocate one
-d x m workspace plane per call (m = n for `gradient`, min(n, k) for `train`),
-for every method, and every step of the call writes into it: left Z goes
+Each of them computes the probe products and allocates one d x m workspace
+plane per call (m = min(n, k) for `train`, n for the others), for every
+method, and every step of the call writes into it: left Z goes
 into the plane, `fixed`'s base product is added to make the prediction, a
 magnitude method scales its rows in place, and subtracting Y leaves the
 residual pred - Y. The base product w0 X is the one d x k x m product of a
@@ -77,7 +78,6 @@ from .adapters import (
     _row_dots,
     _slot_views,
     clone_state,
-    forward,
     trainable_count,
     trainable_vector,
 )
@@ -109,40 +109,30 @@ def _check_pair(x_probes, y_targets) -> tuple[np.ndarray, np.ndarray]:
     return x, y
 
 
-def _check_probes(state: AdapterState, x_probes, y_targets) -> tuple[np.ndarray, np.ndarray]:
-    x, y = _check_pair(x_probes, y_targets)
-    if x.shape[0] != state.k or y.shape[0] != state.d:
-        raise DimensionMismatch(f"expected probes {state.k} x n and targets {state.d} x n")
-    return x, y
-
-
-def loss_mse(state: AdapterState, x_probes, y_targets) -> float:
-    x, y = _check_probes(state, x_probes, y_targets)
-    resid = forward(state, x) - y
-    return 0.5 / x.shape[1] * float((resid * resid).sum())
-
-
 def _stepper(
     state: AdapterState, x_probes, y_targets, n: int | None = None, tail: float = 0.0, base: np.ndarray | None = None
-) -> Callable[[AdapterState, np.ndarray], float]:
+) -> Callable[[AdapterState, np.ndarray | None], float]:
     """step(st, g) -> the loss over fixed probes, for state and any adapter sharing its frozen tensors.
 
     Checks the probes, computes their products with the frozen tensors
     (base, if given, is w0 @ x, which the caller already holds) and allocates
     the d x m workspace once (m probe columns); every step writes into that
     workspace, and writes the gradient into the flat vector g in
-    trainable_vector's layout. Raw probes leave n to their column count and
-    tail at 0; compressed ones (R^T, Y Q) pass the true n and the tail
-    ||Y - (Y Q) Q^T||^2, the constant part of the loss's squared sum. The
-    returned step is not reentrant: run one at a time.
+    trainable_vector's layout; with g None it takes the same loss and forms
+    no gradient. Raw probes leave n to their column count and tail at 0;
+    compressed ones (R^T, Y Q) pass the true n and the tail ||Y - (Y Q) Q^T||^2,
+    the constant part of the loss's squared sum. The returned step is not
+    reentrant: run one at a time.
     """
-    x, y = _check_probes(state, x_probes, y_targets)
+    x, y = _check_pair(x_probes, y_targets)
+    if x.shape[0] != state.k or y.shape[0] != state.d:
+        raise DimensionMismatch(f"expected probes {state.k} x n and targets {state.d} x n")
     n = x.shape[1] if n is None else n
     fx = _TABLE[state.method.tag].fixed(state.frozen, x, base)
     # Plane: the prediction, rescaled in place by a magnitude method, then the residual.
     ws = np.empty(y.shape)
 
-    def step(st: AdapterState, g: np.ndarray) -> float:
+    def step(st: AdapterState, g: np.ndarray | None) -> float:
         entry = _TABLE[st.method.tag]
         fz, t = st.frozen, st.trainable
         left, z, rows, scale = _predict(st, fx, x, ws)
@@ -150,6 +140,8 @@ def _stepper(
         r -= y
         flat = r.ravel()
         loss = 0.5 / n * (float(flat @ flat) + tail)
+        if g is None:
+            return loss
         out = _slot_views(st, g)
         # r is the residual pred - Y, not R = r/n; the 1/n goes on the small slot gradients.
         if entry.magnitude:
@@ -178,22 +170,27 @@ def gradient(state: AdapterState, x_probes, y_targets) -> LossGrad:
     return LossGrad(loss=loss, slices=_slot_views(state, g))
 
 
+def loss_mse(state: AdapterState, x_probes, y_targets) -> float:
+    """The loss a step over the raw probes takes, with no gradient formed."""
+    return _stepper(state, x_probes, y_targets)(state, None)
+
+
 def finite_diff(state: AdapterState, x_probes, y_targets, h: float = FD_STEP) -> LossGrad:
     """Central-difference gradient over the flat trainable vector."""
     if isinstance(h, bool) or not isinstance(h, numbers.Real) or not (math.isfinite(h) and h > 0.0):
         raise InvalidConfig(f"step must be a positive finite number, got {h!r}")
-    x, y = _check_probes(state, x_probes, y_targets)
     work = clone_state(state)
     theta0 = trainable_vector(work)
     theta = theta0.copy()
     work.trainable.update(_slot_views(work, theta))  # so each write to theta lands in work
-    loss0 = loss_mse(work, x, y)
+    step = _stepper(work, x_probes, y_targets)
+    loss0 = step(work, None)
     grad = np.empty_like(theta0)
     for i in range(theta0.size):
         theta[i] = theta0[i] + h
-        loss_plus = loss_mse(work, x, y)
+        loss_plus = step(work, None)
         theta[i] = theta0[i] - h
-        loss_minus = loss_mse(work, x, y)
+        loss_minus = step(work, None)
         theta[i] = theta0[i]
         grad[i] = (loss_plus - loss_minus) / (2.0 * h)
     return LossGrad(loss=loss0, slices=_slot_views(state, grad))

@@ -21,7 +21,7 @@ Its `factors`, w0's top-r_gap SVD, come the same way, lazily, from
 the registry that SVD-initialised builds share (`make_task` fills the cache
 with the factors it planted the gap in). `dataclasses.replace` makes a new
 task, which compresses its own probes, forms its own w0 R^T and decomposes
-its own w0. `gradient`, `loss_mse` and `finite_diff` still take the raw probes.
+its own w0. A run's last loss, after its last update, forms no gradient.
 """
 
 from __future__ import annotations
@@ -192,7 +192,7 @@ def train(state: AdapterState, task: ToyTask, config: TrainConfig) -> TrainRun:
                 tmp += ADAM_EPS
                 np.multiply(config.lr, m_hat, out=m_hat)
                 theta -= np.divide(m_hat, tmp, out=m_hat)
-        trace[config.steps] = step_at(work, g)
+        trace[config.steps] = step_at(work, None)
     if not math.isfinite(trace[config.steps]):
         raise NonFiniteLoss(f"loss became non-finite at step {config.steps}")
     return TrainRun(config=config, loss_trace=trace, final_state=work)

@@ -338,7 +338,7 @@ class TestVerify:
         "seed,digest",
         [
             ("0", "847a36cb27fc7208bf6f315ca345228cfc7052232f12c3623790f4b77ee183f0"),
-            ("1", "4f94a690f626097dd47f763c4e4f22e1328b587a2fd85d46ab562e953caf0b56"),
+            ("1", "d3aee0671aebc9be7a6273a73613f8244cab5c69ba6a533871b551fa4d458ffc"),
         ],
         ids=["seed0", "seed1"],
     )

@@ -45,6 +45,7 @@ BAD_CALLS = {
     "count_nonpositive_dims": lambda tmp: count_trainable("lora", 0, 4, 1),
     "count_non_integer_dims": lambda tmp: count_trainable("osora", 8.5, 8, 2),
     "sweep_unsorted_ranks": lambda tmp: scaling_sweep(get_preset("mistral7b_v03"), ["osora"], [2, 1]),
+    "sweep_non_integer_rank": lambda tmp: scaling_sweep(get_preset("qwen2_7b"), ["lora"], [4, "8"]),
     "ratio_nonpositive_dims": lambda tmp: param_ratio(0, 4, 1),
     "ratio_boolean_rank": lambda tmp: param_ratio(8, 8, True),
     "unknown_preset": lambda tmp: get_preset("nope"),

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -229,6 +231,18 @@ class TestFiniteDiff:
         state, _ = perturbed_state("osora", 5, 4, 1, 16)
         with pytest.raises(InvalidConfig):
             finite_diff(state, np.zeros((4, 1)), np.zeros((5, 1)), h=h)
+
+    @pytest.mark.parametrize("tag", METHODS)
+    def test_one_set_of_frozen_products_per_call(self, tag, rng, monkeypatch):
+        # The 2P + 1 loss evaluations of a call share one set of products of
+        # the frozen tensors with the probes, and none reads the analytic gradient.
+        state, _ = perturbed_state(tag, 8, 6, 2, 20, scale=0.3)
+        calls, real = [], osora.adapters._Method.fixed
+        monkeypatch.setattr(osora.adapters._Method, "fixed", lambda self, *a: calls.append(tag) or real(self, *a))
+        entry = osora.adapters._TABLE[tag]
+        monkeypatch.setitem(osora.adapters._TABLE, tag, dataclasses.replace(entry, grad=None, grad_rows=None))
+        fd = finite_diff(state, rng.standard_normal((6, 10)), rng.standard_normal((8, 10)))
+        assert len(calls) == 1 and fd.flat().size == trainable_vector(state).size
 
     def test_second_order_accuracy_ratio(self, rng):
         # the row-norm rescale makes the loss genuinely non-quadratic per

@@ -18,6 +18,7 @@ from osora import (
     build_adapter,
     clone_state,
     finite_diff,
+    forward,
     gradient,
     make_task,
     random_matrix,
@@ -26,9 +27,15 @@ from osora import (
     train,
     trainable_vector,
 )
+import osora.adapters
 from conftest import truncation_residual
 from osora.gradients import _stepper, loss_mse
 from osora.verify import perturbed_state
+
+
+def forward_loss(state, x, y):
+    """The probe loss from forward, a reference independent of the step's own loss."""
+    return 0.5 / x.shape[1] * float(((forward(state, x) - y) ** 2).sum())
 
 
 def als_floor(task, rank, rounds=300):
@@ -210,7 +217,7 @@ TRAINED_METHODS = [AdapterMethod(tag=tag, rank=2) for tag in METHODS] + [
 @pytest.mark.parametrize("method", TRAINED_METHODS, ids=lambda m: f"{m.tag}-{m.trainable_set}")
 def test_compressed_step_matches_the_raw_reference(method, shape, own_w0):
     # train steps over the QR-compressed probes (R^T, Y Q and the tail);
-    # loss_mse and gradient over the raw probes are the reference. They agree
+    # forward's loss and gradient over the raw probes are the reference. They agree
     # to roundoff: at most 1.5e-15 of the initial loss and 1.2e-15 of the
     # largest gradient entry over these cases, bounded here at 1e-13. The
     # noise puts the targets outside the probes' row space, so at n > k the
@@ -222,8 +229,8 @@ def test_compressed_step_matches_the_raw_reference(method, shape, own_w0):
     state = build_adapter(random_matrix(d, k, 14, "gaussian") if own_w0 else task.w0, method, seed=13)
     run = train(state, task, TrainConfig(steps=25, lr=1e-2))
     trace = run.loss_trace
-    assert abs(trace[0] - loss_mse(state, task.probes, task.targets)) <= 1e-13 * trace[0]
-    assert abs(trace[-1] - loss_mse(run.final_state, task.probes, task.targets)) <= 1e-13 * trace[0]
+    assert abs(trace[0] - forward_loss(state, task.probes, task.targets)) <= 1e-13 * trace[0]
+    assert abs(trace[-1] - forward_loss(run.final_state, task.probes, task.targets)) <= 1e-13 * trace[0]
     g = gradient(state, task.probes, task.targets).flat()
     step = train(state, task, TrainConfig(steps=1, lr=1.0, optimizer="sgd"))
     assert np.abs(trainable_vector(step.final_state) - (trainable_vector(state) - g)).max() <= 1e-13 * np.abs(g).max()
@@ -460,16 +467,47 @@ def test_runs_own_their_trainables(method, tmp_path):
 @pytest.mark.parametrize("method", TRAINED_METHODS, ids=lambda m: f"{m.tag}-{m.trainable_set}")
 def test_step_loss_matches_forward_loss(method):
     # The step takes its loss as one dot product over the residual plane;
-    # loss_mse takes it from forward. Both must agree at any state.
+    # forward_loss sums the squares of forward's residual. Both must agree at any state.
     state, _ = perturbed_state(method.tag, 12, 10, 3, 17, scale=0.3, trainable_set=method.trainable_set)
     rng = np.random.default_rng(17)
     x, y = rng.standard_normal((10, 24)), rng.standard_normal((12, 24))
-    expected = loss_mse(state, x, y)
+    expected = forward_loss(state, x, y)
     assert abs(gradient(state, x, y).loss - expected) <= 1e-12 * expected
     task = make_task(12, 10, 3, seed=17, n=24)
     run = train(build_adapter(task.w0, method, seed=17), task, TrainConfig(steps=5, lr=1e-2))
-    final = loss_mse(run.final_state, task.probes, task.targets)
+    final = forward_loss(run.final_state, task.probes, task.targets)
     assert abs(run.loss_trace[-1] - final) <= 1e-12 * final
+
+
+@pytest.mark.parametrize("method", TRAINED_METHODS, ids=lambda m: f"{m.tag}-{m.trainable_set}")
+def test_loss_only_step_takes_the_step_loss(method):
+    # step(st, None) takes the loss as step(st, g) does, byte for byte, over
+    # raw and compressed probes alike, and loss_mse is gradient's loss.
+    state, _ = perturbed_state(method.tag, 12, 10, 3, 23, scale=0.3, trainable_set=method.trainable_set)
+    rng = np.random.default_rng(23)
+    x, y = rng.standard_normal((10, 24)), rng.standard_normal((12, 24))
+    task = make_task(12, 10, 3, seed=23, n=24)
+    trained = train(build_adapter(task.w0, method, seed=23), task, TrainConfig(steps=3, lr=1e-2)).final_state
+    g = np.empty(trainable_vector(state).size)
+    for st, step in [(state, _stepper(state, x, y)), (trained, _stepper(trained, *task.planes, base=task.base))]:
+        alone = step(st, None)
+        assert np.float64(step(st, g)).tobytes() == np.float64(alone).tobytes()
+        assert np.float64(step(st, None)).tobytes() == np.float64(alone).tobytes()
+    assert loss_mse(state, x, y) == gradient(state, x, y).loss
+
+
+@pytest.mark.parametrize("method", TRAINED_METHODS, ids=lambda m: f"{m.tag}-{m.trainable_set}")
+def test_train_forms_one_gradient_per_update(method, monkeypatch):
+    # A run of S steps reads S gradients; its loss after the last update needs none.
+    task = make_task(10, 8, 2, seed=22)
+    state = build_adapter(task.w0, method, seed=22)
+    entry, calls = osora.adapters._TABLE[method.tag], []
+    counting = dataclasses.replace(entry, grad=lambda *a: calls.append(method.tag) or entry.grad(*a))
+    monkeypatch.setitem(osora.adapters._TABLE, method.tag, counting)
+    for steps in (0, 1, 4):
+        calls.clear()
+        run = train(state, task, TrainConfig(steps=steps, lr=1e-2))
+        assert len(calls) == steps and run.loss_trace.size == steps + 1
 
 
 # SHA-256 of loss_trace and the final trainable_vector of a 25-step Adam run
