@@ -72,6 +72,8 @@ def frozen_elements(method: str, d: int, k: int, r: int) -> int:
 
 def report(preset: ShapePreset, method: str, r: int) -> ParamReport:
     """Per-target and total counts across every layer of a preset."""
+    if not isinstance(preset, ShapePreset):
+        raise InvalidConfig(f"preset must be a ShapePreset from get_preset(name), got {preset!r}")
     per_target = tuple(
         TargetCount(d=d, k=k, count=preset.layers * count_trainable(method, d, k, r))
         for d, k in preset.targets

@@ -12,7 +12,7 @@ Format version 1, all integers little-endian. Header (68 bytes):
     12      4     d (u32)
     16      4     k (u32)
     20      4     rank (u32)
-    24      4     SVD path code (u32: 0=jacobi, 2=top_r, 3=lapack; 1 is refused)
+    24      4     SVD path code (u32: 0=jacobi, 3=lapack; 1 and 2 are refused)
     28      8     seed (u64)
     36      32    SHA-256 of the base weight's row-major f64-LE bytes
 
@@ -34,30 +34,16 @@ generators, and with nothing alive the factors from the sign-fixed SVD.
 Either way a reload reproduces the saved adapter bit for bit.
 
 Because the frozen factors are rebuilt, the SVD's output bytes are part of
-the format. Over a full-rank weight they are those of every earlier build.
-Over a weight whose SVD has a column at or below 1e-12 * ||w||_F, the SVD now
-completes the null columns of u by one QR and no longer rotates null columns
-against each other: a checkpoint that an older build saved over such a weight
-rebuilds different null-space factors, and kept factors that may differ at
-roundoff. At a top-r shape, every path now finishing its factors alike (see
-linalg) moved the null cut from ||Q^T w||_F to ||w||_F, took the null columns
-of u from the QR completion, and made zero rows and columns exact: top-r
-factors over a weight with such a column or an all-zero row or column
-rebuild differently from older builds, at roundoff.
-
-The u32 at offset 24 names the SVD path that linalg.svd_path selects for the
-header's (d, k, rank), whatever the method, out of three: 0 for the full
-Jacobi SVD, 2 for the top-r power iteration, whose Ritz step takes LAPACK's
-SVD of the small projection, and 3 for LAPACK's full SVD. Which shapes take
-which path is svd_path's to say. Code 1 was the top-r path with its Ritz
-step on the Jacobi SVD; no build writes it any more. The paths give different
-factor bytes, so load refuses a code that is not the one this build selects
-with VersionUnsupported: code 1 at any shape, and a known code that svd_path
-does not select at the header's shape, such as the 0 or 2 that older builds
-wrote at LAPACK shapes. Any other code is CorruptPayload. Checkpoints of
-Jacobi shapes load as before, and their bytes are unchanged. Since the top-r
-and LAPACK factors come from LAPACK's gesdd, a cold load under another numpy
-or LAPACK build may rebuild them differently at roundoff: the contract is
+the format. The u32 at offset 24 names the SVD path that linalg.svd_path
+selects for the header's (d, k), whatever the method and rank: 0 for the
+Jacobi SVD, 3 for LAPACK's full SVD. Codes 1 and 2 are retired: they named
+the top-r power iteration of older builds, with its Ritz step on the Jacobi
+SVD or on LAPACK's, and no build writes them. The paths give different factor
+bytes, so load refuses with VersionUnsupported a known code that is not the
+one this build selects at the header's shape (1 and 2 at any shape, 0 or 3
+at the other path's shapes); any other code is CorruptPayload. The LAPACK
+factors come from LAPACK's gesdd, so a cold load under another numpy or
+LAPACK build may rebuild them differently at roundoff: the contract is
 byte-identical reruns within one build.
 """
 
@@ -92,8 +78,8 @@ HEADER_SIZE = _HEADER.size  # 68
 _KIND_CHECKPOINT = 0
 
 # The SVD path names of linalg.svd_path, indexed by the code at header offset 24.
-# Code 1 is the top-r path with its Ritz step on the Jacobi SVD, which no
-# build since takes, so no path selects it and load refuses it.
+# Codes 1 and 2 name the retired top-r power iteration, which no build since
+# takes, so no path selects them and load refuses them.
 _SVD_PATH_CODES = ("jacobi", "top_r_jacobi_ritz", "top_r", "lapack")
 
 # Each coded header field, in load's decode order, with the names its code indexes.
@@ -115,7 +101,7 @@ def _pack_header(state: AdapterState) -> bytes:
         state.d,
         state.k,
         m.rank,
-        _SVD_PATH_CODES.index(svd_path(state.d, state.k, m.rank)),
+        _SVD_PATH_CODES.index(svd_path(state.d, state.k)),
         state.seed,
         state.w0_digest,
     )
@@ -180,10 +166,10 @@ def load(path, w0) -> AdapterState:
     theta = np.frombuffer(payload, dtype="<f8")
     if not np.isfinite(theta).all():
         raise CorruptPayload(f"{path}: payload holds NaN or Inf")
-    if saved_path != svd_path(d, k, rank):
+    if saved_path != svd_path(d, k):
         raise VersionUnsupported(
             f"{path}: saved with the {saved_path} SVD path, but this build takes the "
-            f"{svd_path(d, k, rank)} path at {d}x{k} rank {rank} and would rebuild other factors"
+            f"{svd_path(d, k)} path at {d}x{k} and would rebuild other factors"
         )
     try:
         state = _build_adapter(w, digest, method, seed)  # svd_truncated checks the rank before it decomposes

@@ -6,8 +6,10 @@ and shortest round-trip decimals, so reruns of the same config are
 byte-identical.
 
 Exit codes: 1 failed verify check, 2 rank out of range or unknown preset,
-3 parse/config failure, an output that cannot be written, or a train run
-whose arrays do not fit in memory, 4 non-finite training loss.
+or a command line that argparse refuses (an unknown flag or choice, a flag
+value of the wrong type), 3 parse/config failure (a --config file's bad
+value included), an output that cannot be written, or a train run whose
+arrays do not fit in memory, 4 non-finite training loss.
 """
 
 from __future__ import annotations
@@ -160,7 +162,7 @@ def cmd_decompose(args) -> int:
     print(f"rows={w.shape[0]} cols={w.shape[1]} rank={factors.rank}")
     print("singular_values=" + ",".join(repr(s) for s in factors.s_r.tolist()))
     print(f"truncation_error={trunc_err!r}")
-    path = svd_path(*w.shape, factors.rank)
+    path = svd_path(*w.shape)
     print(
         f"svd={path} iterations={factors.iterations} converged={str(factors.converged).lower()} "
         f"certificate={factors.certificate!r}"
@@ -205,7 +207,7 @@ def cmd_count(args) -> int:
         preset = get_preset(args.preset)
     except ValueError as exc:
         raise CliError(str(exc), EXIT_BAD_RANGE) from exc
-    methods = [m.strip() for m in args.method.split(",") if m.strip()]
+    methods = {m.strip() for m in args.method.split(",") if m.strip()}
     if not methods:
         raise CliError(f"--method {args.method!r} names no method", EXIT_PARSE)
     try:

@@ -1,20 +1,18 @@
-"""Dense linear algebra kernels: one-sided Jacobi SVD, top-r SVD and seeded generators.
+"""Dense linear algebra kernels: one-sided Jacobi SVD, LAPACK's SVD and seeded generators.
 
 Every SVD runs one pipeline. The input is checked and rescaled by the power of
 two that puts its largest magnitude in [0.5, 1) (pow2_exponent), so no product
 overflows and the factors keep their bytes under any power-of-two scaling of w.
-_factor hands the tall side (w or w^T) to one of three kernels, chosen from
-the shape and rank alone (svd_path): below LAPACK_MIN_DIM the one-sided Jacobi
-sweep; above it LAPACK's full SVD (numpy.linalg.svd); and, where the rank is
-small against a shape of at least TOP_R_MIN_DIM, a seeded block power
-iteration whose Rayleigh-Ritz step takes LAPACK's SVD of the small projection
-Q^T w. A kernel only factors. _factor finishes every path alike: values at or
-below 1e-12 * ||w||_F become exactly 0 (the null cut); the kept columns are
-exactly 0 on w's all-zero rows (of u) and columns (of v); one complete QR of
-the kept columns of u completes the null ones; and each column of the factor
-on the longer side gets its largest-magnitude entry positive. svd_truncated
-slices the finished factors and reports the residual certificate of the ones
-it returns; the full SVD jacobi_svd is svd_truncated at full rank.
+_factor hands the tall side (w or w^T) to one of two kernels, chosen from the
+shape alone (svd_path): below LAPACK_MIN_DIM the one-sided Jacobi sweep, and
+from it on LAPACK's full SVD (numpy.linalg.svd). A kernel only factors.
+_factor finishes both paths alike: values at or below 1e-12 * ||w||_F become
+exactly 0 (the null cut); the kept columns are exactly 0 on w's all-zero rows
+(of u) and columns (of v); one complete QR of the kept columns of u completes
+the null ones; and each column of the factor on the longer side gets its
+largest-magnitude entry positive. svd_truncated slices the finished factors
+and reports the residual certificate of the ones it returns; the full SVD
+jacobi_svd is svd_truncated at full rank.
 
 Everything operates on C-contiguous float64 numpy arrays and is deterministic:
 identical input bytes always produce identical output bytes within one numpy,
@@ -46,27 +44,9 @@ _ROUNDOFF_FLOOR = 1e-15
 # orthonormal completion.
 _DEFICIENT_REL = 1e-12
 
-# Full LAPACK path: taken when min(d, k) >= LAPACK_MIN_DIM and the top-r path
-# is not. Below it the Jacobi loop runs, whose factor bytes checkpoints of
-# those shapes rebuild.
+# Full LAPACK path: taken when min(d, k) >= LAPACK_MIN_DIM. Below it the
+# Jacobi loop runs, whose factor bytes checkpoints of those shapes rebuild.
 LAPACK_MIN_DIM = 128
-
-# Top-r path: taken when min(d, k) >= TOP_R_MIN_DIM and 2 * (r + TOP_R_OVERSAMPLE)
-# <= min(d, k). TOP_R_MIN_DIM is the smallest min(d, k) at which power
-# iteration beat LAPACK's gesdd on decaying spectra (table in the README's
-# "Scale"). A block of r + TOP_R_OVERSAMPLE columns, drawn from the fixed
-# seed TOP_R_SEED (so the factors depend on w and r alone), goes through power
-# iterations, each one product with w and one with w^T, re-orthonormalised by
-# QR. Every TOP_R_CHECK_EVERY iterations LAPACK's SVD of the projection Q^T w
-# gives Ritz factors; they are certified once every pair has
-# max(||w v_i - s_i u_i||, ||w^T u_i - s_i v_i||) <= TOP_R_TOL * s_1, and the
-# loop stops uncertified after TOP_R_MAX_ITERATIONS.
-TOP_R_MIN_DIM = 256
-TOP_R_OVERSAMPLE = 8
-TOP_R_TOL = 1e-12
-TOP_R_CHECK_EVERY = 8
-TOP_R_MAX_ITERATIONS = 512
-TOP_R_SEED = 0x05057A
 
 
 def as_real_array(a, name: str = "input") -> np.ndarray:
@@ -167,12 +147,12 @@ class SvdFactors:
     """Truncated rank-r factors of a weight matrix.
 
     u_r is d x r, s_r a descending nonnegative length-r vector and v_r is
-    k x r. Every path finishes its factors alike (see the module docstring):
+    k x r. Both paths finish their factors alike (see the module docstring):
     null values exactly 0 with their u columns completed by QR, exact zeros on
     w's all-zero rows and columns, signs fixed on the longer side. iterations
-    counts the Jacobi sweeps (jacobi path) or power iterations (top-r path)
-    that ran, and is 0 on the LAPACK path; converged is False when the kernel
-    stopped at its cap instead of at its convergence test. certificate is
+    counts the Jacobi sweeps that ran, and is 0 on the LAPACK path; converged
+    is False only when the sweep stopped at JACOBI_MAX_SWEEPS instead of at
+    its convergence test. certificate is
     max_i max(||w v_i - s_i u_i||, ||w^T u_i - s_i v_i||) / s_1 over the
     returned factors, and 0 for a zero w.
     """
@@ -210,20 +190,20 @@ def _svd_input(w) -> tuple[np.ndarray, int]:
     return np.ldexp(m, -e), e
 
 
-def _factor(a: np.ndarray, path: str, r: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, bool]:
+def _factor(a: np.ndarray, path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, bool]:
     """(u, s, v, iterations, converged) of a checked, rescaled a, by the kernel of `path`.
 
-    The kernel factors a's tall side; this finishes its factors alike on every
-    path (see the module docstring) and returns u and v contiguous.
+    The kernel factors a's tall side; this finishes its factors alike on both
+    paths (see the module docstring) and returns u and v contiguous.
     """
     wide = a.shape[0] < a.shape[1]
     t = np.ascontiguousarray(a.T) if wide else a
     # Looked up at each call, so a kernel replaced on the module is the one that runs.
-    kernel = {"jacobi": _jacobi, "lapack": _lapack, "top_r": _top_r}[path]
-    u, s, v, iterations, converged = kernel(t, r)
+    kernel = {"jacobi": _jacobi, "lapack": _lapack}[path]
+    u, s, v, iterations, converged = kernel(t)
     kept = int((s > _DEFICIENT_REL * fro_norm(t)).sum())  # the null cut; a prefix, as s is descending
     s[kept:] = 0.0
-    # Exact zeros where t is zero, as the Jacobi sweep leaves them and gesdd and the power iteration do not.
+    # Exact zeros where t is zero, as the Jacobi sweep leaves them and gesdd does not.
     u[~t.any(axis=1), :kept] = 0.0
     v[~t.any(axis=0), :kept] = 0.0
     if kept < s.size:
@@ -241,7 +221,7 @@ def jacobi_svd(w) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return f.u_r, f.s_r, f.v_r
 
 
-def _jacobi(m: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, bool]:
+def _jacobi(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, bool]:
     """Jacobi factors (u, s, v) of all of the tall m, the sweeps run, and whether they stopped below the cap.
 
     u holds the swept columns over their norms s, sorted descending; a column
@@ -323,12 +303,9 @@ def _jacobi(m: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, 
     return a[:, order] / np.where(s_vals > 0.0, s_vals, 1.0), s_vals, v[:, order], sweeps, converged
 
 
-def svd_path(d: int, k: int, r: int) -> str:
-    """The SVD path svd_truncated takes for a d x k weight at rank r: "jacobi", "lapack" or "top_r"."""
-    m = min(d, k)
-    if m < LAPACK_MIN_DIM:
-        return "jacobi"
-    return "top_r" if m >= TOP_R_MIN_DIM and 2 * (r + TOP_R_OVERSAMPLE) <= m else "lapack"
+def svd_path(d: int, k: int) -> str:
+    """The SVD path svd_truncated takes for a d x k weight: "jacobi" or "lapack"."""
+    return "jacobi" if min(d, k) < LAPACK_MIN_DIM else "lapack"
 
 
 def _rel_residual(a: np.ndarray, v: np.ndarray, u: np.ndarray, s: np.ndarray) -> float:
@@ -341,26 +318,10 @@ def _certificate(a: np.ndarray, u: np.ndarray, s: np.ndarray, v: np.ndarray) -> 
     return 0.0 if s[0] == 0.0 else max(_rel_residual(a, v, u, s), _rel_residual(a.T, u, v, s))
 
 
-def _lapack(a: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, bool]:
+def _lapack(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, bool]:
     """LAPACK's gesdd factors (u, s, v) of all of a, in 0 iterations."""
     u, s, vt = np.linalg.svd(a, full_matrices=False)
     return u, s, vt.T, 0, True
-
-
-def _top_r(a: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, bool]:
-    """Top-r (u, s, v) of a by seeded block power iteration, the iterations run, and whether they were certified."""
-    at = a.T
-    q = np.random.default_rng(TOP_R_SEED).standard_normal((a.shape[1], r + TOP_R_OVERSAMPLE))
-    for iterations in range(1, TOP_R_MAX_ITERATIONS + 1):
-        q, _ = np.linalg.qr(a @ q)
-        if iterations % TOP_R_CHECK_EVERY == 0 or iterations == TOP_R_MAX_ITERATIONS:
-            ub, sb, vbt = np.linalg.svd(q.T @ a, full_matrices=False)
-            u, s, v = q @ ub[:, :r], sb[:r], vbt[:r].T
-            converged = _certificate(a, u, s, v) <= TOP_R_TOL
-            if converged or iterations == TOP_R_MAX_ITERATIONS:
-                break
-        q, _ = np.linalg.qr(at @ q)
-    return u, s, v, iterations, converged
 
 
 def svd_truncated(w, r: int) -> SvdFactors:
@@ -376,7 +337,7 @@ def svd_truncated(w, r: int) -> SvdFactors:
     if r < 1 or r > max_rank:
         raise RankOutOfRange(f"rank {r} outside [1, {max_rank}] for shape {m.shape}")
     a, e = _svd_input(m)
-    u, s, v, iterations, converged = _factor(a, svd_path(*m.shape, r), r)
+    u, s, v, iterations, converged = _factor(a, svd_path(*m.shape))
     u_r, s_r, v_r = u[:, :r].copy(), s[:r].copy(), v[:, :r].copy()  # each owns exactly its entries
     certificate = _certificate(a, u_r, s_r, v_r)
     return SvdFactors(

@@ -5,7 +5,7 @@ teacher w_target: the top r_gap singular components of w0, as svd_truncated
 returns them, are replaced by a randomly row-scaled, randomly re-weighted
 copy of themselves. An osora adapter of rank r_gap is built from the same
 factors, so it can represent the teacher exactly (zero achievable loss)
-even when the top-r SVD stopped at its cap short of w0's exact top
+even when the Jacobi sweep stopped at its cap short of w0's exact top
 subspace; smaller ranks and single-vector ablations cannot.
 
 `train` steps over the task's probes compressed by one QR, X^T = Q R with
@@ -129,7 +129,7 @@ def make_task(d: int, k: int, r_gap: int, seed: int, n: int | None = None) -> To
 
     The factors are svd_truncated's, shared with every SVD-initialised build of
     rank r_gap over w0: w0's own top-r_gap subspace when `task.factors.converged`,
-    otherwise the nearby subspace the capped top-r path returned. Like every
+    otherwise the nearby subspace the capped Jacobi sweep returned. Like every
     ToyTask, it holds read-only copies of its arrays.
     """
     check_integers(d=d, k=k, r_gap=r_gap)

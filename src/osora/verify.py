@@ -81,9 +81,9 @@ def perturbed_state(
 def check_svd(matrices: Iterable[np.ndarray]) -> list[CheckResult]:
     """Relative reconstruction error and orthonormality of the full SVD `jacobi_svd`.
 
-    jacobi_svd takes svd_path's three paths, but every shape verify_svd draws
+    jacobi_svd takes svd_path's two paths, but every shape verify_svd draws
     is below LAPACK_MIN_DIM, so `osora verify svd` checks the Jacobi path
-    alone; SVD_PATH_CASES in tests/conftest.py cover the other two.
+    alone; SVD_PATH_CASES in tests/conftest.py cover the LAPACK path too.
     """
     recon, ortho = [], []
     for w in matrices:

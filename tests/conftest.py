@@ -8,7 +8,7 @@ from osora.verify import perturbed_state, rel_inf  # noqa: F401  (test modules i
 
 def pytest_report_header(config):
     # The pinned-bytes tests hold only on the numpy, BLAS and LAPACK build they
-    # were recorded on; the LAPACK-path and top-r factors also go through LAPACK's gesdd.
+    # were recorded on; the LAPACK-path factors also go through LAPACK's gesdd.
     deps = np.show_config(mode="dicts")["Build Dependencies"]
     blas, lapack = deps["blas"], deps["lapack"]
     return (
@@ -45,8 +45,6 @@ SVD_PATH_CASES = [
     pytest.param("jacobi", 28, 40, 6, id="jacobi_wide"),
     pytest.param("lapack", 160, 128, 6, id="lapack"),
     pytest.param("lapack", 128, 160, 6, id="lapack_wide"),
-    pytest.param("top_r", 288, 256, 6, id="top_r"),
-    pytest.param("top_r", 256, 288, 6, id="top_r_wide"),
 ]
 
 

@@ -261,17 +261,15 @@ def saved_per_path(tmp_path_factory):
 
 def test_svd_path_code_is_written(saved_per_path):
     for path_name, _, _, path in saved_per_path.values():
-        assert struct.unpack_from("<I", path.read_bytes(), 24) == ({"jacobi": 0, "top_r": 2, "lapack": 3}[path_name],)
+        assert struct.unpack_from("<I", path.read_bytes(), 24) == ({"jacobi": 0, "lapack": 3}[path_name],)
 
 
 def test_svd_path_code_of_the_other_path_is_unsupported(saved_per_path, tmp_path, monkeypatch):
-    # Every code but a row's own is refused at that row. Code 0 at a top-r
-    # shape is what the oldest builds wrote there: its factors came from the
-    # full Jacobi SVD, which this build no longer runs at that shape. Code 1 is
-    # the top-r path with a Jacobi Ritz step, whose factor bytes this build no
-    # longer makes at any shape. Code 2 or 3 at a Jacobi shape names factors
-    # this build never makes. At a LAPACK shape, older builds wrote code 2
-    # (128 <= min(d, k) < 256 at small ranks) or 0 (higher ranks).
+    # Every code but a row's own is refused at that row. Codes 1 and 2 are the
+    # retired top-r power iteration, whose factor bytes this build no longer
+    # makes at any shape. Code 3 at a Jacobi shape names factors this build
+    # never makes there. At a LAPACK shape, older builds wrote code 2 (small
+    # ranks) or 0 (higher ranks).
     monkeypatch.setattr("osora.checkpoint._build_adapter", _unreachable)  # rejected before any rebuild
     for row, (path_name, _, w0, path) in saved_per_path.items():
         for code, saved_as in enumerate(_SVD_PATH_CODES):
@@ -283,6 +281,21 @@ def test_svd_path_code_of_the_other_path_is_unsupported(saved_per_path, tmp_path
             mutated.write_bytes(bytes(blob))
             with pytest.raises(VersionUnsupported, match=f"saved with the {saved_as} SVD path"):
                 load(mutated, w0)
+
+
+def test_top_r_checkpoint_of_an_older_build_is_unsupported(tmp_path, monkeypatch):
+    # 288x256 at rank 6 took the top-r power iteration in older builds, which
+    # wrote path code 2 there; this build takes LAPACK's SVD and writes 3.
+    state, w0 = perturbed_state("osora", 288, 256, 6, 45)
+    path = tmp_path / "t.ckpt"
+    save(state, path)
+    blob = bytearray(path.read_bytes())
+    assert struct.unpack_from("<I", blob, 24) == (3,)
+    blob[24] = 2
+    path.write_bytes(bytes(blob))
+    monkeypatch.setattr("osora.checkpoint._build_adapter", _unreachable)  # rejected before any rebuild
+    with pytest.raises(VersionUnsupported, match="saved with the top_r SVD path"):
+        load(path, w0)
 
 
 def test_load_hashes_the_base_weight_once(tmp_path, monkeypatch):

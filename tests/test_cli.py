@@ -271,7 +271,16 @@ class TestCount:
         code, out, _ = run_cli(capsys, *argv)
         assert code == 0
         rows = [line.split()[:2] for line in out.splitlines()]
-        assert rows == [["lora", "r=1"], ["lora", "r=8"]] + [["osora", "r=1"]] * 2 + [["osora", "r=8"]] * 2
+        assert rows == [["lora", "r=1"], ["lora", "r=8"], ["osora", "r=1"], ["osora", "r=8"]]
+
+    def test_repeated_method_and_rank_count_once(self, tmp_path, capsys):
+        # A method is deduped as a rank is: one printed row and one CSV row.
+        out_csv = tmp_path / "c.csv"
+        argv = ["count", "--preset", "qwen2_7b", "--method", "lora,lora", "--rank", "4,4", "--out", str(out_csv)]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert out.splitlines() == ["lora r=4 trainable=1261568 footprint=1261568"]
+        assert [(r["method"], r["rank"]) for r in csv.DictReader(open(out_csv))] == [("lora", "4")]
 
     @pytest.mark.parametrize("ranks", ["0", "4,-1", "4,513"])
     def test_rank_out_of_range_exit_code(self, ranks, capsys):

@@ -16,6 +16,7 @@ from osora import (
     make_task,
     param_ratio,
     random_matrix,
+    report,
     save,
     scaling_sweep,
     svd_truncated,
@@ -46,6 +47,8 @@ BAD_CALLS = {
     "count_non_integer_dims": lambda tmp: count_trainable("osora", 8.5, 8, 2),
     "sweep_unsorted_ranks": lambda tmp: scaling_sweep(get_preset("mistral7b_v03"), ["osora"], [2, 1]),
     "sweep_non_integer_rank": lambda tmp: scaling_sweep(get_preset("qwen2_7b"), ["lora"], [4, "8"]),
+    "sweep_preset_name": lambda tmp: scaling_sweep("qwen2_7b", ["lora"], [4]),
+    "report_preset_name": lambda tmp: report("qwen2_7b", "lora", 4),
     "ratio_nonpositive_dims": lambda tmp: param_ratio(0, 4, 1),
     "ratio_boolean_rank": lambda tmp: param_ratio(8, 8, True),
     "unknown_preset": lambda tmp: get_preset("nope"),

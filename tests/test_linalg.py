@@ -16,14 +16,14 @@ from osora import (
     build_adapter,
     forward,
     jacobi_svd,
-    merge,
     random_matrix,
     svd_truncated,
 )
 from conftest import SVD_PATH_CASES, truncation_residual
 from osora import linalg
 from osora.checkpoint import _SVD_PATH_CODES
-from osora.linalg import JACOBI_MAX_SWEEPS, TOP_R_MAX_ITERATIONS, TOP_R_TOL, svd_path
+from osora.cli import main, write_matrix
+from osora.linalg import JACOBI_MAX_SWEEPS, svd_path
 
 
 def reassembly_error(w, f):
@@ -96,9 +96,8 @@ class TestSvdTruncated:
     def test_norm_past_the_squarable_range_is_refused(self, path, d, k, r):
         # At 1e100 and 1e200 the squares of ||w||_F overflow, but every path
         # runs on a power-of-two rescaling, so the factors are right, also at
-        # ||w||_F = 1.5e308, where the top-r path's first product with its
-        # start block would overflow unscaled. Only a weight whose ||w||_F
-        # itself overflows is refused: its entries are finite, but sigma_1 may not be.
+        # ||w||_F = 1.5e308. Only a weight whose ||w||_F itself overflows is
+        # refused: its entries are finite, but sigma_1 may not be.
         base = random_matrix(d, k, 3, "gaussian")
         for w in (base * 1e100, base * 1e200, base / np.linalg.norm(base) * 1.5e308):
             f = svd_truncated(w, r)
@@ -114,8 +113,8 @@ class TestSvdTruncated:
     @pytest.mark.parametrize("path,d,k,r", SVD_PATH_CASES)
     def test_tiny_weights_decompose(self, path, d, k, r, scale):
         # The squared norms of these weights underflow. Unscaled, the sweep
-        # returned s_r = 0 or stopped at its cap, and the top-r certificate
-        # passed on residuals that had underflowed, all marked converged.
+        # returned s_r = 0 or stopped at its cap, and a certificate taken
+        # unscaled passed on residuals that had underflowed, all marked converged.
         w = random_matrix(d, k, 3, "gaussian") * scale
         f = svd_truncated(w, r)
         s = np.linalg.svd(w, compute_uv=False)
@@ -410,7 +409,7 @@ def test_stacked_sweep_matches_the_two_array_sweep(kind, short, extra, tall, see
         "zero_cols": lambda: _zero_cols(d, k, list(range(1, k, 3)), seed),
     }[kind]() * 2.0**j
     a, e = linalg._svd_input(w)
-    u, s, v, sweeps, converged = linalg._factor(a, "jacobi", min(w.shape))
+    u, s, v, sweeps, converged = linalg._factor(a, "jacobi")
     got, want = (u, np.ldexp(s, e), v, sweeps, converged), _two_array_jacobi(w)
     for name, x, y in zip("usv", got, want):
         assert x.tobytes() == y.tobytes(), name
@@ -519,21 +518,21 @@ def _assert_certified(w, f):
     assert reassembly_error(w, f) <= 1e-12 * np.sqrt((w * w).sum())
 
 
-def _no_jacobi(a, r):
+def _no_jacobi(a):
     raise AssertionError("svd_truncated ran the Jacobi SVD at min(d, k) >= 128")
 
 
 def test_svd_path_cases_cover_every_path():
-    # Every path a checkpoint can name (less the retired Jacobi-Ritz top-r
-    # path) has one tall and one wide row, each on its own path: a new kernel
-    # or a moved cut-over fails here, not in the tests that take the rows.
+    # Every path a checkpoint can name (less the two retired top-r paths) has
+    # one tall and one wide row, each on its own path: a new kernel or a moved
+    # cut-over fails here, not in the tests that take the rows.
     rows = [case.values for case in SVD_PATH_CASES]
-    paths = set(_SVD_PATH_CODES) - {"top_r_jacobi_ritz"}
+    paths = set(_SVD_PATH_CODES) - {"top_r_jacobi_ritz", "top_r"}
     assert {path for path, *_ in rows} == paths
     for path in paths:
         assert sorted(d > k for p, d, k, _ in rows if p == path) == [False, True], path
     for path, d, k, r in rows:
-        assert svd_path(d, k, r) == path, (d, k, r)
+        assert svd_path(d, k) == path, (d, k, r)
 
 
 def _path_rows(path):
@@ -566,7 +565,7 @@ class _EveryPath:
         w, r = weight
         if self.path != "jacobi":
             monkeypatch.setattr(linalg, "_jacobi", _no_jacobi)
-        assert svd_path(*w.shape, r) == self.path
+        assert svd_path(*w.shape) == self.path
         f = svd_truncated(w, r)
         _assert_certified(w, f)
         assert f.certificate <= 1e-12 and (f.iterations == 0) == (self.path == "lapack")
@@ -600,7 +599,7 @@ class _EveryPath:
         _assert_certified(w, f)
         assert f.s_r.tolist() == [0.0] * r and not truncation_residual(w, f).any() and f.certificate == 0.0
         assert np.abs(f.u_r.T @ f.u_r - np.eye(r)).max() == 0.0
-        assert self.path == "top_r" or f.iterations == 0  # the power iteration stops at its first check
+        assert f.iterations == 0
 
     @pytest.mark.parametrize("scale", [2.0**-1000, 1e200], ids=["2^-1000", "1e200"])
     def test_extreme_scales(self, row, scale):
@@ -631,29 +630,77 @@ class TestJacobiPath(_EveryPath):
     path = "jacobi"
 
 
-class TestTopRPath(_EveryPath):
-    """svd_truncated's seeded power iteration, taken for min(d, k) >= 256 at small ranks."""
+@pytest.mark.parametrize(
+    "w",
+    [
+        random_matrix(12, 9, 110, "gaussian"),
+        random_matrix(9, 12, 111, "gaussian"),
+        _low_rank(12, 9, 3, 112),
+        random_matrix(160, 128, 113, "gaussian"),
+    ],
+    ids=["tall", "wide", "deficient", "lapack"],
+)
+def test_full_rank_truncation_is_jacobi_svd(w):
+    f, (u, s, v) = svd_truncated(w, min(w.shape)), jacobi_svd(w)
+    assert (f.u_r.tobytes(), f.s_r.tobytes(), f.v_r.tobytes()) == (u.tobytes(), s.tobytes(), v.tobytes())
 
-    path = "top_r"
+
+def test_below_the_cut_over_slices_jacobi():
+    w = random_matrix(127, 127, 95, "gaussian")
+    f = svd_truncated(w, 4)
+    u, s, v = jacobi_svd(w)
+    assert f.u_r.tobytes() == np.ascontiguousarray(u[:, :4]).tobytes()
+    assert f.s_r.tobytes() == s[:4].tobytes()
+    assert f.v_r.tobytes() == np.ascontiguousarray(v[:, :4]).tobytes()
+    assert f.converged and 1 <= f.iterations < JACOBI_MAX_SWEEPS
+
+
+def test_path_follows_shape():
+    assert svd_path(127, 127) == "jacobi"
+    assert svd_path(128, 127) == "jacobi"
+    assert svd_path(4096, 127) == "jacobi"
+    assert svd_path(128, 128) == "lapack"
+    assert svd_path(255, 255) == "lapack"
+    assert svd_path(4096, 128) == "lapack"
+    assert svd_path(128, 4096) == "lapack"
+    assert svd_path(256, 256) == "lapack"
+    assert svd_path(4096, 256) == "lapack"
+    assert svd_path(256, 4096) == "lapack"
+    assert svd_path(4096, 4096) == "lapack"
+
+
+def test_jacobi_sweep_cap_reports_unconverged_factors(monkeypatch, tmp_path, capsys):
+    # The sweep cap is the one way an SVD stops short of its convergence test.
+    # The factors are then not certified, but every build's update is still
+    # exactly zero at init, so a build starts exactly at its base weight.
+    monkeypatch.setattr(linalg, "JACOBI_MAX_SWEEPS", 1)
+    w = random_matrix(12, 9, 7, "gaussian")
+    f = svd_truncated(w, 3)
+    assert (f.converged, f.iterations) == (False, 1) and f.certificate > 1e-12
+    path = tmp_path / "m.txt"
+    write_matrix(path, w)
+    assert main(["decompose", str(path), "--rank", "3"]) == 0
+    assert "converged=false" in capsys.readouterr().out.splitlines()[3].split()
+    state = build_adapter(w, AdapterMethod(tag="osora", rank=3), seed=7)
+    assert state.frozen.factors.converged is False
+    x = np.random.default_rng(7).standard_normal((9, 4))
+    assert forward(state, x).tobytes() == (w @ x).tobytes()
+
+
+class TestLapackPath(_EveryPath):
+    """svd_truncated on LAPACK's full SVD, taken for min(d, k) >= 128."""
+
+    path = "lapack"
     more_inputs = {
-        "square": (random_matrix(256, 256, (97, 10), "gaussian"), 4),
-        "exact_rank_two": (_low_rank(256, 256, 2, 92), 4),
+        "square": (random_matrix(128, 128, (97, 10), "gaussian"), 4),
+        "high_rank_wide": (random_matrix(128, 4096, 101, "gaussian"), 57),
+        "high_rank_square": (random_matrix(200, 200, 102, "gaussian"), 100),
+        "power_255": (_known_spectrum(255, 255, np.arange(1.0, 256.0) ** -0.5, 103), 8),
+        "square_256": (random_matrix(256, 256, (97, 10), "gaussian"), 4),
+        "exact_rank_two_256": (_low_rank(256, 256, 2, 92), 4),
         "gaussian_256": (random_matrix(256, 256, 99, "gaussian"), 4),
         "power_512": (_known_spectrum(512, 512, np.arange(1.0, 513.0) ** -0.5, 100), 8),  # sigma_i = i^-0.5
     }
-
-    def test_path_follows_shape_and_rank(self):
-        assert svd_path(127, 127, 4) == "jacobi"
-        assert svd_path(128, 127, 4) == "jacobi"
-        assert svd_path(4096, 127, 4) == "jacobi"
-        assert svd_path(128, 128, 4) == "lapack"
-        assert svd_path(255, 255, 4) == "lapack"
-        assert svd_path(4096, 128, 56) == "lapack"
-        assert svd_path(128, 4096, 57) == "lapack"
-        assert svd_path(256, 256, 4) == "top_r"
-        assert svd_path(4096, 256, 120) == "top_r"
-        assert svd_path(256, 4096, 121) == "lapack"  # 2 * (r + 8) > 256
-        assert svd_path(4096, 4096, 2040) == "top_r"
 
     def test_decaying_spectrum_at_scale(self):
         # sigma_i = 1 / i, a decaying spectrum like a pretrained weight's; the
@@ -668,70 +715,12 @@ class TestTopRPath(_EveryPath):
         assert np.abs(f.s_r - np.linalg.svd(w, compute_uv=False)[:8]).max() <= 1e-12
         assert np.abs(f.s_r - sigma[:8]).max() <= 1e-12
 
-    def test_tied_spectrum_stops_at_the_cap(self):
-        # sigma_4 = sigma_5 inside a cluster within 1 % of them that runs past
-        # the oversampled block: no Ritz pair there can meet the certificate,
-        # so the loop stops at its cap. The residual is still exact for the
-        # factors it returns, so a build starts at its base weight.
-        sigma = np.concatenate([[4.0, 3.0, 2.0, 1.0], np.linspace(1.0, 0.99, 252)])
-        w = _known_spectrum(256, 256, sigma, 93)
-        start = time.perf_counter()
-        f = svd_truncated(w, 4)
-        assert time.perf_counter() - start < 5.0
-        assert not f.converged and f.iterations == TOP_R_MAX_ITERATIONS and f.certificate > TOP_R_TOL
-        assert np.abs(f.s_r[:3] - sigma[:3]).max() <= 1e-12  # outside the cluster, certified anyway
-        assert 0.99 <= f.s_r[3] <= 1.0
-        assert np.abs(f.u_r.T @ f.u_r - np.eye(4)).max() <= 1e-12
-        state = build_adapter(w, AdapterMethod(tag="osora", rank=4), seed=93)
-        assert state.frozen.factors.converged is False
-        x = np.random.default_rng(93).standard_normal((256, 3))
-        assert np.abs(forward(state, x) - w @ x).max() <= 1e-12 * np.abs(w @ x).max()
-        assert np.abs(merge(state) - w).max() <= 1e-12
-
-    def test_uncertified_loop_ends_at_its_last_check(self, monkeypatch):
-        # Nothing reads a product taken after the last certificate check.
-        monkeypatch.setattr(linalg, "TOP_R_MAX_ITERATIONS", 3)
-        calls = []
-        qr = np.linalg.qr
-        monkeypatch.setattr(np.linalg, "qr", lambda m, *args, **kw: calls.append(m.shape) or qr(m, *args, **kw))
-        f = svd_truncated(random_matrix(256, 256, 98, "gaussian"), 4)
-        assert (f.iterations, f.converged) == (3, False)
-        assert len(calls) == 2 * 3 - 1
-
-    @pytest.mark.parametrize(
-        "w",
-        [
-            random_matrix(12, 9, 110, "gaussian"),
-            random_matrix(9, 12, 111, "gaussian"),
-            _low_rank(12, 9, 3, 112),
-            random_matrix(160, 128, 113, "gaussian"),
-        ],
-        ids=["tall", "wide", "deficient", "lapack"],
-    )
-    def test_full_rank_truncation_is_jacobi_svd(self, w):
-        f, (u, s, v) = svd_truncated(w, min(w.shape)), jacobi_svd(w)
-        assert (f.u_r.tobytes(), f.s_r.tobytes(), f.v_r.tobytes()) == (u.tobytes(), s.tobytes(), v.tobytes())
-
-    def test_below_the_cut_over_slices_jacobi(self):
-        w = random_matrix(127, 127, 95, "gaussian")
-        f = svd_truncated(w, 4)
-        u, s, v = jacobi_svd(w)
-        assert f.u_r.tobytes() == np.ascontiguousarray(u[:, :4]).tobytes()
-        assert f.s_r.tobytes() == s[:4].tobytes()
-        assert f.v_r.tobytes() == np.ascontiguousarray(v[:, :4]).tobytes()
-        assert f.converged and 1 <= f.iterations < JACOBI_MAX_SWEEPS
-
-
-class TestLapackPath(_EveryPath):
-    """svd_truncated on LAPACK's full SVD, taken for min(d, k) >= 128 wherever the top-r path is not."""
-
-    path = "lapack"
-    more_inputs = {
-        "square": (random_matrix(128, 128, (97, 10), "gaussian"), 4),
-        "high_rank_wide": (random_matrix(128, 4096, 101, "gaussian"), 57),
-        "high_rank_square": (random_matrix(200, 200, 102, "gaussian"), 100),
-        "power_255": (_known_spectrum(255, 255, np.arange(1.0, 256.0) ** -0.5, 103), 8),
-    }
+    def test_flat_spectrum_at_scale_is_certified(self):
+        # A gaussian weight's spectrum is flat past sigma_r; LAPACK's full SVD
+        # certifies it at any size.
+        w = random_matrix(1024, 1024, 99, "gaussian")
+        f = svd_truncated(w, 8)
+        assert f.converged and f.certificate <= 1e-12
 
     @pytest.mark.parametrize("shape,r", [((128, 128), 4), ((128, 4096), 57), ((4096, 128), 60), ((256, 256), 4)])
     def test_no_shape_from_128_runs_the_jacobi_loop(self, shape, r, monkeypatch):
@@ -751,10 +740,10 @@ class TestLapackPath(_EveryPath):
 
     @pytest.mark.parametrize("path", dict.fromkeys(case.values[0] for case in SVD_PATH_CASES))
     def test_zero_row_and_column_stay_exactly_zero(self, path):
-        # gesdd and the power iteration leave roundoff where w has an all-zero
-        # row or column; every path's kept factors carry the exact zeros the
-        # Jacobi sweep leaves there, at both of its rows, on a full-rank weight
-        # and on one of rank 4 whose null columns the QR completion fills.
+        # gesdd leaves roundoff where w has an all-zero row or column; every
+        # path's kept factors carry the exact zeros the Jacobi sweep leaves
+        # there, at both of its rows, on a full-rank weight and on one of
+        # rank 4 whose null columns the QR completion fills.
         for d, k, r in _path_rows(path).values():
             for w, rank in ((random_matrix(d, k, 109, "gaussian"), r), (_low_rank(d, k, 4, 109), 4)):
                 w[[0, 7]] = 0.0
@@ -782,7 +771,7 @@ def test_jacobi_skips_a_pair_below_the_roundoff_floor():
     assert gamma == 30 * 2.0**-46
     assert linalg.JACOBI_TOL * fro < gamma <= linalg._ROUNDOFF_FLOOR * np.sqrt((p @ p) * (q @ q))
     f = svd_truncated(w, 2)
-    assert svd_path(d, 2, 2) == "jacobi" and f.iterations == 1 and f.converged
+    assert svd_path(d, 2) == "jacobi" and f.iterations == 1 and f.converged
     assert np.abs(f.u_r.T @ f.u_r - np.eye(2)).max() <= 1e-10 and np.abs(f.v_r.T @ f.v_r - np.eye(2)).max() <= 1e-10
     assert np.sqrt((((f.u_r * f.s_r) @ f.v_r.T - w) ** 2).sum()) <= 1e-12 * fro
 
@@ -811,16 +800,6 @@ def test_lapack_factor_bytes_are_pinned():
     f = svd_truncated(w, 4)
     assert (f.iterations, f.converged) == (0, True)
     assert _factor_digest(w, f) == "f5a63a1a43edcd5e1d1987af1b899e9b58261e8448eaee9dacb92862a763c88a"
-
-
-@pytest.mark.pinned
-def test_top_r_factor_bytes_are_pinned():
-    # The same at one seeded 256x256 gaussian weight, rank 4, a top-r shape: the
-    # power iteration's products, QRs and Ritz SVDs go through BLAS and LAPACK.
-    w = random_matrix(256, 256, (97, 10), "gaussian")
-    f = svd_truncated(w, 4)
-    assert (f.iterations, f.converged) == (168, True)
-    assert _factor_digest(w, f) == "20c6efdf609b983a9dc293e909e6888b2ca92ec1751ffcf57da5abfe209737f7"
 
 
 class TestRandomMatrix:

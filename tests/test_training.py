@@ -381,8 +381,7 @@ def test_train_step_forms_no_dense_weight(tag):
     d = k = 256
     rng = np.random.default_rng(14)
     q, _ = np.linalg.qr(rng.standard_normal((d, k)))
-    # A linspace spectrum decays too slowly for the top-r SVD to certify its
-    # factors: it stops at its iteration cap, which the build and this bound do not depend on.
+    # A linspace spectrum from 2 to 1; this bound does not depend on it.
     w = q * np.linspace(2.0, 1.0, k)
     probes = rng.standard_normal((k, 8))
     for w0 in (w, np.ldexp(w, -600)):
