@@ -86,7 +86,9 @@ def report(preset: ShapePreset, method: str, r: int) -> ParamReport:
 
 
 def scaling_sweep(preset: ShapePreset, methods: list[str], ranks: list[int]) -> list[tuple[str, int, int]]:
-    """Rows (method, rank, total trainable) for a rank sweep over a preset."""
+    """Rows (method, rank, total trainable) for a rank sweep over a preset; report checks the preset."""
+    if not isinstance(methods, (list, tuple)) or not methods:
+        raise InvalidConfig(f"methods must be a non-empty list or tuple of method tags, got {methods!r}")
     check_integers(**{f"ranks[{i}]": r for i, r in enumerate(ranks or ())})
     if not ranks or any(b <= a for a, b in zip(ranks, ranks[1:])):
         raise InvalidConfig(f"ranks must be non-empty and ascending, got {ranks}")

@@ -152,26 +152,29 @@ def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 _ROW_SQ_RANGE = (2.0**-600, 2.0**600)
 
 
-def _scaled_norms(w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(row norms of w, w, e), e_i = 0 for a row whose squared sum lies in _ROW_SQ_RANGE.
+def _scaled_norms(w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """(row norms of w, w, e), w's row i scaled by 2**-e_i; e is None where every row's squared sum is in _ROW_SQ_RANGE.
 
-    Any other row (zero, or squaring past either end) is scaled in place by
-    2**-e_i, its largest entry's exponent, and its norm taken there. Scaling a
-    row by a power of two is exact, so an in-range row's norm has the bytes the
-    rescaled one would have, at the cost of one row dot.
+    Else e_i = 0 for an in-range row, and any other row (zero, or squaring past
+    either end) is scaled in place by 2**-e_i, its largest entry's exponent, and
+    its norm taken there. Scaling by a power of two is exact, so an in-range
+    row's norm has the bytes the rescaled one would have, at one row dot's cost.
     """
     sq = _row_dots(w, w)
     kept = (sq >= _ROW_SQ_RANGE[0]) & (sq <= _ROW_SQ_RANGE[1])
     if kept.all():
-        return np.sqrt(sq, out=sq), w, np.zeros(sq.shape, dtype=np.intc)
+        return np.sqrt(sq, out=sq), w, None
     e = np.frexp(np.maximum(w.max(axis=1), -w.min(axis=1)))[1]
     e[kept] = 0
     np.ldexp(w, -e[:, None], out=w)  # in place: the one d x k array a dora step makes
     return np.ldexp(np.sqrt(_row_dots(w, w)), e), w, e
 
 
-def _dora_scale(state: AdapterState, norms: np.ndarray) -> np.ndarray:
-    return np.where(norms > 0.0, state.trainable["m"] / np.where(norms > 0.0, norms, 1.0), 0.0)
+def _dora_scale(m: np.ndarray, norms: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(row scale m / norms, 0 on a zero-norm row; the mask norms > 0; norms with 1 on the zero-norm rows)."""
+    pos = norms > 0.0
+    safe = np.where(pos, norms, 1.0)
+    return np.where(pos, m / safe, 0.0), pos, safe
 
 
 @dataclass(frozen=True)
@@ -216,8 +219,8 @@ class _Method:
         w += fz["w0"]
         return w
 
-    def row_norms(self, fz, t, left=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(row norms of the effective weight, w, e): w the rows grad_rows reads, row i times 2**-e_i."""
+    def row_norms(self, fz, t, left=None) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+        """(row norms of the effective weight, w, e): w the rows grad_rows reads, row i times 2**-e_i (e None: 2**0)."""
         if self.norms is not None:
             return self.norms(fz, t, self.left(fz, t) if left is None else left)
         return _scaled_norms(self.weight(fz, t, left))
@@ -289,7 +292,7 @@ def _osora_dora_init(w: np.ndarray, method: AdapterMethod, seed: int, f: _Shared
 def _osora_dora_norms(fz, t, left):
     # v_r is orthonormal: row i of w_eff is (w_eff v_r)_i v_r^T, w_eff v_r = w0 v_r + left, plus
     # w0's row off span(v_r), of norm w0_perp_i.
-    norms, w, e = _scaled_norms(np.column_stack([fz["w0_v"] + left, fz["w0_perp"]]))
+    norms, w, e = _scaled_norms(np.concatenate([fz["w0_v"] + left, fz["w0_perp"][:, None]], axis=1))
     return norms, w[:, :-1], e
 
 
@@ -412,6 +415,8 @@ def build_adapter(w0, method: AdapterMethod, seed: int) -> AdapterState:
     dora freeze a read-only copy of w0. dora and osora_dora start m at the
     row norms of their effective weight, taken on a power-of-two rescaling.
     """
+    if not isinstance(method, AdapterMethod):
+        raise InvalidConfig(f"method must be an AdapterMethod, got {method!r}")
     check_seed(seed)
     w = as_matrix(w0, "w0")
     return _build_adapter(w, weight_digest(w), method, seed)
@@ -453,29 +458,29 @@ def forward(state: AdapterState, x) -> np.ndarray:
         raise DimensionMismatch(f"x must have leading dimension {state.k}, got shape {np.shape(x)}")
 
     y = np.empty((state.d, xa.shape[1]))
-    _predict(state, _TABLE[state.method.tag].fixed(state.frozen, xa), xa, y)
+    entry = _TABLE[state.method.tag]
+    _predict(entry, state.frozen, state.trainable, entry.fixed(state.frozen, xa), xa, y)
     return y[:, 0] if single else y
 
 
-def _predict(state: AdapterState, fx: dict[str, np.ndarray], x: np.ndarray, out: np.ndarray) -> tuple:
-    """Write forward(state, x) into the d x n out, given fx = fixed(state.frozen, x); no other d x n array.
+def _predict(entry: _Method, fz, t, fx: dict[str, np.ndarray], x: np.ndarray, out: np.ndarray) -> tuple:
+    """Write forward(x) of the adapter with record entry and tensors fz, t into the d x n out; no other d x n array.
 
-    Returns (left, z, rows, scale) for the gradient: the update's factor L and
-    z = R x, each formed once, and a magnitude method's row_norms and row
+    fx is entry.fixed(fz, x). Returns (left, z, rows, scale) for the gradient:
+    the update's factor L and z = R x, each formed once, and for a magnitude
+    method row_norms' (w, e), _dora_scale's mask and safe divisor, and the row
     scale (else None, None).
     """
-    entry = _TABLE[state.method.tag]
-    fz, t = state.frozen, state.trainable
     left = entry.left(fz, t)
     z = entry.right(fz, t) @ x if entry.lift is None else entry.lift(fz, t, fx)
     np.matmul(left, z, out=out)
     out += fx["base"]
     if not entry.magnitude:
         return left, z, None, None
-    rows = entry.row_norms(fz, t, left)
-    scale = _dora_scale(state, rows[0])
+    norms, w, e = entry.row_norms(fz, t, left)
+    scale, pos, safe = _dora_scale(t["m"], norms)
     out *= scale[:, None]
-    return left, z, rows, scale
+    return left, z, (w, e, pos, safe), scale
 
 
 def _merged(state: AdapterState) -> tuple[np.ndarray, np.ndarray | None]:
@@ -485,7 +490,7 @@ def _merged(state: AdapterState) -> tuple[np.ndarray, np.ndarray | None]:
     if not entry.magnitude:
         return w_eff, None
     norms = entry.row_norms(state.frozen, state.trainable)[0]
-    w_eff *= _dora_scale(state, norms)[:, None]
+    w_eff *= _dora_scale(state.trainable["m"], norms)[0][:, None]
     return w_eff, norms
 
 

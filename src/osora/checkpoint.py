@@ -49,6 +49,7 @@ byte-identical reruns within one build.
 
 from __future__ import annotations
 
+import os
 import struct
 from pathlib import Path
 
@@ -67,7 +68,7 @@ from .adapters import (
     trainable_vector,
     weight_digest,
 )
-from .errors import CorruptPayload, DigestMismatch, IoFailure, RankOutOfRange, VersionUnsupported
+from .errors import CorruptPayload, DigestMismatch, InvalidConfig, IoFailure, RankOutOfRange, VersionUnsupported
 from .linalg import as_matrix, check_seed, svd_path
 
 MAGIC = b"OSRA"
@@ -118,16 +119,22 @@ def _unpack_header(blob: bytes, path) -> tuple:
     return fields
 
 
+def _path(path) -> Path:
+    if not isinstance(path, (str, os.PathLike)):
+        raise InvalidConfig(f"checkpoint path must be a str or os.PathLike, got {path!r}")
+    return Path(path)
+
+
 def _write(path, blob: bytes) -> None:
     try:
-        Path(path).write_bytes(blob)
+        _path(path).write_bytes(blob)
     except OSError as exc:
         raise IoFailure(f"cannot write {path}: {exc}") from exc
 
 
 def _read(path) -> bytes:
     try:
-        return Path(path).read_bytes()
+        return _path(path).read_bytes()
     except OSError as exc:
         raise IoFailure(f"cannot read {path}: {exc}") from exc
 

@@ -28,8 +28,9 @@ already is, and the second each magnitude record chains through `grad_rows`.
 The row sums of R * P are those of R * base plus rowwise (R Z^T) * left, a d x q
 product the gradient already holds. The record's `row_norms` gives the row
 norms and the rows `grad_rows` reads, row i times 2^-e_i as its norm was, so
-the step passes c 2^e, exactly. The rows are dora's w_eff = w0 + B A, the one
-d x k array a step makes, or osora_dora's w_eff v_r = w0 v_r + left.
+the step passes c 2^e, exactly, or c where no row was rescaled. The rows are
+dora's w_eff = w0 + B A, the one d x k array a step makes, or osora_dora's
+w_eff v_r = w0 v_r + left.
 
 Every method's prediction is M X for a d x k matrix M of its tensors (a
 magnitude method's rescale depends on its weights, not on the probes), so
@@ -43,23 +44,23 @@ X and Y. `training.train` steps over the planes a `ToyTask` keeps; `gradient`,
 `loss_mse` and `finite_diff` step over the raw probes, the last two asking the
 step for its loss alone, so the loss has one formula wherever it is taken.
 
-Each of them computes the probe products and allocates one d x m workspace
-plane per call (m = min(n, k) for `train`, n for the others), for every
-method, and every step of the call writes into it: left Z goes
-into the plane, `fixed`'s base product is added to make the prediction, a
-magnitude method scales its rows in place, and subtracting Y leaves the
+Each of them binds its step once per call: the method record, the probe
+products, the views of the flat gradient vector and one d x m workspace plane
+(m = min(n, k) for `train`, n for the others). Every step writes into the
+plane: left Z goes in, `fixed`'s base product is added to make the prediction,
+a magnitude method scales its rows in place, and subtracting Y leaves the
 residual pred - Y. The base product w0 X is the one d x k x m product of a
 call; `train` takes it from the task, which makes w0 R^T once and hands it to
-every adapter whose w0 holds the task's w0 values. The loss is one dot
-product of that plane with itself, plus the tail, and the 1/n of R is applied
-to the slot gradients, which are r, d or k long or d x r, r x k, so the
-residual plane is never rescaled. Each slot gradient, a magnitude method's
-already less its row term, is written straight into its view of the flat
-vector the optimizer reads. osora and vera scale the rows of left, not of the
-d x m product. So a step makes no d x m array and passes over one only to
-fill it, to read it for the loss and the row sums of dL/dm, and to multiply
-it into the gradient products. What it still makes are q x m and d x q (or
-k x r) products, vectors of length d, k or r, and dora's d x k w_eff.
+every adapter whose w0 holds the task's w0 values. The loss is one dot product
+of that plane with itself, plus the tail, and the 1/n of R is applied to the
+slot gradients, which are r, d or k long or d x r, r x k, so the residual
+plane is never rescaled. Each slot gradient, a magnitude method's already less
+its row term, is written straight into its view of the flat vector the
+optimizer reads. osora and vera scale the rows of left, not of the d x m
+product. So a step makes no d x m array and passes over one only to fill it,
+to read it for the loss and the row sums of dL/dm, and to multiply it into the
+gradient products. What it still makes are q x m and d x q (or k x r)
+products, vectors of length d, k or r, and dora's d x k w_eff.
 """
 
 from __future__ import annotations
@@ -109,55 +110,51 @@ def _check_pair(x_probes, y_targets) -> tuple[np.ndarray, np.ndarray]:
     return x, y
 
 
-def _stepper(
-    state: AdapterState, x_probes, y_targets, n: int | None = None, tail: float = 0.0, base: np.ndarray | None = None
-) -> Callable[[AdapterState, np.ndarray | None], float]:
-    """step(st, g) -> the loss over fixed probes, for state and any adapter sharing its frozen tensors.
+def _stepper(state: AdapterState, x_probes, y_targets, n=None, tail=0.0, base=None, g=None) -> Callable[[bool], float]:
+    """step(grad) -> the loss over fixed probes at state's current trainables; step(True) writes the gradient into g.
 
-    Checks the probes, computes their products with the frozen tensors
-    (base, if given, is w0 @ x, which the caller already holds) and allocates
-    the d x m workspace once (m probe columns); every step writes into that
-    workspace, and writes the gradient into the flat vector g in
-    trainable_vector's layout; with g None it takes the same loss and forms
-    no gradient. Raw probes leave n to their column count and tail at 0;
-    compressed ones (R^T, Y Q) pass the true n and the tail ||Y - (Y Q) Q^T||^2,
-    the constant part of the loss's squared sum. The returned step is not
-    reentrant: run one at a time.
+    Binds once per run what holds between steps: state's method record and
+    dicts, the probes' products with the frozen tensors (base, if given, is
+    w0 @ x, which the caller holds), the d x m workspace (m probe columns) and
+    the views of g, a flat vector in trainable_vector's layout. step(False)
+    takes the same loss and forms no gradient; with g None it is the only step.
+    Raw probes leave n to their column count and tail at 0; compressed ones
+    (R^T, Y Q) pass the true n and the tail ||Y - (Y Q) Q^T||^2, the constant
+    part of the loss's squared sum. The step is not reentrant: run one at a time.
     """
     x, y = _check_pair(x_probes, y_targets)
     if x.shape[0] != state.k or y.shape[0] != state.d:
         raise DimensionMismatch(f"expected probes {state.k} x n and targets {state.d} x n")
     n = x.shape[1] if n is None else n
-    fx = _TABLE[state.method.tag].fixed(state.frozen, x, base)
-    # Plane: the prediction, rescaled in place by a magnitude method, then the residual.
-    ws = np.empty(y.shape)
+    entry, fz, t = _TABLE[state.method.tag], state.frozen, state.trainable
+    fx = entry.fixed(fz, x, base)
+    # Plane r: the prediction, rescaled in place by a magnitude method, then the residual.
+    r = np.empty(y.shape)
+    flat = r.reshape(-1)
+    out = None if g is None else _slot_views(state, g)
 
-    def step(st: AdapterState, g: np.ndarray | None) -> float:
-        entry = _TABLE[st.method.tag]
-        fz, t = st.frozen, st.trainable
-        left, z, rows, scale = _predict(st, fx, x, ws)
-        r = ws
-        r -= y
-        flat = r.ravel()
+    def step(grad: bool) -> float:
+        left, z, rows, scale = _predict(entry, fz, t, fx, x, r)
+        np.subtract(r, y, out=r)
         loss = 0.5 / n * (float(flat @ flat) + tail)
-        if g is None:
+        if not grad:
             return loss
-        out = _slot_views(st, g)
         # r is the residual pred - Y, not R = r/n; the 1/n goes on the small slot gradients.
         if entry.magnitude:
-            norms, w, e = rows
+            w, e, pos, safe = rows
             grads = entry.grad(fz, t, left, z, r, x, fx, scale)
             # dL/dm_i = r_i . P_i / (n norms_i), P = base + left @ z the prediction before the rescale;
             # grad returns the r_i . (left @ z)_i half.
-            inv = np.where(norms > 0.0, 1.0 / np.where(norms > 0.0, norms, 1.0), 0.0)
+            inv = np.where(pos, 1.0 / safe, 0.0)
             g_m = np.multiply((_row_dots(r, fx["base"]) + grads.pop("m")) / n, inv, out=out["m"])
-            row_grads = entry.grad_rows(fz, t, np.ldexp(scale * g_m * inv, e), w)
-            for name, grad in grads.items():
-                np.subtract(grad / n, row_grads[name], out=out[name])
+            c = scale * g_m * inv
+            row_grads = entry.grad_rows(fz, t, c if e is None else np.ldexp(c, e), w)
+            for name, slot_grad in grads.items():
+                np.subtract(slot_grad / n, row_grads[name], out=out[name])
         else:
-            for name, grad in entry.grad(fz, t, left, z, r, x, fx).items():
+            for name, slot_grad in entry.grad(fz, t, left, z, r, x, fx).items():
                 if name in out:  # an ablation trains one slot of the pair
-                    np.divide(grad, n, out=out[name])
+                    np.divide(slot_grad, n, out=out[name])
         return loss
 
     return step
@@ -166,13 +163,13 @@ def _stepper(
 def gradient(state: AdapterState, x_probes, y_targets) -> LossGrad:
     """Analytic gradient for any method, in flat-layout slot order."""
     g = np.empty(trainable_count(state.method, state.d, state.k))
-    loss = _stepper(state, x_probes, y_targets)(state, g)
+    loss = _stepper(state, x_probes, y_targets, g=g)(True)
     return LossGrad(loss=loss, slices=_slot_views(state, g))
 
 
 def loss_mse(state: AdapterState, x_probes, y_targets) -> float:
     """The loss a step over the raw probes takes, with no gradient formed."""
-    return _stepper(state, x_probes, y_targets)(state, None)
+    return _stepper(state, x_probes, y_targets)(False)
 
 
 def finite_diff(state: AdapterState, x_probes, y_targets, h: float = FD_STEP) -> LossGrad:
@@ -184,13 +181,13 @@ def finite_diff(state: AdapterState, x_probes, y_targets, h: float = FD_STEP) ->
     theta = theta0.copy()
     work.trainable.update(_slot_views(work, theta))  # so each write to theta lands in work
     step = _stepper(work, x_probes, y_targets)
-    loss0 = step(work, None)
+    loss0 = step(False)
     grad = np.empty_like(theta0)
     for i in range(theta0.size):
         theta[i] = theta0[i] + h
-        loss_plus = step(work, None)
+        loss_plus = step(False)
         theta[i] = theta0[i] - h
-        loss_minus = step(work, None)
+        loss_minus = step(False)
         theta[i] = theta0[i]
         grad[i] = (loss_plus - loss_minus) / (2.0 * h)
     return LossGrad(loss=loss0, slices=_slot_views(state, grad))

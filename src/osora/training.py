@@ -163,6 +163,8 @@ def train(state: AdapterState, task: ToyTask, config: TrainConfig) -> TrainRun:
     untouched and the returned run owns its final state, whose active slots
     are views of one flat vector.
     """
+    if not isinstance(config, TrainConfig):
+        raise InvalidConfig(f"config must be a TrainConfig, got {config!r}")
     work = clone_state(state)
     # The active slots become views of theta, so each update lands in work in place.
     theta = trainable_vector(work)
@@ -172,9 +174,10 @@ def train(state: AdapterState, task: ToyTask, config: TrainConfig) -> TrainRun:
     g, tmp, m_hat = (np.empty_like(theta) for _ in range(3))
     # A diverging run, or targets whose squares overflow, overflow here; the loss check raises NonFiniteLoss.
     with np.errstate(over="ignore", invalid="ignore"):
-        step_at = _stepper(work, *task.planes, base=task.base if np.array_equal(work.frozen["w0"], task.w0) else None)
+        base = task.base if np.array_equal(work.frozen["w0"], task.w0) else None
+        step_at = _stepper(work, *task.planes, base=base, g=g)
         for step in range(config.steps):
-            loss = trace[step] = step_at(work, g)
+            loss = trace[step] = step_at(True)
             if not math.isfinite(loss):
                 raise NonFiniteLoss(f"loss became non-finite at step {step}")
             if config.optimizer == "sgd":
@@ -192,7 +195,7 @@ def train(state: AdapterState, task: ToyTask, config: TrainConfig) -> TrainRun:
                 tmp += ADAM_EPS
                 np.multiply(config.lr, m_hat, out=m_hat)
                 theta -= np.divide(m_hat, tmp, out=m_hat)
-        trace[config.steps] = step_at(work, None)
+        trace[config.steps] = step_at(False)
     if not math.isfinite(trace[config.steps]):
         raise NonFiniteLoss(f"loss became non-finite at step {config.steps}")
     return TrainRun(config=config, loss_trace=trace, final_state=work)

@@ -12,6 +12,7 @@ from osora import (
     forward,
     get_preset,
     gradient,
+    load,
     load_trainable,
     make_task,
     param_ratio,
@@ -20,6 +21,7 @@ from osora import (
     save,
     scaling_sweep,
     svd_truncated,
+    train,
     weight_digest,
 )
 from osora.verify import run_scope
@@ -48,6 +50,10 @@ BAD_CALLS = {
     "sweep_unsorted_ranks": lambda tmp: scaling_sweep(get_preset("mistral7b_v03"), ["osora"], [2, 1]),
     "sweep_non_integer_rank": lambda tmp: scaling_sweep(get_preset("qwen2_7b"), ["lora"], [4, "8"]),
     "sweep_preset_name": lambda tmp: scaling_sweep("qwen2_7b", ["lora"], [4]),
+    "sweep_no_methods": lambda tmp: scaling_sweep(get_preset("qwen2_7b"), [], [4]),
+    "sweep_preset_name_no_methods": lambda tmp: scaling_sweep("qwen2_7b", [], [4]),
+    "sweep_methods_none": lambda tmp: scaling_sweep(get_preset("qwen2_7b"), None, [4]),
+    "sweep_methods_string": lambda tmp: scaling_sweep(get_preset("qwen2_7b"), "lora", [4]),
     "report_preset_name": lambda tmp: report("qwen2_7b", "lora", 4),
     "ratio_nonpositive_dims": lambda tmp: param_ratio(0, 4, 1),
     "ratio_boolean_rank": lambda tmp: param_ratio(8, 8, True),
@@ -60,6 +66,10 @@ BAD_CALLS = {
     "method_unknown_trainable_set": lambda tmp: AdapterMethod(tag="osora", rank=1, trainable_set="only_x"),
     "method_ablation_outside_osora": lambda tmp: AdapterMethod(tag="lora", rank=1, trainable_set="only_s"),
     "build_negative_seed": lambda tmp: build_adapter(np.eye(4), AdapterMethod(tag="lora", rank=1), seed=-1),
+    "build_method_tag_string": lambda tmp: build_adapter(np.eye(4), "osora", 1),
+    "train_config_dict": lambda tmp: train(_lora(), make_task(4, 4, 1, 0), {"steps": 2, "lr": 0.01}),
+    "save_path_none": lambda tmp: save(_lora(), None),
+    "load_path_none": lambda tmp: load(None, np.eye(4)),
     "save_seed_past_u64": lambda tmp: save(_state_with_seed(2**64), tmp / "a.ckpt"),
     "save_non_integer_seed": lambda tmp: save(_state_with_seed(1.5), tmp / "a.ckpt"),
     "task_non_integer_dims": lambda tmp: make_task(8.0, 8, 2, 0),

@@ -18,6 +18,7 @@ from osora import (
     gradient,
     load_trainable,
     loss_mse,
+    make_task,
     random_matrix,
     trainable_vector,
 )
@@ -212,6 +213,25 @@ class TestZeroRow:
         assert lg.slices["m"][2] == 0.0
         if state.method.tag == "osora_dora":
             assert lg.slices["o"][2] == 0.0
+
+
+@pytest.mark.parametrize("d,k,r", [(12, 10, 3), (9, 14, 2)])
+@pytest.mark.parametrize("tag", ["dora", "osora_dora"])
+def test_rescaled_row_norms_leave_the_gradient_bytes(tag, d, k, r, monkeypatch):
+    # Every row of these weights squares in range, so the step passes its row
+    # term on unscaled. An empty range sends every row through the power-of-two
+    # rescaling, which is exact, so loss and gradient keep their bytes over raw
+    # and compressed probes alike.
+    state, _ = perturbed_state(tag, d, k, r, 29, scale=0.3)
+    task = make_task(d, k, r, seed=29)
+    pairs = [(task.probes, task.targets), task.planes[:2]]
+    want = [gradient(state, x, y) for x, y in pairs]
+    monkeypatch.setattr(osora.adapters, "_ROW_SQ_RANGE", (np.inf, -np.inf))
+    assert osora.adapters._scaled_norms(np.ones((2, 2)))[2] is not None
+    for (x, y), lg in zip(pairs, want):
+        got = gradient(state, x, y)
+        assert got.flat().tobytes() == lg.flat().tobytes()
+        assert np.float64(got.loss).tobytes() == np.float64(lg.loss).tobytes()
 
 
 class TestFiniteDiff:

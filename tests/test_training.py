@@ -28,6 +28,8 @@ from osora import (
     trainable_vector,
 )
 import osora.adapters
+import osora.gradients
+import osora.training
 from conftest import truncation_residual
 from osora.gradients import _stepper, loss_mse
 from osora.verify import perturbed_state
@@ -409,12 +411,12 @@ def test_train_step_allocates_no_probe_sized_array(method):
     n = 4096
     task = make_task(d, k, 2, seed=15, n=n)
     state = build_adapter(task.w0, method, seed=15)
-    step = _stepper(state, task.probes, task.targets)
     g = trainable_vector(state)
-    step(state, g)  # warm-up
+    step = _stepper(state, task.probes, task.targets, g=g)
+    step(True)  # warm-up
     tracemalloc.start()
     try:
-        step(state, g)
+        step(True)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -488,11 +490,29 @@ def test_loss_only_step_takes_the_step_loss(method):
     task = make_task(12, 10, 3, seed=23, n=24)
     trained = train(build_adapter(task.w0, method, seed=23), task, TrainConfig(steps=3, lr=1e-2)).final_state
     g = np.empty(trainable_vector(state).size)
-    for st, step in [(state, _stepper(state, x, y)), (trained, _stepper(trained, *task.planes, base=task.base))]:
-        alone = step(st, None)
-        assert np.float64(step(st, g)).tobytes() == np.float64(alone).tobytes()
-        assert np.float64(step(st, None)).tobytes() == np.float64(alone).tobytes()
+    for step in [_stepper(state, x, y, g=g), _stepper(trained, *task.planes, base=task.base, g=g)]:
+        alone = step(False)
+        assert np.float64(step(True)).tobytes() == np.float64(alone).tobytes()
+        assert np.float64(step(False)).tobytes() == np.float64(alone).tobytes()
     assert loss_mse(state, x, y) == gradient(state, x, y).loss
+
+
+@pytest.mark.parametrize("method", TRAINED_METHODS, ids=lambda m: f"{m.tag}-{m.trainable_set}")
+def test_train_binds_its_step_once(method, monkeypatch):
+    # The stepper takes the gradient's slot views when it is made, not at each
+    # step, so a run of any length takes them the same number of times.
+    task = make_task(10, 8, 2, seed=24)
+    state = build_adapter(task.w0, method, seed=24)
+    calls = []
+    for module in (osora.gradients, osora.training):
+        real = module._slot_views
+        monkeypatch.setattr(module, "_slot_views", lambda *a, real=real: calls.append(a) or real(*a))
+    counts = []
+    for steps in (1, 8):
+        calls.clear()
+        train(state, task, TrainConfig(steps=steps, lr=1e-2))
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
 
 
 @pytest.mark.parametrize("method", TRAINED_METHODS, ids=lambda m: f"{m.tag}-{m.trainable_set}")
