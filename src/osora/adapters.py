@@ -203,6 +203,10 @@ class _Method:
     grad_rows: Callable | None = None
     norms: Callable | None = None
     o_axis: int = 0  # the axis of w that the o vector runs along
+    # The frozen span of the update: ("rows", fz -> W), W r x k with every row of left @ right in its row space,
+    # or ("cols", fz -> U), U d x r orthonormal with every column in its span. None where no factor is frozen,
+    # or where a row rescale that depends on trainables moves the residual off that span.
+    span: tuple[str, Callable] | None = None
     svd: bool = False  # built over the shared top-r SVD of w0, so its rank is at most min(d, k)
 
     @property
@@ -313,6 +317,7 @@ _OSORA = _Method(
     frozen_size=lambda d, k, r: r * (d + k) + d + r,  # u_r, v_r, o0, s0
     products=lambda fz, x: {"vtx": fz["v_r"].T @ x},
     lift=lambda fz, t, fx: fx["vtx"],
+    span=("rows", lambda fz: fz["v_r"].T),
     svd=True,
 )
 _TABLE: dict[str, _Method] = {
@@ -326,6 +331,7 @@ _TABLE: dict[str, _Method] = {
         frozen_size=lambda d, k, r: r * (d + k),  # a_base, b_base
         products=lambda fz, x: {"ax": fz["a_base"] @ x},
         lift=lambda fz, t, fx: t["d_vec"][:, None] * fx["ax"],
+        span=("rows", lambda fz: fz["a_base"]),
     ),
     "pissa": replace(
         _LORA,
@@ -347,6 +353,7 @@ _TABLE: dict[str, _Method] = {
         products=lambda fz, x: {},
         lift=None,
         o_axis=1,
+        span=("cols", lambda fz: fz["u_r"]),
     ),
     "dora": replace(
         _LORA,
@@ -362,6 +369,7 @@ _TABLE: dict[str, _Method] = {
         frozen_size=lambda d, k, r: r * (d + k) + d + r + d * r + d,  # osora's, w0_v, w0_perp
         grad_rows=lambda fz, t, c, wv: _osora_grads(fz["u_r"], t, c[:, None] * wv),
         norms=_osora_dora_norms,
+        span=None,
     ),
 }
 

@@ -79,10 +79,12 @@ def read_matrix(path) -> np.ndarray:
         tokens = Path(path).read_text(encoding="utf-8").split()
     except (OSError, UnicodeDecodeError) as exc:
         raise CliError(f"cannot read matrix file {path}: {exc}", EXIT_PARSE) from exc
+    if len(tokens) < 2:
+        raise CliError(f"malformed matrix file {path}: missing the 'rows cols' header", EXIT_PARSE)
     try:
         rows, cols = int(tokens[0]), int(tokens[1])
         values = [float(t) for t in tokens[2:]]
-    except (IndexError, ValueError) as exc:
+    except ValueError as exc:
         raise CliError(f"malformed matrix file {path}: {exc}", EXIT_PARSE) from exc
     if rows < 1 or cols < 1 or len(values) != rows * cols:
         raise CliError(

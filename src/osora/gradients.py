@@ -18,7 +18,8 @@ subtracts are constants). For osora, with H = G v_r = R (v_r^T X)^T,
     dL/do   = rowwise sum of H * u_r diag(s_r)
 
 and osora_k the same two sums with v_r for u_r and H = G^T u_r = X (u_r^T R)^T,
-so a step costs O(r n (d + k)), not O(d k n). The dora-style magnitude
+so a step costs O(r n (d + k)), not O(d k n); `training.train` narrows n, and
+for osora_k d, to r where a factor of the update is frozen. The dora-style magnitude
 rescale contributes the usual normalized-row Jacobian (the row-norm
 denominator is differentiated, not detached): dL/dm = rowwise sum of R * P
 over the row norms, P = base + left Z the prediction before the rescale, and
@@ -40,16 +41,25 @@ with X^T = Q R (Q n x m orthonormal, m = min(n, k)) the loss splits as
 
 and G = (M X - Y) X^T = (M R^T - Y Q) R: the step over the k x m probes R^T
 with targets Y Q, the task's true n and the constant tail is the step over
-X and Y. `training.train` steps over the planes a `ToyTask` keeps; `gradient`,
+X and Y. The same holds for any other orthonormal basis: where every row of
+the update lies in the row space of an r x k frozen W (osora's v_r^T, vera's
+a_base), (W R^T)^T = Q_w T makes the r-column planes R^T Q_w, Y Q Q_w and the
+base's w0 R^T Q_w, and where every column lies in the span of an orthonormal
+d x r U (osora_k's u_r), U^T Y Q and U^T w0 R^T make the r-row ones over a
+d = r view of the adapter (U -> I_r). The residual's part off either span
+does not change with the trainables, so it joins the tail, and G keeps its
+products with the frozen factor. `training.train` steps over the planes a
+`ToyTask` keeps, projected so where its record names a span; `gradient`,
 `loss_mse` and `finite_diff` step over the raw probes, the last two asking the
 step for its loss alone, so the loss has one formula wherever it is taken.
 
 Each of them binds its step once per call: the method record, the probe
 products, the views of the flat gradient vector and one d x m workspace plane
-(m = min(n, k) for `train`, n for the others). Every step writes into the
-plane: left Z goes in, `fixed`'s base product is added to make the prediction,
-a magnitude method scales its rows in place, and subtracting Y leaves the
-residual pred - Y. The base product w0 X is the one d x k x m product of a
+(m = min(n, k) for `train`, n for the others; a projected run's plane is
+d x r, or r x m for osora_k). Every step writes into the plane: left Z goes
+in, `fixed`'s base product is added to make the prediction, a magnitude
+method scales its rows in place, and subtracting Y leaves the residual
+pred - Y. The base product w0 X is the one d x k x m product of a
 call; `train` takes it from the task, which makes w0 R^T once and hands it to
 every adapter whose w0 holds the task's w0 values. The loss is one dot product
 of that plane with itself, plus the tail, and the 1/n of R is applied to the
@@ -110,6 +120,14 @@ def _check_pair(x_probes, y_targets) -> tuple[np.ndarray, np.ndarray]:
     return x, y
 
 
+def _check_probes(state: AdapterState, x_probes, y_targets) -> tuple[np.ndarray, np.ndarray]:
+    """_check_pair's arrays, refused unless they are k x n probes and d x n targets for state."""
+    x, y = _check_pair(x_probes, y_targets)
+    if x.shape[0] != state.k or y.shape[0] != state.d:
+        raise DimensionMismatch(f"expected probes {state.k} x n and targets {state.d} x n")
+    return x, y
+
+
 def _stepper(state: AdapterState, x_probes, y_targets, n=None, tail=0.0, base=None, g=None) -> Callable[[bool], float]:
     """step(grad) -> the loss over fixed probes at state's current trainables; step(True) writes the gradient into g.
 
@@ -122,9 +140,7 @@ def _stepper(state: AdapterState, x_probes, y_targets, n=None, tail=0.0, base=No
     (R^T, Y Q) pass the true n and the tail ||Y - (Y Q) Q^T||^2, the constant
     part of the loss's squared sum. The step is not reentrant: run one at a time.
     """
-    x, y = _check_pair(x_probes, y_targets)
-    if x.shape[0] != state.k or y.shape[0] != state.d:
-        raise DimensionMismatch(f"expected probes {state.k} x n and targets {state.d} x n")
+    x, y = _check_probes(state, x_probes, y_targets)
     n = x.shape[1] if n is None else n
     entry, fz, t = _TABLE[state.method.tag], state.frozen, state.trainable
     fx = entry.fixed(fz, x, base)

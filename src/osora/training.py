@@ -11,31 +11,52 @@ subspace; smaller ranks and single-vector ablations cannot.
 `train` steps over the task's probes compressed by one QR, X^T = Q R with
 m = min(n, k) columns: the k x m R^T, the d x m targets Y Q and the scalar
 tail ||Y - (Y Q) Q^T||^2, added to every step's loss with the task's true n
-(see `gradients`). So each step works on d x m planes, not d x n. A ToyTask
-is frozen and holds read-only copies of its arrays, so no write reaches what
-its planes were made from: it makes them (not Q) at its first train and keeps
-them, and keeps `base`, the read-only d x m product w0 R^T, from the first
-train of an adapter whose frozen w0 holds the task's w0 values. Every such
-adapter's train reads it; an adapter over any other weight forms its own.
-Its `factors`, w0's top-r_gap SVD, come the same way, lazily, from
-the registry that SVD-initialised builds share (`make_task` fills the cache
-with the factors it planted the gap in). `dataclasses.replace` makes a new
-task, which compresses its own probes, forms its own w0 R^T and decomposes
-its own w0. A run's last loss, after its last update, forms no gradient.
+(see `gradients`). So each step works on d x m planes, not d x n.
+
+Where one factor of the update L R is frozen, a run narrows them once more,
+to the r-wide span of that factor (`_Method.span`): osora's v_r^T and vera's
+a_base hold every row of L R in their row space, and osora_k's orthonormal
+u_r every column in its span. The update's part of the residual then lies in
+that span, so the residual's part off it is a constant of the run, and its
+squared norm joins the tail. osora and vera step over d x r planes and
+osora_k over r x m ones. dora and osora_dora cannot: their row rescale
+depends on the trainables, so their residual's part off the span is not
+constant. lora and pissa have no frozen factor.
+
+A ToyTask is frozen and holds read-only copies of its arrays, so no write
+reaches what its planes were made from: it makes them (not Q) at its first
+train and keeps them, and keeps `base`, the read-only d x m product w0 R^T,
+from the first train of an adapter whose frozen w0 holds the task's w0
+values. Every such adapter's train reads it; an adapter over any other
+weight forms its own. Its `factors`, w0's top-r_gap SVD, come the same way,
+lazily, from the registry that SVD-initialised builds share (`make_task`
+fills the cache with the factors it planted the gap in).
+`dataclasses.replace` makes a new task, which compresses its own probes,
+forms its own w0 R^T and decomposes its own w0. A run's last loss, after its
+last update, forms no gradient.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
 
-from .adapters import AdapterState, _read_only, _shared_svd, _slot_views, clone_state, trainable_vector, weight_digest
+from .adapters import (
+    _TABLE,
+    AdapterState,
+    _read_only,
+    _shared_svd,
+    _slot_views,
+    clone_state,
+    trainable_vector,
+    weight_digest,
+)
 from .errors import DimensionMismatch, InvalidConfig, NonFiniteLoss, RankOutOfRange
-from .gradients import _check_pair, _stepper
+from .gradients import _check_pair, _check_probes, _stepper
 from .linalg import SvdFactors, as_real_array, check_fits, check_integers, check_seed, random_matrix
 
 ADAM_BETA1 = 0.9
@@ -156,6 +177,46 @@ def make_task(d: int, k: int, r_gap: int, seed: int, n: int | None = None) -> To
     return task
 
 
+def _projected(
+    state: AdapterState, planes: tuple, base: np.ndarray | None
+) -> tuple[AdapterState, tuple, np.ndarray | None]:
+    """(state, planes, base) for a run over planes (x, y, n, tail) projected onto the frozen span of state's update.
+
+    With C = base - y, the residual at a zero update (base = w0 @ x, formed here
+    if None), a span of r rows W (r x k) takes one QR, (W x)^T = Q_w T, and
+    the run steps over x Q_w, y Q_w and base Q_w; a span of r orthonormal
+    columns U steps over U^T y and U^T base with a d = r view of state
+    (U -> I_r, and no w0). Either way the update's part of the residual
+    lies in the span, so the part of C off it is a constant of the run and
+    joins the tail, taken from the residual itself. A record with no span, or
+    one as wide as the planes, keeps them as they are.
+    """
+    entry, r = _TABLE[state.method.tag], state.method.rank
+    if entry.span is None:
+        return state, planes, base
+    side, span = entry.span
+    x, y, n, tail = planes
+    if r >= (x.shape[1] if side == "rows" else state.d):
+        return state, planes, base
+    w = span(state.frozen)
+    if base is None:
+        base = np.matmul(state.frozen["w0"], x)
+    if side == "rows":
+        q = np.linalg.qr((w @ x).T)[0]
+        x, yp, bp = x @ q, y @ q, base @ q
+        resid = (bp - yp) @ q.T
+    else:
+        yp, bp = w.T @ y, w.T @ base
+        resid = w @ (bp - yp)
+        frozen = {**state.frozen, "u_r": np.eye(r)}
+        del frozen["w0"]  # the step reads the projected base, never w0
+        state = replace(state, d=r, frozen=frozen)
+    resid -= base
+    resid += y
+    flat = resid.ravel()
+    return state, (x, yp, n, tail + float(flat @ flat)), bp
+
+
 def train(state: AdapterState, task: ToyTask, config: TrainConfig) -> TrainRun:
     """Full-batch gradient descent on the adapter's trainable vector.
 
@@ -174,8 +235,11 @@ def train(state: AdapterState, task: ToyTask, config: TrainConfig) -> TrainRun:
     g, tmp, m_hat = (np.empty_like(theta) for _ in range(3))
     # A diverging run, or targets whose squares overflow, overflow here; the loss check raises NonFiniteLoss.
     with np.errstate(over="ignore", invalid="ignore"):
+        planes = task.planes
+        _check_probes(work, *planes[:2])  # before any product of the planes with work's tensors
         base = task.base if np.array_equal(work.frozen["w0"], task.w0) else None
-        step_at = _stepper(work, *task.planes, base=base, g=g)
+        view, planes, base = _projected(work, planes, base)
+        step_at = _stepper(view, *planes, base=base, g=g)
         for step in range(config.steps):
             loss = trace[step] = step_at(True)
             if not math.isfinite(loss):

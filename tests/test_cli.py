@@ -142,6 +142,14 @@ class TestDecompose:
         code, _, _ = run_cli(capsys, "decompose", str(path), "--rank", "1")
         assert code == 3
 
+    @pytest.mark.parametrize("text", ["", "2\n"], ids=["empty", "one_token"])
+    def test_missing_header_exit_code(self, text, tmp_path, capsys):
+        path = tmp_path / "m.txt"
+        path.write_text(text)
+        code, out, err = run_cli(capsys, "decompose", str(path), "--rank", "1")
+        assert code == 3 and out == "" and err.startswith("error: malformed matrix file")
+        assert "missing the 'rows cols' header" in err and "index" not in err
+
     def test_non_utf8_matrix_exit_code(self, tmp_path, capsys):
         path = tmp_path / "m.txt"
         path.write_bytes(b"\xff2 2\n1.0 0.0\n0.0 1.0\n")
@@ -190,8 +198,8 @@ class TestTrain:
         assert code == 0
         digests = {name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest() for name in ("loss.csv", "adapter.ckpt")}
         assert digests == {
-            "loss.csv": "932bac619e4c13743c1f3424f5fbdf3d77f2971cd13f3b4e3508b304fae627c6",
-            "adapter.ckpt": "45f94bb7cac3a7d24ab2cf8f1de49bd8f223a488f3c83296c23fa5016ebd0083",
+            "loss.csv": "5b1598726ceba11f7f94fc3ae3bd862b758c9d9dec2b2701d2054cadc8515aab",
+            "adapter.ckpt": "c937f1ad15bb77c39438d773c19f58a342c1e42fa0d85d4c5d69f4e4b413b2b5",
         }
 
     @pytest.mark.parametrize(

@@ -212,22 +212,33 @@ TRAINED_METHODS = [AdapterMethod(tag=tag, rank=2) for tag in METHODS] + [
 
 
 @pytest.mark.parametrize(
-    "shape, own_w0",
-    [((10, 8, 20), False), ((8, 8, 8), False), ((6, 10, 8), False), ((10, 8, 20), True)],
-    ids=["n_gt_k", "n_eq_k", "n_lt_k", "n_gt_k-own_w0"],
+    "shape, own_w0, rank",
+    [
+        ((10, 8, 20), False, 2),
+        ((8, 8, 8), False, 2),
+        ((6, 10, 8), False, 2),
+        ((10, 8, 20), True, 2),
+        ((10, 8, 20), False, 8),
+        ((6, 10, 8), False, 6),
+    ],
+    ids=["n_gt_k", "n_eq_k", "n_lt_k", "n_gt_k-own_w0", "n_gt_k-full_rank", "n_lt_k-full_rank"],
 )
 @pytest.mark.parametrize("method", TRAINED_METHODS, ids=lambda m: f"{m.tag}-{m.trainable_set}")
-def test_compressed_step_matches_the_raw_reference(method, shape, own_w0):
-    # train steps over the QR-compressed probes (R^T, Y Q and the tail);
-    # forward's loss and gradient over the raw probes are the reference. They agree
-    # to roundoff: at most 1.5e-15 of the initial loss and 1.2e-15 of the
-    # largest gradient entry over these cases, bounded here at 1e-13. The
-    # noise puts the targets outside the probes' row space, so at n > k the
-    # tail is 7 % of the initial loss. An adapter over another weight of the
-    # task's shape (own_w0) takes its own w0 @ R^T instead of the task's.
+def test_compressed_step_matches_the_raw_reference(method, shape, own_w0, rank):
+    # train steps over the QR-compressed probes (R^T, Y Q and the tail), and
+    # osora, vera and osora_k over those planes projected onto the frozen span
+    # of their update; forward's loss and gradient over the raw probes are the
+    # reference. They agree to roundoff: at most 1.3e-15 of the initial loss and
+    # 1.4e-15 of the largest gradient entry over these cases, bounded here at
+    # 1e-13. The noise puts the targets outside the probes' row space, so at
+    # n > k the tail is 7 % of the initial loss. An adapter over another weight
+    # of the task's shape (own_w0) takes its own w0 @ R^T instead of the task's.
+    # At rank min(d, k) a span is as wide as the planes on one side, which a
+    # run keeps as they are, and narrower on the other, which it projects.
     d, k, n = shape
     task = make_task(d, k, 2, seed=13, n=n)
     task = dataclasses.replace(task, targets=task.targets + 0.1 * np.random.default_rng(13).standard_normal((d, n)))
+    method = dataclasses.replace(method, rank=rank)
     state = build_adapter(random_matrix(d, k, 14, "gaussian") if own_w0 else task.w0, method, seed=13)
     run = train(state, task, TrainConfig(steps=25, lr=1e-2))
     trace = run.loss_trace
@@ -241,21 +252,46 @@ def test_compressed_step_matches_the_raw_reference(method, shape, own_w0):
 def test_one_qr_per_task(monkeypatch):
     # The first train over a task compresses its probes; the other six reuse
     # that, and a task made from it by dataclasses.replace compresses its own.
+    # Only the n x k QRs of the probes count here: each osora and vera run also
+    # takes one m x r QR to project the planes onto its frozen span.
     task = make_task(10, 8, 2, seed=19)
     states = [build_adapter(task.w0, AdapterMethod(tag=tag, rank=2), seed=19) for tag in METHODS]
-    calls, real = [], np.linalg.qr
+    calls, real, probe = [], np.linalg.qr, (20, 8)
     monkeypatch.setattr(np.linalg, "qr", lambda a, *args, **kw: calls.append(np.shape(a)) or real(a, *args, **kw))
     config = TrainConfig(steps=2, lr=1e-2)
     for state in states:
         train(state, task, config)
-    assert calls == [(20, 8)]
+    assert calls.count(probe) == 1 and calls[0] == probe
     assert not any(arr.flags.writeable for arr in task.planes[:2])  # R^T and Y Q, shared by every call
     probes = 2.0 * task.probes
     task = dataclasses.replace(task, probes=probes, targets=task.w_target @ probes)
     run = train(states[0], task, config)
     train(states[1], task, config)
-    assert calls == [(20, 8), (20, 8)]
+    assert calls.count(probe) == 2
     assert abs(run.loss_trace[0] - loss_mse(states[0], task.probes, task.targets)) <= 1e-13 * run.loss_trace[0]
+
+
+# The (probes, targets) shapes each method's run binds at d x k = 10 x 8, n = 20
+# (so m = 8), rank 2: osora (and its ablations) and vera step over the d x r
+# planes of their row span, osora_k over the r x m ones of its column span, and
+# the rest keep the d x m planes.
+BOUND_PLANES = {"osora": ((8, 2), (10, 2)), "vera": ((8, 2), (10, 2)), "osora_k": ((8, 8), (2, 8))}
+
+
+@pytest.mark.parametrize("method", TRAINED_METHODS, ids=lambda m: f"{m.tag}-{m.trainable_set}")
+def test_train_binds_planes_on_the_frozen_span(method, monkeypatch):
+    task = make_task(10, 8, 2, seed=19)
+    state = build_adapter(task.w0, method, seed=19)
+    bound, real = [], osora.training._stepper
+
+    def spy(st, x, y, *args, base=None, **kw):
+        assert st.d == y.shape[0] and base.shape == y.shape
+        bound.append((x.shape, y.shape))
+        return real(st, x, y, *args, base=base, **kw)
+
+    monkeypatch.setattr(osora.training, "_stepper", spy)
+    train(state, task, TrainConfig(steps=2, lr=1e-2))
+    assert bound == [BOUND_PLANES.get(method.tag, ((8, 8), (10, 8)))]
 
 
 def test_one_base_product_per_task(monkeypatch):
@@ -427,8 +463,10 @@ def test_train_step_allocates_no_probe_sized_array(method):
 def test_train_call_allocates_one_workspace_plane(method):
     # The first train over a task compresses its probes, which takes about two
     # d x n temporaries at d = k, and makes the task's w0 @ R^T, which the
-    # task keeps. Every call then holds one workspace plane of d x min(n, k),
-    # for every method: a magnitude method rescales its prediction in place.
+    # task keeps. Every call then holds one plane of d x min(n, k), for every
+    # method: the workspace (a magnitude method rescales its prediction in
+    # place), or, in a run that projects onto a frozen span, the residual whose
+    # part off the span joins the tail.
     # Measured: at most 2.03 d x n planes on the first call and 0.036 on the second.
     d = k = 32
     n = 4096
@@ -536,10 +574,10 @@ def test_train_forms_one_gradient_per_update(method, monkeypatch):
 # there. test_deterministic_traces checks run-to-run equality anywhere.
 ADAM_RUN_DIGESTS = {
     "lora": "9fe532998d312b4d45fdc771ffc9b76bca5966adf98feb7274288b675f35b73d",
-    "vera": "c81432c34b9add4e4c0a32a153e0ea1b4ecd092fc9d3bef50d8d4d50317109bc",
+    "vera": "11fa6871052d299497df358e159dd17a928cedd965e95e0a525e474ccc0780fc",
     "pissa": "633cba1ac02d008521087dca99d816222e50db44830a21759960508c0b5db89b",
-    "osora": "aec34c43384909675110005b0fd8fc5d5e6efa995fcac0bb5d9f8aa1e70592a8",
-    "osora_k": "afd9193fa21ec82a10ebee8e00a9e88719ed7f2195743b6ce05311d38e83aee2",
+    "osora": "ff93737a310079c25b49b5eee725b2013d49122805959befd8648111d01d855d",
+    "osora_k": "684a81755b7f4bdc665762702d3fd1863cb4f5208b9724a89a5cf61167ddb642",
     "dora": "7afbbe3d382bc08815f7cca77eba05cd1fc337abe9eaa9eeab200086c6219983",
     "osora_dora": "4e2246810962f7d6c2116826a44a8d8deac050623b98d92268eb69c91e7e5bd5",
 }
